@@ -7,7 +7,6 @@ itself (analysis + typing + repair planning + report rendering).
 """
 
 import tempfile
-import time
 
 from repro.core import PinSQL, RepairEngine
 from repro.core.report import render_report
@@ -16,16 +15,7 @@ from repro.detection.typing import classify_case
 from repro.fleet.engine import Diagnosis
 from repro.incidents import IncidentRecorder, IncidentStore
 
-from benchmarks.conftest import write_json, write_report
-
-
-def _best_of(fn, repeats: int = 9) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+from benchmarks.conftest import best_of, write_json, write_report
 
 
 def _diagnose(pinsql, repair, labeled) -> Diagnosis:
@@ -65,8 +55,8 @@ def test_incident_recorder_overhead(corpus, benchmark, tmp_path_factory):
         ]
         total_on = total_off = 0.0
         for i, labeled in enumerate(cases):
-            t_off = _best_of(lambda lc=labeled: _diagnose(pinsql, repair, lc))
-            t_on = _best_of(
+            t_off = best_of(lambda lc=labeled: _diagnose(pinsql, repair, lc))
+            t_on = best_of(
                 lambda lc=labeled: recorder.record(_diagnose(pinsql, repair, lc))
             )
             total_on += t_on

@@ -7,15 +7,13 @@ no faults, breaker closed — all of that must be invisible: < 5% of the
 diagnosis hot path, same budget as telemetry and incident recording.
 """
 
-import time
-
 from repro.core import PinSQL, RepairEngine
 from repro.core.report import render_report
 from repro.detection.typing import classify_case
 from repro.resilience import CircuitBreaker, DegradedModePolicy, StageWatchdog
 from repro.telemetry import MetricsRegistry
 
-from benchmarks.conftest import write_json, write_report
+from benchmarks.conftest import best_of, write_json, write_report
 
 #: A clean per-second window shaped like the real assembly input:
 #: three performance metrics over delta + anomaly (~25 minutes).
@@ -24,15 +22,6 @@ CLEAN_SAMPLES = {
     name: {t: 1.0 + (t % 7) for t in range(WINDOW_S)}
     for name in ("active_session", "cpu_usage", "iops_usage")
 }
-
-
-def _best_of(fn, repeats: int = 9) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _diagnose_bare(pinsql, repair, labeled):
@@ -82,8 +71,8 @@ def test_resilience_overhead(corpus, benchmark):
     ]
     total_on = total_off = 0.0
     for i, labeled in enumerate(cases):
-        t_off = _best_of(lambda lc=labeled: _diagnose_bare(pinsql, repair, lc))
-        t_on = _best_of(
+        t_off = best_of(lambda lc=labeled: _diagnose_bare(pinsql, repair, lc))
+        t_on = best_of(
             lambda lc=labeled: _diagnose_resilient(
                 pinsql, repair, lc, watchdog, policy, breaker
             )

@@ -6,21 +6,10 @@ self-telemetry: the span/histogram instrumentation on the diagnosis
 pipeline must cost < 5% of the uninstrumented wall-clock.
 """
 
-import time
-
 from repro.core import PinSQL
 from repro.telemetry import MetricsRegistry, Tracer
 
-from benchmarks.conftest import write_json, write_report
-
-
-def _best_of(fn, repeats: int = 9) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+from benchmarks.conftest import best_of, write_json, write_report
 
 
 def test_telemetry_overhead(corpus, benchmark):
@@ -38,8 +27,8 @@ def test_telemetry_overhead(corpus, benchmark):
     ]
     total_on = total_off = 0.0
     for i, case in enumerate(cases):
-        t_on = _best_of(lambda c=case: enabled.analyze(c))
-        t_off = _best_of(lambda c=case: disabled.analyze(c))
+        t_on = best_of(lambda c=case: enabled.analyze(c))
+        t_off = best_of(lambda c=case: disabled.analyze(c))
         total_on += t_on
         total_off += t_off
         lines.append(

@@ -10,8 +10,6 @@ propagation switch around an otherwise identical worker drain
 budget is < 5% of the propagation-off wall-clock.
 """
 
-import time
-
 import numpy as np
 
 from repro.collection import Broker, MetricsCollector, QueryLogCollector
@@ -23,7 +21,7 @@ from repro.telemetry.tracing import (
 )
 from repro.workload import WorkloadGenerator, build_population
 
-from benchmarks.conftest import write_json, write_report
+from benchmarks.conftest import best_of, write_json, write_report
 
 #: Long enough that the drain dominates setup, short enough to stay
 #: a few seconds per repeat.
@@ -42,21 +40,6 @@ def _build_feed():
     return block_feed_from_broker(broker, "db-bt")
 
 
-def _best_of(fn, repeats: int = 7, inner: int = 10) -> float:
-    """Best-of-``repeats`` timing of ``inner`` back-to-back calls.
-
-    One drain is milliseconds, so single-call timings are too noisy for
-    a 5% budget; batching amortises the scheduler jitter.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / inner)
-    return best
-
-
 def test_trace_propagation_overhead(benchmark):
     assert trace_propagation_enabled(), "benchmark expects the default state"
     # Blocks are stamped at build time (propagation on) so both arms
@@ -65,10 +48,10 @@ def test_trace_propagation_overhead(benchmark):
     drain = lambda: execute_work_item(WorkItem(feed=feed))  # noqa: E731
     try:
         drain()  # warm caches on the default (on) path
-        t_on = _best_of(drain)
+        t_on = best_of(drain, repeats=7, inner=10)
         set_trace_propagation(False)
         drain()
-        t_off = _best_of(drain)
+        t_off = best_of(drain, repeats=7, inner=10)
     finally:
         set_trace_propagation(True)
     overhead = t_on / t_off - 1

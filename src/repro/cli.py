@@ -697,9 +697,10 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
     )
     top_rsql = {}
     if record_dir is not None:
-        from repro.incidents import IncidentStore, discover_stores
+        from repro.incidents import IncidentStore
+        from repro.segmentlog import discover_logs
 
-        for root in discover_stores(record_dir):
+        for root in discover_logs(record_dir, IncidentStore.PREFIX):
             for meta in IncidentStore(root).metas():
                 top_rsql[meta.instance_id] = meta.top_r_sql or "-"
     print(f"{'instance':<10} {'injected':>8} {'diagnoses':>9}  top R-SQL  verdict")
@@ -986,9 +987,10 @@ def _print_freshness(snap: dict) -> None:
 def _open_stores(args):
     """Every incident store under ``args.dir`` (a store directory, or a
     parent holding one per shard); [] with a message when none exist."""
-    from repro.incidents import IncidentStore, discover_stores
+    from repro.incidents import IncidentStore
+    from repro.segmentlog import discover_logs
 
-    roots = discover_stores(args.dir)
+    roots = discover_logs(args.dir, IncidentStore.PREFIX)
     if not roots:
         print(
             f"error: no incident store under {args.dir} "
@@ -1035,9 +1037,10 @@ def cmd_incidents(args) -> int:
     if args.incidents_command == "health":
         import json
 
-        from repro.incidents import discover_stores, load_health, render_health_text
+        from repro.incidents import IncidentStore, load_health, render_health_text
+        from repro.segmentlog import discover_logs
 
-        if not discover_stores(args.dir):
+        if not discover_logs(args.dir, IncidentStore.PREFIX):
             print(
                 f"error: no incident store under {args.dir} "
                 "(record one with `repro fleet-demo --record DIR`)",
@@ -1322,9 +1325,10 @@ def _health_sweep(args) -> int:
         result = sweeper.sweep_fleet(service)
         findings = result.findings
     else:
-        from repro.incidents import discover_stores
+        from repro.incidents import IncidentStore
+        from repro.segmentlog import discover_logs
 
-        if not discover_stores(args.incidents):
+        if not discover_logs(args.incidents, IncidentStore.PREFIX):
             print(
                 f"error: no incident store under {args.incidents} "
                 "(record one with `repro fleet-demo --record DIR`, or "
@@ -1362,9 +1366,10 @@ def _health_sweep(args) -> int:
 def _open_findings_stores(path: Path):
     """Findings stores under ``path``; [] for empty, None + message for
     a directory that is not a store at all."""
-    from repro.health import FindingsStore, discover_findings_stores
+    from repro.health import FindingsStore
+    from repro.segmentlog import discover_logs
 
-    roots = discover_findings_stores(path)
+    roots = discover_logs(path, FindingsStore.PREFIX)
     if roots:
         return [FindingsStore(root) for root in roots]
     if Path(path).is_dir():
@@ -1424,9 +1429,10 @@ def cmd_health(args) -> int:
 
     fleet = None
     if args.incidents is not None:
-        from repro.incidents import discover_stores, load_health
+        from repro.incidents import IncidentStore, load_health
+        from repro.segmentlog import discover_logs
 
-        if discover_stores(args.incidents):
+        if discover_logs(args.incidents, IncidentStore.PREFIX):
             fleet = load_health(args.incidents)
     findings = [f for store in stores for f in store.findings()]
     report = build_health_report(findings, fleet=fleet)

@@ -13,14 +13,7 @@ from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
 from repro.fleet.registry import InstanceDescriptor, InstanceRegistry
 from repro.fleet.scheduler import DiagnosisScheduler, stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.fleet.sharded import (
-    InstanceFeed,
-    ShardTask,
-    feed_from_broker,
-    run_shard,
-    run_shard_supervised,
-    run_sharded,
-)
+from repro.fleet.sharded import InstanceFeed, feed_from_broker, run_sharded
 from repro.fleet.workers import (
     BlockFeed,
     PersistentWorkerPool,
@@ -28,7 +21,6 @@ from repro.fleet.workers import (
     block_feed_from_broker,
     columnarize_feed,
     execute_work_item,
-    process_work_item,
 )
 
 __all__ = [
@@ -43,15 +35,11 @@ __all__ = [
     "InstanceRegistry",
     "PersistentWorkerPool",
     "ServiceConfig",
-    "ShardTask",
     "WorkItem",
     "block_feed_from_broker",
     "columnarize_feed",
     "execute_work_item",
     "feed_from_broker",
-    "process_work_item",
-    "run_shard",
-    "run_shard_supervised",
     "run_sharded",
     "stable_shard",
 ]

@@ -8,13 +8,13 @@ same :func:`~repro.fleet.scheduler.stable_shard` hash, ships each
 worker its instances' collected streams, and merges the per-shard
 diagnosis counts.
 
-``processes > 1`` runs on the columnar dataplane: feeds are encoded
-into block frames and dispatched one instance at a time to the
-long-lived processes of a
-:class:`~repro.fleet.workers.PersistentWorkerPool` (see that module).
-``processes <= 1`` replays in-process through the legacy per-record
-path, byte-for-byte identical to what :func:`run_shard` has always
-produced — the shared code path callers use regardless of cores.
+Every run goes through one path: feeds are encoded into block frames,
+one :class:`~repro.fleet.workers.WorkItem` per instance, and handed to
+a :class:`~repro.fleet.workers.PersistentWorkerPool`.  With
+``processes <= 1`` the pool executes the items inline, in this
+process; otherwise long-lived worker processes pull them (see that
+module).  Supervision, counters and span merging are the same either
+way.
 
 This mirrors production, where diagnosis workers are separate machines
 consuming a shared Kafka: the message stream is the interface, never
@@ -23,7 +23,7 @@ live Python state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -34,19 +34,8 @@ from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
 from repro.collection.stream import Broker, instance_topic
 from repro.fleet.engine import ServiceConfig
 from repro.fleet.scheduler import stable_shard
-from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.telemetry import get_logger, get_registry
 
-_log = get_logger("fleet")
-
-__all__ = [
-    "InstanceFeed",
-    "ShardTask",
-    "feed_from_broker",
-    "run_shard",
-    "run_shard_supervised",
-    "run_sharded",
-]
+__all__ = ["InstanceFeed", "feed_from_broker", "run_sharded"]
 
 
 @dataclass
@@ -58,29 +47,6 @@ class InstanceFeed:
     metric_records: list[tuple] = field(default_factory=list)
 
 
-@dataclass
-class ShardTask:
-    """Everything one worker process needs to diagnose its shard."""
-
-    feeds: list[InstanceFeed]
-    config: ServiceConfig | None = None
-    #: When set, the shard persists every diagnosis to an
-    #: :class:`~repro.incidents.store.IncidentStore` rooted here.  Each
-    #: worker process must get its OWN directory — JSONL segments are
-    #: single-writer; :func:`run_sharded` assigns ``shard-NN`` subdirs
-    #: and health reporting merges them back with ``discover_stores``.
-    incident_dir: str | None = None
-    #: Optional chaos plan: the shard replays its feeds through a
-    #: :class:`~repro.chaos.ChaosBroker` and may crash outright
-    #: (``worker_crash``) so the parent's supervised restarts are
-    #: exercised.  Plans are plain frozen dataclasses, hence picklable.
-    fault_plan: "FaultPlan | None" = None
-    #: Stable shard identity (the crash decision keys on it).
-    shard_key: str = "shard-00"
-    #: Which supervised attempt this is (bumped by the restart loop).
-    attempt: int = 0
-
-
 def feed_from_broker(broker: Broker, instance_id: str) -> InstanceFeed:
     """Capture an instance's topic partitions as a shippable feed."""
     query = broker.read(instance_topic(QUERY_TOPIC, instance_id), 0, 1 << 31)
@@ -90,90 +56,6 @@ def feed_from_broker(broker: Broker, instance_id: str) -> InstanceFeed:
         query_records=[(m.key, m.value) for m in query],
         metric_records=[(m.key, m.value) for m in metric],
     )
-
-
-def run_shard(task: ShardTask) -> dict[str, int]:
-    """Diagnose one shard in-process; returns diagnoses per instance.
-
-    Module-level and single-argument so ``multiprocessing.Pool.map``
-    can pickle it.
-    """
-    broker = Broker()
-    publish_broker = broker
-    fault_hook = None
-    chaos_broker = None
-    if task.fault_plan is not None:
-        from repro.chaos.injector import FaultInjector, InjectedWorkerCrash
-
-        injector = FaultInjector(task.fault_plan)
-        if injector.should_crash_shard(task.shard_key, task.attempt):
-            raise InjectedWorkerCrash(
-                f"injected crash of {task.shard_key} (attempt {task.attempt})"
-            )
-        chaos_broker = injector.wrap_broker(broker)
-        publish_broker = chaos_broker
-        fault_hook = injector.fleet_hook()
-    recorder = None
-    if task.incident_dir is not None:
-        from repro.incidents import IncidentRecorder, IncidentStore
-
-        recorder = IncidentRecorder(IncidentStore(task.incident_dir))
-    service = FleetDiagnosisService(
-        broker,
-        config=FleetConfig(service=task.config or ServiceConfig(), workers=1),
-        recorder=recorder,
-        fault_hook=fault_hook,
-    )
-    for feed in task.feeds:
-        service.register_instance(feed.instance_id)
-        for key, value in feed.query_records:
-            publish_broker.publish(
-                instance_topic(QUERY_TOPIC, feed.instance_id), key, value
-            )
-        for key, value in feed.metric_records:
-            publish_broker.publish(
-                instance_topic(METRIC_TOPIC, feed.instance_id), key, value
-            )
-    if chaos_broker is not None:
-        chaos_broker.flush()
-    service.run_until_drained()
-    return {
-        instance_id: len(service.diagnoses_for(instance_id))
-        for instance_id in service.instance_ids
-    }
-
-
-def _count_shard_restart(shard_key: str) -> None:
-    get_registry().counter(
-        "fleet_worker_restarts_total",
-        help="Supervised restarts of crashed fleet worker steps.",
-        instance=shard_key,
-    ).inc()
-
-
-def run_shard_supervised(
-    task: ShardTask, max_restarts: int = 2
-) -> dict[str, int]:
-    """Run one shard with bounded supervised restarts.
-
-    A crashed shard (chaos-injected or real) is restarted with a bumped
-    ``attempt`` up to ``max_restarts`` times; a shard that still cannot
-    complete is abandoned with a warning (its instances report zero
-    diagnoses) rather than failing the whole fleet run.
-    """
-    while True:
-        try:
-            return run_shard(task)
-        except Exception:
-            if task.attempt >= max_restarts:
-                _log.warning(
-                    "shard failed after supervised restarts; abandoning",
-                    extra={"shard": task.shard_key, "attempts": task.attempt},
-                    exc_info=True,
-                )
-                return {feed.instance_id: 0 for feed in task.feeds}
-            task = replace(task, attempt=task.attempt + 1)
-            _count_shard_restart(task.shard_key)
 
 
 def run_sharded(
@@ -194,32 +76,16 @@ def run_sharded(
     ``repro incidents health <dir>`` (or
     :func:`repro.incidents.load_health`) merges them afterwards.
 
-    Shard crashes — chaos-injected via ``fault_plan`` or real — are
-    supervised by the parent: each crashed work item is resubmitted
-    with a bumped attempt up to ``max_restarts`` times (counted into
-    ``fleet_worker_restarts_total``) before being abandoned.
+    Crashes — chaos-injected via ``fault_plan`` or real — are
+    supervised by the pool: each crashed work item is resubmitted with
+    a bumped attempt up to ``max_restarts`` times (counted into
+    ``fleet_worker_restarts_total``) before being abandoned with zero
+    diagnoses.
 
-    ``processes > 1`` runs on a
-    :class:`~repro.fleet.workers.PersistentWorkerPool`: feeds are
-    columnarised into encoded block frames, and long-lived worker
-    processes pull one instance-sized work item at a time instead of
-    receiving their whole shard up front.  ``feeds`` may mix
-    :class:`InstanceFeed` and pre-columnarised
-    :class:`~repro.fleet.workers.BlockFeed` entries.
+    ``feeds`` may mix :class:`InstanceFeed` and pre-columnarised
+    :class:`~repro.fleet.workers.BlockFeed` entries; either becomes one
+    instance-sized :class:`~repro.fleet.workers.WorkItem`.
     """
-    if processes <= 1:
-        shard_dir = None
-        if incident_dir is not None:
-            shard_dir = str(Path(incident_dir) / "shard-00")
-        return run_shard_supervised(
-            ShardTask(
-                feeds=feeds,
-                config=config,
-                incident_dir=shard_dir,
-                fault_plan=fault_plan,
-            ),
-            max_restarts=max_restarts,
-        )
     from repro.fleet.workers import (
         BlockFeed,
         PersistentWorkerPool,
@@ -227,21 +93,21 @@ def run_sharded(
         columnarize_feed,
     )
 
+    processes = max(1, processes)
     items = []
     for feed in feeds:
-        idx = stable_shard(feed.instance_id, processes)
-        block_feed = feed if isinstance(feed, BlockFeed) else columnarize_feed(feed)
+        shard_key = f"shard-{stable_shard(feed.instance_id, processes):02d}"
         items.append(
             WorkItem(
-                feed=block_feed,
+                feed=feed if isinstance(feed, BlockFeed) else columnarize_feed(feed),
                 config=config,
                 incident_dir=(
-                    str(Path(incident_dir) / f"shard-{idx:02d}")
+                    str(Path(incident_dir) / shard_key)
                     if incident_dir is not None
                     else None
                 ),
                 fault_plan=fault_plan,
-                shard_key=f"shard-{idx:02d}",
+                shard_key=shard_key,
             )
         )
     pool = PersistentWorkerPool(processes=processes, max_restarts=max_restarts)

@@ -1,9 +1,9 @@
-"""Persistent shard worker processes fed columnar work items.
+"""Fleet work items on the columnar dataplane, run inline or in workers.
 
-The first multiprocess fleet runner shipped each shard its whole raw
-message stream up front and paid per-record pickling on the way over.
-This module replaces that with a pull model built for the columnar
-dataplane:
+Every sharded fleet run (:func:`~repro.fleet.sharded.run_sharded`) is a
+list of instance-sized work items executed by
+:func:`execute_work_item`, either inline or in a pool of worker
+processes:
 
 - An :class:`InstanceFeed` is *columnarised* into a :class:`BlockFeed`
   — encoded :class:`~repro.collection.blocks.QueryLogBlock` /
@@ -11,17 +11,18 @@ dataplane:
   ``bytes``, trivially picklable) plus whatever legacy records could
   not be converted (they keep flowing through the old wire format and
   its quarantine).
-- A :class:`PersistentWorkerPool` spawns long-lived worker processes
-  once and feeds them :class:`WorkItem` units (one instance each)
-  through per-worker task queues.  Workers *pull* their next item when
-  the previous one completes; the parent keeps exactly one item in
-  flight per worker.
-- Supervision lives in the parent: a worker process that dies
-  mid-item (chaos ``worker_crash`` or a real fault) is respawned and
-  its unfinished item resubmitted with a bumped attempt, bounded by
-  ``max_restarts``; an item that keeps crashing is abandoned (zero
-  diagnoses, counted into ``fleet_worker_failures_total``) instead of
-  failing the fleet run.
+- A :class:`PersistentWorkerPool` with one process executes the
+  :class:`WorkItem` units (one instance each) inline, one after the
+  other.  With more, it spawns long-lived worker processes once and
+  feeds them through per-worker task queues.  Workers *pull* their next
+  item when the previous one completes; the parent keeps exactly one
+  item in flight per worker.
+- Supervision lives in the parent: an item that raises (inline, or in
+  a worker) or whose worker process dies (chaos ``worker_crash`` or a
+  real fault; the process is respawned) is resubmitted with a bumped
+  attempt, bounded by ``max_restarts``; an item that keeps failing is
+  abandoned (zero diagnoses, counted into
+  ``fleet_worker_failures_total``) instead of failing the fleet run.
 - Observability crosses the process boundary: each item runs against a
   *private* registry and ships its finished diagnosis spans plus a
   registry snapshot back over the result channel (a clean per-item
@@ -92,7 +93,6 @@ __all__ = [
     "block_feed_from_broker",
     "columnarize_feed",
     "execute_work_item",
-    "process_work_item",
 ]
 
 #: Exit code a worker uses for a chaos-injected hard crash.
@@ -249,18 +249,18 @@ def execute_work_item(
 ) -> dict[str, Any]:
     """Diagnose one work item in-process; returns its export envelope.
 
-    The worker-side body of the pool: rebuild a broker, replay the
-    feed's columnar frames (and legacy leftovers) through it — via the
-    chaos facade when a fault plan is armed, so drop/corrupt/skew and
-    friends apply to batch messages — and drain a single-instance
-    fleet service over the result.
+    The body of every pool item, inline or in a worker: rebuild a
+    broker, replay the feed's columnar frames (and legacy leftovers)
+    through it — via the chaos facade when a fault plan is armed, so
+    drop/corrupt/skew and friends apply to batch messages — and drain a
+    single-instance fleet service over the result.
 
     Everything runs against a private registry (unless one is passed),
     so the returned snapshot is a clean per-item delta and the parent's
     repeated merges never double-count a persistent worker's history.
     A drain that raises still attaches the partial envelope to the
-    exception (``partial_export``) so the worker loop can flush the
-    spans completed before the failure.
+    exception (``partial_export``) so the pool can flush the spans
+    completed before the failure.
     """
     registry = registry if registry is not None else MetricsRegistry()
     broker = Broker(registry=registry)
@@ -338,15 +338,6 @@ def execute_work_item(
     return _export_envelope(service, registry, counts=counts)
 
 
-def process_work_item(item: WorkItem) -> dict[str, int]:
-    """Diagnose one work item in-process; returns diagnoses per instance.
-
-    The counts-only façade over :func:`execute_work_item`, kept for
-    callers (and equivalence tests) that only care about outcomes.
-    """
-    return execute_work_item(item)["counts"]
-
-
 def _worker_main(worker_idx: int, task_queue: Any, result_queue: Any) -> None:
     """Long-lived worker loop: pull an item, process, report, repeat.
 
@@ -386,14 +377,16 @@ def _worker_main(worker_idx: int, task_queue: Any, result_queue: Any) -> None:
 class PersistentWorkerPool:
     """A fixed set of long-lived worker processes pulling work items.
 
-    Unlike a ``Pool.map`` over whole-shard tasks, workers here stay
-    alive across items and pull the next one only when the previous
-    completes — the parent keeps exactly one item in flight per worker,
-    so a crash loses at most one item and restart resubmission is
-    precise.  Items route to workers by ``stable_shard(instance_id,
-    processes)``; pass items whose ``incident_dir``/``shard_key``
-    follow the same hash (as :func:`repro.fleet.sharded.run_sharded`
-    does) to keep incident stores single-writer.
+    With ``processes == 1`` there is no worker process: items run
+    inline through :func:`execute_work_item`, under the same
+    supervision and accounting.  Otherwise workers stay alive across
+    items and pull the next one only when the previous completes — the
+    parent keeps exactly one item in flight per worker, so a crash
+    loses at most one item and restart resubmission is precise.  Items
+    route to workers by ``stable_shard(instance_id, processes)``; pass
+    items whose ``incident_dir``/``shard_key`` follow the same hash (as
+    :func:`repro.fleet.sharded.run_sharded` does) to keep incident
+    stores single-writer.
     """
 
     def __init__(
@@ -498,6 +491,10 @@ class PersistentWorkerPool:
         """Process every item; returns merged diagnosis counts."""
         if not items:
             return {}
+        for item in items:
+            self._count_bytes(item.feed.nbytes)
+        if self.processes == 1:
+            return self._run_inline(items)
         import multiprocessing
 
         ctx = multiprocessing.get_context()
@@ -505,7 +502,6 @@ class PersistentWorkerPool:
         pending: list[deque[WorkItem]] = [deque() for _ in range(n)]
         for item in items:
             pending[stable_shard(item.feed.instance_id, n)].append(item)
-            self._count_bytes(item.feed.nbytes)
         result_queue = ctx.Queue()
         task_queues: dict[int, Any] = {}
         workers: dict[int, Any] = {}
@@ -526,7 +522,7 @@ class PersistentWorkerPool:
         remaining = len(items)
         while remaining > 0:
             try:
-                kind, idx, instance_id, payload = result_queue.get(
+                kind, idx, _, payload = result_queue.get(
                     timeout=self.poll_interval_s
                 )
             except queue_mod.Empty:
@@ -542,23 +538,10 @@ class PersistentWorkerPool:
                 remaining -= 1
                 self._submit(idx, task_queues, pending, inflight)
             elif kind == "error":
-                _log.warning(
-                    "work item failed in persistent worker",
-                    extra={
-                        "worker": idx,
-                        "instance": instance_id,
-                        "error": payload.get("error")
-                        if isinstance(payload, dict)
-                        else payload,
-                    },
-                )
-                if isinstance(payload, dict):
-                    # Flush the spans the item completed before failing.
-                    self._merge_export(payload.get("export"))
                 item = inflight[idx]
                 inflight[idx] = None
                 if item is not None:
-                    remaining -= self._requeue_or_abandon(idx, item, pending, merged)
+                    remaining -= self._item_failed(idx, item, payload, pending, merged)
                 self._submit(idx, task_queues, pending, inflight)
         for idx, task_queue in task_queues.items():
             worker = workers.get(idx)
@@ -570,6 +553,51 @@ class PersistentWorkerPool:
                 worker.terminate()
                 worker.join(timeout=5)
         return merged
+
+    def _run_inline(self, items: list[WorkItem]) -> dict[str, int]:
+        """Execute every item in this process, supervised like the pool.
+
+        An item that raises — a chaos ``InjectedWorkerCrash`` included —
+        takes the same path as a worker's error report.
+        """
+        pending: list[deque[WorkItem]] = [deque(items)]
+        merged: dict[str, int] = {}
+        while pending[0]:
+            item = pending[0].popleft()
+            self._count_item("submitted")
+            try:
+                export = execute_work_item(item)
+            except Exception as exc:
+                partial = getattr(exc, "partial_export", None)
+                report = {"error": repr(exc), "export": partial}
+                self._item_failed(0, item, report, pending, merged)
+                continue
+            merged.update(export["counts"])
+            self._merge_export(export)
+            self._count_item("completed")
+        return merged
+
+    def _item_failed(
+        self,
+        idx: int,
+        item: WorkItem,
+        payload: Any,
+        pending: list[deque[WorkItem]],
+        merged: dict[str, int],
+    ) -> int:
+        """Log a failed item, flush its partial spans, requeue or abandon."""
+        _log.warning(
+            "work item failed",
+            extra={
+                "worker": idx,
+                "instance": item.feed.instance_id,
+                "error": payload.get("error") if isinstance(payload, dict) else payload,
+            },
+        )
+        if isinstance(payload, dict):
+            # Flush the spans the item completed before failing.
+            self._merge_export(payload.get("export"))
+        return self._requeue_or_abandon(idx, item, pending, merged)
 
     def _submit(
         self,

@@ -36,7 +36,7 @@ from repro.health.report import (
     render_health_report_text,
 )
 from repro.health.slo import DEFAULT_SLOS, SloSpec, burn_rate
-from repro.health.store import FindingsStore, discover_findings_stores
+from repro.health.store import FindingsStore
 from repro.health.sweeper import HealthSweeper, SweepResult
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "burn_rate",
     "check_ids",
     "default_checks",
-    "discover_findings_stores",
     "ewma",
     "half_rise",
     "register_check",

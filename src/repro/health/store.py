@@ -1,43 +1,28 @@
 """Append-only, size-bounded findings store (JSONL segments).
 
-The proactive twin of :class:`~repro.incidents.IncidentStore`: health
-findings are appended to numbered segment files
-(``health-000001.jsonl``), the active segment rolls over at a byte
-bound, and retention drops whole cold segments by record count.  Unlike
-incident records, findings are small enough to keep fully in memory, so
-the store indexes the complete finding rather than a light meta — the
-daily report and lead-time harness read everything anyway.
-
-Reopening a store rebuilds from the segments on disk with the same
-truncated-tail tolerance as the incident store: a sweeper killed
-mid-write loses at most the partial final line.
+The proactive twin of :class:`~repro.incidents.IncidentStore`, on the
+same :class:`~repro.segmentlog.SegmentLog`: health findings are
+appended to numbered segment files (``health-000001.jsonl``) with the
+same rollover, count retention and crash recovery.  Unlike incident
+records, findings are small enough to keep fully in memory, so the log
+holds the complete finding rather than a light meta — the daily report
+and lead-time harness read everything anyway.  A resident finding is
+the one its line parses back to, so a reopened store reads exactly what
+the writer held.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from repro.health.finding import HealthFinding
+from repro.segmentlog import SegmentLog
 from repro.sqlanalysis import Severity
-from repro.telemetry import MetricsRegistry, get_logger
+from repro.telemetry import MetricsRegistry
 
-__all__ = ["FindingsStore", "discover_findings_stores"]
-
-_log = get_logger("health")
-
-SEGMENT_GLOB = "health-*.jsonl"
-_SEGMENT_FMT = "health-{:06d}.jsonl"
-
-
-@dataclass
-class _Segment:
-    path: Path
-    records: int = 0
-    size: int = 0
+__all__ = ["FindingsStore"]
 
 
 class FindingsStore:
@@ -57,6 +42,9 @@ class FindingsStore:
         ``health_store_{records,segments,bytes}`` gauges.
     """
 
+    #: Segment file prefix (``health-000001.jsonl``).
+    PREFIX = "health"
+
     def __init__(
         self,
         root: str | Path,
@@ -64,166 +52,57 @@ class FindingsStore:
         max_records: int = 50_000,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if max_segment_bytes <= 0 or max_records <= 0:
-            raise ValueError("max_segment_bytes and max_records must be positive")
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.max_segment_bytes = int(max_segment_bytes)
-        self.max_records = int(max_records)
         self._lock = threading.Lock()
-        #: (segment name, finding) pairs, append order == time order.
-        self._findings: list[tuple[str, HealthFinding]] = []
-        self._segments: list[_Segment] = []
-        self._registry = registry
-        self._recover()
-        self._export_gauges()
+        self._log: SegmentLog[HealthFinding] = SegmentLog(
+            root,
+            self.PREFIX,
+            parse=lambda data, segment: HealthFinding.from_dict(data),
+            serialise=HealthFinding.to_dict,
+            timestamp=lambda finding: finding.detected_at,
+            gauge="health_store",
+            max_segment_bytes=max_segment_bytes,
+            max_records=max_records,
+            registry=registry,
+        )
+        self.root = self._log.root
 
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        paths = sorted(self.root.glob(SEGMENT_GLOB))
-        for i, path in enumerate(paths):
-            segment = _Segment(path=path)
-            last_is_final = i == len(paths) - 1
-            good_bytes = 0
-            with open(path, "rb") as f:
-                raw = f.read()
-            offset = 0
-            for line in raw.splitlines(keepends=True):
-                complete = line.endswith(b"\n")
-                try:
-                    data = json.loads(line)
-                    finding = HealthFinding.from_dict(data)
-                except (json.JSONDecodeError, UnicodeDecodeError, KeyError, ValueError):
-                    if last_is_final and not complete and offset + len(line) == len(raw):
-                        _log.warning(
-                            "truncated health finding dropped on recovery",
-                            extra={"segment": path.name, "bytes": len(line)},
-                        )
-                        break
-                    _log.warning(
-                        "corrupt health finding skipped on recovery",
-                        extra={"segment": path.name, "offset": offset},
-                    )
-                    offset += len(line)
-                    good_bytes = offset
-                    continue
-                offset += len(line)
-                good_bytes = offset
-                self._findings.append((path.name, finding))
-                segment.records += 1
-            if good_bytes < len(raw):
-                with open(path, "r+b") as f:
-                    f.truncate(good_bytes)
-            elif raw and not raw.endswith(b"\n"):
-                with open(path, "ab") as f:
-                    f.write(b"\n")
-                good_bytes += 1
-            segment.size = good_bytes
-            self._segments.append(segment)
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def append(self, finding: HealthFinding) -> None:
         """Persist one finding."""
-        with self._lock:
-            self._append_locked(finding)
-            self._retain()
-            self._export_gauges()
+        self.extend([finding])
 
-    def extend(self, findings) -> int:
+    def extend(self, findings: Iterable[HealthFinding]) -> int:
         """Persist a batch (one sweep's findings); returns the count."""
         count = 0
         with self._lock:
             for finding in findings:
-                self._append_locked(finding)
+                self._log.append(finding)
                 count += 1
-            self._retain()
-            self._export_gauges()
+            self._log.retain()
         return count
 
-    def _append_locked(self, finding: HealthFinding) -> None:
-        segment = self._active_segment()
-        line = json.dumps(finding.to_dict(), separators=(",", ":")) + "\n"
-        payload = line.encode("utf-8")
-        with open(segment.path, "ab") as f:
-            f.write(payload)
-        segment.records += 1
-        segment.size += len(payload)
-        self._findings.append((segment.path.name, finding))
-
-    def _active_segment(self) -> _Segment:
-        if self._segments and self._segments[-1].size < self.max_segment_bytes:
-            return self._segments[-1]
-        number = 1
-        if self._segments:
-            last = self._segments[-1].path.stem  # health-000007
-            number = int(last.rsplit("-", 1)[1]) + 1
-        segment = _Segment(path=self.root / _SEGMENT_FMT.format(number))
-        segment.path.touch()
-        self._segments.append(segment)
-        return segment
-
-    def _retain(self) -> None:
-        while (
-            len(self._segments) > 1
-            and self.record_count - self._segments[0].records >= self.max_records
-        ):
-            segment = self._segments.pop(0)
-            name = segment.path.name
-            self._findings = [
-                (seg, f) for seg, f in self._findings if seg != name
-            ]
-            try:
-                os.remove(segment.path)
-            except OSError:
-                pass
-            _log.info(
-                "health segment pruned",
-                extra={"segment": name, "records": segment.records},
-            )
-
-    def _export_gauges(self) -> None:
-        if self._registry is None:
-            return
-        self._registry.gauge(
-            "health_store_records", help="Health findings resident in the store."
-        ).set(self.record_count)
-        self._registry.gauge(
-            "health_store_segments", help="JSONL segments in the findings store."
-        ).set(len(self._segments))
-        self._registry.gauge(
-            "health_store_bytes", help="Bytes held by the findings store."
-        ).set(self.total_bytes)
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
     @property
     def record_count(self) -> int:
-        return sum(s.records for s in self._segments)
+        return self._log.record_count
 
     @property
     def segment_count(self) -> int:
-        return len(self._segments)
+        return self._log.segment_count
 
     @property
     def total_bytes(self) -> int:
-        return sum(s.size for s in self._segments)
+        return self._log.total_bytes
 
     def __len__(self) -> int:
-        return len(self._findings)
+        return self._log.record_count
 
     def findings(self) -> list[HealthFinding]:
         """Every resident finding, append (time) order."""
-        return [f for _, f in self._findings]
+        return list(self._log)
 
     def sweep_ids(self) -> list[str]:
         """Distinct sweep ids, oldest first."""
         seen: dict[str, None] = {}
-        for _, finding in self._findings:
+        for finding in self._log:
             if finding.sweep_id and finding.sweep_id not in seen:
                 seen[finding.sweep_id] = None
         return list(seen)
@@ -244,7 +123,7 @@ class FindingsStore:
         ``""`` for fleet-scope findings).
         """
         out: list[HealthFinding] = []
-        for _, finding in reversed(self._findings):
+        for finding in reversed(self._log):
             if instance is not None and finding.instance_id != instance:
                 continue
             if check is not None and finding.check != check:
@@ -259,16 +138,3 @@ class FindingsStore:
             if limit is not None and len(out) >= limit:
                 break
         return out
-
-
-def discover_findings_stores(path: str | Path) -> list[Path]:
-    """Findings-store directories under ``path`` (itself, or one level down)."""
-    path = Path(path)
-    if not path.is_dir():
-        return []
-    if any(path.glob(SEGMENT_GLOB)):
-        return [path]
-    return sorted(
-        child for child in path.iterdir()
-        if child.is_dir() and any(child.glob(SEGMENT_GLOB))
-    )

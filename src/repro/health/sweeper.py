@@ -43,8 +43,9 @@ from repro.health.checks import (
 )
 from repro.health.finding import HealthFinding
 from repro.health.store import FindingsStore
-from repro.incidents.store import IncidentMeta, IncidentStore, discover_stores
+from repro.incidents.store import IncidentMeta, IncidentStore
 from repro.resilience import BreakerState
+from repro.segmentlog import discover_logs
 from repro.sqlanalysis import Severity
 from repro.telemetry import (
     MetricsRegistry,
@@ -440,7 +441,7 @@ class HealthSweeper:
         defaults to the newest incident's creation time.
         """
         metas: list[IncidentMeta] = []
-        for store_dir in discover_stores(path):
+        for store_dir in discover_logs(path, IncidentStore.PREFIX):
             metas.extend(IncidentStore(store_dir).metas())
         if now is None:
             now = max((m.created_at for m in metas), default=0)

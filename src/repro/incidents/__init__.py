@@ -42,7 +42,7 @@ from repro.incidents.record import (
 )
 from repro.incidents.recorder import IncidentRecorder
 from repro.incidents.render import render_incident_html, render_incident_text
-from repro.incidents.store import IncidentMeta, IncidentStore, discover_stores
+from repro.incidents.store import IncidentMeta, IncidentStore
 from repro.incidents.waterfall import (
     render_trace_html,
     render_trace_text,
@@ -64,7 +64,6 @@ __all__ = [
     "RsqlEvidence",
     "SpanNode",
     "compute_health",
-    "discover_stores",
     "load_health",
     "publish_health",
     "render_health_text",

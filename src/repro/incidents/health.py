@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.incidents.store import IncidentMeta, IncidentStore, discover_stores
+from repro.incidents.store import IncidentMeta, IncidentStore
+from repro.segmentlog import discover_logs
 from repro.telemetry import MetricsRegistry
 
 __all__ = [
@@ -158,7 +159,7 @@ def load_health(path: str | Path, top_k: int = 10) -> FleetHealth:
     ``path`` may be a single store directory or a parent holding one
     store per shard (``shard-00``, ``shard-01``, ...).
     """
-    roots = discover_stores(path)
+    roots = discover_logs(path, IncidentStore.PREFIX)
     metas: list[IncidentMeta] = []
     for root in roots:
         metas.extend(IncidentStore(root).metas())

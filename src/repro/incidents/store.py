@@ -1,36 +1,29 @@
 """Append-only, size-bounded incident store (JSONL segments).
 
 Records are appended to numbered segment files
-(``incidents-000001.jsonl``); a segment rolls over once it exceeds the
-byte bound, and retention drops whole cold segments by record count and
-by age — the same log-structured shape as the collection LogStore, at
-DBA-forensics rather than raw-query granularity.
+(``incidents-000001.jsonl``) of a :class:`~repro.segmentlog.SegmentLog`,
+which owns rollover, whole-segment retention by count and age, and
+crash recovery — the same log-structured shape as the collection
+LogStore, at DBA-forensics rather than raw-query granularity.
 
-An in-memory index (one light :class:`IncidentMeta` per record) makes
-``list``/``health`` queries cheap without re-reading segments; the full
-record is re-parsed from its segment only on :meth:`get`.  Reopening a
-store rebuilds the index from the segments on disk, tolerating a
-truncated final line (a recorder killed mid-write): the partial tail is
-cut back to the last complete record and appending resumes after it.
+What is specific to incidents lives here: an in-memory index (one light
+:class:`IncidentMeta` per record) makes ``list``/``health`` queries
+cheap without re-reading segments, an appended id that collides is
+re-keyed, and the full record is re-parsed from its segment only on
+:meth:`IncidentStore.get`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.incidents.record import IncidentRecord
-from repro.telemetry import MetricsRegistry, get_logger
+from repro.segmentlog import SegmentLog
+from repro.telemetry import MetricsRegistry
 
-__all__ = ["IncidentMeta", "IncidentStore", "discover_stores"]
-
-_log = get_logger("incidents")
-
-SEGMENT_GLOB = "incidents-*.jsonl"
-_SEGMENT_FMT = "incidents-{:06d}.jsonl"
+__all__ = ["IncidentMeta", "IncidentStore"]
 
 
 @dataclass(frozen=True)
@@ -103,15 +96,6 @@ def _meta_from_dict(data: dict, segment: str) -> IncidentMeta:
     )
 
 
-@dataclass
-class _Segment:
-    path: Path
-    records: int = 0
-    size: int = 0
-    #: Largest created_at among the segment's records (age retention).
-    newest: int | None = None
-
-
 class IncidentStore:
     """Durable incident records under one directory.
 
@@ -120,7 +104,8 @@ class IncidentStore:
     root:
         Store directory (created if missing).  One store per diagnosis
         process — multiprocess shard runners give each shard its own
-        directory and :func:`discover_stores` merges them at read time.
+        directory and :func:`~repro.segmentlog.discover_logs` finds them
+        all at read time.
     max_segment_bytes:
         Roll to a new segment once the active one exceeds this size.
     max_records:
@@ -136,6 +121,9 @@ class IncidentStore:
         ``incident_store_{records,segments,bytes}`` gauges.
     """
 
+    #: Segment file prefix (``incidents-000001.jsonl``).
+    PREFIX = "incidents"
+
     def __init__(
         self,
         root: str | Path,
@@ -144,77 +132,24 @@ class IncidentStore:
         max_age_s: int | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if max_segment_bytes <= 0 or max_records <= 0:
-            raise ValueError("max_segment_bytes and max_records must be positive")
-        if max_age_s is not None and max_age_s <= 0:
-            raise ValueError("max_age_s must be positive (or None)")
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.max_segment_bytes = int(max_segment_bytes)
-        self.max_records = int(max_records)
-        self.max_age_s = max_age_s
         self._lock = threading.Lock()
-        self._index: dict[str, IncidentMeta] = {}
-        self._segments: list[_Segment] = []
-        self._registry = registry
-        self._recover()
-        self._export_gauges()
+        self._log: SegmentLog[IncidentMeta] = SegmentLog(
+            root,
+            self.PREFIX,
+            parse=_meta_from_dict,
+            serialise=IncidentRecord.to_dict,
+            timestamp=lambda meta: meta.created_at,
+            gauge="incident_store",
+            max_segment_bytes=max_segment_bytes,
+            max_records=max_records,
+            max_age_s=max_age_s,
+            registry=registry,
+        )
+        self.root = self._log.root
+        #: incident id -> the resident meta carrying it (the last one
+        #: read wins if a foreign writer duplicated an id).
+        self._index = {meta.incident_id: meta for meta in self._log}
 
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        paths = sorted(self.root.glob(SEGMENT_GLOB))
-        for i, path in enumerate(paths):
-            segment = _Segment(path=path)
-            last_is_final = i == len(paths) - 1
-            good_bytes = 0
-            with open(path, "rb") as f:
-                raw = f.read()
-            offset = 0
-            for line in raw.splitlines(keepends=True):
-                complete = line.endswith(b"\n")
-                try:
-                    data = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    if last_is_final and not complete and offset + len(line) == len(raw):
-                        # Truncated tail of the final segment: a recorder
-                        # died mid-write.  Cut back to the last complete
-                        # record so appends resume cleanly.
-                        _log.warning(
-                            "truncated incident record dropped on recovery",
-                            extra={"segment": path.name, "bytes": len(line)},
-                        )
-                        break
-                    _log.warning(
-                        "corrupt incident record skipped on recovery",
-                        extra={"segment": path.name, "offset": offset},
-                    )
-                    offset += len(line)
-                    good_bytes = offset
-                    continue
-                offset += len(line)
-                good_bytes = offset
-                meta = _meta_from_dict(data, segment=path.name)
-                self._index[meta.incident_id] = meta
-                segment.records += 1
-                if segment.newest is None or meta.created_at > segment.newest:
-                    segment.newest = meta.created_at
-            if good_bytes < len(raw):
-                with open(path, "r+b") as f:
-                    f.truncate(good_bytes)
-            elif raw and not raw.endswith(b"\n"):
-                # Final line parsed but lost its newline: restore the
-                # separator so the next append stays on its own line.
-                with open(path, "ab") as f:
-                    f.write(b"\n")
-                good_bytes += 1
-            segment.size = good_bytes
-            self._segments.append(segment)
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def append(self, record: IncidentRecord) -> IncidentRecord:
         """Persist one record; returns it (re-keyed on id collision)."""
         with self._lock:
@@ -225,95 +160,24 @@ class IncidentStore:
                 record = IncidentRecord.from_dict(
                     {**record.to_dict(), "incident_id": f"{record.incident_id}-{suffix}"}
                 )
-            segment = self._active_segment()
-            data = record.to_dict()  # serialised once: line AND index entry
-            line = json.dumps(data, separators=(",", ":")) + "\n"
-            payload = line.encode("utf-8")
-            with open(segment.path, "ab") as f:
-                f.write(payload)
-            segment.records += 1
-            segment.size += len(payload)
-            if segment.newest is None or record.created_at > segment.newest:
-                segment.newest = record.created_at
-            self._index[record.incident_id] = _meta_from_dict(
-                data, segment=segment.path.name
-            )
-            self._retain(record.created_at)
-            self._export_gauges()
+            meta = self._log.append(record)
+            self._index[meta.incident_id] = meta
+            for gone in self._log.retain():
+                if self._index.get(gone.incident_id) is gone:
+                    del self._index[gone.incident_id]
         return record
 
-    def _active_segment(self) -> _Segment:
-        if self._segments and self._segments[-1].size < self.max_segment_bytes:
-            return self._segments[-1]
-        number = 1
-        if self._segments:
-            last = self._segments[-1].path.stem  # incidents-000007
-            number = int(last.rsplit("-", 1)[1]) + 1
-        segment = _Segment(path=self.root / _SEGMENT_FMT.format(number))
-        segment.path.touch()
-        self._segments.append(segment)
-        return segment
-
-    def _retain(self, now: int) -> None:
-        """Drop whole cold segments that violate count or age bounds."""
-        dropped: list[_Segment] = []
-        while (
-            len(self._segments) > 1
-            and self.record_count - self._segments[0].records >= self.max_records
-        ):
-            dropped.append(self._segments.pop(0))
-        if self.max_age_s is not None:
-            cutoff = now - self.max_age_s
-            while (
-                len(self._segments) > 1
-                and self._segments[0].newest is not None
-                and self._segments[0].newest < cutoff
-            ):
-                dropped.append(self._segments.pop(0))
-        for segment in dropped:
-            gone = {
-                mid
-                for mid, meta in self._index.items()
-                if meta.segment == segment.path.name
-            }
-            for mid in gone:
-                del self._index[mid]
-            try:
-                os.remove(segment.path)
-            except OSError:
-                pass
-            _log.info(
-                "incident segment pruned",
-                extra={"segment": segment.path.name, "records": segment.records},
-            )
-
-    def _export_gauges(self) -> None:
-        if self._registry is None:
-            return
-        self._registry.gauge(
-            "incident_store_records", help="Incident records resident in the store."
-        ).set(self.record_count)
-        self._registry.gauge(
-            "incident_store_segments", help="JSONL segments in the incident store."
-        ).set(len(self._segments))
-        self._registry.gauge(
-            "incident_store_bytes", help="Bytes held by the incident store."
-        ).set(self.total_bytes)
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
     @property
     def record_count(self) -> int:
-        return sum(s.records for s in self._segments)
+        return self._log.record_count
 
     @property
     def segment_count(self) -> int:
-        return len(self._segments)
+        return self._log.segment_count
 
     @property
     def total_bytes(self) -> int:
-        return sum(s.size for s in self._segments)
+        return self._log.total_bytes
 
     def __len__(self) -> int:
         return len(self._index)
@@ -368,35 +232,7 @@ class IncidentStore:
         meta = self._index.get(incident_id)
         if meta is None:
             return None
-        path = self.root / meta.segment
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                for line in f:
-                    try:
-                        data = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if data.get("incident_id") == incident_id:
-                        return IncidentRecord.from_dict(data)
-        except OSError:
-            return None
+        for data in self._log.scan(meta.segment):
+            if data.get("incident_id") == incident_id:
+                return IncidentRecord.from_dict(data)
         return None
-
-
-def discover_stores(path: str | Path) -> list[Path]:
-    """Store directories under ``path`` (itself, or one level down).
-
-    Multiprocess shard runners write one store per shard
-    (``<dir>/shard-00``, ``<dir>/shard-01``, ...); the health rollup
-    reads them all.  A directory counts as a store when it holds at
-    least one segment file.
-    """
-    path = Path(path)
-    if not path.is_dir():
-        return []
-    if any(path.glob(SEGMENT_GLOB)):
-        return [path]
-    return sorted(
-        child for child in path.iterdir()
-        if child.is_dir() and any(child.glob(SEGMENT_GLOB))
-    )

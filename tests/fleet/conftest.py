@@ -43,3 +43,34 @@ def fleet_stream():
         populations[instance_id] = population
         truths[instance_id] = truth
     return broker, populations, truths
+
+
+def per_record_drain(broker, instance_ids):
+    """Diagnoses per instance from a per-record ``Broker.publish`` replay.
+
+    The reference the block-fed ``run_sharded`` paths must match: the
+    instances' streams are published record by record onto a fresh
+    broker and drained by one single-threaded fleet service.
+    """
+    from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
+    from repro.collection.stream import instance_topic
+    from repro.fleet import FleetConfig, FleetDiagnosisService, feed_from_broker
+
+    replay = Broker()
+    service = FleetDiagnosisService(replay, FleetConfig(workers=1))
+    for instance_id in instance_ids:
+        service.register_instance(instance_id)
+        feed = feed_from_broker(broker, instance_id)
+        for key, value in feed.query_records:
+            replay.publish(instance_topic(QUERY_TOPIC, instance_id), key, value)
+        for key, value in feed.metric_records:
+            replay.publish(instance_topic(METRIC_TOPIC, instance_id), key, value)
+    service.run_until_drained()
+    service.close()
+    return {i: len(service.diagnoses_for(i)) for i in instance_ids}
+
+
+@pytest.fixture(scope="session")
+def record_drain_counts(fleet_stream):
+    """``per_record_drain`` over the whole fixture fleet (computed once)."""
+    return per_record_drain(fleet_stream[0], INSTANCE_IDS)

@@ -10,9 +10,7 @@ from repro.collection.stream import Broker
 from repro.fleet import (
     FleetConfig,
     FleetDiagnosisService,
-    ShardTask,
     feed_from_broker,
-    run_shard,
     run_sharded,
 )
 from repro.incidents import IncidentRecorder, IncidentStore, load_health
@@ -94,13 +92,16 @@ class TestFleetServiceCapture:
 
 
 class TestShardedCapture:
-    def test_run_shard_writes_its_own_store(self, fleet_stream, tmp_path):
+    def test_run_shard_writes_its_own_store(
+        self, fleet_stream, record_drain_counts, tmp_path
+    ):
         broker, _, _ = fleet_stream
         feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
-        counts = run_shard(
-            ShardTask(feeds=feeds, incident_dir=str(tmp_path / "solo"))
+        counts = run_sharded(
+            feeds, processes=1, incident_dir=str(tmp_path / "solo")
         )
-        store = IncidentStore(tmp_path / "solo")
+        assert counts == record_drain_counts
+        store = IncidentStore(tmp_path / "solo" / "shard-00")
         assert store.record_count == sum(counts.values())
         assert {m.instance_id for m in store.metas()} == {
             i for i in INSTANCE_IDS if counts[i] > 0
@@ -109,7 +110,7 @@ class TestShardedCapture:
     def test_run_shard_without_dir_records_nothing(self, fleet_stream, tmp_path):
         broker, _, _ = fleet_stream
         feeds = [feed_from_broker(broker, "db-a")]
-        run_shard(ShardTask(feeds=feeds))
+        run_sharded(feeds, processes=1)
         assert list(tmp_path.iterdir()) == []
 
     def test_multiprocess_shards_write_separate_stores_and_health_merges(

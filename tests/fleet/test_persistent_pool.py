@@ -2,11 +2,12 @@
 
 The multiprocess fleet path (``run_sharded`` with ``processes > 1``)
 runs on :class:`PersistentWorkerPool` — long-lived worker processes
-pulling one columnarised :class:`WorkItem` at a time.  These tests pin
-the contracts: block shipping loses nothing relative to the inline
-per-record path, a chaos-crashed worker process is respawned and its
-item resubmitted, an item that keeps crashing is abandoned with zero
-counts instead of failing the run, and every outcome is counted.
+pulling one columnarised :class:`WorkItem` at a time; with one process
+the pool runs the same items inline.  These tests pin the contracts:
+block shipping loses nothing relative to a per-record drain, a
+chaos-crashed worker process is respawned and its item resubmitted, an
+item that keeps crashing is abandoned with zero counts instead of
+failing the run, and every outcome is counted.
 """
 
 import pytest
@@ -14,19 +15,17 @@ import pytest
 from repro.chaos import FaultPlan, FaultSpec
 from repro.fleet import (
     PersistentWorkerPool,
-    ShardTask,
     WorkItem,
     block_feed_from_broker,
     columnarize_feed,
+    execute_work_item,
     feed_from_broker,
-    process_work_item,
-    run_shard,
     run_sharded,
     stable_shard,
 )
 from repro.fleet.sharded import InstanceFeed
 from repro.telemetry import MetricsRegistry
-from tests.fleet.conftest import ANOMALOUS, INSTANCE_IDS
+from tests.fleet.conftest import ANOMALOUS, INSTANCE_IDS, per_record_drain
 
 
 def _counter(registry, name, **labels):
@@ -108,20 +107,20 @@ class TestColumnarize:
 
 class TestEquivalence:
     def test_work_item_matches_inline_shard(self, fleet_stream):
-        """One instance through process_work_item == through run_shard."""
+        """One instance through a work item == a per-record drain."""
         broker, _, _ = fleet_stream
         feed = feed_from_broker(broker, "db-a")
-        inline = run_shard(ShardTask(feeds=[feed]))
-        columnar = process_work_item(WorkItem(feed=columnarize_feed(feed)))
-        assert columnar == inline
-        assert columnar["db-a"] >= 1
+        records = per_record_drain(broker, ["db-a"])
+        columnar = execute_work_item(WorkItem(feed=columnarize_feed(feed)))
+        assert columnar["counts"] == records
+        assert records["db-a"] >= 1
 
-    def test_pool_matches_inline_counts(self, fleet_stream):
+    def test_pool_matches_inline_counts(self, fleet_stream, record_drain_counts):
         broker, _, _ = fleet_stream
         feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
-        inline = run_shard(ShardTask(feeds=feeds))
+        inline = run_sharded(feeds, processes=1)
         pooled = run_sharded(feeds, processes=2)
-        assert pooled == inline
+        assert pooled == inline == record_drain_counts
         for instance_id in ANOMALOUS:
             assert pooled[instance_id] >= 1
 
@@ -157,7 +156,7 @@ class TestSupervision:
         )
         registry = MetricsRegistry()
         pool = PersistentWorkerPool(
-            processes=1, max_restarts=2, registry=registry, poll_interval_s=0.05
+            processes=2, max_restarts=2, registry=registry, poll_interval_s=0.05
         )
         counts = pool.run([_tiny_feed_item("db-t", plan)])
         # The retried attempt runs clean (max_crashes=1) and completes.
@@ -168,6 +167,8 @@ class TestSupervision:
             _counter(registry, "fleet_worker_restarts_total", instance="shard-00")
             == 1
         )
+        # The process died, so its spans are accounted as dropped.
+        assert _counter(registry, "span_export_dropped_total", instance="db-t") == 1
         assert _counter(registry, "fleet_work_items_total", status="abandoned") == 0
 
     def test_unrecoverable_item_is_abandoned_not_fatal(self):
@@ -180,7 +181,7 @@ class TestSupervision:
         )
         registry = MetricsRegistry()
         pool = PersistentWorkerPool(
-            processes=1, max_restarts=1, registry=registry, poll_interval_s=0.05
+            processes=2, max_restarts=1, registry=registry, poll_interval_s=0.05
         )
         counts = pool.run([_tiny_feed_item("db-z", plan)])
         assert counts == {"db-z": 0}

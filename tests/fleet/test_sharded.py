@@ -4,9 +4,8 @@ import pickle
 
 from repro.fleet import (
     InstanceFeed,
-    ShardTask,
+    block_feed_from_broker,
     feed_from_broker,
-    run_shard,
     run_sharded,
     stable_shard,
 )
@@ -31,19 +30,24 @@ class TestFeeds:
 
 
 class TestRunShard:
-    def test_run_shard_reproduces_fleet_diagnoses(self, fleet_stream):
+    def test_run_shard_reproduces_fleet_diagnoses(
+        self, fleet_stream, record_drain_counts
+    ):
         broker, _, _ = fleet_stream
         feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
-        counts = run_shard(ShardTask(feeds=feeds))
-        assert set(counts) == set(INSTANCE_IDS)
+        counts = run_sharded(feeds, processes=1)
+        assert counts == record_drain_counts
         for instance_id in ANOMALOUS:
             assert counts[instance_id] >= 1
         assert counts["db-c"] == 0
 
-    def test_run_sharded_inline_path(self, fleet_stream):
+    def test_run_sharded_inline_path(self, fleet_stream, record_drain_counts):
+        """Any ``processes <= 1`` runs inline; feeds may mix formats."""
         broker, _, _ = fleet_stream
-        feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
-        assert run_sharded(feeds, processes=1) == run_shard(ShardTask(feeds=feeds))
+        feeds = [block_feed_from_broker(broker, INSTANCE_IDS[0])] + [
+            feed_from_broker(broker, i) for i in INSTANCE_IDS[1:]
+        ]
+        assert run_sharded(feeds, processes=0) == record_drain_counts
 
     def test_shard_partition_is_stable(self):
         feeds = [InstanceFeed(instance_id=f"db-{i}") for i in range(8)]

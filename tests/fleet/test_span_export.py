@@ -156,13 +156,31 @@ class TestPoolMerge:
         feed = block_feed_from_broker(broker, ANOMALOUS[0])
         registry = MetricsRegistry()
         tracer = Tracer()
-        pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)
+        pool = PersistentWorkerPool(processes=2, registry=registry, tracer=tracer)
         counts = pool.run([WorkItem(feed=feed)])
         assert counts[ANOMALOUS[0]] >= 1
         assert tracer.roots, "worker spans should merge into the parent tracer"
         # The spans really crossed a process boundary.
         procs = {s.attrs.get("process") for s in tracer.roots}
         assert procs and os.getpid() not in procs
+
+    def test_inline_run_merges_spans_and_telemetry(self, fleet_stream):
+        broker, _, _ = fleet_stream
+        feed = block_feed_from_broker(broker, ANOMALOUS[0])
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)
+        counts = pool.run([WorkItem(feed=feed)])
+        assert counts[ANOMALOUS[0]] >= 1
+        assert _counter(registry, "fleet_spans_imported_total") > 0
+        assert len(tracer.roots) == _counter(registry, "fleet_spans_imported_total")
+        # No worker process: the item ran here.
+        assert {s.attrs.get("process") for s in tracer.roots} == {os.getpid()}
+        # The item's private registry was folded into the pool's.
+        assert registry.get(
+            "pipeline_lag_seconds", stage="dispatch", instance=ANOMALOUS[0]
+        ) is not None
+        assert _counter(registry, "fleet_work_items_total", status="completed") == 1
 
 
 class TestCrashAccounting:

@@ -3,8 +3,8 @@
 from repro.chaos import single_fault_plan
 from repro.collection import Broker
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.fleet.sharded import InstanceFeed, ShardTask, run_shard_supervised
-from repro.telemetry import MetricsRegistry
+from repro.fleet.sharded import InstanceFeed, run_sharded
+from repro.telemetry import MetricsRegistry, get_registry
 
 
 class FlakyHook:
@@ -65,23 +65,51 @@ class TestWorkerRestarts:
         assert hook.calls == 4
 
 
+def _global(name, **labels):
+    instrument = get_registry().get(name, **labels)
+    return 0 if instrument is None else instrument.value
+
+
 class TestShardSupervision:
-    def make_task(self, plan):
-        feeds = [InstanceFeed("db-00"), InstanceFeed("db-01")]
-        return ShardTask(feeds=feeds, fault_plan=plan, shard_key="shard-00")
+    """The inline (``processes=1``) path of ``run_sharded``.
+
+    Crash decisions key on each work item's scope (one instance), so
+    every instance crashes and restarts on its own.  ``run_sharded``
+    counts into the process registry, so the checks read deltas.
+    """
+
+    FEEDS = [InstanceFeed("db-00"), InstanceFeed("db-01")]
+    WATCHED = (
+        ("fleet_worker_restarts_total", {"instance": "shard-00"}),
+        ("fleet_work_items_total", {"status": "completed"}),
+        ("fleet_worker_failures_total", {"instance": "db-00"}),
+        ("fleet_worker_failures_total", {"instance": "db-01"}),
+    )
+
+    def run(self, plan, max_restarts):
+        before = [_global(name, **labels) for name, labels in self.WATCHED]
+        counts = run_sharded(
+            self.FEEDS, processes=1, fault_plan=plan, max_restarts=max_restarts
+        )
+        after = [_global(name, **labels) for name, labels in self.WATCHED]
+        restarts, completed, *failures = (b - a for a, b in zip(before, after))
+        return counts, restarts, completed, failures
 
     def test_crashed_shard_converges_within_restart_budget(self):
         plan = single_fault_plan("worker_crash", rate=1.0, max_crashes=1)
-        result = run_shard_supervised(self.make_task(plan), max_restarts=2)
+        result, restarts, completed, failures = self.run(plan, max_restarts=2)
         # Attempt 0 crashes (rate 1.0); attempt 1 exceeds max_crashes and
         # runs clean, so every instance still reports in.
         assert set(result) == {"db-00", "db-01"}
+        assert (restarts, completed, failures) == (2, 2, [0, 0])
 
     def test_unrecoverable_shard_is_abandoned_with_zero_counts(self):
         plan = single_fault_plan("worker_crash", rate=1.0, max_crashes=10)
-        result = run_shard_supervised(self.make_task(plan), max_restarts=1)
+        result, restarts, completed, failures = self.run(plan, max_restarts=1)
         assert result == {"db-00": 0, "db-01": 0}
+        assert (restarts, completed, failures) == (2, 0, [1, 1])
 
     def test_clean_plan_runs_on_first_attempt(self):
-        result = run_shard_supervised(self.make_task(None), max_restarts=0)
+        result, restarts, completed, failures = self.run(None, max_restarts=0)
         assert result == {"db-00": 0, "db-01": 0}
+        assert (restarts, completed, failures) == (0, 2, [0, 0])

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.health import FindingsStore, HealthFinding, discover_findings_stores
+from repro.health import FindingsStore, HealthFinding
+from repro.segmentlog import discover_logs
 from repro.sqlanalysis import Severity
 
 
@@ -93,16 +94,16 @@ class TestQuery:
 
 class TestDiscovery:
     def test_missing_path_yields_nothing(self, tmp_path):
-        assert discover_findings_stores(tmp_path / "nope") == []
+        assert discover_logs(tmp_path / "nope", FindingsStore.PREFIX) == []
 
     def test_direct_store_found(self, tmp_path):
         FindingsStore(tmp_path).append(make_finding(0))
-        assert discover_findings_stores(tmp_path) == [tmp_path]
+        assert discover_logs(tmp_path, FindingsStore.PREFIX) == [tmp_path]
 
     def test_child_stores_found_sorted(self, tmp_path):
         for name in ("b", "a"):
             FindingsStore(tmp_path / name).append(make_finding(0))
         (tmp_path / "not-a-store").mkdir()
-        assert discover_findings_stores(tmp_path) == [
+        assert discover_logs(tmp_path, FindingsStore.PREFIX) == [
             tmp_path / "a", tmp_path / "b",
         ]

@@ -3,7 +3,8 @@
 import json
 import threading
 
-from repro.incidents import IncidentStore, discover_stores
+from repro.incidents import IncidentStore
+from repro.segmentlog import discover_logs
 from repro.telemetry import MetricsRegistry
 from tests.incidents.conftest import make_record
 
@@ -82,7 +83,7 @@ class TestRollover:
     def test_retention_by_count_drops_whole_cold_segments(self, tmp_path):
         store = IncidentStore(tmp_path, max_segment_bytes=4096, max_records=4)
         _fill(store, 12)
-        assert store.record_count <= 4 + max(s.records for s in store._segments)
+        assert store.record_count <= 4 + max(len(s.records) for s in store._log._segments)
         # Oldest records are the dropped ones; the newest survives.
         metas = store.metas()
         assert metas[-1].anomaly_start == 100 + 11 * 100
@@ -92,10 +93,11 @@ class TestRollover:
         store = IncidentStore(tmp_path, max_segment_bytes=4096, max_age_s=300)
         _fill(store, 12, spacing=100)  # created_at spans ~1200 s
         newest = store.metas()[-1].created_at
+        active = sorted(tmp_path.glob("incidents-*.jsonl"))[-1].name
         for meta in store.metas()[:-1]:
             # Cold segments older than the cutoff are gone wholesale;
             # survivors may be older only if they share the active segment.
-            if meta.segment != store._segments[-1].path.name:
+            if meta.segment != active:
                 assert meta.created_at >= newest - 300
 
     def test_active_segment_is_never_dropped(self, tmp_path):
@@ -200,18 +202,18 @@ class TestDiscoverStores:
     def test_single_store_dir_is_itself(self, tmp_path):
         store = IncidentStore(tmp_path)
         _fill(store, 1)
-        assert discover_stores(tmp_path) == [tmp_path]
+        assert discover_logs(tmp_path, IncidentStore.PREFIX) == [tmp_path]
 
     def test_parent_of_shard_dirs_lists_children(self, tmp_path):
         for shard in ("shard-00", "shard-01"):
             _fill(IncidentStore(tmp_path / shard), 1, instance_id=shard)
         (tmp_path / "not-a-store").mkdir()
-        found = discover_stores(tmp_path)
+        found = discover_logs(tmp_path, IncidentStore.PREFIX)
         assert [p.name for p in found] == ["shard-00", "shard-01"]
 
     def test_missing_or_empty_path_yields_nothing(self, tmp_path):
-        assert discover_stores(tmp_path / "absent") == []
-        assert discover_stores(tmp_path) == []
+        assert discover_logs(tmp_path / "absent", IncidentStore.PREFIX) == []
+        assert discover_logs(tmp_path, IncidentStore.PREFIX) == []
 
 
 class TestValidation:
