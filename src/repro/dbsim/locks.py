@@ -11,7 +11,9 @@ Two lock effects matter to PinSQL's anomaly categories (paper Sec. II):
   bumping the ``innodb_row_lock_waits`` / ``innodb_row_lock_time``
   counters.
 
-The manager works per simulated second with vectorized batches.
+The manager works per simulated second with vectorized batches: the
+engine makes one :meth:`LockManager.row_lock_wait` and one
+:meth:`LockManager.mdl_wait` call over all of a second's queries.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ class RowLockStats:
     wait_time_ms: float = 0.0
 
 
+#: A table argument: one table name, or an array of table indices
+#: (:meth:`LockManager.table_index`).
+Tables = str | np.ndarray
+
+
 class LockManager:
     """Tracks MDL windows and per-table row-lock pressure.
 
@@ -54,6 +61,11 @@ class LockManager:
     waits, for an exponential time with the mean hold duration.  This is
     the standard mean-field approximation of lock queueing and produces
     the spike of row-lock metrics the paper's category-3(ii) describes.
+
+    Tables are numbered on first use (:meth:`table_index`); pressure and
+    its pressure-weighted hold are arrays over that numbering, so the
+    engine accounts and samples a whole second in one call each.  Every
+    method taking a table also takes a single table name.
     """
 
     def __init__(self, conflict_rate: float = 0.08, max_wait_ms: float = 5_000.0) -> None:
@@ -62,8 +74,28 @@ class LockManager:
         self.conflict_rate = float(conflict_rate)
         self.max_wait_ms = float(max_wait_ms)
         self._mdl_windows: list[MdlLockWindow] = []
-        self._pressure: dict[str, float] = {}
-        self._hold_ms: dict[str, float] = {}
+        self._table_ids: dict[str, int] = {}
+        self._pressure = np.zeros(0, dtype=np.float64)
+        #: Σ pressure × hold_ms per table; divided by the pressure it is
+        #: the pressure-weighted mean hold time.
+        self._hold_weight = np.zeros(0, dtype=np.float64)
+
+    # ------------------------------------------------------------------
+    # Table numbering
+    # ------------------------------------------------------------------
+    def table_index(self, table: str) -> int:
+        """The index of ``table`` in the pressure arrays (assigned on first use)."""
+        idx = self._table_ids.get(table)
+        if idx is None:
+            idx = self._table_ids[table] = len(self._table_ids)
+            self._pressure = np.append(self._pressure, 0.0)
+            self._hold_weight = np.append(self._hold_weight, 0.0)
+        return idx
+
+    def _indices(self, tables: Tables) -> np.ndarray:
+        if isinstance(tables, str):
+            return np.array([self.table_index(tables)], dtype=np.int64)
+        return np.asarray(tables, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # MDL locks
@@ -72,6 +104,7 @@ class LockManager:
         """Register an exclusive MDL on ``table`` for ``duration_ms``."""
         if duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
+        self.table_index(table)
         window = MdlLockWindow(table, start_ms, start_ms + duration_ms)
         self._mdl_windows.append(window)
         return window
@@ -83,14 +116,20 @@ class LockManager:
         """Drop windows that ended before ``now_ms`` (keeps scans short)."""
         self._mdl_windows = [w for w in self._mdl_windows if w.end_ms > now_ms]
 
-    def mdl_wait(self, table: str, arrive_ms: np.ndarray) -> np.ndarray:
-        """Per-arrival MDL wait time (ms); zero when no lock blocks."""
-        wait = np.zeros(len(arrive_ms), dtype=np.float64)
+    def mdl_wait(self, table: Tables, arrive_ms: np.ndarray) -> np.ndarray:
+        """Per-arrival MDL wait time (ms); zero when no lock blocks.
+
+        ``table`` is the table of every arrival, or one table index per
+        arrival.
+        """
+        arrive = np.asarray(arrive_ms, dtype=np.float64)
+        wait = np.zeros(len(arrive), dtype=np.float64)
+        if not self._mdl_windows:
+            return wait
+        tables = self._indices(table)
         for window in self._mdl_windows:
-            if window.table != table:
-                continue
-            mask = window.blocks_at(arrive_ms)
-            wait[mask] = np.maximum(wait[mask], window.end_ms - arrive_ms[mask])
+            mask = (tables == self._table_ids[window.table]) & window.blocks_at(arrive)
+            wait[mask] = np.maximum(wait[mask], window.end_ms - arrive[mask])
         return wait
 
     def mdl_blocked_until(self, table: str, at_ms: float) -> float | None:
@@ -106,56 +145,69 @@ class LockManager:
     # ------------------------------------------------------------------
     def begin_second(self) -> None:
         """Reset per-second row-lock pressure accumulators."""
-        self._pressure = {}
-        self._hold_ms = {}
+        self._pressure[:] = 0.0
+        self._hold_weight[:] = 0.0
 
-    def add_write_load(self, table: str, writes_per_second: float, hold_ms: float) -> None:
-        """Account write traffic that holds row locks on ``table``."""
-        if writes_per_second < 0 or hold_ms < 0:
+    def add_write_load(
+        self, table: Tables, writes_per_second: float | np.ndarray, hold_ms: float | np.ndarray
+    ) -> None:
+        """Account write traffic that holds row locks on ``table``.
+
+        With an array of table indices, ``writes_per_second`` and
+        ``hold_ms`` are per entry; entries on one table add up.
+        """
+        writes = np.asarray(writes_per_second, dtype=np.float64)
+        hold = np.asarray(hold_ms, dtype=np.float64)
+        if (writes < 0).any() or (hold < 0).any():
             raise ValueError("write load must be non-negative")
-        added = writes_per_second * hold_ms / 1000.0
-        self._pressure[table] = self._pressure.get(table, 0.0) + added
-        # Track a pressure-weighted mean hold time for the wait duration.
-        prev = self._hold_ms.get(table)
-        if prev is None or added <= 0:
-            self._hold_ms.setdefault(table, hold_ms)
-        else:
-            total = self._pressure[table]
-            self._hold_ms[table] = prev + (hold_ms - prev) * (added / max(total, 1e-9))
+        idx = self._indices(table)
+        added = np.broadcast_to(writes * hold / 1000.0, idx.shape)
+        size = len(self._pressure)
+        self._pressure += np.bincount(idx, weights=added, minlength=size)
+        self._hold_weight += np.bincount(idx, weights=added * hold, minlength=size)
 
     def pressure(self, table: str) -> float:
         """Expected number of concurrently held row locks on ``table``."""
-        return self._pressure.get(table, 0.0)
+        idx = self._table_ids.get(table)
+        return 0.0 if idx is None else float(self._pressure[idx])
 
     def row_lock_wait(
         self,
-        table: str,
-        n_queries: int,
+        table: Tables,
+        n_queries: int | np.ndarray,
         rng: np.random.Generator,
-        exclude_self_pressure: float = 0.0,
+        exclude_self_pressure: float | np.ndarray = 0.0,
     ) -> tuple[np.ndarray, RowLockStats]:
-        """Sample row-lock waits for ``n_queries`` touching ``table``.
+        """Sample row-lock waits for query groups touching ``table``.
 
-        ``exclude_self_pressure`` removes the pressure a template itself
-        contributes so a lone writer does not self-conflict at full rate.
-        Returns per-query wait times and the second's counters.
+        ``table``, ``n_queries`` and ``exclude_self_pressure`` are one
+        value or one entry per group (a template's queries in this
+        second).  ``exclude_self_pressure`` removes the pressure a group
+        itself contributes so a lone writer does not self-conflict at
+        full rate.  Returns per-query wait times, groups concatenated in
+        order, and the second's counters.  Conflicts are one uniform
+        draw over all the queries and waits one exponential draw over
+        the conflicted ones.
         """
-        waits = np.zeros(n_queries, dtype=np.float64)
+        idx = self._indices(table)
+        counts = np.broadcast_to(np.asarray(n_queries, dtype=np.int64), idx.shape)
+        total = int(counts.sum())
+        waits = np.zeros(total, dtype=np.float64)
         stats = RowLockStats()
-        if n_queries == 0:
+        pressure = self._pressure[idx]
+        net = np.maximum(0.0, pressure - exclude_self_pressure)
+        if total == 0 or not (net > 0).any():
             return waits, stats
-        pressure = max(0.0, self.pressure(table) - exclude_self_pressure)
-        if pressure <= 0:
-            return waits, stats
-        p_wait = 1.0 - np.exp(-self.conflict_rate * pressure)
-        conflicted = rng.random(n_queries) < p_wait
+        p_wait = 1.0 - np.exp(-self.conflict_rate * net)
+        conflicted = rng.random(total) < p_wait.repeat(counts)
         n_conflicted = int(conflicted.sum())
         if n_conflicted == 0:
             return waits, stats
-        hold = self._hold_ms.get(table, 20.0)
-        # Waiting behind a queue of `pressure` holders on average.
-        mean_wait = hold * (1.0 + pressure / 2.0)
-        sampled = rng.exponential(mean_wait, size=n_conflicted)
+        # `net > 0` implies `pressure > 0`: the mean hold is defined.
+        hold = self._hold_weight[idx] / np.where(pressure > 0, pressure, 1.0)
+        # Waiting behind a queue of `net` holders on average.
+        mean_wait = (hold * (1.0 + net / 2.0)).repeat(counts)[conflicted]
+        sampled = rng.standard_exponential(n_conflicted) * mean_wait
         waits[conflicted] = np.minimum(sampled, self.max_wait_ms)
         stats.waits = n_conflicted
         stats.wait_time_ms = float(waits.sum())

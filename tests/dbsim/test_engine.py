@@ -340,3 +340,86 @@ class TestTimeVaryingRows:
         early = q.examined_rows[seconds < 5].mean()
         late = q.examined_rows[seconds >= 25].mean()
         assert late == pytest.approx(early, rel=0.4)
+
+
+def per_second(q, t):
+    """Mask of a template's queries that arrived in second ``t``."""
+    return (q.arrive_ms // 1000) == t
+
+
+class TestHooksTakeEffectNextSecond:
+    """Every control-plane hook changes the very next simulated second."""
+
+    def test_override_spec_refreshes_a_seen_template(self):
+        poor = select_spec("POOR0001", rows=200_000.0, base=50.0)
+        inst = DatabaseInstance(seed=31)
+        engine = inst.start(ConstantWorkload([poor], {"POOR0001": 50.0}))
+        engine.run(10)
+        inst.apply_optimization(poor, rows_gain=0.99, tres_gain=0.9)
+        engine.run(1)
+        q = inst.finish().query_log.queries_of("POOR0001")
+        assert q.examined_rows[per_second(q, 9)].mean() > 100_000
+        assert q.examined_rows[per_second(q, 10)].mean() < 5_000
+
+    def test_override_before_first_appearance_is_used(self):
+        late = select_spec("LATE0001", base=2.0)
+        wl = ConstantWorkload([select_spec(), late], {"SEL00001": 10.0, "LATE0001": 50.0},
+                              windows={"LATE0001": (5, 10)})
+        inst = DatabaseInstance(seed=32)
+        engine = inst.start(wl)
+        engine.run(2)
+        engine.override_spec(TemplateSpec(
+            sql_id="LATE0001", template=late.template, kind=late.kind,
+            tables=late.tables, base_response_ms=400.0, examined_rows_mean=100.0,
+        ))
+        engine.run(8)
+        q = inst.finish().query_log.queries_of("LATE0001")
+        assert q.response_ms.min() > 100.0
+
+    def test_throttle_added_from_on_second(self):
+        def hook(t, engine):
+            if t == 5:
+                engine.add_throttle(Throttle("SEL00001", 0.0, 5, 8))
+
+        wl = ConstantWorkload([select_spec()], {"SEL00001": 100.0})
+        qps = DatabaseInstance(seed=33).run(wl, 10, on_second=hook).metrics["qps"].values
+        assert qps[4] > 50 and qps[8] > 50
+        assert list(qps[5:8]) == [0.0, 0.0, 0.0]
+
+    def test_exact_counts_are_thinned_by_throttles(self):
+        ddl = ddl_spec("DDL00001", table="other", duration=10.0)
+        wl = ConstantWorkload([ddl], {}, counts={"DDL00001": {t: 50 for t in range(10)}})
+        inst = DatabaseInstance(seed=34)
+        engine = inst.start(wl)
+        inst.throttle("DDL00001", factor=0.0, start=5, end=10)
+        engine.run(10)
+        qps = inst.finish().metrics["qps"].values
+        assert list(qps[:5]) == [50.0] * 5 and list(qps[5:]) == [0.0] * 5
+
+    def test_read_replicas_from_on_second(self):
+        def hook(t, engine):
+            if t == 5:
+                inst.add_read_replicas(0.95)
+
+        sel = select_spec()
+        upd = update_spec("UPD00001", table="t", hold=1.0)
+        wl = ConstantWorkload([sel, upd], {"SEL00001": 200.0, "UPD00001": 50.0})
+        inst = DatabaseInstance(seed=35)
+        log = inst.run(wl, 7, on_second=hook).query_log
+        sel_q, upd_q = log.queries_of("SEL00001"), log.queries_of("UPD00001")
+        assert per_second(sel_q, 4).sum() > 120
+        assert per_second(sel_q, 5).sum() < 40
+        assert per_second(upd_q, 5).sum() > 25  # writes stay on the primary
+
+    def test_template_first_appearing_mid_run(self):
+        # Replay workloads omit zero rates: LATE0001 is unknown until t=7.
+        late = select_spec("LATE0001", table="u", base=300.0)
+        wl = ConstantWorkload([select_spec(), late], {"SEL00001": 20.0, "LATE0001": 30.0},
+                              windows={"LATE0001": (7, 20)})
+        result = DatabaseInstance(seed=36).run(wl, 10)
+        log = result.query_log
+        assert log.sql_ids == ["SEL00001", "LATE0001"]
+        q = log.queries_of("LATE0001")
+        assert int(q.arrive_ms.min()) // 1000 == 7 and per_second(q, 7).sum() > 10
+        assert q.response_ms.mean() > 200.0
+        assert result.metrics.active_session.values[7:].mean() > 3.0
