@@ -9,8 +9,6 @@ the running time correlates with the anomaly-period length, and shows no
 clear relationship with the template count.
 """
 
-import time
-
 import numpy as np
 
 from repro.core import PinSQL
@@ -23,10 +21,7 @@ from benchmarks.conftest import write_report
 
 def _measure(cfg: CorpusConfig, seed: int) -> tuple[int, int, float]:
     labeled = generate_case(seed, cfg, category=AnomalyCategory.ROW_LOCK)
-    pinsql = PinSQL()
-    t0 = time.perf_counter()
-    pinsql.analyze(labeled.case)
-    elapsed = time.perf_counter() - t0
+    elapsed = PinSQL().analyze(labeled.case).timings.total
     # The analysed window is the whole collected period [ts, te); the
     # detected anomaly sub-window wobbles and is not the size driver.
     return len(labeled.case.sql_ids), labeled.case.duration, elapsed

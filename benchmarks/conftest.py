@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import pickle
-import time
 from pathlib import Path
 
 import pytest
@@ -47,22 +46,6 @@ def _cached(name: str, factory):
 def corpus():
     """The shared labelled anomaly-case corpus (disk-cached)."""
     return _cached("corpus_v1", lambda: generate_corpus(BENCH_CORPUS))
-
-
-def best_of(fn, repeats: int = 9, inner: int = 1) -> float:
-    """Best-of-``repeats`` wall time of one call to ``fn``.
-
-    With ``inner > 1`` each repeat times ``inner`` back-to-back calls
-    and reports the mean: a millisecond-scale call is too noisy for a 5%
-    budget on its own, and batching amortises the scheduler jitter.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / inner)
-    return best
 
 
 def write_report(name: str, text: str) -> Path:

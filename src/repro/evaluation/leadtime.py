@@ -50,6 +50,7 @@ __all__ = [
     "LeadTimeReport",
     "PROACTIVE_CHECKS",
     "render_leadtime_text",
+    "replay_chronologically",
     "run_leadtime",
 ]
 
@@ -235,6 +236,45 @@ def _record_time(value: dict) -> int:
     return int(value.get("timestamp", 0))
 
 
+def replay_chronologically(
+    service: FleetDiagnosisService,
+    feeds: list[InstanceFeed],
+    duration_s: int,
+    chunk_s: int,
+) -> None:
+    """Publish ``feeds`` one stream-time chunk at a time, then drain.
+
+    After each ``chunk_s`` of every instance the service steps until it
+    has no lag, which also runs any due scheduled sweep; a bulk publish
+    would leave room for only one sweep, at the very end.  Instances
+    are registered here (re-registering is a no-op).
+    """
+    broker = service.broker
+    ordered: dict[str, tuple[list, list]] = {}
+    for feed in feeds:
+        service.register_instance(feed.instance_id)
+        ordered[feed.instance_id] = (
+            sorted(feed.query_records, key=lambda kv: _record_time(kv[1])),
+            sorted(feed.metric_records, key=lambda kv: _record_time(kv[1])),
+        )
+    cursors = {iid: [0, 0] for iid in ordered}
+    for chunk_end in range(chunk_s, duration_s + chunk_s, chunk_s):
+        for instance_id, (queries, metrics) in ordered.items():
+            qi, mi = cursors[instance_id]
+            while qi < len(queries) and _record_time(queries[qi][1]) < chunk_end:
+                key, value = queries[qi]
+                broker.publish(instance_topic(QUERY_TOPIC, instance_id), key, value)
+                qi += 1
+            while mi < len(metrics) and _record_time(metrics[mi][1]) < chunk_end:
+                key, value = metrics[mi]
+                broker.publish(instance_topic(METRIC_TOPIC, instance_id), key, value)
+                mi += 1
+            cursors[instance_id] = [qi, mi]
+        while service.lag > 0:
+            service.step()
+    service.run_until_drained()
+
+
 def run_leadtime(cfg: LeadTimeConfig | None = None) -> LeadTimeReport:
     """Simulate, replay chronologically, sweep on schedule, and score."""
     cfg = cfg or LeadTimeConfig()
@@ -260,42 +300,12 @@ def run_leadtime(cfg: LeadTimeConfig | None = None) -> LeadTimeReport:
         registry=registry,
         sweeper=sweeper,
     )
-    ordered: dict[str, tuple[list, list]] = {}
     for feed in feeds:
-        service.register_instance(feed.instance_id)
-        engine = service.engine(feed.instance_id)
+        engine = service.register_instance(feed.instance_id)
         for statement in exemplars.get(feed.instance_id, ()):
             engine.register_statement(statement)
-        ordered[feed.instance_id] = (
-            sorted(feed.query_records, key=lambda kv: _record_time(kv[1])),
-            sorted(feed.metric_records, key=lambda kv: _record_time(kv[1])),
-        )
-    # Chronological chunked replay: publish one stream-time chunk for
-    # every instance, then step the service (which also runs any due
-    # scheduled sweep).  Bulk-publishing everything up front would let
-    # one drain step swallow the whole run and leave room for only a
-    # single sweep at the very end — no lead time to measure.
     try:
-        cursors = {iid: [0, 0] for iid in ordered}
-        for chunk_end in range(cfg.chunk_s, cfg.duration_s + cfg.chunk_s, cfg.chunk_s):
-            for instance_id, (queries, metrics) in ordered.items():
-                qi, mi = cursors[instance_id]
-                while qi < len(queries) and _record_time(queries[qi][1]) < chunk_end:
-                    key, value = queries[qi]
-                    broker.publish(
-                        instance_topic(QUERY_TOPIC, instance_id), key, value
-                    )
-                    qi += 1
-                while mi < len(metrics) and _record_time(metrics[mi][1]) < chunk_end:
-                    key, value = metrics[mi]
-                    broker.publish(
-                        instance_topic(METRIC_TOPIC, instance_id), key, value
-                    )
-                    mi += 1
-                cursors[instance_id] = [qi, mi]
-            while service.lag > 0:
-                service.step()
-        service.run_until_drained()
+        replay_chronologically(service, feeds, cfg.duration_s, cfg.chunk_s)
     finally:
         service.close()
 

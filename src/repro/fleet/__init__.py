@@ -1,16 +1,15 @@
-"""Fleet-scale diagnosis: registry, sharded scheduling, worker pool.
+"""Fleet-scale diagnosis: sharded scheduling, worker pool.
 
 One PinSQL deployment watches many database instances.  This package
-holds the control plane for that: :class:`InstanceRegistry` (who is in
-the fleet), :class:`DiagnosisScheduler` (which worker owns which
-instance), :class:`InstanceDiagnosisEngine` (one instance's end-to-end
-loop) and :class:`FleetDiagnosisService` (the whole fleet behind one
-``step()``/``run_until_drained()``).  The single-instance
-:class:`~repro.service.PinSqlService` is a facade over the engine.
+holds the control plane for that: :class:`DiagnosisScheduler` (which
+worker owns which instance), :class:`InstanceDiagnosisEngine` (one
+instance's end-to-end loop) and :class:`FleetDiagnosisService` (the
+whole fleet behind one ``step()``/``run_until_drained()``).  The
+single-instance :class:`~repro.service.PinSqlService` is a facade over
+the engine.
 """
 
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
-from repro.fleet.registry import InstanceDescriptor, InstanceRegistry
 from repro.fleet.scheduler import DiagnosisScheduler, stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
 from repro.fleet.sharded import InstanceFeed, feed_from_broker, run_sharded
@@ -29,10 +28,8 @@ __all__ = [
     "DiagnosisScheduler",
     "FleetConfig",
     "FleetDiagnosisService",
-    "InstanceDescriptor",
     "InstanceDiagnosisEngine",
     "InstanceFeed",
-    "InstanceRegistry",
     "PersistentWorkerPool",
     "ServiceConfig",
     "WorkItem",

@@ -34,7 +34,6 @@ from repro.collection.logstore import DEFAULT_RETENTION_S, PartitionedLogStore
 from repro.collection.stream import Broker
 from repro.dbsim.instance import DatabaseInstance
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
-from repro.fleet.registry import InstanceDescriptor, InstanceRegistry
 from repro.fleet.scheduler import DiagnosisScheduler
 from repro.sqltemplate import TemplateCatalog
 from repro.telemetry import MetricsRegistry, SelfMonitor, get_logger, get_registry
@@ -101,7 +100,6 @@ class FleetDiagnosisService:
         #: in step() housekeeping (after the worker pool has joined, so
         #: they never race engine state).
         self.sweeper = sweeper
-        self.instances = InstanceRegistry()
         self.scheduler = DiagnosisScheduler(self.config.workers)
         self.logstore = PartitionedLogStore(
             retention_s=self.config.retention_s, registry=self.registry
@@ -126,7 +124,7 @@ class FleetDiagnosisService:
     # ------------------------------------------------------------------
     def register_instance(
         self,
-        descriptor: InstanceDescriptor | str,
+        instance_id: str,
         instance: DatabaseInstance | None = None,
         config: ServiceConfig | None = None,
         history_provider: Callable[[str, int, int, int], TimeSeries | None] | None = None,
@@ -134,11 +132,12 @@ class FleetDiagnosisService:
     ) -> InstanceDiagnosisEngine:
         """Bring an instance under diagnosis; returns its engine.
 
-        Re-registering an id returns the existing engine (descriptor
-        metadata is refreshed).
+        Re-registering an id returns the existing engine.  Ids may not be
+        empty (that names the shared single-instance topics) or contain
+        ``'.'`` (the topic separator).
         """
-        descriptor = self.instances.register(descriptor, handle=instance)
-        instance_id = descriptor.instance_id
+        if not instance_id:
+            raise ValueError("instance_id must be non-empty")
         engine = self._engines.get(instance_id)
         if engine is None:
             engine = InstanceDiagnosisEngine(

@@ -57,8 +57,8 @@ __all__ = [
 #: Process-wide kill switch for trace-context propagation (id minting,
 #: block stamping, remote parenting).  Spans still time and observe
 #: histograms when this is off — only the distributed-identity layer is
-#: skipped.  ``bench_trace_overhead.py`` toggles this to measure the
-#: marginal cost of the feature.
+#: skipped.  The ``trace`` row of ``bench_layer_overhead.py`` toggles
+#: this to measure the marginal cost of the feature.
 _PROPAGATION_ENABLED = True
 
 #: Monotone per-process sequence folded into every minted id so two ids

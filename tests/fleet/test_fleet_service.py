@@ -5,6 +5,8 @@ row-lock anomalies, one healthy); the fleet must diagnose each anomaly
 on the right instance with zero cross-instance bleed.
 """
 
+import pytest
+
 from repro.collection import Broker
 from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
 from repro.telemetry import MetricsRegistry
@@ -120,6 +122,16 @@ class TestFleetDiagnosis:
             assert counter is not None and counter.value >= 1
         clean = registry.get("service_diagnoses_total", instance="db-c")
         assert clean is not None and clean.value == 0
+
+
+class TestRegisterInstance:
+    def test_rejects_empty_id(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            FleetDiagnosisService(Broker()).register_instance("")
+
+    def test_rejects_dot(self):
+        with pytest.raises(ValueError, match=r"\."):
+            FleetDiagnosisService(Broker()).register_instance("a.b")
 
 
 class TestFleetDrainGuard:

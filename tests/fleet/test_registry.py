@@ -1,55 +1,24 @@
-"""Tests for the fleet instance registry."""
+"""Tests for instance registration on the fleet service."""
 
-import pytest
-
-from repro.fleet import InstanceDescriptor, InstanceRegistry
-
-
-class TestDescriptor:
-    def test_rejects_empty_id(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            InstanceDescriptor("")
-
-    def test_rejects_dot(self):
-        with pytest.raises(ValueError, match=r"\."):
-            InstanceDescriptor("a.b")
-
-    def test_tags(self):
-        d = InstanceDescriptor("db-01", tags={"region": "eu-1"})
-        assert d.tags["region"] == "eu-1"
+from repro.collection import Broker
+from repro.fleet import FleetDiagnosisService
 
 
 class TestRegistry:
     def test_register_by_string(self):
-        registry = InstanceRegistry()
-        d = registry.register("db-01")
-        assert d.instance_id == "db-01"
-        assert "db-01" in registry
-        assert registry.instance_ids == ["db-01"]
+        service = FleetDiagnosisService(Broker())
+        engine = service.register_instance("db-01")
+        assert engine is service.engine("db-01")
+        assert service.instance_ids == ["db-01"]
 
     def test_register_updates_descriptor(self):
-        registry = InstanceRegistry()
-        registry.register("db-01")
-        registry.register(InstanceDescriptor("db-01", tags={"tier": "gold"}))
-        assert len(registry) == 1
-        assert registry.get("db-01").tags == {"tier": "gold"}
-
-    def test_handle_storage(self):
-        registry = InstanceRegistry()
-        sentinel = object()
-        registry.register("db-01", handle=sentinel)
-        assert registry.handle("db-01") is sentinel
-        assert registry.handle("db-02") is None
-
-    def test_deregister(self):
-        registry = InstanceRegistry()
-        registry.register("db-01")
-        registry.deregister("db-01")
-        assert "db-01" not in registry
-        registry.deregister("db-01")  # idempotent
+        service = FleetDiagnosisService(Broker())
+        first = service.register_instance("db-01")
+        assert service.register_instance("db-01") is first
+        assert service.instance_ids == ["db-01"]
 
     def test_iteration_order(self):
-        registry = InstanceRegistry()
+        service = FleetDiagnosisService(Broker())
         for i in range(3):
-            registry.register(f"db-{i}")
-        assert [d.instance_id for d in registry] == ["db-0", "db-1", "db-2"]
+            service.register_instance(f"db-{i}")
+        assert service.instance_ids == ["db-0", "db-1", "db-2"]
