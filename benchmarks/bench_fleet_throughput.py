@@ -39,6 +39,7 @@ from repro.fleet import (
     ServiceConfig,
     columnarize_feed,
     feed_from_broker,
+    publish_feed,
     run_sharded,
 )
 from repro.workload import (
@@ -75,16 +76,6 @@ def _simulate_feeds():
         MetricsCollector(broker, instance_id=instance_id).collect(run.metrics)
         feeds.append(feed_from_broker(broker, instance_id))
     return feeds
-
-
-def _publish_feeds(feeds, broker: Broker) -> None:
-    from repro.collection.collector import METRIC_TOPIC
-
-    for feed in feeds:
-        for key, value in feed.query_records:
-            broker.publish(instance_topic(QUERY_TOPIC, feed.instance_id), key, value)
-        for key, value in feed.metric_records:
-            broker.publish(instance_topic(METRIC_TOPIC, feed.instance_id), key, value)
 
 
 def _ingest_per_record(feed) -> tuple[float, int]:
@@ -128,7 +119,8 @@ def _ingest_blocks(block_feed) -> tuple[float, int]:
 def _drain_with_threads(feeds, workers: int) -> tuple[float, int]:
     """Publish the feeds to a fresh broker and drain; (seconds, diagnoses)."""
     broker = Broker()
-    _publish_feeds(feeds, broker)
+    for feed in feeds:
+        publish_feed(broker, feed)
     service = FleetDiagnosisService(
         broker,
         FleetConfig(service=SERVICE_CONFIG, workers=workers, prune_broker=True),

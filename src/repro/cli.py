@@ -558,52 +558,29 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def _fleet_instance_ids(n_instances: int) -> list[str]:
-    """The deterministic instance ids `_run_fleet` will register."""
-    return [f"db-{i:02d}" for i in range(n_instances)]
-
-
 def _simulate_fleet(n_instances: int, anomalous: int, duration: int, seed: int):
-    """Simulate a fleet onto one broker; returns (broker, truths,
-    populations, onset).
+    """Simulate the fleet-demo fleet onto one broker as block frames;
+    returns (broker, truths, statements, onset).
 
-    The first ``anomalous`` instances get an injected row-lock anomaly
-    at two-thirds of the run; the rest stay healthy.  Shared by the
-    in-process drain (:func:`_run_fleet`) and the multiprocess
-    columnar-dataplane path of ``fleet-demo --processes N``.
+    Shared by the in-process drain (:func:`_run_fleet`) and the
+    multiprocess columnar-dataplane path of ``fleet-demo --processes N``.
     """
-    import numpy as np
-
     from repro.collection import Broker, MetricsCollector, QueryLogCollector
-    from repro.dbsim import DatabaseInstance
-    from repro.workload import (
-        AnomalyCategory,
-        WorkloadGenerator,
-        build_population,
-        inject_anomaly,
-    )
+    from repro.evaluation.chaos import simulate_storm, storm_onset
 
-    onset = max(120, (duration * 2) // 3)
     broker = Broker()
-    truths, populations = {}, {}
-    for i, instance_id in enumerate(_fleet_instance_ids(n_instances)):
-        rng = np.random.default_rng(seed * 1009 + i)
-        population = build_population(duration, rng, n_businesses=5)
-        truth = None
-        if i < anomalous:
-            truth = inject_anomaly(
-                population, rng, AnomalyCategory.ROW_LOCK, onset, duration,
-                target_rate=(25.0, 35.0), lock_hold_ms=(300.0, 400.0),
-            )
-        db = DatabaseInstance(schema=population.schema, cpu_cores=8, seed=seed + i)
-        run = db.run(WorkloadGenerator(population), duration=duration)
-        QueryLogCollector(broker, instance_id=instance_id).collect_blocks(
+    truths, statements = {}, {}
+    for inst in simulate_storm(n_instances, anomalous, duration, seed):
+        run = inst.run
+        QueryLogCollector(broker, instance_id=inst.instance_id).collect_blocks(
             run.query_log
         )
-        MetricsCollector(broker, instance_id=instance_id).collect_blocks(run.metrics)
-        truths[instance_id] = truth
-        populations[instance_id] = population
-    return broker, truths, populations, onset
+        MetricsCollector(broker, instance_id=inst.instance_id).collect_blocks(
+            run.metrics
+        )
+        truths[inst.instance_id] = inst.injected
+        statements[inst.instance_id] = inst.statements
+    return broker, truths, statements, storm_onset(duration)
 
 
 def _run_fleet(
@@ -625,9 +602,10 @@ def _run_fleet(
     during the drain; when incidents are recorded the sweeper's
     incident-backed checks read the same store.
     """
+    from repro.evaluation.chaos import register_fleet
     from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
 
-    broker, truths, populations, onset = _simulate_fleet(
+    broker, truths, statements, onset = _simulate_fleet(
         n_instances, anomalous, duration, seed
     )
     config = FleetConfig(
@@ -645,14 +623,55 @@ def _run_fleet(
     if sweeper is not None and recorder is not None and sweeper.incident_store is None:
         sweeper.incident_store = recorder.store
     service = FleetDiagnosisService(broker, config, recorder=recorder, sweeper=sweeper)
-    for instance_id, population in populations.items():
-        engine = service.register_instance(instance_id)
-        for spec in population.specs.values():
-            # Prefer the raw exemplar: literals matter to static analysis.
-            engine.register_statement(spec.exemplar or spec.template.replace("?", "1"))
+    register_fleet(service, statements)
     service.run_until_drained()
     service.close()
     return service, truths
+
+
+def _print_fleet_table(rows) -> tuple[list[str], list[str]]:
+    """Print the fleet-demo verdict table; returns (missed, spurious).
+
+    ``rows`` are ``(instance_id, injected anomaly or None, diagnoses,
+    top R-SQL)``; a top R-SQL of None (not known to this process) reads
+    ``diagnosed`` instead of hit/wrong-sql.
+    """
+    print(f"{'instance':<10} {'injected':>8} {'diagnoses':>9}  top R-SQL  verdict")
+    missed, spurious = [], []
+    for instance_id, truth, n, top in rows:
+        if truth is None:
+            verdict = "clean" if not n else "SPURIOUS"
+            if n:
+                spurious.append(instance_id)
+        elif not n:
+            verdict = "MISSED"
+            missed.append(instance_id)
+        elif top is None:
+            verdict = "diagnosed"
+        else:
+            verdict = "hit" if top in truth.r_sql_ids else "wrong-sql"
+        print(
+            f"{instance_id:<10} {'yes' if truth else 'no':>8} "
+            f"{n:>9}  {top or '-':<9}  {verdict}"
+        )
+    return missed, spurious
+
+
+def _fleet_demo_exit(args, missed, spurious, misattributed: int = 0) -> int:
+    """Print telemetry if asked, then the FAIL lines or the attribution
+    check; returns the exit code."""
+    if getattr(args, "telemetry", False):
+        _print_telemetry()
+    if misattributed or missed or spurious:
+        if misattributed:
+            print(f"FAIL: {misattributed} diagnoses mis-attributed", file=sys.stderr)
+        if missed:
+            print(f"FAIL: anomalies missed on {missed}", file=sys.stderr)
+        if spurious:
+            print(f"FAIL: spurious diagnoses on {spurious}", file=sys.stderr)
+        return 1
+    print("attribution check: every diagnosis on the right instance, no bleed")
+    return 0
 
 
 def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
@@ -669,17 +688,13 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
     from repro.fleet.workers import block_feed_from_broker
     from repro.telemetry import get_registry
 
-    broker, truths, populations, onset = _simulate_fleet(
+    broker, truths, statements, onset = _simulate_fleet(
         args.instances, anomalous, args.duration, args.seed
     )
     feeds = []
-    for instance_id, population in populations.items():
+    for instance_id, sqls in statements.items():
         feed = block_feed_from_broker(broker, instance_id)
-        # Prefer the raw exemplar: literals matter to static analysis.
-        feed.statements = [
-            spec.exemplar or spec.template.replace("?", "1")
-            for spec in population.specs.values()
-        ]
+        feed.statements = list(sqls)
         feeds.append(feed)
     shipped = sum(f.nbytes for f in feeds)
     print(
@@ -702,30 +717,10 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
 
         for root in discover_logs(record_dir, IncidentStore.PREFIX):
             for meta in IncidentStore(root).metas():
-                top_rsql[meta.instance_id] = meta.top_r_sql or "-"
-    print(f"{'instance':<10} {'injected':>8} {'diagnoses':>9}  top R-SQL  verdict")
-    missed, spurious, wrong = [], [], []
-    for instance_id in sorted(truths):
-        truth = truths[instance_id]
-        n = counts.get(instance_id, 0)
-        top = top_rsql.get(instance_id, "-")
-        if truth is None:
-            verdict = "clean" if not n else "SPURIOUS"
-            if n:
-                spurious.append(instance_id)
-        elif not n:
-            verdict = "MISSED"
-            missed.append(instance_id)
-        elif top != "-":
-            verdict = "hit" if top in truth.r_sql_ids else "wrong-sql"
-            if verdict == "wrong-sql":
-                wrong.append(instance_id)
-        else:
-            verdict = "diagnosed"
-        print(
-            f"{instance_id:<10} {'yes' if truth else 'no':>8} "
-            f"{n:>9}  {top:<9}  {verdict}"
-        )
+                top_rsql[meta.instance_id] = meta.top_r_sql or None
+    missed, spurious = _print_fleet_table(
+        (i, truths[i], counts.get(i, 0), top_rsql.get(i)) for i in sorted(truths)
+    )
     imported = 0.0
     for name, kind, _key, inst in get_registry():
         if name == "fleet_spans_imported_total" and kind == "counter":
@@ -736,16 +731,7 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
             f"incidents recorded under {record_dir} (waterfall: "
             f"`repro trace show --latest --dir {record_dir}`)"
         )
-    if getattr(args, "telemetry", False):
-        _print_telemetry()
-    if missed or spurious:
-        if missed:
-            print(f"FAIL: anomalies missed on {missed}", file=sys.stderr)
-        if spurious:
-            print(f"FAIL: spurious diagnoses on {spurious}", file=sys.stderr)
-        return 1
-    print("attribution check: every diagnosis on the right instance, no bleed")
-    return 0
+    return _fleet_demo_exit(args, missed, spurious)
 
 
 def cmd_fleet_demo(args) -> int:
@@ -755,11 +741,15 @@ def cmd_fleet_demo(args) -> int:
     anomalous = min(anomalous, args.instances)
     record_dir = getattr(args, "record", None)
     processes = getattr(args, "processes", 0)
+    how = (
+        f"in {processes} processes" if processes > 1
+        else f"with {args.workers} workers"
+    )
+    print(
+        f"simulating {args.instances} instances ({anomalous} anomalous) "
+        f"for {args.duration}s, diagnosing {how} ..."
+    )
     if processes > 1:
-        print(
-            f"simulating {args.instances} instances ({anomalous} anomalous) "
-            f"for {args.duration}s, diagnosing in {processes} processes ..."
-        )
         if getattr(args, "health", False):
             print(
                 "note: --health is ignored with --processes "
@@ -767,10 +757,6 @@ def cmd_fleet_demo(args) -> int:
                 file=sys.stderr,
             )
         return _fleet_demo_multiprocess(args, anomalous, record_dir)
-    print(
-        f"simulating {args.instances} instances ({anomalous} anomalous) "
-        f"for {args.duration}s, diagnosing with {args.workers} workers ..."
-    )
     sweeper = None
     if getattr(args, "health", False):
         from repro.health import FindingsStore, HealthSweeper
@@ -784,28 +770,13 @@ def cmd_fleet_demo(args) -> int:
         args.duration, args.seed, prune=not args.no_prune,
         record_dir=record_dir, sweeper=sweeper,
     )
-    print(f"{'instance':<10} {'injected':>8} {'diagnoses':>9}  top R-SQL  verdict")
-    misattributed = 0
-    missed, spurious = [], []
+    rows, misattributed = [], 0
     for instance_id in service.instance_ids:
         diagnoses = service.diagnoses_for(instance_id)
         misattributed += sum(1 for d in diagnoses if d.instance_id != instance_id)
-        truth = truths[instance_id]
         top = diagnoses[0].result.rsql_ids[0] if diagnoses and diagnoses[0].result.rsql_ids else "-"
-        if truth is not None and not diagnoses:
-            missed.append(instance_id)
-        if truth is None and diagnoses:
-            spurious.append(instance_id)
-        if truth is None:
-            verdict = "clean" if not diagnoses else "SPURIOUS"
-        elif not diagnoses:
-            verdict = "MISSED"
-        else:
-            verdict = "hit" if top in truth.r_sql_ids else "wrong-sql"
-        print(
-            f"{instance_id:<10} {'yes' if truth else 'no':>8} "
-            f"{len(diagnoses):>9}  {top:<9}  {verdict}"
-        )
+        rows.append((instance_id, truths[instance_id], len(diagnoses), top))
+    missed, spurious = _print_fleet_table(rows)
     broker = service.broker
     retained = sum(broker.retained(t) for t in broker.topics)
     published = sum(broker.size(t) for t in broker.topics)
@@ -845,18 +816,7 @@ def cmd_fleet_demo(args) -> int:
                 f"(inspect with `repro health findings --dir "
                 f"{sweeper.store.root}`)"
             )
-    if getattr(args, "telemetry", False):
-        _print_telemetry()
-    if misattributed or missed or spurious:
-        if misattributed:
-            print(f"FAIL: {misattributed} diagnoses mis-attributed", file=sys.stderr)
-        if missed:
-            print(f"FAIL: anomalies missed on {missed}", file=sys.stderr)
-        if spurious:
-            print(f"FAIL: spurious diagnoses on {spurious}", file=sys.stderr)
-        return 1
-    print("attribution check: every diagnosis on the right instance, no bleed")
-    return 0
+    return _fleet_demo_exit(args, missed, spurious, misattributed)
 
 
 def _filter_prometheus(text: str, instance: str) -> str:
@@ -899,7 +859,9 @@ def cmd_obs(args) -> int:
     if args.instance and args.fleet > 0:
         # Validate BEFORE the expensive fleet simulation: the ids
         # _run_fleet registers are deterministic.
-        known = _fleet_instance_ids(args.fleet)
+        from repro.evaluation.chaos import fleet_instance_ids
+
+        known = fleet_instance_ids(args.fleet)
         if args.instance not in known:
             print(
                 f"error: unknown instance id {args.instance!r}; "

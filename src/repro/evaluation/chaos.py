@@ -10,9 +10,10 @@ and CI gates on.
 The expensive part (simulating the database fleet) happens once per
 seed: :func:`simulate_fleet` captures every instance's collected
 streams as replayable :class:`~repro.fleet.sharded.InstanceFeed`
-records together with the R-SQL / H-SQL labels.  Each fault run then
-replays the same records through a fresh broker wrapped in a
-:class:`~repro.chaos.ChaosBroker`, with a private
+records together with the R-SQL / H-SQL labels, through the fleet
+simulation the fuzzer, lead time and fleet-demo share (DESIGN §7).
+Each fault run then replays the same records through a fresh broker
+wrapped in a :class:`~repro.chaos.ChaosBroker`, with a private
 :class:`~repro.telemetry.MetricsRegistry` so quarantine / resync /
 restart counters can be read per run without cross-talk.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,29 +34,32 @@ from repro.chaos import (
     ResilienceScorecard,
     single_fault_plan,
 )
-from repro.collection import (
-    Broker,
-    METRIC_TOPIC,
-    MetricsCollector,
-    QUERY_TOPIC,
-    QueryLogCollector,
-)
-from repro.collection.stream import instance_topic
+from repro.collection import Broker, MetricsCollector, QueryLogCollector
 from repro.evaluation.dataset import _label_h_sqls
 from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
-from repro.fleet.sharded import InstanceFeed, feed_from_broker
+from repro.fleet.sharded import InstanceFeed, feed_from_broker, publish_feed
 from repro.telemetry import MetricsRegistry, get_logger
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.dbsim import SimulationResult
+    from repro.workload import InjectedAnomaly, Population
 
 __all__ = [
     "ChaosHarnessConfig",
     "FleetFixture",
     "InstanceTruth",
+    "capture_fleet",
+    "register_fleet",
     "run_chaos_suite",
     "run_fault_class",
     "simulate_fleet",
+    "simulate_instances",
 ]
 
 _log = get_logger("chaos")
+
+#: Cores of every simulated fleet instance.
+CPU_CORES = 8
 
 
 @dataclass(frozen=True)
@@ -117,69 +122,136 @@ class FleetFixture:
     duration_s: int = 0
 
 
-def simulate_fleet(cfg: ChaosHarnessConfig) -> FleetFixture:
-    """Simulate the fleet once; capture feeds and ground-truth labels.
+@dataclass(frozen=True)
+class SimulatedInstance:
+    """One simulated fleet instance, before its streams are captured."""
 
-    Mirrors the ``fleet-demo`` scenario (first ``anomalous`` instances
-    get a row-lock storm at two-thirds of the run) but captures the
-    collected streams into picklable feeds instead of diagnosing them,
-    so every fault run replays identical input.
+    instance_id: str
+    population: Population
+    injected: InjectedAnomaly | None
+    run: SimulationResult
+
+    @property
+    def statements(self) -> tuple[str, ...]:
+        """One statement per template; raw exemplars keep their literals."""
+        return tuple(
+            spec.exemplar or spec.template.replace("?", "1")
+            for spec in self.population.specs.values()
+        )
+
+
+def fleet_instance_ids(n_instances: int) -> list[str]:
+    """The instance ids :func:`simulate_instances` assigns, in order."""
+    return [f"db-{i:02d}" for i in range(n_instances)]
+
+
+def simulate_instances(
+    n_instances: int,
+    duration_s: int,
+    seed: int,
+    plant: Callable[[int, Population, np.random.Generator], InjectedAnomaly | None],
+    *,
+    stride: int = 1009,
+    **population_kwargs: Any,
+) -> Iterator[SimulatedInstance]:
+    """Simulate a fleet one instance at a time (one run alive at a time).
+
+    Instance ``i`` draws its population from ``rng(seed * stride + i)``,
+    then ``plant(i, population, rng)`` injects into it on the same rng,
+    then it runs with engine seed ``seed + i``.  Fixture digests depend
+    on this order.
     """
     from repro.dbsim import DatabaseInstance
-    from repro.workload import (
-        AnomalyCategory,
-        WorkloadGenerator,
-        build_population,
-        inject_anomaly,
-    )
+    # Resolved per call: perfbench swaps ``repro.workload.build_population``.
+    from repro.workload import WorkloadGenerator, build_population
 
-    onset = max(120, (cfg.duration_s * 2) // 3)
-    feeds: list[InstanceFeed] = []
-    truths: dict[str, InstanceTruth] = {}
-    exemplars: dict[str, tuple[str, ...]] = {}
-    for i in range(cfg.n_instances):
-        instance_id = f"db-{i:02d}"
-        rng = np.random.default_rng(cfg.seed * 1009 + i)
-        population = build_population(cfg.duration_s, rng, n_businesses=5)
-        injected = None
-        if i < cfg.anomalous:
-            injected = inject_anomaly(
-                population, rng, AnomalyCategory.ROW_LOCK, onset, cfg.duration_s,
-                target_rate=(25.0, 35.0), lock_hold_ms=(300.0, 400.0),
-            )
+    for i, instance_id in enumerate(fleet_instance_ids(n_instances)):
+        rng = np.random.default_rng(seed * stride + i)
+        population = build_population(duration_s, rng, **population_kwargs)
+        injected = plant(i, population, rng)
         db = DatabaseInstance(
-            schema=population.schema, cpu_cores=8, seed=cfg.seed + i
+            schema=population.schema, cpu_cores=CPU_CORES, seed=seed + i
         )
-        run = db.run(WorkloadGenerator(population), duration=cfg.duration_s)
+        run = db.run(WorkloadGenerator(population), duration=duration_s)
+        yield SimulatedInstance(instance_id, population, injected, run)
+
+
+def storm_onset(duration_s: int) -> int:
+    """Onset of the fleet-demo row-lock storm: two-thirds of the run."""
+    return max(120, (duration_s * 2) // 3)
+
+
+def simulate_storm(
+    n_instances: int, anomalous: int, duration_s: int, seed: int
+) -> Iterator[SimulatedInstance]:
+    """The fleet-demo fleet: the first ``anomalous`` instances get a
+    row-lock storm from :func:`storm_onset` to the end of the run."""
+    from repro.workload import AnomalyCategory, inject_anomaly
+
+    def plant(i: int, population: Population, rng: np.random.Generator):
+        if i >= anomalous:
+            return None
+        return inject_anomaly(
+            population, rng, AnomalyCategory.ROW_LOCK,
+            storm_onset(duration_s), duration_s,
+            target_rate=(25.0, 35.0), lock_hold_ms=(300.0, 400.0),
+        )
+
+    return simulate_instances(n_instances, duration_s, seed, plant, n_businesses=5)
+
+
+def capture_fleet(
+    instances: Iterable[SimulatedInstance],
+    onset: int,
+    end: int,
+    duration_s: int,
+    max_h_sqls: int = 10,
+) -> FleetFixture:
+    """Capture simulated instances as a per-record fixture, labelling
+    anomalous ones over ``[onset, end)``."""
+    fixture = FleetFixture(feeds=[], truths={}, onset=onset, duration_s=duration_s)
+    for inst in instances:
+        instance_id, injected, run = inst.instance_id, inst.injected, inst.run
         capture = Broker()
         QueryLogCollector(capture, instance_id=instance_id).collect(run.query_log)
         MetricsCollector(capture, instance_id=instance_id).collect(run.metrics)
-        feeds.append(feed_from_broker(capture, instance_id))
+        fixture.feeds.append(feed_from_broker(capture, instance_id))
         r_sqls: set[str] = set()
         h_sqls: set[str] = set()
         if injected is not None:
             observed = set(run.query_log.sql_ids)
             r_sqls = set(injected.r_sql_ids) & observed or set(injected.r_sql_ids)
-            h_sqls = _label_h_sqls(
-                run, onset, cfg.duration_s, 0, cfg.max_h_sqls
-            ) or set(r_sqls)
-        truths[instance_id] = InstanceTruth(
+            h_sqls = _label_h_sqls(run, onset, end, 0, max_h_sqls) or set(r_sqls)
+        fixture.truths[instance_id] = InstanceTruth(
             instance_id=instance_id,
             anomalous=injected is not None,
             r_sqls=frozenset(r_sqls),
             h_sqls=frozenset(h_sqls),
         )
-        exemplars[instance_id] = tuple(
-            spec.exemplar or spec.template.replace("?", "1")
-            for spec in population.specs.values()
-        )
-    return FleetFixture(
-        feeds=feeds,
-        truths=truths,
-        exemplars=exemplars,
-        onset=onset,
-        duration_s=cfg.duration_s,
+        fixture.exemplars[instance_id] = inst.statements
+    return fixture
+
+
+def simulate_fleet(cfg: ChaosHarnessConfig) -> FleetFixture:
+    """Simulate the fleet-demo fleet once into a fixture, so every fault
+    run replays identical input."""
+    return capture_fleet(
+        simulate_storm(cfg.n_instances, cfg.anomalous, cfg.duration_s, cfg.seed),
+        storm_onset(cfg.duration_s),
+        cfg.duration_s,
+        cfg.duration_s,
+        cfg.max_h_sqls,
     )
+
+
+def register_fleet(
+    service: FleetDiagnosisService, statements: Mapping[str, Iterable[str]]
+) -> None:
+    """Register each instance, and its statements into its catalog."""
+    for instance_id, sqls in statements.items():
+        engine = service.register_instance(instance_id)
+        for sql in sqls:
+            engine.register_statement(sql)
 
 
 def _counter_total(registry: MetricsRegistry, name: str) -> int:
@@ -240,19 +312,9 @@ def run_fault_class(
     )
     report = FaultClassReport(fault=fault)
     try:
+        register_fleet(service, fixture.exemplars)
         for feed in fixture.feeds:
-            engine = service.register_instance(feed.instance_id)
-            for statement in fixture.exemplars.get(feed.instance_id, ()):
-                engine.register_statement(statement)
-        for feed in fixture.feeds:
-            for key, value in feed.query_records:
-                service_broker.publish(
-                    instance_topic(QUERY_TOPIC, feed.instance_id), key, value
-                )
-            for key, value in feed.metric_records:
-                service_broker.publish(
-                    instance_topic(METRIC_TOPIC, feed.instance_id), key, value
-                )
+            publish_feed(service_broker, feed)
         if injector is not None:
             held = service_broker.flush()
             if held:

@@ -32,16 +32,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.collection import (
-    Broker,
-    METRIC_TOPIC,
-    MetricsCollector,
-    QUERY_TOPIC,
-    QueryLogCollector,
-)
+from repro.collection import Broker, METRIC_TOPIC, QUERY_TOPIC
 from repro.collection.stream import instance_topic
+from repro.evaluation.chaos import (
+    CPU_CORES,
+    FleetFixture,
+    capture_fleet,
+    register_fleet,
+    simulate_instances,
+)
 from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
-from repro.fleet.sharded import InstanceFeed, feed_from_broker
+from repro.fleet.sharded import InstanceFeed
 from repro.health import HealthConfig, HealthFinding, HealthSweeper
 from repro.telemetry import MetricsRegistry, get_logger
 
@@ -185,48 +186,27 @@ class LeadTimeReport:
         }
 
 
-def simulate_creep_fleet(
-    cfg: LeadTimeConfig,
-) -> tuple[list[InstanceFeed], dict[str, tuple[str, ...]], tuple[str, ...]]:
-    """Simulate the fleet; returns (feeds, exemplars, creeping ids)."""
-    from repro.dbsim import DatabaseInstance
-    from repro.workload import (
-        WorkloadGenerator,
-        build_population,
-        inject_slow_creep,
-    )
+def simulate_creep_fleet(cfg: LeadTimeConfig) -> FleetFixture:
+    """Simulate the fleet; the first ``creeping`` instances get a creep,
+    labelled anomalous in the fixture's truths."""
+    from repro.workload import inject_slow_creep
 
-    feeds: list[InstanceFeed] = []
-    exemplars: dict[str, tuple[str, ...]] = {}
-    creeping: list[str] = []
-    cores = 8
-    for i in range(cfg.n_instances):
-        instance_id = f"db-{i:02d}"
-        rng = np.random.default_rng(cfg.seed * 613 + i)
-        population = build_population(cfg.duration_s, rng, n_businesses=5)
-        if i < cfg.creeping:
-            inject_slow_creep(
-                population,
-                rng,
-                creep_start=cfg.creep_start_s,
-                anomaly_start=cfg.onset_s,
-                anomaly_end=cfg.duration_s,
-                capacity_hint_ms=cores * 1000.0,
-            )
-            creeping.append(instance_id)
-        db = DatabaseInstance(
-            schema=population.schema, cpu_cores=cores, seed=cfg.seed + i
+    def plant(i: int, population, rng: np.random.Generator):
+        if i >= cfg.creeping:
+            return None
+        return inject_slow_creep(
+            population,
+            rng,
+            creep_start=cfg.creep_start_s,
+            anomaly_start=cfg.onset_s,
+            anomaly_end=cfg.duration_s,
+            capacity_hint_ms=CPU_CORES * 1000.0,
         )
-        run = db.run(WorkloadGenerator(population), duration=cfg.duration_s)
-        capture = Broker()
-        QueryLogCollector(capture, instance_id=instance_id).collect(run.query_log)
-        MetricsCollector(capture, instance_id=instance_id).collect(run.metrics)
-        feeds.append(feed_from_broker(capture, instance_id))
-        exemplars[instance_id] = tuple(
-            spec.exemplar or spec.template.replace("?", "1")
-            for spec in population.specs.values()
-        )
-    return feeds, exemplars, tuple(creeping)
+
+    instances = simulate_instances(
+        cfg.n_instances, cfg.duration_s, cfg.seed, plant, stride=613, n_businesses=5
+    )
+    return capture_fleet(instances, cfg.onset_s, cfg.duration_s, cfg.duration_s)
 
 
 def _record_time(value: dict) -> int:
@@ -278,7 +258,7 @@ def replay_chronologically(
 def run_leadtime(cfg: LeadTimeConfig | None = None) -> LeadTimeReport:
     """Simulate, replay chronologically, sweep on schedule, and score."""
     cfg = cfg or LeadTimeConfig()
-    feeds, exemplars, creeping = simulate_creep_fleet(cfg)
+    fixture = simulate_creep_fleet(cfg)
     registry = MetricsRegistry()
     broker = Broker(registry=registry)
     sweeper = HealthSweeper(
@@ -300,15 +280,13 @@ def run_leadtime(cfg: LeadTimeConfig | None = None) -> LeadTimeReport:
         registry=registry,
         sweeper=sweeper,
     )
-    for feed in feeds:
-        engine = service.register_instance(feed.instance_id)
-        for statement in exemplars.get(feed.instance_id, ()):
-            engine.register_statement(statement)
+    register_fleet(service, fixture.exemplars)
     try:
-        replay_chronologically(service, feeds, cfg.duration_s, cfg.chunk_s)
+        replay_chronologically(service, fixture.feeds, cfg.duration_s, cfg.chunk_s)
     finally:
         service.close()
 
+    creeping = tuple(i for i, truth in fixture.truths.items() if truth.anomalous)
     report = LeadTimeReport(config=cfg, creeping_instances=creeping)
     report.sweeps = len(sweeper.sweeps)
     all_findings = [f for sweep in sweeper.sweeps for f in sweep.findings]

@@ -12,7 +12,12 @@ the engine.
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
 from repro.fleet.scheduler import DiagnosisScheduler, stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.fleet.sharded import InstanceFeed, feed_from_broker, run_sharded
+from repro.fleet.sharded import (
+    InstanceFeed,
+    feed_from_broker,
+    publish_feed,
+    run_sharded,
+)
 from repro.fleet.workers import (
     BlockFeed,
     PersistentWorkerPool,
@@ -37,6 +42,7 @@ __all__ = [
     "columnarize_feed",
     "execute_work_item",
     "feed_from_broker",
+    "publish_feed",
     "run_sharded",
     "stable_shard",
 ]

@@ -35,7 +35,7 @@ from repro.collection.stream import Broker, instance_topic
 from repro.fleet.engine import ServiceConfig
 from repro.fleet.scheduler import stable_shard
 
-__all__ = ["InstanceFeed", "feed_from_broker", "run_sharded"]
+__all__ = ["InstanceFeed", "feed_from_broker", "publish_feed", "run_sharded"]
 
 
 @dataclass
@@ -56,6 +56,16 @@ def feed_from_broker(broker: Broker, instance_id: str) -> InstanceFeed:
         query_records=[(m.key, m.value) for m in query],
         metric_records=[(m.key, m.value) for m in metric],
     )
+
+
+def publish_feed(broker: Broker, feed: InstanceFeed) -> None:
+    """Replay a captured feed onto ``broker`` record by record."""
+    query_topic = instance_topic(QUERY_TOPIC, feed.instance_id)
+    for key, value in feed.query_records:
+        broker.publish(query_topic, key, value)
+    metric_topic = instance_topic(METRIC_TOPIC, feed.instance_id)
+    for key, value in feed.metric_records:
+        broker.publish(metric_topic, key, value)
 
 
 def run_sharded(

@@ -71,6 +71,7 @@ from repro.dbsim.query import SecondBatch
 from repro.fleet.engine import ServiceConfig
 from repro.fleet.scheduler import stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
+from repro.fleet.sharded import publish_feed
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -320,10 +321,7 @@ def execute_work_item(
             if block.created_unix:
                 dispatch_lag.observe(max(0.0, time.time() - block.created_unix))
             publish_broker.publish_block(topic, block)
-    for key, value in feed.query_records:
-        publish_broker.publish(query_topic, key, value)
-    for key, value in feed.metric_records:
-        publish_broker.publish(metric_topic, key, value)
+    publish_feed(publish_broker, feed)
     if chaos_broker is not None:
         chaos_broker.flush()
     try:

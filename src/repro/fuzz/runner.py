@@ -36,8 +36,9 @@ import numpy as np
 from repro.evaluation.chaos import (
     ChaosHarnessConfig,
     FleetFixture,
-    InstanceTruth,
+    capture_fleet,
     run_fault_class,
+    simulate_instances,
 )
 from repro.fuzz.spec import ScenarioSpec
 from repro.telemetry import MetricsRegistry, observed_span_names
@@ -97,39 +98,18 @@ class ScenarioOutcome:
 def build_fixture(spec: ScenarioSpec) -> FleetFixture:
     """Simulate the spec's fleet once into a replayable fixture.
 
-    Mirrors :func:`repro.evaluation.chaos.simulate_fleet` (same
-    per-instance seeding discipline ``seed * 1009 + i``) but with every
-    knob driven by the spec: anomaly category/window/params, population
-    shape, planted baits.  Bait planting happens *after* anomaly
-    injection so toggling a bait flag never shifts the injector's rng
-    draws — the anomaly stays bit-identical across that mutation.
+    Every knob comes from the spec: anomaly category/window/params,
+    population shape, planted baits.  Bait planting happens *after*
+    anomaly injection so toggling a bait flag never shifts the
+    injector's rng draws — the anomaly stays bit-identical across that
+    mutation.
     """
-    from repro.collection import Broker, MetricsCollector, QueryLogCollector
-    from repro.dbsim import DatabaseInstance
-    from repro.evaluation.dataset import _label_h_sqls
-    from repro.fleet.sharded import feed_from_broker
-    from repro.workload import (
-        AnomalyCategory,
-        WorkloadGenerator,
-        build_population,
-        inject_anomaly,
-        plant_antipatterns,
-    )
+    from repro.workload import AnomalyCategory, inject_anomaly, plant_antipatterns
     from repro.workload.scenarios import plant_advisory_baits
 
     onset, end = spec.anomaly.window(spec.duration_s)
-    feeds: list[Any] = []  # InstanceFeed — its module is lazy-imported
-    truths: dict[str, InstanceTruth] = {}
-    exemplars: dict[str, tuple[str, ...]] = {}
-    for i in range(spec.n_instances):
-        instance_id = f"db-{i:02d}"
-        rng = np.random.default_rng(spec.seed * 1009 + i)
-        population = build_population(
-            spec.duration_s,
-            rng,
-            n_businesses=spec.n_businesses,
-            templates_per_business=spec.templates_per_business,
-        )
+
+    def plant(i: int, population: Any, rng: np.random.Generator) -> Any:
         injected = None
         if i < spec.anomalous:
             injected = inject_anomaly(
@@ -144,37 +124,17 @@ def build_fixture(spec: ScenarioSpec) -> FleetFixture:
             plant_antipatterns(population, rng)
         if spec.advisory_baits:
             plant_advisory_baits(population, rng)
-        db = DatabaseInstance(
-            schema=population.schema, cpu_cores=8, seed=spec.seed + i
-        )
-        run = db.run(WorkloadGenerator(population), duration=spec.duration_s)
-        capture = Broker()
-        QueryLogCollector(capture, instance_id=instance_id).collect(run.query_log)
-        MetricsCollector(capture, instance_id=instance_id).collect(run.metrics)
-        feeds.append(feed_from_broker(capture, instance_id))
-        r_sqls: set[str] = set()
-        h_sqls: set[str] = set()
-        if injected is not None:
-            observed = set(run.query_log.sql_ids)
-            r_sqls = set(injected.r_sql_ids) & observed or set(injected.r_sql_ids)
-            h_sqls = _label_h_sqls(run, onset, end, 0, 10) or set(r_sqls)
-        truths[instance_id] = InstanceTruth(
-            instance_id=instance_id,
-            anomalous=injected is not None,
-            r_sqls=frozenset(r_sqls),
-            h_sqls=frozenset(h_sqls),
-        )
-        exemplars[instance_id] = tuple(
-            s.exemplar or s.template.replace("?", "1")
-            for s in population.specs.values()
-        )
-    return FleetFixture(
-        feeds=feeds,
-        truths=truths,
-        exemplars=exemplars,
-        onset=onset,
-        duration_s=spec.duration_s,
+        return injected
+
+    instances = simulate_instances(
+        spec.n_instances,
+        spec.duration_s,
+        spec.seed,
+        plant,
+        n_businesses=spec.n_businesses,
+        templates_per_business=spec.templates_per_business,
     )
+    return capture_fleet(instances, onset, end, spec.duration_s)
 
 
 def _digest_value(h: "hashlib._Hash", value: Any) -> None:

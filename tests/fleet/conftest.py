@@ -52,19 +52,18 @@ def per_record_drain(broker, instance_ids):
     instances' streams are published record by record onto a fresh
     broker and drained by one single-threaded fleet service.
     """
-    from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
-    from repro.collection.stream import instance_topic
-    from repro.fleet import FleetConfig, FleetDiagnosisService, feed_from_broker
+    from repro.fleet import (
+        FleetConfig,
+        FleetDiagnosisService,
+        feed_from_broker,
+        publish_feed,
+    )
 
     replay = Broker()
     service = FleetDiagnosisService(replay, FleetConfig(workers=1))
     for instance_id in instance_ids:
         service.register_instance(instance_id)
-        feed = feed_from_broker(broker, instance_id)
-        for key, value in feed.query_records:
-            replay.publish(instance_topic(QUERY_TOPIC, instance_id), key, value)
-        for key, value in feed.metric_records:
-            replay.publish(instance_topic(METRIC_TOPIC, instance_id), key, value)
+        publish_feed(replay, feed_from_broker(broker, instance_id))
     service.run_until_drained()
     service.close()
     return {i: len(service.diagnoses_for(i)) for i in instance_ids}
