@@ -1,14 +1,10 @@
-"""Fleet diagnosis throughput: columnar ingest, threads, processes.
+"""Fleet diagnosis throughput: threads against processes.
 
-Three questions, one gated target:
+Two questions, one gated target:
 
-1. How much faster is columnar (block) ingestion than the legacy
-   per-record wire format?  Measured end-to-end through the broker —
-   publish, consume, ingest into a fresh LogStore — and asserted to
-   sustain at least 10× the per-record queries-ingested/s.
-2. How does the thread-pooled fleet service scale as workers grow?
+1. How does the thread-pooled fleet service scale as workers grow?
    (Under the GIL: it mostly doesn't — the table documents that.)
-3. Does the persistent-process pool (:mod:`repro.fleet.workers`)
+2. Does the persistent-process pool (:mod:`repro.fleet.workers`)
    actually beat threads?  Asserted (≥1.5× over the 2-thread drain at
    2 worker processes) only when the machine has cores to scale onto.
 
@@ -27,19 +23,12 @@ import time
 import numpy as np
 
 from repro.collection import Broker, MetricsCollector, QueryLogCollector
-from repro.collection.blocks import decode_block
-from repro.collection.collector import QUERY_TOPIC
-from repro.collection.logstore import LogStore
-from repro.collection.stream import instance_topic
 from repro.dbsim import DatabaseInstance
-from repro.dbsim.query import SecondBatch
 from repro.fleet import (
+    BlockFeed,
     FleetConfig,
     FleetDiagnosisService,
     ServiceConfig,
-    columnarize_feed,
-    feed_from_broker,
-    publish_feed,
     run_sharded,
 )
 from repro.workload import (
@@ -58,7 +47,8 @@ SERVICE_CONFIG = ServiceConfig(delta_start_s=300, detector_window_s=DURATION)
 
 
 def _simulate_feeds():
-    """Simulate the fleet once; returns picklable per-instance feeds."""
+    """Simulate the fleet once; returns picklable per-instance feeds of
+    per-second blocks (the layer-overhead bench replays them by chunk)."""
     broker = Broker()
     feeds = []
     for i in range(N_INSTANCES):
@@ -74,53 +64,16 @@ def _simulate_feeds():
         run = db.run(WorkloadGenerator(population), duration=DURATION)
         QueryLogCollector(broker, instance_id=instance_id).collect(run.query_log)
         MetricsCollector(broker, instance_id=instance_id).collect(run.metrics)
-        feeds.append(feed_from_broker(broker, instance_id))
+        feeds.append(BlockFeed.from_broker(broker, instance_id).unstamped())
     return feeds
-
-
-def _ingest_per_record(feed) -> tuple[float, int]:
-    """Broker → consumer → LogStore via the legacy wire format."""
-    broker = Broker()
-    topic = instance_topic(QUERY_TOPIC, feed.instance_id)
-    t0 = time.perf_counter()
-    for key, value in feed.query_records:
-        broker.publish(topic, key, value)
-    consumer = broker.consumer(topic)
-    store = LogStore()
-    queries = 0
-    for message in consumer.poll(1 << 31):
-        record = message.value
-        batch = SecondBatch(
-            sql_id=record["sql_id"],
-            arrive_ms=np.asarray(record["arrive_ms"], dtype=np.int64),
-            response_ms=np.asarray(record["response_ms"], dtype=np.float64),
-            examined_rows=np.asarray(record["examined_rows"], dtype=np.float64),
-        )
-        store.ingest_batch(batch)
-        queries += len(batch)
-    return time.perf_counter() - t0, queries
-
-
-def _ingest_blocks(block_feed) -> tuple[float, int]:
-    """Broker → consumer → LogStore via columnar block messages."""
-    broker = Broker()
-    topic = instance_topic(QUERY_TOPIC, block_feed.instance_id)
-    t0 = time.perf_counter()
-    for payload in block_feed.query_payloads:
-        broker.publish_block(topic, decode_block(payload))
-    consumer = broker.consumer(topic)
-    store = LogStore()
-    queries = 0
-    for message in consumer.poll(1 << 31):
-        queries += store.ingest_block(message.value)
-    return time.perf_counter() - t0, queries
 
 
 def _drain_with_threads(feeds, workers: int) -> tuple[float, int]:
     """Publish the feeds to a fresh broker and drain; (seconds, diagnoses)."""
     broker = Broker()
     for feed in feeds:
-        publish_feed(broker, feed)
+        for topic, block in feed.iter_blocks(broker):
+            broker.publish_block(topic, block)
     service = FleetDiagnosisService(
         broker,
         FleetConfig(service=SERVICE_CONFIG, workers=workers, prune_broker=True),
@@ -135,7 +88,7 @@ def _drain_with_threads(feeds, workers: int) -> tuple[float, int]:
 
 
 def test_fleet_throughput():
-    feeds = _cached(f"fleet_feeds_v2_{N_INSTANCES}x{DURATION}", _simulate_feeds)
+    feeds = _cached(f"fleet_feeds_v3_{N_INSTANCES}x{DURATION}", _simulate_feeds)
     cores = os.cpu_count() or 1
     payload: dict = {
         "env": {"cores": cores, "n_instances": N_INSTANCES, "duration_s": DURATION},
@@ -147,36 +100,6 @@ def test_fleet_throughput():
         f"{cores} cores available)",
         "",
     ]
-
-    # -- columnar vs per-record ingest ---------------------------------
-    record_s = record_q = block_s = block_q = 0.0
-    block_feeds = [columnarize_feed(feed) for feed in feeds]
-    for feed, block_feed in zip(feeds, block_feeds):
-        s, q = _ingest_per_record(feed)
-        record_s += s
-        record_q += q
-        s, q = _ingest_blocks(block_feed)
-        block_s += s
-        block_q += q
-    assert record_q == block_q, "both wire formats must carry every query"
-    record_rate = record_q / record_s
-    block_rate = block_q / block_s
-    ingest_ratio = block_rate / record_rate
-    lines += [
-        f"{'ingest path':<12} {'queries':>9} {'seconds':>8} {'queries/s':>11}",
-        f"{'per-record':<12} {int(record_q):>9} {record_s:>8.3f} {record_rate:>11.0f}",
-        f"{'blocks':<12} {int(block_q):>9} {block_s:>8.3f} {block_rate:>11.0f}",
-        f"batched-ingest speedup: {ingest_ratio:.1f}x",
-        "",
-    ]
-    payload["ingest"] = {
-        "queries": int(record_q),
-        "per_record_seconds": record_s,
-        "per_record_queries_per_s": record_rate,
-        "block_seconds": block_s,
-        "block_queries_per_s": block_rate,
-        "speedup": ingest_ratio,
-    }
 
     # -- thread pool vs persistent process pool ------------------------
     lines.append(
@@ -234,11 +157,6 @@ def test_fleet_throughput():
     anomalous = {f"db-{i:02d}" for i in range(0, N_INSTANCES, 2)}
     counts = run_sharded(feeds, processes=1, config=SERVICE_CONFIG)
     assert {iid for iid, n in counts.items() if n > 0} == anomalous
-
-    # Columnar ingest must pay for itself regardless of core count.
-    assert ingest_ratio >= 10.0, (
-        f"expected >=10x batched-ingest speedup, got {ingest_ratio:.1f}x"
-    )
 
     # Multicore scaling is only measurable when cores exist to scale
     # onto; single-core CI boxes record the table but skip the bars.

@@ -32,12 +32,12 @@ from repro.detection.case_builder import DetectedAnomaly
 from repro.detection.typing import classify_case
 from repro.evaluation.leadtime import replay_chronologically
 from repro.fleet import (
+    BlockFeed,
     Diagnosis,
     FleetConfig,
     FleetDiagnosisService,
     ServiceConfig,
     WorkItem,
-    block_feed_from_broker,
     execute_work_item,
 )
 from repro.health import FindingsStore, HealthConfig, HealthSweeper
@@ -224,7 +224,7 @@ SWEEP_INTERVAL_S = 120
 
 
 def health_row(request, tmp_path) -> Row:
-    feeds = _cached(f"fleet_feeds_v2_{N_INSTANCES}x{DURATION}", _simulate_feeds)[:4]
+    feeds = _cached(f"fleet_feeds_v3_{N_INSTANCES}x{DURATION}", _simulate_feeds)[:4]
     runs = itertools.count()
 
     def drain(feeds, sweeper=None) -> int:
@@ -285,7 +285,7 @@ def trace_row(request, tmp_path) -> Row:
     broker = Broker()
     QueryLogCollector(broker, instance_id="db-bt").collect_blocks(run.query_log)
     MetricsCollector(broker, instance_id="db-bt").collect_blocks(run.metrics)
-    feed = block_feed_from_broker(broker, "db-bt")
+    feed = BlockFeed.from_broker(broker, "db-bt")
 
     def drain(feed) -> dict:
         return execute_work_item(WorkItem(feed=feed))

@@ -1,8 +1,8 @@
 """The data-collection pipeline: collectors → broker → aggregation → detection.
 
 Shows the full Section-IV plumbing on a simulated instance: the query-log
-collector ships per-second batches into the broker (the Kafka stand-in),
-the stream aggregator (the Flink stand-in) materialises per-template
+collector ships one columnar block per second into the broker (the Kafka
+stand-in), the stream aggregator (the Flink stand-in) materialises per-template
 metric series at 1-second and 1-minute granularity, the log store applies
 retention, and the two perception layers watch the instance metrics.
 
@@ -42,10 +42,10 @@ def main() -> None:
 
     # --- Ship logs and metrics through the broker ----------------------
     broker = Broker()
-    n_batches = QueryLogCollector(broker).collect(result.query_log)
-    n_points = MetricsCollector(broker).collect(result.metrics)
-    print(f"collector shipped {n_batches:,} query-log batches and "
-          f"{n_points:,} metric points")
+    n_query_blocks = QueryLogCollector(broker).collect(result.query_log)
+    n_metric_blocks = MetricsCollector(broker).collect(result.metrics)
+    print(f"collector shipped {n_query_blocks:,} query-log blocks and "
+          f"{n_metric_blocks:,} metric blocks (one per second each)")
 
     # --- Stream aggregation (Flink stand-in) ---------------------------
     aggregator = StreamAggregator(broker.consumer("query_logs"), start=0, end=duration)

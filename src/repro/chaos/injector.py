@@ -2,15 +2,16 @@
 
 Every decision is a pure hash of ``(seed, kind, scope, sequence)`` —
 no shared RNG state — so injection is reproducible bit-for-bit even
-when fleet workers interleave on threads.  The injector never touches
-the dead-letter topic: quarantined evidence must survive the chaos that
-produced it.
+when fleet workers interleave on threads.  Stream faults decide per
+row: each published block gets one draw array per fault kind, seeded
+from that hash.  The injector never touches the dead-letter topic:
+quarantined evidence must survive the chaos that produced it.
 """
 
 from __future__ import annotations
 
-import copy
 import time
+from dataclasses import replace
 from fnmatch import fnmatch
 from hashlib import blake2b
 from typing import Any, Callable
@@ -18,8 +19,21 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.chaos.plan import FaultPlan, FaultSpec
+from repro.collection.blocks import (
+    BLOCK_KEY,
+    MetricBlock,
+    QueryLogBlock,
+    stamp_block,
+    validate_block,
+)
+from repro.collection.quarantine import quarantine
 from repro.collection.stream import Broker, Consumer, Message
-from repro.telemetry import MetricsRegistry, get_logger, get_registry
+from repro.telemetry import (
+    MetricsRegistry,
+    get_logger,
+    get_registry,
+    trace_propagation_enabled,
+)
 
 __all__ = [
     "ChaosBroker",
@@ -43,10 +57,24 @@ class InjectedWorkerHang(RuntimeError):
     """A chaos-injected hang: the worker makes no progress this step."""
 
 
+def _key(seed: int, *parts: object) -> int:
+    key = "|".join(str(p) for p in (seed, *parts)).encode()
+    return int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
+
+
 def _uniform(seed: int, *parts: object) -> float:
     """Deterministic uniform draw in ``[0, 1)`` from a hash of the parts."""
-    key = "|".join(str(p) for p in (seed, *parts)).encode()
-    return int.from_bytes(blake2b(key, digest_size=8).digest(), "big") / 2.0 ** 64
+    return _key(seed, *parts) / 2.0 ** 64
+
+
+def _draws(seed: int, n: int, *parts: object) -> np.ndarray:
+    """``n`` deterministic uniforms in ``[0, 1)`` keyed on the parts."""
+    return np.random.default_rng(_key(seed, *parts)).random(n)
+
+
+def _take(block: Any, rows: np.ndarray) -> Any:
+    """The block restricted to the rows selected by a boolean mask."""
+    return replace(block, data=block.data[rows])
 
 
 class FaultInjector:
@@ -83,6 +111,10 @@ class FaultInjector:
     def hit(self, spec: FaultSpec, *scope: object) -> bool:
         """Deterministic injection decision for one unit of work."""
         return _uniform(self.plan.seed, spec.kind, *scope) < spec.rate
+
+    def hits(self, spec: FaultSpec, n: int, *scope: object) -> np.ndarray:
+        """Deterministic per-row injection mask for ``n`` rows of one unit."""
+        return _draws(self.plan.seed, n, spec.kind, *scope) < spec.rate
 
     # ------------------------------------------------------------------
     # Substrate wrapping
@@ -149,54 +181,14 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Payload mutation
     # ------------------------------------------------------------------
-    def corrupt(self, value: Any, draw: float) -> Any:
-        """Deterministically mangle a record the way real pipelines do.
+    def corrupt(self, block: Any, draw: float) -> Any:
+        """Deterministically mangle a block the way real pipelines do.
 
-        Columnar blocks are mangled column-wise (dictionary loss, NaN
-        columns, out-of-range template indices, negative timestamps,
-        emptied row arrays) — every mode is caught by the block
-        validators and quarantined downstream.
+        Blocks are mangled column-wise (dictionary loss, NaN columns,
+        out-of-range template indices, negative timestamps, emptied row
+        arrays) — every mode is caught by the block validators and
+        quarantined downstream.
         """
-        from repro.collection.blocks import MetricBlock, QueryLogBlock
-
-        if isinstance(value, (QueryLogBlock, MetricBlock)):
-            return self._corrupt_block(value, draw)
-        if not isinstance(value, dict):
-            return None
-        record = copy.copy(value)
-        if "metric" in record:
-            modes = ("drop_key", "none_value", "nan_value", "str_timestamp")
-        elif "sql_id" in record:
-            modes = ("drop_key", "none_value", "truncate_array", "str_second")
-        else:
-            modes = ("drop_key", "none_value")
-        mode = modes[int(draw * len(modes)) % len(modes)]
-        if mode == "drop_key":
-            keys = sorted(record)
-            if keys:
-                record.pop(keys[int(draw * 997) % len(keys)])
-        elif mode == "none_value":
-            keys = sorted(record)
-            if keys:
-                record[keys[int(draw * 991) % len(keys)]] = None
-        elif mode == "nan_value":
-            record["value"] = float("nan")
-        elif mode == "str_timestamp":
-            record["timestamp"] = "not-a-timestamp"
-        elif mode == "str_second":
-            record["second"] = "not-a-second"
-        elif mode == "truncate_array":
-            arr = record.get("response_ms")
-            if arr is not None and len(arr) > 1:
-                record["response_ms"] = arr[: len(arr) // 2]
-        return record
-
-    def _corrupt_block(self, block: Any, draw: float) -> Any:
-        """Column-wise corruption of one block (deterministic by draw)."""
-        from dataclasses import replace
-
-        from repro.collection.blocks import QueryLogBlock
-
         if isinstance(block, QueryLogBlock):
             modes = ("drop_dictionary", "bad_template", "nan_column", "empty_rows")
         else:
@@ -222,53 +214,37 @@ class FaultInjector:
             data["timestamp"][victim] = -1
         return replace(block, data=data)
 
-    def skew(self, value: Any, skew_s: int) -> Any:
-        """Shift every timestamp field in a record by ``skew_s`` seconds."""
-        from dataclasses import replace
-
-        from repro.collection.blocks import MetricBlock, QueryLogBlock
-
-        if isinstance(value, QueryLogBlock):
-            data = value.data.copy()
-            data["arrive_ms"] += skew_s * 1000
-            return replace(value, data=data)
-        if isinstance(value, MetricBlock):
-            data = value.data.copy()
-            data["timestamp"] += skew_s
-            return replace(value, data=data)
-        if not isinstance(value, dict):
-            return value
-        record = copy.copy(value)
-        if "timestamp" in record and isinstance(record["timestamp"], (int, float)):
-            record["timestamp"] = int(record["timestamp"]) + skew_s
-        if "second" in record and isinstance(record["second"], (int, float)):
-            record["second"] = int(record["second"]) + skew_s
-        if "arrive_ms" in record:
-            try:
-                record["arrive_ms"] = (
-                    np.asarray(record["arrive_ms"], dtype=np.int64) + skew_s * 1000
-                )
-            except (TypeError, ValueError):
-                pass
-        return record
+    def skew(self, block: Any, skew_s: int, rows: np.ndarray | None = None) -> Any:
+        """Shift the timestamps of ``rows`` (a boolean mask; every row by
+        default) of a block by ``skew_s`` seconds."""
+        data = block.data.copy()
+        if isinstance(block, QueryLogBlock):
+            column, shift = data["arrive_ms"], skew_s * 1000
+        else:
+            column, shift = data["timestamp"], skew_s
+        if rows is None:
+            column += shift
+        else:
+            column[rows] += shift
+        return replace(block, data=data)
 
 
 class ChaosBroker:
     """A :class:`Broker` facade that injects stream faults at publish.
 
-    Per-message faults (drop / corrupt / clock skew / duplicate) mutate
-    the emission set; delivery faults (late arrival, reordering) hold
-    messages back and release them after later traffic.  Call
-    :meth:`flush` once publishing is done so held messages are not lost
-    forever — an orderly shutdown, not a correctness crutch: flushed
-    messages still arrive far out of order.
+    Row faults (drop / corrupt / clock skew / duplicate / late) act on
+    the rows of each published block, so a fault hits a record, not a
+    whole second of an instance's traffic; reordering shuffles a window
+    of blocks.  Call :meth:`flush` once publishing is done so held
+    blocks are not lost forever — an orderly shutdown, not a
+    correctness crutch: flushed blocks still arrive far out of order.
     """
 
     def __init__(self, broker: Broker, injector: FaultInjector) -> None:
         self.inner = broker
         self.injector = injector
         self._seq: dict[str, int] = {}
-        #: Per-topic held-back messages: ``(release_seq, key, value)``.
+        #: Per-topic held-back blocks: ``(release_seq, key, block)``.
         self._held: dict[str, list[tuple[int, str, Any]]] = {}
         #: Per-topic reorder buffers.
         self._buffers: dict[str, list[tuple[str, Any]]] = {}
@@ -286,62 +262,72 @@ class ChaosBroker:
 
     # -- fault pipeline ------------------------------------------------
     def publish(self, topic: str, key: str, value: Any) -> Message:
+        """Route one block through the fault pipeline.
+
+        Each armed row fault draws one mask over the block's rows, keyed
+        on ``(plan seed, kind, topic, seq)``: **drop** removes the hit
+        rows; **corrupt** carves them into a block of their own and
+        damages it (validation then quarantines exactly those rows);
+        **clock_skew** shifts their timestamps by ``skew_s``;
+        **duplicate** delivers them again in a second block; **late**
+        holds them back for ``hold_messages`` publishes.  Payloads that
+        are not blocks pass through untouched — consumers quarantine
+        them as ``not_a_block``.
+        """
+        if not isinstance(value, (QueryLogBlock, MetricBlock)):
+            return self.inner.publish(topic, key, value)
         inj = self.injector
         seq = self._seq.get(topic, 0)
         self._seq[topic] = seq + 1
+        block, extra = value, []
+        hit = self._hits("drop", topic, seq, block)
+        if hit is not None:
+            block = _take(block, ~hit)
+        hit = self._hits("corrupt", topic, seq, block)
+        if hit is not None:
+            draw = _uniform(inj.plan.seed, "corrupt-mode", topic, seq)
+            extra.append(inj.corrupt(_take(block, hit), draw))
+            block = _take(block, ~hit)
+        hit = self._hits("clock_skew", topic, seq, block)
+        if hit is not None:
+            skew_s = int(inj.spec_for("clock_skew", topic).param("skew_s", 90))
+            block = inj.skew(block, skew_s, hit)
+        hit = self._hits("duplicate", topic, seq, block)
+        if hit is not None:
+            extra.append(_take(block, hit))
+        hit = self._hits("late", topic, seq, block)
+        if hit is not None:
+            hold = max(int(inj.spec_for("late", topic).param("hold_messages", 8)), 1)
+            self._held.setdefault(topic, []).append((seq + hold, key, _take(block, hit)))
+            block = _take(block, ~hit)
         last: Message | None = None
-        drop = inj.spec_for("drop", topic)
-        if drop is not None and inj.hit(drop, topic, seq):
-            inj._count("drop")
-        else:
-            emitted = value
-            corrupt = inj.spec_for("corrupt", topic)
-            if corrupt is not None and inj.hit(corrupt, topic, seq):
-                emitted = inj.corrupt(
-                    emitted, _uniform(inj.plan.seed, "corrupt-mode", topic, seq)
-                )
-                inj._count("corrupt")
-            skew = inj.spec_for("clock_skew", topic)
-            if skew is not None and inj.hit(skew, topic, seq):
-                emitted = inj.skew(emitted, int(skew.param("skew_s", 90)))
-                inj._count("clock_skew")
-            copies = 1
-            dup = inj.spec_for("duplicate", topic)
-            if dup is not None and inj.hit(dup, topic, seq):
-                copies = 2
-                inj._count("duplicate")
-            for i in range(copies):
-                last = self._emit(topic, seq, i, key, emitted) or last
-        released = self._release_due(topic, seq)
-        last = released or last
+        for piece in ([block] if len(block) else []) + extra:
+            last = self._emit(topic, seq, key, piece) or last
+        last = self._release_due(topic, seq) or last
         return last if last is not None else Message(topic, -1, key, value)
+
+    def _hits(self, kind: str, topic: str, seq: int, block: Any) -> np.ndarray | None:
+        """The rows ``kind`` hits in this block (counted once per block),
+        or ``None`` when it is not armed or hits nothing."""
+        inj = self.injector
+        spec = inj.spec_for(kind, topic)
+        if spec is None or len(block) == 0:
+            return None
+        hit = inj.hits(spec, len(block), topic, seq)
+        if not hit.any():
+            return None
+        inj._count(kind)
+        return hit
 
     def publish_block(self, topic: str, block: Any) -> Message | None:
         """Columnar publish through the fault pipeline.
 
         Mirrors :meth:`Broker.publish_block` (validate, quarantine,
         count) but routes the accepted block through :meth:`publish` so
-        drop / corrupt / skew / duplicate / late / reorder faults apply
-        to batch messages too — ``__getattr__`` delegation would
-        silently bypass injection.
+        the row faults and reordering apply — ``__getattr__`` delegation
+        would silently bypass injection.
         """
-        from repro.collection.blocks import (
-            BLOCK_KEY,
-            MetricBlock,
-            QueryLogBlock,
-            stamp_block,
-            validate_metric_block,
-            validate_query_block,
-        )
-        from repro.collection.quarantine import quarantine
-        from repro.telemetry import trace_propagation_enabled
-
-        if isinstance(block, QueryLogBlock):
-            reason = validate_query_block(block)
-        elif isinstance(block, MetricBlock):
-            reason = validate_metric_block(block)
-        else:
-            reason = "not_a_block"
+        reason = validate_block(block)
         if reason is not None:
             quarantine(self.inner, topic, block, reason)
             return None
@@ -357,17 +343,8 @@ class ChaosBroker:
                 return self.publish(topic, key=BLOCK_KEY, value=block)
         return self.publish(topic, key=BLOCK_KEY, value=block)
 
-    def _emit(
-        self, topic: str, seq: int, copy_idx: int, key: str, value: Any
-    ) -> Message | None:
-        inj = self.injector
-        late = inj.spec_for("late", topic)
-        if late is not None and inj.hit(late, "late", topic, seq, copy_idx):
-            hold = max(int(late.param("hold_messages", 8)), 1)
-            self._held.setdefault(topic, []).append((seq + hold, key, value))
-            inj._count("late")
-            return None
-        reorder = inj.spec_for("reorder", topic)
+    def _emit(self, topic: str, seq: int, key: str, value: Any) -> Message | None:
+        reorder = self.injector.spec_for("reorder", topic)
         if reorder is not None:
             buffer = self._buffers.setdefault(topic, [])
             buffer.append((key, value))

@@ -13,15 +13,17 @@ from typing import Mapping
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "single_fault_plan"]
 
-#: Every fault class the injector knows how to apply.
+#: Every fault class the injector knows how to apply.  Drop, duplicate,
+#: late, corrupt and clock skew are drawn per row of each published
+#: block; reorder shuffles whole blocks.
 FAULT_KINDS: tuple[str, ...] = (
-    "drop",          # message silently lost at publish
-    "duplicate",     # message delivered twice
-    "reorder",       # a window of messages delivered shuffled
-    "late",          # message held back, delivered after later traffic
-    "corrupt",       # payload mutated (missing keys, wrong types, NaNs)
+    "drop",          # rows silently lost at publish
+    "duplicate",     # rows delivered again in a second block
+    "reorder",       # a window of blocks delivered shuffled
+    "late",          # rows held back in a block released after later traffic
+    "corrupt",       # rows carved into a damaged block (no dictionary, NaNs, ...)
     "backpressure",  # consumer polls stall (empty batches) for a while
-    "clock_skew",    # record timestamps shifted by a constant skew
+    "clock_skew",    # row timestamps shifted by a constant skew
     "worker_crash",  # a fleet worker raises mid-step
     "worker_hang",   # a fleet worker stalls for several steps
 )
@@ -39,9 +41,9 @@ _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "worker_hang": {"hang_steps": 3},
 }
 
-#: Default injection rate per kind (probability per message / poll /
-#: worker step).  Worker faults fire rarely but recovery is what is
-#: under test, not frequency.
+#: Default injection rate per kind (probability per row / block window /
+#: poll / worker step).  Worker faults fire rarely but recovery is what
+#: is under test, not frequency.
 _DEFAULT_RATES: dict[str, float] = {
     "drop": 0.10,
     "duplicate": 0.10,
@@ -59,8 +61,9 @@ _DEFAULT_RATES: dict[str, float] = {
 class FaultSpec:
     """One fault class armed against a subset of topics.
 
-    ``rate`` is the injection probability per unit (message for
-    stream faults, poll for backpressure, worker step for crash/hang).
+    ``rate`` is the injection probability per unit (block row for the
+    row faults, flushed window for reorder, poll for backpressure,
+    worker step for crash/hang).
     ``topic`` is an ``fnmatch`` pattern over topic names; worker faults
     ignore it.
     """

@@ -684,8 +684,7 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
     tracer show the whole fleet and recorded incidents carry
     cross-process traces (``repro trace show --latest``).
     """
-    from repro.fleet import ServiceConfig, run_sharded
-    from repro.fleet.workers import block_feed_from_broker
+    from repro.fleet import BlockFeed, ServiceConfig, run_sharded
     from repro.telemetry import get_registry
 
     broker, truths, statements, onset = _simulate_fleet(
@@ -693,7 +692,7 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
     )
     feeds = []
     for instance_id, sqls in statements.items():
-        feed = block_feed_from_broker(broker, instance_id)
+        feed = BlockFeed.from_broker(broker, instance_id)
         feed.statements = list(sqls)
         feeds.append(feed)
     shipped = sum(f.nbytes for f in feeds)

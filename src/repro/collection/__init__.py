@@ -37,9 +37,8 @@ from repro.collection.blocks import (
     decode_block,
     encode_block,
     metric_block_from_metrics,
-    metric_block_from_records,
-    query_block_from_batches,
     query_block_from_log,
+    split_by_second,
     split_query_block,
     validate_metric_block,
     validate_query_block,
@@ -48,8 +47,6 @@ from repro.collection.quarantine import (
     DEAD_LETTER_PREFIX,
     dead_letter_topic,
     quarantine,
-    validate_metric_record,
-    validate_query_record,
 )
 
 __all__ = [
@@ -59,8 +56,6 @@ __all__ = [
     "DEAD_LETTER_PREFIX",
     "dead_letter_topic",
     "quarantine",
-    "validate_metric_record",
-    "validate_query_record",
     "instance_topic",
     "split_topic",
     "QueryLogCollector",
@@ -81,9 +76,8 @@ __all__ = [
     "decode_block",
     "encode_block",
     "metric_block_from_metrics",
-    "metric_block_from_records",
-    "query_block_from_batches",
     "query_block_from_log",
+    "split_by_second",
     "split_query_block",
     "validate_metric_block",
     "validate_query_block",

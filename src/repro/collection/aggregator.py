@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.collection.blocks import QueryLogBlock
+from repro.collection.blocks import QueryLogBlock, validate_query_block
+from repro.collection.quarantine import quarantine
 from repro.collection.stream import Consumer
 from repro.dbsim.query import QueryLog
 from repro.timeseries import TimeSeries
@@ -213,9 +214,7 @@ class StreamAggregator:
         """Vectorized accumulation of one columnar block.
 
         Per-template, per-second sums are formed with one ``bincount``
-        per template over the block's sorted rows — the same partial
-        sums, in the same order, as the per-record path, so snapshots
-        stay bit-identical across the two wire formats.
+        per template over the block's sorted rows.
         """
         n = self.end - self.start
         for batch in block.iter_template_batches():
@@ -232,36 +231,21 @@ class StreamAggregator:
             arrays["total_rows"] += np.bincount(idx, weights=rows, minlength=n)
 
     def poll(self, max_messages: int = 10_000) -> int:
-        """Consume a batch of query-log messages; returns messages handled.
+        """Consume a batch of query-log blocks; returns messages handled.
 
-        Messages may carry legacy per-(second, template) records or
-        columnar :class:`QueryLogBlock` payloads; both accumulate into
-        the same per-template arrays.
+        Malformed blocks and non-block payloads are quarantined to the
+        dead-letter topic, never raised.
         """
         messages = self.consumer.poll(max_messages)
         for message in messages:
-            record = message.value
-            if isinstance(record, QueryLogBlock):
-                if (
-                    self.instance_id
-                    and record.instance
-                    and record.instance != self.instance_id
-                ):
-                    continue
-                self._ingest_block(record)
+            block = message.value
+            reason = validate_query_block(block)
+            if reason is not None:
+                quarantine(self.consumer.broker, self.consumer.topic, block, reason)
                 continue
-            if self.instance_id and record.get("instance", self.instance_id) != self.instance_id:
+            if self.instance_id and block.instance and block.instance != self.instance_id:
                 continue
-            second = int(record["second"])
-            if not self.start <= second < self.end:
-                continue
-            arrays = self._template_arrays(record["sql_id"])
-            i = second - self.start
-            resp = np.asarray(record["response_ms"], dtype=np.float64)
-            rows = np.asarray(record["examined_rows"], dtype=np.float64)
-            arrays["count"][i] += len(resp)
-            arrays["total_tres"][i] += resp.sum()
-            arrays["total_rows"][i] += rows.sum()
+            self._ingest_block(block)
         return len(messages)
 
     def drain(self) -> None:

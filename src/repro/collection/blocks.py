@@ -1,12 +1,11 @@
-"""Columnar block payloads: the batch unit of the dataplane.
+"""Columnar block payloads: the one wire format of the dataplane.
 
 PinSQL is fleet-scale: the collection pipeline must move millions of
-query-log records per second, and per-record Python objects (one broker
-message per (second, template) pair, one dict per metric sample) spend
-more time on interpreter overhead and pickling than on the actual
-aggregation work.  This module defines the *block* — one broker
-``Message`` carries one block — as a numpy structured array plus a
-small string dictionary:
+query-log records per second, and per-record Python objects spend more
+time on interpreter overhead and pickling than on the actual
+aggregation work.  Every message on a ``query_logs.*`` or
+``performance_metrics.*`` topic therefore carries one *block* — a
+numpy structured array plus a small string dictionary:
 
 - :class:`QueryLogBlock`: rows of ``(template, arrive_ms, response_ms,
   examined_rows)`` with ``sql_ids`` mapping the int32 ``template``
@@ -14,17 +13,20 @@ small string dictionary:
 - :class:`MetricBlock`: rows of ``(metric, timestamp, value)`` with a
   ``metrics`` name dictionary.
 
-Blocks are frozen; their arrays must be treated as immutable (decoded
-blocks are backed by read-only buffers).
+Blocks come in two grains cut from the same whole-log block:
+:func:`split_by_second` gives one block per stream-time second (the
+streaming grain), :func:`split_query_block` gives row-bounded bulk
+blocks.  Blocks are frozen; their arrays must be treated as immutable
+(decoded blocks are backed by read-only buffers).
 
 A binary codec (:func:`encode_block` / :func:`decode_block`) frames a
 block as ``magic + header-length + JSON header + raw column bytes`` for
 the process boundary: persistent shard workers receive encoded blocks
 and decode them with a single zero-copy ``np.frombuffer``.  Validation
-(:func:`validate_query_block` / :func:`validate_metric_block`) mirrors
-the per-record validators so malformed blocks — chaos-corrupted or
-otherwise — are quarantined to the dead-letter topic instead of
-crashing a drain loop.
+(:func:`validate_query_block` / :func:`validate_metric_block`) rejects
+malformed blocks — chaos-corrupted or otherwise — and anything that is
+not a block at all (``not_a_block``), so they are quarantined to the
+dead-letter topic instead of crashing a drain loop.
 
 Header v2 carries the distributed-tracing envelope: the publishing
 span's :class:`~repro.telemetry.tracing.TraceContext` (``trace`` key)
@@ -57,13 +59,13 @@ __all__ = [
     "QueryLogBlock",
     "MetricBlock",
     "query_block_from_log",
-    "query_block_from_batches",
     "metric_block_from_metrics",
-    "metric_block_from_records",
+    "split_by_second",
     "split_query_block",
     "stamp_block",
     "encode_block",
     "decode_block",
+    "validate_block",
     "validate_query_block",
     "validate_metric_block",
 ]
@@ -204,8 +206,7 @@ def query_block_from_log(
     """Columnarise a whole simulated :class:`QueryLog` into one block.
 
     Rows come out template-major, arrival-ordered within each template
-    — the same per-template order :meth:`QueryLog.queries_of` exposes,
-    so block ingestion reproduces the per-record path bit-for-bit.
+    — the same per-template order :meth:`QueryLog.queries_of` exposes.
     """
     sql_ids: list[str] = []
     chunks: list[np.ndarray] = []
@@ -232,30 +233,6 @@ def query_block_from_log(
     )
 
 
-def query_block_from_batches(
-    batches: Iterator[SecondBatch] | list[SecondBatch], instance: str = ""
-) -> QueryLogBlock:
-    """Columnarise loose :class:`SecondBatch` records into one block."""
-    index: dict[str, int] = {}
-    chunks: list[np.ndarray] = []
-    for batch in batches:
-        if len(batch) == 0:
-            continue
-        template = index.setdefault(batch.sql_id, len(index))
-        rows = np.empty(len(batch), dtype=QUERY_BLOCK_DTYPE)
-        rows["template"] = template
-        rows["arrive_ms"] = batch.arrive_ms
-        rows["response_ms"] = batch.response_ms
-        rows["examined_rows"] = batch.examined_rows
-        chunks.append(rows)
-    data = (
-        np.concatenate(chunks)
-        if chunks
-        else np.empty(0, dtype=QUERY_BLOCK_DTYPE)
-    )
-    return QueryLogBlock(sql_ids=tuple(index), data=data, instance=instance)
-
-
 def metric_block_from_metrics(
     metrics: "InstanceMetrics", instance: str = ""
 ) -> MetricBlock:
@@ -280,17 +257,25 @@ def metric_block_from_metrics(
     return MetricBlock(metrics=tuple(names), data=data, instance=instance)
 
 
-def metric_block_from_records(
-    records: list[Mapping], instance: str = ""
-) -> MetricBlock:
-    """Columnarise per-record metric dicts (the legacy wire format)."""
-    names: dict[str, int] = {}
-    data = np.empty(len(records), dtype=METRIC_BLOCK_DTYPE)
-    for i, record in enumerate(records):
-        data["metric"][i] = names.setdefault(str(record["metric"]), len(names))
-        data["timestamp"][i] = int(record["timestamp"])
-        data["value"][i] = float(record["value"])
-    return MetricBlock(metrics=tuple(names), data=data, instance=instance)
+def split_by_second(
+    block: QueryLogBlock | MetricBlock,
+) -> list[QueryLogBlock | MetricBlock]:
+    """Split a block into one block per stream-time second, in time order.
+
+    Rows keep their relative order within a second and every piece
+    shares the dictionary, so the pieces are zero-copy views.  A query
+    row's second is ``arrive_ms // 1000``; a metric row's is its
+    ``timestamp``.
+    """
+    data = block.data
+    if isinstance(block, QueryLogBlock):
+        seconds = data["arrive_ms"] // 1000
+    else:
+        seconds = data["timestamp"]
+    order = np.argsort(seconds, kind="stable")
+    data, seconds = data[order], seconds[order]
+    cuts = np.flatnonzero(np.diff(seconds)) + 1
+    return [replace(block, data=rows) for rows in np.split(data, cuts) if len(rows)]
 
 
 def split_query_block(
@@ -428,7 +413,7 @@ def decode_block(raw: bytes) -> QueryLogBlock | MetricBlock:
 
 
 # ----------------------------------------------------------------------
-# Validation (mirrors repro.collection.quarantine record validators)
+# Validation
 # ----------------------------------------------------------------------
 def validate_query_block(block: object) -> str | None:
     """Reject reason for a query-log block, or ``None`` if valid."""
@@ -482,6 +467,13 @@ def validate_metric_block(block: object) -> str | None:
     if not isinstance(block.instance, str):
         return "bad_type:instance"
     return _validate_envelope(block)
+
+
+def validate_block(block: object) -> str | None:
+    """Reject reason for a payload of either block kind, or ``None``."""
+    if isinstance(block, MetricBlock):
+        return validate_metric_block(block)
+    return validate_query_block(block)
 
 
 def _validate_envelope(block: QueryLogBlock | MetricBlock) -> str | None:

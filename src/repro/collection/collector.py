@@ -6,17 +6,21 @@ PinSQL's overhead negligible compared with in-database monitoring
 (paper Section IV-C discussion).  ``MetricsCollector`` ships the
 performance-metric points.
 
-Two wire formats exist:
+Every message is one columnar block
+(:class:`~repro.collection.blocks.QueryLogBlock` /
+:class:`~repro.collection.blocks.MetricBlock`), cut at one of two
+grains from the same whole-log block:
 
-- the legacy per-record path (:meth:`QueryLogCollector.collect` /
-  :meth:`MetricsCollector.collect`): one message per (second, template)
-  batch or per metric sample — kept for replay compatibility and
-  fine-grained fault-injection experiments;
-- the columnar path (:meth:`QueryLogCollector.collect_blocks` /
-  :meth:`MetricsCollector.collect_blocks`): one message carries one
-  :class:`~repro.collection.blocks.QueryLogBlock` /
-  :class:`~repro.collection.blocks.MetricBlock` of many thousands of
-  rows — the high-throughput dataplane every fleet-scale path uses.
+- :meth:`QueryLogCollector.collect` / :meth:`MetricsCollector.collect`
+  ship one block per stream-time second — the streaming grain, which
+  chaos, fuzz and lead-time replays use so that faults, late arrival
+  and chunked replay act on seconds of traffic;
+- :meth:`QueryLogCollector.collect_blocks` /
+  :meth:`MetricsCollector.collect_blocks` ship row-bounded bulk blocks
+  — the throughput grain of fleet and sharded runs.
+
+Each block is validated at publish; a malformed one is quarantined to
+the dead-letter topic.
 
 Collectors are *instance-scoped*: constructed with an ``instance_id``
 they publish to that instance's topic partition
@@ -29,19 +33,13 @@ single-instance topics.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from repro.collection.blocks import (
     metric_block_from_metrics,
     query_block_from_log,
+    split_by_second,
     split_query_block,
-)
-from repro.collection.quarantine import (
-    quarantine,
-    validate_metric_record,
-    validate_query_record,
 )
 from repro.collection.stream import Broker, instance_topic
 from repro.dbsim.monitor import InstanceMetrics
@@ -62,8 +60,13 @@ METRIC_TOPIC = "performance_metrics"
 DEFAULT_BLOCK_ROWS = 262_144
 
 
+def _publish(broker: Broker, topic: str, blocks: Iterable) -> int:
+    """Publish blocks in order; returns how many passed validation."""
+    return sum(broker.publish_block(topic, block) is not None for block in blocks)
+
+
 class QueryLogCollector:
-    """Publishes query-log batches to the broker, ordered by second."""
+    """Publishes query-log blocks to the broker."""
 
     def __init__(
         self,
@@ -77,40 +80,10 @@ class QueryLogCollector:
         broker.create_topic(self.topic)
 
     def collect(self, query_log: QueryLog) -> int:
-        """Ship every logged query; returns the number of batches sent.
-
-        Batches are emitted in (second, template) order, matching how the
-        per-second collectors flush in production.
-        """
-        batches: list[tuple[int, str, dict]] = []
-        for tq in query_log.iter_templates():
-            if len(tq) == 0:
-                continue
-            seconds = (tq.arrive_ms // 1000).astype(np.int64)
-            boundaries = np.flatnonzero(np.diff(seconds)) + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [len(seconds)]])
-            for lo, hi in zip(starts, ends):
-                record = {
-                    "second": int(seconds[lo]),
-                    "sql_id": tq.sql_id,
-                    "arrive_ms": tq.arrive_ms[lo:hi],
-                    "response_ms": tq.response_ms[lo:hi],
-                    "examined_rows": tq.examined_rows[lo:hi],
-                }
-                if self.instance_id:
-                    record["instance"] = self.instance_id
-                batches.append((int(seconds[lo]), tq.sql_id, record))
-        batches.sort(key=lambda item: (item[0], item[1]))
-        sent = 0
-        for _, sql_id, value in batches:
-            reason = validate_query_record(value)
-            if reason is not None:
-                quarantine(self.broker, self.topic, value, reason)
-                continue
-            self.broker.publish(self.topic, key=sql_id, value=value)
-            sent += 1
-        return sent
+        """Ship the log as one block per stream-time second; returns
+        blocks sent."""
+        block = query_block_from_log(query_log, instance=self.instance_id)
+        return _publish(self.broker, self.topic, split_by_second(block))
 
     def collect_blocks(
         self,
@@ -130,15 +103,11 @@ class QueryLogCollector:
         )
         if len(block) == 0:
             return 0
-        sent = 0
-        for piece in split_query_block(block, block_rows):
-            if self.broker.publish_block(self.topic, piece) is not None:
-                sent += 1
-        return sent
+        return _publish(self.broker, self.topic, split_query_block(block, block_rows))
 
 
 class MetricsCollector:
-    """Publishes per-second performance-metric points to the broker."""
+    """Publishes performance-metric blocks to the broker."""
 
     def __init__(
         self,
@@ -152,20 +121,10 @@ class MetricsCollector:
         broker.create_topic(self.topic)
 
     def collect(self, metrics: InstanceMetrics) -> int:
-        """Ship every metric sample; returns the number of points sent."""
-        sent = 0
-        for name, series in metrics.series.items():
-            for ts, value in zip(series.timestamps, series.values):
-                record = {"metric": name, "timestamp": int(ts), "value": float(value)}
-                if self.instance_id:
-                    record["instance"] = self.instance_id
-                reason = validate_metric_record(record)
-                if reason is not None:
-                    quarantine(self.broker, self.topic, record, reason)
-                    continue
-                self.broker.publish(self.topic, key=name, value=record)
-                sent += 1
-        return sent
+        """Ship the samples as one block per stream-time second; returns
+        blocks sent."""
+        block = metric_block_from_metrics(metrics, instance=self.instance_id)
+        return _publish(self.broker, self.topic, split_by_second(block))
 
     def collect_blocks(self, metrics: InstanceMetrics) -> int:
         """Ship every metric series as one columnar block message."""

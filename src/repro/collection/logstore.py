@@ -211,8 +211,7 @@ class LogStore:
 
         The block is split into per-template, arrival-ordered batches in
         one vectorized pass (a single argsort over the block) and each
-        batch is ingested exactly like the per-record path — the
-        aggregates come out bit-identical.  Returns queries stored.
+        batch goes through :meth:`ingest_batch`.  Returns queries stored.
         """
         stored = 0
         for batch in block.iter_template_batches():

@@ -1,11 +1,12 @@
 """Payload validation and dead-letter quarantine.
 
-A malformed record must never crash the poll loop: one collector bug or
-one corrupted message would take the whole diagnosis pipeline down with
-it.  Both the publishing side (collectors) and the consuming side
-(detector, diagnosis engine) validate records against the schemas below
-and route rejects to a per-source dead-letter topic
-(``dead_letter.<source_topic>``), keeping the evidence and counting
+A malformed payload must never crash the poll loop: one collector bug
+or one corrupted message would take the whole diagnosis pipeline down
+with it.  Both the publishing side (``Broker.publish_block``) and the
+consuming side (detector, diagnosis engine) validate payloads with the
+block validators of :mod:`repro.collection.blocks` and route rejects
+to a per-source dead-letter topic (``dead_letter.<source_topic>``)
+with :func:`quarantine`, keeping the evidence and counting
 ``collector_quarantined_total`` instead of raising.
 
 Dead-letter topics have no registered consumers, so the broker's
@@ -15,9 +16,7 @@ hoc by operators via :meth:`Broker.read`.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
-import numpy as np
+from typing import Any
 
 from repro.collection.stream import Broker
 from repro.telemetry import MetricsRegistry, get_logger
@@ -26,8 +25,6 @@ __all__ = [
     "DEAD_LETTER_PREFIX",
     "dead_letter_topic",
     "quarantine",
-    "validate_metric_record",
-    "validate_query_record",
 ]
 
 _log = get_logger("collection")
@@ -35,75 +32,10 @@ _log = get_logger("collection")
 #: Prefix of every dead-letter topic (the chaos injector exempts it).
 DEAD_LETTER_PREFIX = "dead_letter"
 
-_QUERY_ARRAY_KEYS = ("arrive_ms", "response_ms", "examined_rows")
-
 
 def dead_letter_topic(source_topic: str) -> str:
     """The dead-letter topic that quarantines ``source_topic`` rejects."""
     return f"{DEAD_LETTER_PREFIX}.{source_topic}"
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
-        value, bool
-    )
-
-
-def validate_query_record(record: Any) -> str | None:
-    """Reject reason for a query-log batch record, or ``None`` if valid."""
-    if not isinstance(record, Mapping):
-        return "not_a_mapping"
-    for key in ("second", "sql_id", *_QUERY_ARRAY_KEYS):
-        if key not in record:
-            return f"missing_key:{key}"
-    if not _is_int(record["second"]) or int(record["second"]) < 0:
-        return "bad_type:second"
-    sql_id = record["sql_id"]
-    if not isinstance(sql_id, str) or not sql_id:
-        return "bad_type:sql_id"
-    sizes = set()
-    for key in _QUERY_ARRAY_KEYS:
-        try:
-            arr = np.asarray(record[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            return f"bad_type:{key}"
-        if arr.ndim != 1 or arr.size == 0:
-            return f"bad_shape:{key}"
-        if not np.isfinite(arr).all():
-            return f"non_finite:{key}"
-        sizes.add(arr.size)
-    if len(sizes) != 1:
-        return "length_mismatch"
-    instance = record.get("instance")
-    if instance is not None and not isinstance(instance, str):
-        return "bad_type:instance"
-    return None
-
-
-def validate_metric_record(record: Any) -> str | None:
-    """Reject reason for a performance-metric record, or ``None`` if valid."""
-    if not isinstance(record, Mapping):
-        return "not_a_mapping"
-    for key in ("metric", "timestamp", "value"):
-        if key not in record:
-            return f"missing_key:{key}"
-    metric = record["metric"]
-    if not isinstance(metric, str) or not metric:
-        return "bad_type:metric"
-    timestamp = record["timestamp"]
-    if not _is_number(timestamp) or not np.isfinite(timestamp) or timestamp < 0:
-        return "bad_type:timestamp"
-    value = record["value"]
-    if not _is_number(value) or not np.isfinite(value):
-        return "non_finite:value"
-    instance = record.get("instance")
-    if instance is not None and not isinstance(instance, str):
-        return "bad_type:instance"
-    return None
 
 
 def quarantine(

@@ -18,12 +18,12 @@ Pruned messages advance the topic's base offset — exactly Kafka's
 log-head truncation — and are counted by the
 ``broker_pruned_messages_total`` counter.
 
-Batch payloads are first class: one message may carry one columnar
-block (:mod:`repro.collection.blocks`) instead of one record.
-:meth:`Broker.publish_block` validates the block before appending and
-counts records-per-block, blocks and payload bytes per topic, so the
-batch dataplane's shape (records/block, blocks/s, bytes shipped) is
-visible next to the legacy per-message counters.
+Collectors publish columnar blocks (:mod:`repro.collection.blocks`),
+one block per message, through :meth:`Broker.publish_block`: it
+validates the block before appending and counts records-per-block,
+blocks and payload bytes per topic, so the dataplane's shape
+(records/block, blocks/s, bytes shipped) is visible next to the
+per-topic message counters.
 
 The broker self-reports through :mod:`repro.telemetry`: published
 message counters per topic, poll-batch-size histograms, and per-consumer
@@ -146,26 +146,14 @@ class Broker:
         records per block (histogram), blocks published and payload
         bytes shipped per topic.
         """
-        from repro.collection.blocks import (
-            MetricBlock,
-            QueryLogBlock,
-            validate_metric_block,
-            validate_query_block,
-        )
+        from repro.collection.blocks import BLOCK_KEY, stamp_block, validate_block
         from repro.collection.quarantine import quarantine
 
-        if isinstance(block, QueryLogBlock):
-            reason = validate_query_block(block)
-        elif isinstance(block, MetricBlock):
-            reason = validate_metric_block(block)
-        else:
-            reason = "not_a_block"
+        reason = validate_block(block)
         if reason is not None:
             quarantine(self, topic, block, reason)
             return None
         self.count_block(topic, n_records=len(block), nbytes=block.nbytes)
-        from repro.collection.blocks import BLOCK_KEY, stamp_block
-
         if trace_propagation_enabled():
             with self.tracer.span(
                 "broker.publish_block", topic=topic, records=len(block)

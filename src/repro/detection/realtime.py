@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.collection.quarantine import quarantine, validate_metric_record
+from repro.collection.quarantine import quarantine
 from repro.collection.stream import Consumer
 from repro.detection.basic import BasicPerception
 from repro.detection.case_builder import CaseBuilder, DetectedAnomaly
@@ -193,61 +193,35 @@ class RealtimeAnomalyDetector:
     def poll(self, max_messages: int = 10_000) -> list[AnomalyEvent]:
         """Consume available metric points; return newly detected anomalies.
 
-        Messages may carry legacy per-sample records or columnar
-        :class:`~repro.collection.blocks.MetricBlock` payloads (one
-        block = many samples); malformed payloads of either shape are
+        Every message carries one
+        :class:`~repro.collection.blocks.MetricBlock` (one block = many
+        samples); malformed blocks and non-block payloads are
         quarantined, never raised.
         """
-        from repro.collection.blocks import MetricBlock, validate_metric_block
+        from repro.collection.blocks import validate_metric_block
 
         messages = self.consumer.poll(max_messages)
         points = 0
         for message in messages:
             record = message.value
-            if isinstance(record, MetricBlock):
-                reason = validate_metric_block(record)
-                if reason is not None:
-                    quarantine(
-                        self.consumer.broker, self.consumer.topic, record, reason
-                    )
-                    continue
-                if (
-                    self.instance_id
-                    and record.instance
-                    and record.instance != self.instance_id
-                ):
-                    continue
-                for name, ts_arr, values in record.iter_metric_series():
-                    buffer = self._buffers.get(name)
-                    if buffer is None:
-                        buffer = _MetricBuffer(self.window_s)
-                        self._buffers[name] = buffer
-                    buffer.samples.update(
-                        zip(ts_arr.tolist(), values.tolist())
-                    )
-                block_max = int(record.data["timestamp"].max())
-                if self._stream_time is None or block_max > self._stream_time:
-                    self._stream_time = block_max
-                points += len(record)
-                continue
-            points += 1
-            reason = validate_metric_record(record)
+            reason = validate_metric_block(record)
             if reason is not None:
                 # Malformed payloads must not crash the poll loop: park
                 # them on the dead-letter topic and keep consuming.
                 quarantine(self.consumer.broker, self.consumer.topic, record, reason)
                 continue
-            if self.instance_id and record.get("instance", self.instance_id) != self.instance_id:
+            if self.instance_id and record.instance and record.instance != self.instance_id:
                 continue
-            name = record["metric"]
-            timestamp = int(record["timestamp"])
-            buffer = self._buffers.get(name)
-            if buffer is None:
-                buffer = _MetricBuffer(self.window_s)
-                self._buffers[name] = buffer
-            buffer.add(timestamp, float(record["value"]))
-            if self._stream_time is None or timestamp > self._stream_time:
-                self._stream_time = timestamp
+            for name, ts_arr, values in record.iter_metric_series():
+                buffer = self._buffers.get(name)
+                if buffer is None:
+                    buffer = _MetricBuffer(self.window_s)
+                    self._buffers[name] = buffer
+                buffer.samples.update(zip(ts_arr.tolist(), values.tolist()))
+            block_max = int(record.data["timestamp"].max())
+            if self._stream_time is None or block_max > self._stream_time:
+                self._stream_time = block_max
+            points += len(record)
         if points:
             self._m_points.inc(points)
         if self._stream_time is None:

@@ -9,13 +9,16 @@ and CI gates on.
 
 The expensive part (simulating the database fleet) happens once per
 seed: :func:`simulate_fleet` captures every instance's collected
-streams as replayable :class:`~repro.fleet.sharded.InstanceFeed`
-records together with the R-SQL / H-SQL labels, through the fleet
-simulation the fuzzer, lead time and fleet-demo share (DESIGN §7).
-Each fault run then replays the same records through a fresh broker
-wrapped in a :class:`~repro.chaos.ChaosBroker`, with a private
-:class:`~repro.telemetry.MetricsRegistry` so quarantine / resync /
-restart counters can be read per run without cross-talk.
+streams — one columnar block per stream-time second, as
+:meth:`~repro.collection.QueryLogCollector.collect` ships them — in a
+replayable :class:`~repro.fleet.workers.BlockFeed`, together with the
+R-SQL / H-SQL labels, through the fleet simulation the fuzzer, lead
+time and fleet-demo share (DESIGN §7).  Each fault run then publishes
+the same blocks through a fresh broker wrapped in a
+:class:`~repro.chaos.ChaosBroker`, whose faults act on the rows inside
+each block, with a private :class:`~repro.telemetry.MetricsRegistry`
+so quarantine / resync / restart counters can be read per run without
+cross-talk.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.chaos import (
 from repro.collection import Broker, MetricsCollector, QueryLogCollector
 from repro.evaluation.dataset import _label_h_sqls
 from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
-from repro.fleet.sharded import InstanceFeed, feed_from_broker, publish_feed
+from repro.fleet.workers import BlockFeed
 from repro.telemetry import MetricsRegistry, get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -113,7 +116,7 @@ class InstanceTruth:
 class FleetFixture:
     """One simulated fleet, replayable across fault runs."""
 
-    feeds: list[InstanceFeed]
+    feeds: list[BlockFeed]
     truths: dict[str, InstanceTruth]
     #: Exemplar statements per instance (registered into each engine's
     #: catalog so static analysis and repair see real SQL).
@@ -207,7 +210,7 @@ def capture_fleet(
     duration_s: int,
     max_h_sqls: int = 10,
 ) -> FleetFixture:
-    """Capture simulated instances as a per-record fixture, labelling
+    """Capture simulated instances as per-second block feeds, labelling
     anomalous ones over ``[onset, end)``."""
     fixture = FleetFixture(feeds=[], truths={}, onset=onset, duration_s=duration_s)
     for inst in instances:
@@ -215,7 +218,8 @@ def capture_fleet(
         capture = Broker()
         QueryLogCollector(capture, instance_id=instance_id).collect(run.query_log)
         MetricsCollector(capture, instance_id=instance_id).collect(run.metrics)
-        fixture.feeds.append(feed_from_broker(capture, instance_id))
+        # A recording: each replay's publish stamps the blocks afresh.
+        fixture.feeds.append(BlockFeed.from_broker(capture, instance_id).unstamped())
         r_sqls: set[str] = set()
         h_sqls: set[str] = set()
         if injected is not None:
@@ -314,7 +318,8 @@ def run_fault_class(
     try:
         register_fleet(service, fixture.exemplars)
         for feed in fixture.feeds:
-            publish_feed(service_broker, feed)
+            for topic, block in feed.iter_blocks(broker):
+                service_broker.publish_block(topic, block)
         if injector is not None:
             held = service_broker.flush()
             if held:

@@ -28,12 +28,12 @@ lead time — the "automated DBA" must be early *and* right.
 from __future__ import annotations
 
 import statistics
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.collection import Broker, METRIC_TOPIC, QUERY_TOPIC
-from repro.collection.stream import instance_topic
+from repro.collection import Broker, MetricBlock, QueryLogBlock
 from repro.evaluation.chaos import (
     CPU_CORES,
     FleetFixture,
@@ -42,7 +42,7 @@ from repro.evaluation.chaos import (
     simulate_instances,
 )
 from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
-from repro.fleet.sharded import InstanceFeed
+from repro.fleet.workers import BlockFeed
 from repro.health import HealthConfig, HealthFinding, HealthSweeper
 from repro.telemetry import MetricsRegistry, get_logger
 
@@ -209,16 +209,16 @@ def simulate_creep_fleet(cfg: LeadTimeConfig) -> FleetFixture:
     return capture_fleet(instances, cfg.onset_s, cfg.duration_s, cfg.duration_s)
 
 
-def _record_time(value: dict) -> int:
-    """Stream-time second of one collected record (query or metric)."""
-    if "second" in value:
-        return int(value["second"])
-    return int(value.get("timestamp", 0))
+def _block_second(block: QueryLogBlock | MetricBlock) -> int:
+    """Stream-time second of a per-second block."""
+    if isinstance(block, QueryLogBlock):
+        return int(block.data["arrive_ms"][0]) // 1000
+    return int(block.data["timestamp"][0])
 
 
 def replay_chronologically(
     service: FleetDiagnosisService,
-    feeds: list[InstanceFeed],
+    feeds: list[BlockFeed],
     duration_s: int,
     chunk_s: int,
 ) -> None:
@@ -227,29 +227,22 @@ def replay_chronologically(
     After each ``chunk_s`` of every instance the service steps until it
     has no lag, which also runs any due scheduled sweep; a bulk publish
     would leave room for only one sweep, at the very end.  Instances
-    are registered here (re-registering is a no-op).
+    are registered here (re-registering is a no-op).  Feeds carry one
+    block per second in time order, so a chunk is a run of whole blocks.
     """
     broker = service.broker
-    ordered: dict[str, tuple[list, list]] = {}
+    #: Per instance, its query-block queue then its metric-block queue.
+    streams: list[deque] = []
     for feed in feeds:
         service.register_instance(feed.instance_id)
-        ordered[feed.instance_id] = (
-            sorted(feed.query_records, key=lambda kv: _record_time(kv[1])),
-            sorted(feed.metric_records, key=lambda kv: _record_time(kv[1])),
-        )
-    cursors = {iid: [0, 0] for iid in ordered}
+        query, metric = deque(), deque()
+        for topic, block in feed.iter_blocks(broker):
+            (query if isinstance(block, QueryLogBlock) else metric).append((topic, block))
+        streams += [query, metric]
     for chunk_end in range(chunk_s, duration_s + chunk_s, chunk_s):
-        for instance_id, (queries, metrics) in ordered.items():
-            qi, mi = cursors[instance_id]
-            while qi < len(queries) and _record_time(queries[qi][1]) < chunk_end:
-                key, value = queries[qi]
-                broker.publish(instance_topic(QUERY_TOPIC, instance_id), key, value)
-                qi += 1
-            while mi < len(metrics) and _record_time(metrics[mi][1]) < chunk_end:
-                key, value = metrics[mi]
-                broker.publish(instance_topic(METRIC_TOPIC, instance_id), key, value)
-                mi += 1
-            cursors[instance_id] = [qi, mi]
+        for blocks in streams:
+            while blocks and _block_second(blocks[0][1]) < chunk_end:
+                broker.publish_block(*blocks.popleft())
         while service.lag > 0:
             service.step()
     service.run_until_drained()

@@ -12,18 +12,11 @@ the engine.
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
 from repro.fleet.scheduler import DiagnosisScheduler, stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.fleet.sharded import (
-    InstanceFeed,
-    feed_from_broker,
-    publish_feed,
-    run_sharded,
-)
+from repro.fleet.sharded import run_sharded
 from repro.fleet.workers import (
     BlockFeed,
     PersistentWorkerPool,
     WorkItem,
-    block_feed_from_broker,
-    columnarize_feed,
     execute_work_item,
 )
 
@@ -34,15 +27,10 @@ __all__ = [
     "FleetConfig",
     "FleetDiagnosisService",
     "InstanceDiagnosisEngine",
-    "InstanceFeed",
     "PersistentWorkerPool",
     "ServiceConfig",
     "WorkItem",
-    "block_feed_from_broker",
-    "columnarize_feed",
     "execute_work_item",
-    "feed_from_broker",
-    "publish_feed",
     "run_sharded",
     "stable_shard",
 ]

@@ -21,15 +21,13 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (incidents → core)
     from repro.incidents.recorder import IncidentRecorder
 
 from repro.collection.aggregator import aggregate_logstore
 from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
 from repro.collection.logstore import LogStore
-from repro.collection.quarantine import quarantine, validate_query_record
+from repro.collection.quarantine import quarantine
 from repro.collection.stream import Broker, instance_topic
 from repro.core.case import AnomalyCase
 from repro.core.config import PinSQLConfig
@@ -86,8 +84,9 @@ class ServiceConfig:
     #: budget abandons the diagnosis and counts
     #: ``diagnosis_stage_timeouts_total``.
     diagnosis_budget_s: float | None = None
-    #: Validate query-log payloads in the drain loop; malformed records
-    #: are quarantined to the dead-letter topic instead of raising.
+    #: Validate query-log blocks in the drain loop; malformed blocks are
+    #: quarantined to the dead-letter topic instead of raising (payloads
+    #: that are not blocks at all are quarantined either way).
     validate_records: bool = True
     #: Degraded-mode thresholds (see DegradedModePolicy).
     max_gap_fraction: float = 0.25
@@ -359,7 +358,6 @@ class InstanceDiagnosisEngine:
     # ------------------------------------------------------------------
     def _drain_query_logs(self, max_messages: int = 50_000) -> int:
         from repro.collection.blocks import QueryLogBlock, validate_query_block
-        from repro.dbsim.query import SecondBatch
 
         handled = 0
         while True:
@@ -368,71 +366,40 @@ class InstanceDiagnosisEngine:
                 break
             for message in messages:
                 record = message.value
-                if isinstance(record, QueryLogBlock):
-                    if self.config.validate_records:
-                        reason = validate_query_block(record)
-                        if reason is not None:
-                            # A malformed block is one lost *batch*: park
-                            # it on the dead-letter topic, and weigh the
-                            # loss by its row count for the degraded
-                            # policy (a block is not one record).
-                            quarantine(
-                                self.broker, self.query_topic, record, reason
-                            )
-                            self._quarantined_since_diagnosis += 1
-                            continue
-                    if (
-                        self.instance_id
-                        and record.instance
-                        and record.instance != self.instance_id
-                    ):
-                        continue
-                    if record.trace is not None:
-                        # Adopt the publish span's context: subsequent
-                        # root spans (service.diagnose) join its trace.
-                        self._ingest_trace = record.trace
-                        self.tracer.set_remote_parent(record.trace)
-                    if record.created_unix:
-                        self._last_publish_unix = record.created_unix
-                        self._h_ingest_lag.observe(
-                            max(0.0, time.time() - record.created_unix)
-                        )
-                    ingested = self.logstore.ingest_block(record)
-                    self._m_block_records.inc(ingested)
-                    self._note_event_second(int(record.data["arrive_ms"].max()))
-                    for sql_id, stmt in zip(record.sql_ids, record.statements):
-                        if stmt and sql_id not in self.catalog:
-                            self.catalog.register_statement(stmt)
-                    handled += 1
-                    continue
-                if self.config.validate_records:
-                    reason = validate_query_record(record)
+                if self.config.validate_records or not isinstance(
+                    record, QueryLogBlock
+                ):
+                    reason = validate_query_block(record)
                     if reason is not None:
-                        # A malformed batch must not crash the drain
-                        # loop: park it on the dead-letter topic and
-                        # remember the loss for the degraded policy.
+                        # A malformed payload is one lost *batch*: park
+                        # it on the dead-letter topic and remember the
+                        # loss for the degraded policy instead of
+                        # crashing the drain loop.
                         quarantine(self.broker, self.query_topic, record, reason)
                         self._quarantined_since_diagnosis += 1
                         continue
                 if (
                     self.instance_id
-                    and record.get("instance", self.instance_id) != self.instance_id
+                    and record.instance
+                    and record.instance != self.instance_id
                 ):
                     continue
-                sql_id = record["sql_id"]
-                arrive_ms = np.asarray(record["arrive_ms"], dtype=np.int64)
-                self.logstore.ingest_batch(
-                    SecondBatch(
-                        sql_id=sql_id,
-                        arrive_ms=arrive_ms,
-                        response_ms=np.asarray(record["response_ms"], dtype=np.float64),
-                        examined_rows=np.asarray(record["examined_rows"], dtype=np.float64),
+                if record.trace is not None:
+                    # Adopt the publish span's context: subsequent
+                    # root spans (service.diagnose) join its trace.
+                    self._ingest_trace = record.trace
+                    self.tracer.set_remote_parent(record.trace)
+                if record.created_unix:
+                    self._last_publish_unix = record.created_unix
+                    self._h_ingest_lag.observe(
+                        max(0.0, time.time() - record.created_unix)
                     )
-                )
-                if arrive_ms.size:
-                    self._note_event_second(int(arrive_ms.max()))
-                if sql_id not in self.catalog and "statement" in record:
-                    self.catalog.register_statement(record["statement"])
+                ingested = self.logstore.ingest_block(record)
+                self._m_block_records.inc(ingested)
+                self._note_event_second(int(record.data["arrive_ms"].max()))
+                for sql_id, stmt in zip(record.sql_ids, record.statements):
+                    if stmt and sql_id not in self.catalog:
+                        self.catalog.register_statement(stmt)
                 handled += 1
         return handled
 

@@ -5,12 +5,11 @@ list of instance-sized work items executed by
 :func:`execute_work_item`, either inline or in a pool of worker
 processes:
 
-- An :class:`InstanceFeed` is *columnarised* into a :class:`BlockFeed`
-  — encoded :class:`~repro.collection.blocks.QueryLogBlock` /
+- A :class:`BlockFeed` holds one instance's collected streams as
+  encoded :class:`~repro.collection.blocks.QueryLogBlock` /
   :class:`~repro.collection.blocks.MetricBlock` frames (plain
-  ``bytes``, trivially picklable) plus whatever legacy records could
-  not be converted (they keep flowing through the old wire format and
-  its quarantine).
+  ``bytes``, trivially picklable), at whichever grain the collectors
+  shipped them.
 - A :class:`PersistentWorkerPool` with one process executes the
   :class:`WorkItem` units (one instance each) inline, one after the
   other.  With more, it spawns long-lived worker processes once and
@@ -46,9 +45,7 @@ import queue as queue_mod
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.collection.blocks import (
     BlockDecodeError,
@@ -56,22 +53,13 @@ from repro.collection.blocks import (
     QueryLogBlock,
     decode_block,
     encode_block,
-    metric_block_from_records,
-    query_block_from_batches,
-    split_query_block,
 )
-from repro.collection.collector import DEFAULT_BLOCK_ROWS, METRIC_TOPIC, QUERY_TOPIC
-from repro.collection.quarantine import (
-    quarantine,
-    validate_metric_record,
-    validate_query_record,
-)
+from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
+from repro.collection.quarantine import quarantine
 from repro.collection.stream import Broker, instance_topic
-from repro.dbsim.query import SecondBatch
 from repro.fleet.engine import ServiceConfig
 from repro.fleet.scheduler import stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.fleet.sharded import publish_feed
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -91,8 +79,6 @@ __all__ = [
     "BlockFeed",
     "PersistentWorkerPool",
     "WorkItem",
-    "block_feed_from_broker",
-    "columnarize_feed",
     "execute_work_item",
 ]
 
@@ -107,18 +93,12 @@ class BlockFeed:
     ``query_payloads`` / ``metric_payloads`` hold
     :func:`~repro.collection.blocks.encode_block` frames — plain bytes,
     so shipping a feed to a worker process pickles a handful of
-    buffers instead of thousands of per-record dicts.  Records that
-    could not be columnarised (malformed, foreign shapes) ride along
-    in ``query_records`` / ``metric_records`` and replay through the
-    legacy wire format, where validation quarantines them exactly as
-    before.
+    buffers, and replaying it decodes each frame zero-copy.
     """
 
     instance_id: str
     query_payloads: list[bytes] = field(default_factory=list)
     metric_payloads: list[bytes] = field(default_factory=list)
-    query_records: list[tuple] = field(default_factory=list)
-    metric_records: list[tuple] = field(default_factory=list)
     #: Trace context of the first stamped block in the feed — the
     #: publish span the worker's diagnosis spans parent under.  Kept on
     #: the feed (not just in block headers) so the parent can link a
@@ -130,6 +110,54 @@ class BlockFeed:
     #: from ``register_statement``.
     statements: list[str] = field(default_factory=list)
 
+    @classmethod
+    def from_broker(cls, broker: Broker, instance_id: str) -> "BlockFeed":
+        """Capture the blocks on an instance's topic partitions."""
+        feed = cls(instance_id=instance_id)
+        for base, payloads in (
+            (QUERY_TOPIC, feed.query_payloads),
+            (METRIC_TOPIC, feed.metric_payloads),
+        ):
+            for message in broker.read(instance_topic(base, instance_id), 0, 1 << 31):
+                payloads.append(encode_block(message.value))
+                if feed.trace is None:
+                    feed.trace = message.value.trace
+        return feed
+
+    def unstamped(self) -> "BlockFeed":
+        """The feed without its blocks' tracing envelopes: a recording,
+        stamped afresh by each publish that replays it."""
+
+        def strip(payloads: list[bytes]) -> list[bytes]:
+            return [
+                encode_block(replace(decode_block(p), trace=None, created_unix=0.0))
+                for p in payloads
+            ]
+
+        return replace(
+            self,
+            query_payloads=strip(self.query_payloads),
+            metric_payloads=strip(self.metric_payloads),
+            trace=None,
+        )
+
+    def iter_blocks(
+        self, broker: Any
+    ) -> Iterator[tuple[str, QueryLogBlock | MetricBlock]]:
+        """Decode the frames in publish order (query frames first) as
+        ``(topic, block)``; undecodable frames are quarantined on
+        ``broker`` instead."""
+        for base, payloads in (
+            (QUERY_TOPIC, self.query_payloads),
+            (METRIC_TOPIC, self.metric_payloads),
+        ):
+            topic = instance_topic(base, self.instance_id)
+            for payload in payloads:
+                try:
+                    yield topic, decode_block(payload)
+                except BlockDecodeError as exc:
+                    quarantine(broker, topic, payload, f"undecodable_block:{exc}")
+
     @property
     def nbytes(self) -> int:
         """Encoded payload bytes shipped for this feed."""
@@ -140,67 +168,6 @@ class BlockFeed:
     @property
     def n_blocks(self) -> int:
         return len(self.query_payloads) + len(self.metric_payloads)
-
-
-def columnarize_feed(feed: Any, block_rows: int = DEFAULT_BLOCK_ROWS) -> "BlockFeed":
-    """Convert an :class:`~repro.fleet.sharded.InstanceFeed` to blocks.
-
-    Valid legacy records are gathered into columnar blocks (row-bounded
-    by ``block_rows``); records already carried as blocks are re-encoded
-    as-is.  Anything unconvertible stays a legacy record so the replay
-    path can quarantine it.
-    """
-    out = BlockFeed(instance_id=feed.instance_id)
-    batches: list[SecondBatch] = []
-    for key, value in feed.query_records:
-        if isinstance(value, QueryLogBlock):
-            out.query_payloads.append(encode_block(value))
-            if out.trace is None and value.trace is not None:
-                out.trace = value.trace
-        elif validate_query_record(value) is None:
-            batches.append(
-                SecondBatch(
-                    sql_id=str(value["sql_id"]),
-                    arrive_ms=np.asarray(value["arrive_ms"], dtype=np.int64),
-                    response_ms=np.asarray(value["response_ms"], dtype=np.float64),
-                    examined_rows=np.asarray(
-                        value["examined_rows"], dtype=np.float64
-                    ),
-                )
-            )
-        else:
-            out.query_records.append((key, value))
-    if batches:
-        block = query_block_from_batches(batches, instance=feed.instance_id)
-        out.query_payloads.extend(
-            encode_block(piece) for piece in split_query_block(block, block_rows)
-        )
-    metric_dicts: list[dict] = []
-    for key, value in feed.metric_records:
-        if isinstance(value, MetricBlock):
-            out.metric_payloads.append(encode_block(value))
-            if out.trace is None and value.trace is not None:
-                out.trace = value.trace
-        elif validate_metric_record(value) is None:
-            metric_dicts.append(dict(value))
-        else:
-            out.metric_records.append((key, value))
-    if metric_dicts:
-        out.metric_payloads.append(
-            encode_block(
-                metric_block_from_records(metric_dicts, instance=feed.instance_id)
-            )
-        )
-    return out
-
-
-def block_feed_from_broker(
-    broker: Broker, instance_id: str, block_rows: int = DEFAULT_BLOCK_ROWS
-) -> "BlockFeed":
-    """Capture an instance's topic partitions as a columnar feed."""
-    from repro.fleet.sharded import feed_from_broker
-
-    return columnarize_feed(feed_from_broker(broker, instance_id), block_rows)
 
 
 @dataclass
@@ -251,10 +218,9 @@ def execute_work_item(
     """Diagnose one work item in-process; returns its export envelope.
 
     The body of every pool item, inline or in a worker: rebuild a
-    broker, replay the feed's columnar frames (and legacy leftovers)
-    through it — via the chaos facade when a fault plan is armed, so
-    drop/corrupt/skew and friends apply to batch messages — and drain a
-    single-instance fleet service over the result.
+    broker, replay the feed's columnar frames through it — via the
+    chaos facade when a fault plan is armed, so the row faults apply —
+    and drain a single-instance fleet service over the result.
 
     Everything runs against a private registry (unless one is passed),
     so the returned snapshot is a clean per-item delta and the parent's
@@ -271,7 +237,7 @@ def execute_work_item(
     if item.fault_plan is not None:
         from repro.chaos.injector import FaultInjector, InjectedWorkerCrash
 
-        injector = FaultInjector(item.fault_plan)
+        injector = FaultInjector(item.fault_plan, registry=registry)
         if injector.should_crash_shard(item.scope, item.attempt):
             raise InjectedWorkerCrash(
                 f"injected crash of {item.scope} (attempt {item.attempt})"
@@ -294,8 +260,8 @@ def execute_work_item(
     feed = item.feed
     engine = service.register_instance(feed.instance_id)
     if feed.trace is not None:
-        # Legacy-record-only feeds carry no per-block context; the
-        # feed-level one still parents the worker's diagnosis spans.
+        # Parent the worker's diagnosis spans before the first block
+        # arrives with its own context.
         engine.tracer.set_remote_parent(feed.trace)
     for statement in feed.statements:
         engine.register_statement(statement)
@@ -306,22 +272,10 @@ def execute_work_item(
         stage="dispatch",
         instance=feed.instance_id,
     )
-    query_topic = instance_topic(QUERY_TOPIC, feed.instance_id)
-    metric_topic = instance_topic(METRIC_TOPIC, feed.instance_id)
-    for topic, payloads in (
-        (query_topic, feed.query_payloads),
-        (metric_topic, feed.metric_payloads),
-    ):
-        for payload in payloads:
-            try:
-                block = decode_block(payload)
-            except BlockDecodeError as exc:
-                quarantine(broker, topic, payload, f"undecodable_block:{exc}")
-                continue
-            if block.created_unix:
-                dispatch_lag.observe(max(0.0, time.time() - block.created_unix))
-            publish_broker.publish_block(topic, block)
-    publish_feed(publish_broker, feed)
+    for topic, block in feed.iter_blocks(broker):
+        if block.created_unix:
+            dispatch_lag.observe(max(0.0, time.time() - block.created_unix))
+        publish_broker.publish_block(topic, block)
     if chaos_broker is not None:
         chaos_broker.flush()
     try:

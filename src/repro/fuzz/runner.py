@@ -137,23 +137,6 @@ def build_fixture(spec: ScenarioSpec) -> FleetFixture:
     return capture_fleet(instances, onset, end, spec.duration_s)
 
 
-def _digest_value(h: "hashlib._Hash", value: Any) -> None:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            h.update(str(key).encode())
-            _digest_value(h, value[key])
-    elif isinstance(value, np.ndarray):
-        h.update(str(value.dtype).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, (list, tuple)):
-        h.update(b"[")
-        for item in value:
-            _digest_value(h, item)
-        h.update(b"]")
-    else:
-        h.update(repr(value).encode())
-
-
 def fixture_digest(fixture: FleetFixture) -> str:
     """Content hash of a fixture: feeds, truths, window.
 
@@ -165,10 +148,8 @@ def fixture_digest(fixture: FleetFixture) -> str:
     h.update(f"{fixture.onset}|{fixture.duration_s}".encode())
     for feed in fixture.feeds:
         h.update(feed.instance_id.encode())
-        for records in (feed.query_records, feed.metric_records):
-            for key, value in records:
-                h.update(str(key).encode())
-                _digest_value(h, value)
+        for payload in feed.query_payloads + feed.metric_payloads:
+            h.update(payload)
     for instance_id in sorted(fixture.truths):
         truth = fixture.truths[instance_id]
         h.update(instance_id.encode())

@@ -1,12 +1,10 @@
 """Chaos faults against columnar block messages.
 
-The fault injector predates the columnar dataplane; these tests pin
-that it kept up.  ``ChaosBroker.publish_block`` must route batch
-messages through the same drop / corrupt / skew / duplicate pipeline
-as per-record traffic (``__getattr__`` delegation to the inner broker
-would silently bypass injection), every corruption mode must produce a
-block the validators catch, and a consumer positioned behind the chaos
-facade must quarantine the damage instead of aggregating it.
+``ChaosBroker.publish_block`` must route blocks through the row-fault
+pipeline (``__getattr__`` delegation to the inner broker would silently
+bypass injection), every corruption mode must produce a block the
+validators catch, and a consumer positioned behind the chaos facade
+must quarantine the damage instead of aggregating it.
 """
 
 import numpy as np
@@ -15,45 +13,32 @@ import pytest
 from repro.chaos import ChaosBroker, FaultInjector, FaultPlan, FaultSpec, single_fault_plan
 from repro.collection import Broker, LogStore, StreamAggregator
 from repro.collection.blocks import (
+    METRIC_BLOCK_DTYPE,
+    QUERY_BLOCK_DTYPE,
     MetricBlock,
     QueryLogBlock,
-    metric_block_from_records,
-    query_block_from_batches,
     validate_metric_block,
     validate_query_block,
 )
-from repro.dbsim.query import SecondBatch
 from repro.telemetry import MetricsRegistry
 
 
 def query_block(instance=""):
-    return query_block_from_batches(
+    data = np.array(
         [
-            SecondBatch(
-                "q1",
-                np.array([5_000, 5_400, 6_100], dtype=np.int64),
-                np.array([10.0, 20.0, 30.0]),
-                np.array([100.0, 200.0, 300.0]),
-            ),
-            SecondBatch(
-                "q2",
-                np.array([5_200], dtype=np.int64),
-                np.array([5.0]),
-                np.array([50.0]),
-            ),
+            (0, 5_000, 10.0, 100.0),
+            (0, 5_400, 20.0, 200.0),
+            (0, 6_100, 30.0, 300.0),
+            (1, 5_200, 5.0, 50.0),
         ],
-        instance=instance,
+        dtype=QUERY_BLOCK_DTYPE,
     )
+    return QueryLogBlock(sql_ids=("q1", "q2"), data=data, instance=instance)
 
 
 def metric_block(instance=""):
-    return metric_block_from_records(
-        [
-            {"metric": "cpu", "timestamp": 5, "value": 0.5},
-            {"metric": "cpu", "timestamp": 6, "value": 0.7},
-        ],
-        instance=instance,
-    )
+    data = np.array([(0, 5, 0.5), (0, 6, 0.7)], dtype=METRIC_BLOCK_DTYPE)
+    return MetricBlock(metrics=("cpu",), data=data, instance=instance)
 
 
 def chaos_broker(kind, rate=1.0, seed=7, registry=None, **params):
@@ -163,27 +148,26 @@ class TestDownstreamResilience:
             registry=registry,
         )
         chaos = injector.wrap_broker(broker)
-        delivered_valid = 0
-        for seed in range(20):
-            block = query_block()
-            chaos.publish_block("query_logs", block)
+        for _ in range(20):
+            chaos.publish_block("query_logs", query_block())
         chaos.flush()
         store = LogStore(registry=registry)
         consumer = broker.consumer("query_logs")
-        quarantined = 0
+        delivered_rows = carved_rows = quarantined = 0
         for message in consumer.poll(100):
             reason = validate_query_block(message.value)
             if reason is not None:
                 quarantined += 1
+                carved_rows += len(message.value)
                 continue
-            store.ingest_block(message.value)
-            delivered_valid += 1
-        assert delivered_valid + quarantined == 20
-        assert quarantined > 0, "corrupt rate 0.5 over 20 blocks must hit"
-        assert delivered_valid > 0, "corrupt rate 0.5 over 20 blocks must miss"
-        # The store only absorbed intact blocks: counts are a multiple
-        # of one block's four queries.
-        assert store.total_queries() == delivered_valid * 4
+            delivered_rows += store.ingest_block(message.value)
+        # Corruption acts per row: the hit rows of a block are carved
+        # into one damaged block, the rest of the block ingests.
+        assert 0 < quarantined <= 20, "corrupt rate 0.5 over 80 rows must hit"
+        assert delivered_rows > 0, "corrupt rate 0.5 over 80 rows must miss"
+        # The store only absorbed intact rows (an emptied carve holds none).
+        assert store.total_queries() == delivered_rows
+        assert delivered_rows + carved_rows <= 80
 
     def test_fault_counts_are_deterministic_across_runs(self):
         def run():

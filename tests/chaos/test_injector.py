@@ -1,5 +1,6 @@
 """Tests for the deterministic fault injector and its broker facades."""
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
@@ -12,6 +13,7 @@ from repro.chaos import (
     single_fault_plan,
 )
 from repro.chaos.injector import _uniform
+from repro.collection.blocks import METRIC_BLOCK_DTYPE, MetricBlock, validate_metric_block
 from repro.collection.stream import Broker
 from repro.telemetry import MetricsRegistry
 
@@ -20,8 +22,16 @@ def make_injector(plan: FaultPlan) -> FaultInjector:
     return FaultInjector(plan, registry=MetricsRegistry())
 
 
-def metric_record(t: int) -> dict:
-    return {"metric": "active_session", "timestamp": t, "value": 1.0}
+def metric_block(t: int, rows: int = 1) -> MetricBlock:
+    """``rows`` samples of one metric at seconds ``t, t + 1, ...``."""
+    data = np.zeros(rows, dtype=METRIC_BLOCK_DTYPE)
+    data["timestamp"] = np.arange(t, t + rows)
+    data["value"] = 1.0
+    return MetricBlock(metrics=("active_session",), data=data)
+
+
+def first_timestamp(message) -> int:
+    return int(message.value.data["timestamp"][0])
 
 
 class TestDeterminism:
@@ -40,6 +50,14 @@ class TestDeterminism:
         assert decisions == again
         # The default 10% rate should land in a sane band over 200 draws.
         assert 5 <= sum(decisions) <= 40
+
+    def test_row_draws_repeat_bit_for_bit(self):
+        inj = make_injector(single_fault_plan("drop", seed=7))
+        spec = inj.plan.specs[0]
+        rows = inj.hits(spec, 500, "metrics", 3)
+        np.testing.assert_array_equal(rows, inj.hits(spec, 500, "metrics", 3))
+        assert not np.array_equal(rows, inj.hits(spec, 500, "metrics", 4))
+        assert 20 <= rows.sum() <= 80
 
     def test_spec_for_respects_topic_pattern(self):
         plan = FaultPlan(
@@ -64,14 +82,14 @@ class TestStreamFaults:
     def test_drop_loses_messages(self):
         chaos, broker, inj = self.wrapped("drop")
         for i in range(10):
-            chaos.publish("metrics.db-00", "db-00", metric_record(i))
+            chaos.publish("metrics.db-00", "db-00", metric_block(i))
         assert broker.size("metrics.db-00") == 0
         assert inj.injected["drop"] == 10
 
     def test_duplicate_delivers_twice(self):
         chaos, broker, inj = self.wrapped("duplicate")
         for i in range(10):
-            chaos.publish("metrics.db-00", "db-00", metric_record(i))
+            chaos.publish("metrics.db-00", "db-00", metric_block(i))
         assert broker.size("metrics.db-00") == 20
         assert inj.injected["duplicate"] == 10
 
@@ -79,24 +97,24 @@ class TestStreamFaults:
         chaos, broker, inj = self.wrapped("corrupt")
         consumer = broker.consumer("metrics.db-00")
         for i in range(10):
-            chaos.publish("metrics.db-00", "db-00", metric_record(i))
+            chaos.publish("metrics.db-00", "db-00", metric_block(i))
         messages = consumer.poll()
         assert len(messages) == 10
         assert inj.injected["corrupt"] == 10
-        assert any(m.value != metric_record(i) for i, m in enumerate(messages))
+        assert all(validate_metric_block(m.value) is not None for m in messages)
 
     def test_clock_skew_shifts_timestamps(self):
         chaos, broker, inj = self.wrapped("clock_skew", skew_s=90)
         consumer = broker.consumer("metrics.db-00")
-        chaos.publish("metrics.db-00", "db-00", metric_record(100))
+        chaos.publish("metrics.db-00", "db-00", metric_block(100))
         (msg,) = consumer.poll()
-        assert msg.value["timestamp"] == 190
+        assert first_timestamp(msg) == 190
         assert inj.injected["clock_skew"] == 1
 
     def test_late_messages_held_then_released(self):
         chaos, broker, inj = self.wrapped("late", hold_messages=3)
         for i in range(3):
-            chaos.publish("metrics.db-00", "db-00", metric_record(i))
+            chaos.publish("metrics.db-00", "db-00", metric_block(i))
         # Everything is being held back so far.
         assert broker.size("metrics.db-00") < 3
         released = chaos.flush()
@@ -108,23 +126,52 @@ class TestStreamFaults:
         chaos, broker, inj = self.wrapped("reorder", window=4)
         consumer = broker.consumer("metrics.db-00")
         for i in range(12):
-            chaos.publish("metrics.db-00", "db-00", metric_record(i))
+            chaos.publish("metrics.db-00", "db-00", metric_block(i))
         chaos.flush()
-        values = [m.value["timestamp"] for m in consumer.poll()]
+        values = [first_timestamp(m) for m in consumer.poll()]
         assert sorted(values) == list(range(12))
         assert values != list(range(12))  # the shuffle actually fired
         assert inj.injected["reorder"] >= 1
 
     def test_flush_is_idempotent(self):
         chaos, _, _ = self.wrapped("late", hold_messages=5)
-        chaos.publish("metrics.db-00", "db-00", metric_record(0))
+        chaos.publish("metrics.db-00", "db-00", metric_block(0))
         assert chaos.flush() == 1
         assert chaos.flush() == 0
+
+    def test_row_faults_hit_rows_not_whole_blocks(self):
+        chaos, broker, inj = self.wrapped("drop", rate=0.5)
+        chaos.publish("metrics.db-00", "db-00", metric_block(0, rows=200))
+        (msg,) = broker.read("metrics.db-00", 0, 10)
+        kept = set(msg.value.data["timestamp"].tolist())
+        assert 0 < len(kept) < 200
+        assert kept < set(range(200))
+        assert inj.injected["drop"] == 1  # one fault event per block
+
+    def test_late_rows_arrive_in_their_own_block(self):
+        chaos, broker, inj = self.wrapped("late", rate=0.5, hold_messages=2)
+        chaos.publish("metrics.db-00", "db-00", metric_block(0, rows=200))
+        (on_time,) = broker.read("metrics.db-00", 0, 10)
+        chaos.flush()
+        _, late = broker.read("metrics.db-00", 0, 10)
+        on_time_ts = on_time.value.data["timestamp"].tolist()
+        late_ts = late.value.data["timestamp"].tolist()
+        assert on_time_ts and late_ts
+        assert sorted(on_time_ts + late_ts) == list(range(200))
+        assert inj.injected["late"] == 1
+
+    def test_corrupt_carves_hit_rows_out(self):
+        chaos, broker, inj = self.wrapped("corrupt", rate=0.5)
+        chaos.publish("metrics.db-00", "db-00", metric_block(0, rows=200))
+        intact, damaged = broker.read("metrics.db-00", 0, 10)
+        assert validate_metric_block(intact.value) is None
+        assert validate_metric_block(damaged.value) is not None
+        assert 0 < len(intact.value) < 200
 
     def test_rate_zero_passes_everything_through(self):
         chaos, broker, inj = self.wrapped("drop", rate=0.0)
         for i in range(10):
-            chaos.publish("metrics.db-00", "db-00", metric_record(i))
+            chaos.publish("metrics.db-00", "db-00", metric_block(i))
         assert broker.size("metrics.db-00") == 10
         assert inj.injected == {}
 

@@ -15,14 +15,17 @@ from repro.collection.blocks import (
     QueryLogBlock,
     decode_block,
     encode_block,
-    metric_block_from_records,
-    query_block_from_batches,
+    metric_block_from_metrics,
+    query_block_from_log,
+    split_by_second,
     split_query_block,
     validate_metric_block,
     validate_query_block,
 )
-from repro.dbsim.query import SecondBatch
+from repro.dbsim.monitor import InstanceMetrics
+from repro.dbsim.query import QueryLog, SecondBatch
 from repro.telemetry.tracing import TraceContext
+from repro.timeseries import TimeSeries
 
 
 def _batch(sql_id="q1", arrive=(1000, 2500, 2600), resp=None, rows=None):
@@ -37,20 +40,22 @@ def _batch(sql_id="q1", arrive=(1000, 2500, 2600), resp=None, rows=None):
 
 
 def _query_block(**kwargs):
-    return query_block_from_batches(
-        [_batch("q1"), _batch("q2", arrive=(500, 900))], **kwargs
-    )
+    log = QueryLog()
+    log.append(_batch("q1"))
+    log.append(_batch("q2", arrive=(500, 900)))
+    return query_block_from_log(log, **kwargs)
 
 
 def _metric_block(instance=""):
-    return metric_block_from_records(
-        [
-            {"metric": "cpu", "timestamp": 10, "value": 0.5},
-            {"metric": "active_session", "timestamp": 10, "value": 4.0},
-            {"metric": "cpu", "timestamp": 11, "value": 0.6},
-        ],
-        instance=instance,
+    metrics = InstanceMetrics(
+        series={
+            "cpu": TimeSeries(np.array([0.5, 0.6]), start=10, name="cpu"),
+            "active_session": TimeSeries(
+                np.array([4.0]), start=10, name="active_session"
+            ),
+        }
     )
+    return metric_block_from_metrics(metrics, instance=instance)
 
 
 class TestConstruction:
@@ -94,6 +99,22 @@ class TestConstruction:
         np.testing.assert_array_equal(rejoined, block.data)
         with pytest.raises(ValueError):
             split_query_block(block, 0)
+
+
+    def test_split_by_second_cuts_one_block_per_second(self):
+        pieces = split_by_second(_query_block())
+        # q1 arrives at seconds 1, 2, 2 and q2 at 0, 0.
+        assert [len(p) for p in pieces] == [2, 1, 2]
+        for second, piece in enumerate(pieces):
+            assert set(piece.data["arrive_ms"] // 1000) == {second}
+            assert piece.sql_ids == ("q1", "q2")  # shared dictionary
+            assert validate_query_block(piece) is None
+        metric_pieces = split_by_second(_metric_block())
+        assert [sorted(p.data["timestamp"]) for p in metric_pieces] == [[10, 10], [11]]
+        # Within a second, rows keep the dictionary (series) order.
+        assert [metric_pieces[0].metrics[i] for i in metric_pieces[0].data["metric"]] == [
+            "cpu", "active_session",
+        ]
 
 
 class TestCodec:

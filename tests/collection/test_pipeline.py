@@ -103,8 +103,8 @@ class TestStreamingPath:
         log = make_log()
         broker = Broker()
         collector = QueryLogCollector(broker)
-        n_batches = collector.collect(log)
-        assert n_batches == 3  # A has two seconds, B one
+        n_blocks = collector.collect(log)
+        assert n_blocks == 3  # one block per second: 10 and 11 (A), 12 (B)
 
         aggregator = StreamAggregator(broker.consumer(collector.topic), start=10, end=13)
         aggregator.drain()
@@ -136,7 +136,9 @@ class TestStreamingPath:
         sent = MetricsCollector(broker).collect(metrics)
         assert sent == 2
         messages = broker.consumer("performance_metrics").poll()
-        assert messages[0].value == {"metric": "cpu_usage", "timestamp": 100, "value": 1.0}
+        block = messages[0].value
+        assert block.metrics == ("cpu_usage",)
+        assert block.data.tolist() == [(0, 100, 1.0)]
 
 
 class TestLogStore:

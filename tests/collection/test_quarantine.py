@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.collection import Broker, MetricsCollector
-from repro.collection.quarantine import (
-    dead_letter_topic,
-    quarantine,
-    validate_metric_record,
-    validate_query_record,
+from repro.collection import Broker, MetricsCollector, StreamAggregator
+from repro.collection.blocks import (
+    METRIC_BLOCK_DTYPE,
+    QUERY_BLOCK_DTYPE,
+    MetricBlock,
+    QueryLogBlock,
+    validate_metric_block,
+    validate_query_block,
 )
+from repro.collection.quarantine import dead_letter_topic, quarantine
 from repro.dbsim.monitor import InstanceMetrics
+from repro.detection import RealtimeAnomalyDetector
 from repro.telemetry import MetricsRegistry
 from repro.timeseries import TimeSeries
 
@@ -29,12 +33,28 @@ def good_metric_record(t: int = 10) -> dict:
     return {"metric": "active_session", "timestamp": t, "value": 3.0}
 
 
+def dead_letter_reasons(broker: Broker, topic: str) -> list[str]:
+    return [m.key for m in broker.read(dead_letter_topic(topic), 0, 100)]
+
+
 class TestValidateQueryRecord:
+    """A query-log record is valid only as a row of a block.
+
+    The rejected shapes below are the per-record dicts (well formed or
+    not) of the deleted dict wire format; a consumer must quarantine
+    each as ``not_a_block`` without reading a field of it.
+    """
+
     def test_accepts_valid_record(self):
-        assert validate_query_record(good_query_record()) is None
+        record = good_query_record()
+        rows = np.zeros(2, dtype=QUERY_BLOCK_DTYPE)
+        for column in ("arrive_ms", "response_ms", "examined_rows"):
+            rows[column] = record[column]
+        block = QueryLogBlock(sql_ids=(record["sql_id"],), data=rows)
+        assert validate_query_block(block) is None
 
     @pytest.mark.parametrize(
-        "mutate,reason",
+        "mutate,legacy_reason",
         [
             (lambda r: "not a dict", "not_a_mapping"),
             (lambda r: {k: v for k, v in r.items() if k != "sql_id"},
@@ -51,16 +71,27 @@ class TestValidateQueryRecord:
             (lambda r: {**r, "instance": 7}, "bad_type:instance"),
         ],
     )
-    def test_rejects_with_reason(self, mutate, reason):
-        assert validate_query_record(mutate(good_query_record())) == reason
+    def test_rejects_with_reason(self, mutate, legacy_reason):
+        record = mutate(good_query_record())
+        assert validate_query_block(record) == "not_a_block", legacy_reason
+        broker = Broker(registry=MetricsRegistry())
+        broker.publish("query_logs", "k", record)
+        aggregator = StreamAggregator(broker.consumer("query_logs"), start=0, end=10)
+        aggregator.drain()
+        assert dead_letter_reasons(broker, "query_logs") == ["not_a_block"]
+        assert len(aggregator.snapshot()) == 0
 
 
 class TestValidateMetricRecord:
+    """A metric sample is valid only as a row of a block (see above)."""
+
     def test_accepts_valid_record(self):
-        assert validate_metric_record(good_metric_record()) is None
+        record = good_metric_record()
+        rows = np.array([(0, record["timestamp"], record["value"])], dtype=METRIC_BLOCK_DTYPE)
+        assert validate_metric_block(MetricBlock(metrics=(record["metric"],), data=rows)) is None
 
     @pytest.mark.parametrize(
-        "mutate,reason",
+        "mutate,legacy_reason",
         [
             (lambda r: None, "not_a_mapping"),
             (lambda r: {k: v for k, v in r.items() if k != "value"},
@@ -74,8 +105,15 @@ class TestValidateMetricRecord:
             (lambda r: {**r, "instance": 3}, "bad_type:instance"),
         ],
     )
-    def test_rejects_with_reason(self, mutate, reason):
-        assert validate_metric_record(mutate(good_metric_record())) == reason
+    def test_rejects_with_reason(self, mutate, legacy_reason):
+        record = mutate(good_metric_record())
+        assert validate_metric_block(record) == "not_a_block", legacy_reason
+        broker = Broker(registry=MetricsRegistry())
+        broker.publish("performance_metrics", "k", record)
+        detector = RealtimeAnomalyDetector(broker.consumer("performance_metrics"))
+        assert detector.poll() == []
+        assert dead_letter_reasons(broker, "performance_metrics") == ["not_a_block"]
+        assert detector.stream_time is None
 
 
 class TestQuarantine:

@@ -6,29 +6,16 @@ under the multiprocess shard runner, where each shard writes its own
 store directory and the health rollup merges them.
 """
 
-from repro.collection.stream import Broker
-from repro.fleet import (
-    FleetConfig,
-    FleetDiagnosisService,
-    feed_from_broker,
-    run_sharded,
-)
+from repro.fleet import BlockFeed, FleetConfig, FleetDiagnosisService, run_sharded
 from repro.incidents import IncidentRecorder, IncidentStore, load_health
 from repro.telemetry import MetricsRegistry
-from tests.fleet.conftest import ANOMALOUS, INSTANCE_IDS
+from tests.fleet.conftest import ANOMALOUS, INSTANCE_IDS, replay
 
 
 def _replay(fleet_stream):
     """Private broker copy (capture tests must not drain the shared one)."""
     broker, populations, truths = fleet_stream
-    clone = Broker()
-    for instance_id in INSTANCE_IDS:
-        feed = feed_from_broker(broker, instance_id)
-        for key, value in feed.query_records:
-            clone.publish(f"query_logs.{instance_id}", key, value)
-        for key, value in feed.metric_records:
-            clone.publish(f"performance_metrics.{instance_id}", key, value)
-    return clone, populations, truths
+    return replay(broker, INSTANCE_IDS), populations, truths
 
 
 class TestFleetServiceCapture:
@@ -62,9 +49,13 @@ class TestFleetServiceCapture:
             assert record.hsql and record.rsql
             assert record.timings["total"] > 0
             assert record.report_text
+            # Blocks carry their publish span's context, so the
+            # diagnosis tree hangs under a node for that remote span.
             assert record.trace is not None
-            assert record.trace.name == "service.diagnose"
-            assert {c.name for c in record.trace.children} >= {"pinsql.analyze"}
+            assert record.trace.name == "broker.publish_block"
+            (diagnose,) = record.trace.children
+            assert diagnose.name == "service.diagnose"
+            assert {c.name for c in diagnose.children} >= {"pinsql.analyze"}
 
     def test_triggering_samples_cover_the_evidence_window(
         self, fleet_stream, tmp_path
@@ -93,14 +84,14 @@ class TestFleetServiceCapture:
 
 class TestShardedCapture:
     def test_run_shard_writes_its_own_store(
-        self, fleet_stream, record_drain_counts, tmp_path
+        self, fleet_stream, drain_counts, tmp_path
     ):
         broker, _, _ = fleet_stream
-        feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
+        feeds = [BlockFeed.from_broker(broker, i) for i in INSTANCE_IDS]
         counts = run_sharded(
             feeds, processes=1, incident_dir=str(tmp_path / "solo")
         )
-        assert counts == record_drain_counts
+        assert counts == drain_counts
         store = IncidentStore(tmp_path / "solo" / "shard-00")
         assert store.record_count == sum(counts.values())
         assert {m.instance_id for m in store.metas()} == {
@@ -109,7 +100,7 @@ class TestShardedCapture:
 
     def test_run_shard_without_dir_records_nothing(self, fleet_stream, tmp_path):
         broker, _, _ = fleet_stream
-        feeds = [feed_from_broker(broker, "db-a")]
+        feeds = [BlockFeed.from_broker(broker, "db-a")]
         run_sharded(feeds, processes=1)
         assert list(tmp_path.iterdir()) == []
 
@@ -117,7 +108,7 @@ class TestShardedCapture:
         self, fleet_stream, tmp_path
     ):
         broker, _, truths = fleet_stream
-        feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
+        feeds = [BlockFeed.from_broker(broker, i) for i in INSTANCE_IDS]
         counts = run_sharded(
             feeds, processes=2, incident_dir=str(tmp_path / "fleet")
         )
@@ -143,7 +134,7 @@ class TestShardedCapture:
 
     def test_inline_path_uses_shard_00(self, fleet_stream, tmp_path):
         broker, _, _ = fleet_stream
-        feeds = [feed_from_broker(broker, "db-a")]
+        feeds = [BlockFeed.from_broker(broker, "db-a")]
         counts = run_sharded(feeds, processes=1, incident_dir=str(tmp_path / "one"))
         assert (tmp_path / "one" / "shard-00").is_dir()
         health = load_health(tmp_path / "one")

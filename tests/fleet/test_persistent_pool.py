@@ -2,9 +2,10 @@
 
 The multiprocess fleet path (``run_sharded`` with ``processes > 1``)
 runs on :class:`PersistentWorkerPool` — long-lived worker processes
-pulling one columnarised :class:`WorkItem` at a time; with one process
-the pool runs the same items inline.  These tests pin the contracts:
-block shipping loses nothing relative to a per-record drain, a
+pulling one :class:`WorkItem` of encoded blocks at a time; with one
+process the pool runs the same items inline.  These tests pin the
+contracts: block shipping loses nothing relative to an in-process
+drain, the two block grains diagnose identically, a
 chaos-crashed worker process is respawned and its item resubmitted, an
 item that keeps crashing is abandoned with zero counts instead of
 failing the run, and every outcome is counted.
@@ -12,20 +13,26 @@ failing the run, and every outcome is counted.
 
 import pytest
 
-from repro.chaos import FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec, single_fault_plan
+from repro.collection.blocks import QueryLogBlock, decode_block
 from repro.fleet import (
+    BlockFeed,
+    FleetConfig,
+    FleetDiagnosisService,
     PersistentWorkerPool,
     WorkItem,
-    block_feed_from_broker,
-    columnarize_feed,
     execute_work_item,
-    feed_from_broker,
     run_sharded,
     stable_shard,
 )
-from repro.fleet.sharded import InstanceFeed
 from repro.telemetry import MetricsRegistry
-from tests.fleet.conftest import ANOMALOUS, INSTANCE_IDS, per_record_drain
+from tests.fleet.conftest import (
+    ANOMALOUS,
+    INSTANCE_IDS,
+    collected,
+    service_drain,
+    tiny_feed,
+)
 
 
 def _counter(registry, name, **labels):
@@ -33,94 +40,36 @@ def _counter(registry, name, **labels):
     return 0 if instrument is None else instrument.value
 
 
-def _tiny_feed(instance_id="db-t"):
-    """A minimal but valid feed: enough to drain a service quickly."""
-    records = [
-        (
-            instance_id,
-            {
-                "second": s,
-                "sql_id": "q1",
-                "arrive_ms": [s * 1000 + 10],
-                "response_ms": [5.0],
-                "examined_rows": [40.0],
-                "instance": instance_id,
-            },
-        )
-        for s in range(20)
-    ]
-    metrics = [
-        (
-            instance_id,
-            {
-                "metric": "cpu",
-                "timestamp": s,
-                "value": 0.2,
-                "instance": instance_id,
-            },
-        )
-        for s in range(20)
-    ]
-    return columnarize_feed(
-        InstanceFeed(
-            instance_id=instance_id, query_records=records, metric_records=metrics
-        )
-    )
-
-
 class TestColumnarize:
     def test_valid_records_become_blocks(self, fleet_stream):
         broker, _, _ = fleet_stream
-        feed = feed_from_broker(broker, "db-a")
-        block_feed = columnarize_feed(feed)
-        assert block_feed.instance_id == "db-a"
-        assert block_feed.query_payloads and block_feed.metric_payloads
-        # Everything in the simulated stream is valid → no leftovers.
-        assert not block_feed.query_records
-        assert not block_feed.metric_records
-        assert block_feed.nbytes > 0
-        assert block_feed.n_blocks == len(block_feed.query_payloads) + len(
-            block_feed.metric_payloads
-        )
-        assert block_feed_from_broker(broker, "db-a").nbytes == block_feed.nbytes
-
-    def test_invalid_records_ride_along_as_leftovers(self):
-        feed = InstanceFeed(
-            instance_id="db-x",
-            query_records=[("db-x", {"second": 1, "garbage": True})],
-            metric_records=[("db-x", {"metric": "cpu", "timestamp": -1, "value": 1})],
-        )
-        block_feed = columnarize_feed(feed)
-        assert not block_feed.query_payloads
-        assert not block_feed.metric_payloads
-        assert len(block_feed.query_records) == 1
-        assert len(block_feed.metric_records) == 1
-
-    def test_block_shipping_is_smaller_than_record_pickles(self, fleet_stream):
-        import pickle
-
-        broker, _, _ = fleet_stream
-        feed = feed_from_broker(broker, "db-a")
-        block_feed = columnarize_feed(feed)
-        assert block_feed.nbytes < len(pickle.dumps(feed))
+        feed = BlockFeed.from_broker(broker, "db-a")
+        assert feed.instance_id == "db-a"
+        assert feed.query_payloads and feed.metric_payloads
+        assert feed.nbytes > 0
+        assert feed.n_blocks == len(feed.query_payloads) + len(feed.metric_payloads)
+        # The streaming grain: every query block holds one second.
+        for payload in feed.query_payloads:
+            block = decode_block(payload)
+            assert isinstance(block, QueryLogBlock) and block.instance == "db-a"
+            assert len(set(block.data["arrive_ms"] // 1000)) == 1
 
 
 class TestEquivalence:
     def test_work_item_matches_inline_shard(self, fleet_stream):
-        """One instance through a work item == a per-record drain."""
+        """One instance through a work item == an in-process drain."""
         broker, _, _ = fleet_stream
-        feed = feed_from_broker(broker, "db-a")
-        records = per_record_drain(broker, ["db-a"])
-        columnar = execute_work_item(WorkItem(feed=columnarize_feed(feed)))
-        assert columnar["counts"] == records
-        assert records["db-a"] >= 1
+        reference = service_drain(broker, ["db-a"])
+        columnar = execute_work_item(WorkItem(feed=BlockFeed.from_broker(broker, "db-a")))
+        assert columnar["counts"] == reference
+        assert reference["db-a"] >= 1
 
-    def test_pool_matches_inline_counts(self, fleet_stream, record_drain_counts):
+    def test_pool_matches_inline_counts(self, fleet_stream, drain_counts):
         broker, _, _ = fleet_stream
-        feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
+        feeds = [BlockFeed.from_broker(broker, i) for i in INSTANCE_IDS]
         inline = run_sharded(feeds, processes=1)
         pooled = run_sharded(feeds, processes=2)
-        assert pooled == inline == record_drain_counts
+        assert pooled == inline == drain_counts
         for instance_id in ANOMALOUS:
             assert pooled[instance_id] >= 1
 
@@ -129,7 +78,7 @@ class TestEquivalence:
         broker, _, _ = fleet_stream
         items = [
             WorkItem(
-                feed=block_feed_from_broker(broker, instance_id),
+                feed=BlockFeed.from_broker(broker, instance_id),
                 shard_key=f"shard-{stable_shard(instance_id, 1):02d}",
             )
             for instance_id in INSTANCE_IDS
@@ -143,6 +92,15 @@ class TestEquivalence:
         assert _counter(registry, "fleet_shard_bytes_shipped_total") == sum(
             item.feed.nbytes for item in items
         )
+
+    def test_item_fault_counters_reach_the_pool_registry(self):
+        """Chaos counters of an item land in the item's export envelope,
+        so they reach the pool's registry, not the process registry."""
+        registry = MetricsRegistry()
+        pool = PersistentWorkerPool(processes=1, registry=registry)
+        plan = single_fault_plan("drop", rate=1.0)
+        pool.run([WorkItem(tiny_feed("db-d"), fault_plan=plan)])
+        assert _counter(registry, "chaos_faults_injected_total", kind="drop") > 0
 
 
 class TestSupervision:
@@ -192,7 +150,7 @@ class TestSupervision:
 
     def test_worker_error_without_crash_is_supervised_too(self):
         """A worker exception (not a process death) follows the same path."""
-        feed = _tiny_feed("db-e")
+        feed = tiny_feed("db-e")
         feed.query_payloads.insert(0, b"PQB1 this is not a frame")
         registry = MetricsRegistry()
         pool = PersistentWorkerPool(processes=1, registry=registry)
@@ -211,54 +169,35 @@ class TestSupervision:
 
 
 def _tiny_feed_item(instance_id, plan):
-    return WorkItem(feed=_tiny_feed(instance_id), fault_plan=plan, shard_key="shard-00")
+    return WorkItem(feed=tiny_feed(instance_id), fault_plan=plan, shard_key="shard-00")
 
 
-class TestDiagnosisIdentity:
-    def test_block_fed_service_produces_identical_diagnoses(self, fleet_stream):
-        """Not just equal counts: the diagnoses themselves must match.
+class TestGrainIdentity:
+    def test_both_grains_diagnose_identically(self, fleet_runs):
+        """The golden test of the one wire format: its two grains.
 
-        The per-record service and a service fed the same traffic as
-        columnar blocks must agree on the anomaly window, the phenomenon
-        types, the full H-SQL/R-SQL rankings, the rule verdict and the
-        evidence confidence — the columnar wire format is an encoding,
-        not a different detector.
+        A service fed one block per second (``collect``) and a service
+        fed row-bounded bulk blocks (``collect_blocks``) must agree on
+        every diagnosis — the anomaly window, the phenomenon types, the
+        full H-SQL/R-SQL rankings, the rule verdict and the evidence
+        confidence.  The grain is a shipping choice, not a different
+        detector.
         """
-        from repro.collection import Broker
-        from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
-        from repro.collection.stream import instance_topic
-        from repro.fleet import FleetConfig, FleetDiagnosisService
-        from repro.fleet.workers import BlockDecodeError, decode_block
+        runs, _, _ = fleet_runs
 
-        broker, _, _ = fleet_stream
-        instance_id = "db-a"
-        feed = feed_from_broker(broker, instance_id)
-        query_topic = instance_topic(QUERY_TOPIC, instance_id)
-        metric_topic = instance_topic(METRIC_TOPIC, instance_id)
-
-        record_broker = Broker()
-        for key, value in feed.query_records:
-            record_broker.publish(query_topic, key, value)
-        for key, value in feed.metric_records:
-            record_broker.publish(metric_topic, key, value)
-
-        block_feed = columnarize_feed(feed)
-        block_broker = Broker()
-        for payload in block_feed.query_payloads:
-            block_broker.publish_block(query_topic, decode_block(payload))
-        for payload in block_feed.metric_payloads:
-            block_broker.publish_block(metric_topic, decode_block(payload))
-
-        def drain(b):
-            service = FleetDiagnosisService(b, FleetConfig(workers=1))
-            service.register_instance(instance_id)
+        def drain(grain):
+            service = FleetDiagnosisService(
+                collected(runs, grain), FleetConfig(workers=1)
+            )
+            for instance_id in INSTANCE_IDS:
+                service.register_instance(instance_id)
             service.run_until_drained()
-            return service.diagnoses_for(instance_id)
+            return [d for i in INSTANCE_IDS for d in service.diagnoses_for(i)]
 
-        from_records = drain(record_broker)
-        from_blocks = drain(block_broker)
-        assert len(from_records) == len(from_blocks) >= 1
-        for a, b in zip(from_records, from_blocks):
+        per_second, bulk = drain("collect"), drain("collect_blocks")
+        assert len(per_second) == len(bulk) >= len(ANOMALOUS)
+        for a, b in zip(per_second, bulk):
+            assert a.instance_id == b.instance_id
             assert (a.anomaly.start, a.anomaly.end) == (b.anomaly.start, b.anomaly.end)
             assert a.anomaly.types == b.anomaly.types
             assert a.result.hsql_ids == b.result.hsql_ids

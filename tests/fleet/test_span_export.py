@@ -2,17 +2,11 @@
 
 import os
 
-from repro.fleet import (
-    PersistentWorkerPool,
-    WorkItem,
-    block_feed_from_broker,
-    execute_work_item,
-)
-from repro.fleet.workers import columnarize_feed
-from repro.fleet.sharded import InstanceFeed
+from repro.collection.blocks import decode_block
+from repro.fleet import BlockFeed, PersistentWorkerPool, WorkItem, execute_work_item
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.tracing import TraceContext
-from tests.fleet.conftest import ANOMALOUS
+from tests.fleet.conftest import ANOMALOUS, tiny_feed
 
 
 def _counter(registry, name, **labels):
@@ -21,39 +15,8 @@ def _counter(registry, name, **labels):
 
 
 def _tiny_feed(instance_id="db-t", trace=None):
-    records = [
-        (
-            instance_id,
-            {
-                "second": s,
-                "sql_id": "q1",
-                "arrive_ms": [s * 1000 + 10],
-                "response_ms": [5.0],
-                "examined_rows": [40.0],
-                "instance": instance_id,
-            },
-        )
-        for s in range(20)
-    ]
-    metrics = [
-        (
-            instance_id,
-            {
-                "metric": "cpu",
-                "timestamp": s,
-                "value": 0.2,
-                "instance": instance_id,
-            },
-        )
-        for s in range(20)
-    ]
-    feed = columnarize_feed(
-        InstanceFeed(
-            instance_id=instance_id, query_records=records, metric_records=metrics
-        )
-    )
-    if trace is not None:
-        feed.trace = trace
+    feed = tiny_feed(instance_id)
+    feed.trace = trace
     return feed
 
 
@@ -71,28 +34,13 @@ class TestWorkerEnvelope:
         )
 
     def test_block_traces_parent_worker_spans(self, fleet_stream):
-        # An anomalous instance actually diagnoses, so spans exist.
-        # Re-publish the stream's blocks through a parent-process broker
-        # (``publish_block`` stamps unstamped blocks with its own span's
-        # context; existing stamps win on the worker's replay), then
-        # assert the worker's diagnosis spans join one of those traces —
+        # An anomalous instance actually diagnoses, so spans exist.  The
+        # collectors' ``publish_block`` stamped every block with its own
+        # span's context (existing stamps win on the worker's replay);
+        # the worker's diagnosis spans must join one of those traces —
         # the block context beats the feed-level fallback.
-        from repro.collection.blocks import decode_block
-        from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
-        from repro.collection.stream import Broker, instance_topic
-
         broker, _, _ = fleet_stream
-        raw = block_feed_from_broker(broker, ANOMALOUS[0])
-        parent = Broker()
-        for topic, payloads in (
-            (QUERY_TOPIC, raw.query_payloads),
-            (METRIC_TOPIC, raw.metric_payloads),
-        ):
-            for payload in payloads:
-                parent.publish_block(
-                    instance_topic(topic, ANOMALOUS[0]), decode_block(payload)
-                )
-        feed = block_feed_from_broker(parent, ANOMALOUS[0])
+        feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         block_contexts = {}
         for payload in feed.query_payloads + feed.metric_payloads:
             block = decode_block(payload)
@@ -109,11 +57,11 @@ class TestWorkerEnvelope:
             assert block_contexts[parent] == attrs["trace_id"]
 
     def test_unstamped_stream_still_yields_traced_spans(self, fleet_stream):
-        # Legacy records columnarise into traceless blocks; the worker's
-        # own replay publish stamps them, so diagnosis spans still join
-        # a fully linked (locally minted) trace.
+        # Traceless blocks get stamped by the worker's own replay
+        # publish, so diagnosis spans still join a fully linked (locally
+        # minted) trace.
         broker, _, _ = fleet_stream
-        feed = block_feed_from_broker(broker, ANOMALOUS[0])
+        feed = BlockFeed.from_broker(broker, ANOMALOUS[0]).unstamped()
         export = execute_work_item(WorkItem(feed=feed))
         roots = [s for s in export["spans"] if s["name"] == "service.diagnose"]
         assert roots
@@ -127,7 +75,7 @@ class TestWorkerEnvelope:
 class TestPoolMerge:
     def test_merge_export_adopts_spans_and_telemetry(self, fleet_stream):
         broker, _, _ = fleet_stream
-        feed = block_feed_from_broker(broker, ANOMALOUS[0])
+        feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         registry = MetricsRegistry()
         tracer = Tracer()
         pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)
@@ -153,7 +101,7 @@ class TestPoolMerge:
 
     def test_pool_run_imports_worker_spans(self, fleet_stream):
         broker, _, _ = fleet_stream
-        feed = block_feed_from_broker(broker, ANOMALOUS[0])
+        feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         registry = MetricsRegistry()
         tracer = Tracer()
         pool = PersistentWorkerPool(processes=2, registry=registry, tracer=tracer)
@@ -166,7 +114,7 @@ class TestPoolMerge:
 
     def test_inline_run_merges_spans_and_telemetry(self, fleet_stream):
         broker, _, _ = fleet_stream
-        feed = block_feed_from_broker(broker, ANOMALOUS[0])
+        feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         registry = MetricsRegistry()
         tracer = Tracer()
         pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)

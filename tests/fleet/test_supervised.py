@@ -3,7 +3,7 @@
 from repro.chaos import single_fault_plan
 from repro.collection import Broker
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.fleet.sharded import InstanceFeed, run_sharded
+from repro.fleet import BlockFeed, run_sharded
 from repro.telemetry import MetricsRegistry, get_registry
 
 
@@ -78,7 +78,7 @@ class TestShardSupervision:
     counts into the process registry, so the checks read deltas.
     """
 
-    FEEDS = [InstanceFeed("db-00"), InstanceFeed("db-01")]
+    FEEDS = [BlockFeed("db-00"), BlockFeed("db-01")]
     WATCHED = (
         ("fleet_worker_restarts_total", {"instance": "shard-00"}),
         ("fleet_work_items_total", {"status": "completed"}),
