@@ -28,7 +28,7 @@ from repro.collection.aggregator import (
     aggregate_logstore,
     TEMPLATE_METRICS,
 )
-from repro.collection.logstore import LogStore, PartitionedLogStore
+from repro.collection.logstore import LogStore
 from repro.collection.blocks import (
     BLOCK_KEY,
     BlockDecodeError,
@@ -68,7 +68,6 @@ __all__ = [
     "aggregate_logstore",
     "TEMPLATE_METRICS",
     "LogStore",
-    "PartitionedLogStore",
     "BLOCK_KEY",
     "BlockDecodeError",
     "MetricBlock",

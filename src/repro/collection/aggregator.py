@@ -6,9 +6,11 @@ Rolls raw query records up into per-template metric time series:
 on-demand 1-minute resampling — the ``metricQ,t = Aggregate({...})``
 operation of paper Section IV-A.
 
-Two paths produce identical results: :func:`aggregate_query_log`
-(vectorized batch aggregation straight from a :class:`QueryLog`) and
-:class:`StreamAggregator` (incremental consumption from the broker).
+Three paths produce identical results: :func:`aggregate_query_log`
+(batch aggregation straight from a :class:`QueryLog`),
+:func:`aggregate_logstore` (the same per-template ``bincount`` helper
+over LogStore window reads) and :class:`StreamAggregator` (incremental
+consumption from the broker).
 """
 
 from __future__ import annotations
@@ -109,29 +111,19 @@ def _store_from_arrays(
     response_ms: np.ndarray,
     examined_rows: np.ndarray,
 ) -> None:
-    """Aggregate one template's raw arrays into the store (1 s interval)."""
+    """Aggregate one template's raw arrays into the store (1 s interval).
+
+    ``seconds`` is sorted (rows in arrival order), so the rows inside the
+    store's window are one slice.
+    """
     n = store.length
-    idx = seconds - store.start
-    in_window = (idx >= 0) & (idx < n)
-    idx = idx[in_window].astype(np.int64)
-    resp = response_ms[in_window]
-    rows = examined_rows[in_window]
+    lo, hi = np.searchsorted(seconds, (store.start, store.start + n))
+    idx = seconds[lo:hi] - store.start
     count = np.bincount(idx, minlength=n).astype(np.float64)
-    total_tres = np.bincount(idx, weights=resp, minlength=n)
-    total_rows = np.bincount(idx, weights=rows, minlength=n)
-    _store_from_sums(store, sql_id, count, total_tres, total_rows)
-
-
-def _store_from_sums(
-    store: TemplateMetricStore,
-    sql_id: str,
-    count: np.ndarray,
-    total_tres: np.ndarray,
-    total_rows: np.ndarray,
-) -> None:
-    """Materialise one template's per-second sums as metric series."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = np.where(count > 0, total_tres / np.maximum(count, 1.0), 0.0)
+    total_tres = np.bincount(idx, weights=response_ms[lo:hi], minlength=n)
+    total_rows = np.bincount(idx, weights=examined_rows[lo:hi], minlength=n)
+    # Empty seconds have zero total_tres, so their average is 0 / 1 = 0.
+    avg = total_tres / np.maximum(count, 1.0)
     store.put(sql_id, "#execution", TimeSeries(count, store.start, store.interval, "#execution"))
     store.put(sql_id, "total_tres", TimeSeries(total_tres, store.start, store.interval, "total_tres"))
     store.put(sql_id, "avg_tres", TimeSeries(avg, store.start, store.interval, "avg_tres"))
@@ -148,7 +140,7 @@ def aggregate_query_log(query_log: QueryLog, start: int, end: int) -> TemplateMe
         raise ValueError("end must exceed start")
     store = TemplateMetricStore(start=start, end=end, interval=1)
     for tq in query_log.iter_templates():
-        seconds = (tq.arrive_ms // 1000).astype(np.int64)
+        seconds = tq.arrive_ms // 1000
         _store_from_arrays(store, tq.sql_id, seconds, tq.response_ms, tq.examined_rows)
     return store
 
@@ -156,28 +148,20 @@ def aggregate_query_log(query_log: QueryLog, start: int, end: int) -> TemplateMe
 def aggregate_logstore(logstore, start: int, end: int) -> TemplateMetricStore:
     """Batch-aggregate a :class:`~repro.collection.logstore.LogStore` window.
 
-    Same output as :func:`aggregate_query_log`, but reading from the
-    retention-bounded store — the path the always-on diagnosis service
-    takes when an anomaly fires and the case window must be assembled.
+    Same output as :func:`aggregate_query_log` over the rows arriving in
+    [start, end), read through ``queries_in_window`` — the path the
+    always-on diagnosis service takes when an anomaly fires and the case
+    window must be assembled, and the scheduled health sweeps take every
+    interval.  Templates with no rows in the window are left out.
     """
     if end <= start:
         raise ValueError("end must exceed start")
     store = TemplateMetricStore(start=start, end=end, interval=1)
-    # LogStore keeps per-second roll-ups; read those instead of
-    # re-touching every raw arrival.  Duck-typed stores without the
-    # roll-up (e.g. replay shims) fall back to the raw-window path.
-    fast = getattr(logstore, "second_aggregates", None)
     for sql_id in logstore.sql_ids:
-        if fast is not None:
-            count, total_tres, total_rows = fast(sql_id, start, end)
-            if count.any():
-                _store_from_sums(store, sql_id, count, total_tres, total_rows)
-            continue
         tq = logstore.queries_in_window(sql_id, start, end)
-        if len(tq) == 0:
-            continue
-        seconds = (tq.arrive_ms // 1000).astype(np.int64)
-        _store_from_arrays(store, sql_id, seconds, tq.response_ms, tq.examined_rows)
+        if len(tq):
+            seconds = tq.arrive_ms // 1000
+            _store_from_arrays(store, sql_id, seconds, tq.response_ms, tq.examined_rows)
     return store
 
 

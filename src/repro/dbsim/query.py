@@ -3,13 +3,16 @@
 Each simulated second the engine appends one columnar chunk to a
 :class:`QueryLog`: a template code per query plus the arrival, response
 and examined-rows columns of every query that arrived in that second.
-A :class:`SecondBatch` (one template's queries) appends as a one-template
-chunk.  The first read groups all chunks by template, once, and caches
-the grouping until the next append; per-template reads are then slices
-(:class:`TemplateQueries`, read-only views) for the collection pipeline
-and the active-session estimator.  For each query ``q`` the log records
-``t(q)`` (arrival, ms), ``tres(q)`` (response time, ms) and
-``#examined_rows(q)`` — exactly the fields the paper collects (Def II.3).
+The next read sorts the chunks into one arrival-ordered column set per
+template.  A :class:`SecondBatch` (one template's queries, as a
+streaming store ingests them) goes straight into its template's
+columns: in order, it fills their spare room; late, it is re-sorted
+with the resident rows it precedes.  Per-template reads are slices
+(:class:`TemplateQueries`, read-only views that later appends leave
+unchanged) for the collection pipeline and the active-session
+estimator.  For each query ``q`` the log records ``t(q)`` (arrival,
+ms), ``tres(q)`` (response time, ms) and ``#examined_rows(q)`` —
+exactly the fields the paper collects (Def II.3).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class TemplateQueries:
     """All logged queries of one template, concatenated and time-ordered.
 
     From a :class:`QueryLog` the arrays are read-only views of the log's
-    columns: copy before modifying.
+    columns (later appends do not change them): copy before modifying.
     """
 
     sql_id: str
@@ -62,26 +65,44 @@ class TemplateQueries:
 
 
 class QueryLog:
-    """Per-second columnar chunks, grouped by template on first read.
+    """Per-template columns of logged queries, in arrival order.
 
-    ``sql_ids`` (and so ``iter_templates``) keeps the order in which
-    templates first logged a query.
+    ``sql_ids`` (and so ``iter_templates``) lists the templates holding
+    rows, in the order in which they first logged a query.
     """
 
     def __init__(self) -> None:
-        #: Template code of each sql_id, in first-appearance order.
+        #: Column index of each template holding rows, in first-appearance
+        #: order.
         self._codes: dict[str, int] = {}
+        #: Each template's rows, indexed by code.
+        self._columns: list[_Column] = []
+        #: Chunks appended since the last read:
         #: ``(template code, arrive_ms, response_ms, examined_rows)``.
-        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._count = 0
-        #: Cached grouping: per-code bounds plus the three grouped columns.
-        self._grouped: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _code(self, sql_id: str) -> int:
+        code = self._codes.get(sql_id)
+        if code is None:
+            code = self._codes[sql_id] = len(self._columns)
+            self._columns.append(_Column())
+        return code
 
     def append(self, batch: SecondBatch) -> None:
-        self.append_chunk(
-            (batch.sql_id,), np.zeros(len(batch), dtype=np.int32),
-            batch.arrive_ms, batch.response_ms, batch.examined_rows,
-        )
+        """Append one template's queries straight into its column."""
+        n = len(batch)
+        if n == 0:
+            return
+        self._fold()
+        arrive = np.asarray(batch.arrive_ms, dtype=np.int64)
+        response = np.asarray(batch.response_ms, dtype=np.float64)
+        rows = np.asarray(batch.examined_rows, dtype=np.float64)
+        if (arrive[1:] < arrive[:-1]).any():
+            order = np.argsort(arrive, kind="stable")
+            arrive, response, rows = arrive[order], response[order], rows[order]
+        self._columns[self._code(batch.sql_id)].extend(arrive, response, rows)
+        self._count += n
 
     def append_chunk(
         self,
@@ -94,27 +115,40 @@ class QueryLog:
         """Append one second's queries; ``template[i]`` indexes ``sql_ids``.
 
         Templates new to the log are registered in ``sql_ids`` order.
+        The chunk is sorted into the columns on the next read.
         """
         n = len(arrive_ms)
         if not (len(template) == len(response_ms) == n == len(examined_rows)):
             raise ValueError("chunk columns must share a length")
         if n == 0:
             return
-        codes = self._codes
-        lut = [codes.get(s, -1) for s in sql_ids]
+        lut = [self._codes.get(s, -1) for s in sql_ids]
         if -1 in lut:
             present = np.bincount(template, minlength=len(sql_ids)) > 0
             for i in np.flatnonzero(present).tolist():
                 if lut[i] < 0:
-                    lut[i] = codes[sql_ids[i]] = len(codes)
-        self._chunks.append((
+                    lut[i] = self._code(sql_ids[i])
+        self._pending.append((
             np.array(lut, dtype=np.int32)[template],
             np.asarray(arrive_ms, dtype=np.int64),
             np.asarray(response_ms, dtype=np.float64),
             np.asarray(examined_rows, dtype=np.float64),
         ))
         self._count += n
-        self._grouped = None
+
+    def _fold(self) -> None:
+        """Sort the pending chunks into the template columns."""
+        if not self._pending:
+            return
+        if len(self._pending) == 1:
+            chunk = self._pending[0]
+        else:
+            chunk = tuple(np.concatenate(col) for col in zip(*self._pending))
+        self._pending = []
+        bounds, arrive, response, rows = _group_columns(*chunk, len(self._columns))
+        for code in np.flatnonzero(np.diff(bounds)).tolist():
+            lo, hi = int(bounds[code]), int(bounds[code + 1])
+            self._columns[code].extend(arrive[lo:hi], response[lo:hi], rows[lo:hi])
 
     @property
     def total_queries(self) -> int:
@@ -127,59 +161,145 @@ class QueryLog:
     def __contains__(self, sql_id: str) -> bool:
         return sql_id in self._codes
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """Every chunk's columns concatenated, in append order."""
-        if len(self._chunks) == 1:
-            return self._chunks[0]
-        return tuple(np.concatenate(col) for col in zip(*self._chunks))
-
-    def _group(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Columns ordered by template code, then arrival; cached.
-
-        A stable sort by code keeps each template's queries in append
-        order, which is arrival order whenever seconds are appended in
-        time order; otherwise a stable (code, arrival) sort follows.  The
-        grouped columns replace the chunks, so the log holds one copy.
-        """
-        if self._grouped is None:
-            if not self._chunks:
-                empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
-                for col in empty:
-                    col.setflags(write=False)
-                return (np.zeros(1, dtype=np.int64), *empty)
-            codes, arrive, response, rows = self._columns()
-            order = np.argsort(codes, kind="stable")
-            codes, arrive = codes[order], arrive[order]
-            unordered = (codes[1:] == codes[:-1]) & (arrive[1:] < arrive[:-1])
-            if unordered.any():
-                resort = np.lexsort((arrive, codes))
-                order, codes, arrive = order[resort], codes[resort], arrive[resort]
-            columns = (codes, arrive, response[order], rows[order])
-            for col in columns:
-                col.setflags(write=False)
-            self._chunks = [columns]
-            counts = np.bincount(codes, minlength=len(self._codes))
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            self._grouped = (bounds, *columns[1:])
-        return self._grouped
-
     def queries_of(self, sql_id: str) -> TemplateQueries:
         """Arrival-ordered observations of one template (read-only views)."""
+        self._fold()
         code = self._codes.get(sql_id)
-        bounds, arrive, response, rows = self._group()
         if code is None:
-            lo = hi = 0
-        else:
-            lo, hi = int(bounds[code]), int(bounds[code + 1])
-        return TemplateQueries(sql_id, arrive[lo:hi], response[lo:hi], rows[lo:hi])
+            return TemplateQueries(sql_id, *_NO_ROWS)
+        return TemplateQueries(sql_id, *self._columns[code].views())
 
     def iter_templates(self) -> Iterator[TemplateQueries]:
-        for sql_id in self._codes:
+        for sql_id in self.sql_ids:
             yield self.queries_of(sql_id)
 
     def all_intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """(arrive_ms, end_ms) over every logged query, unordered."""
-        if not self._chunks:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        _, arrive, response, _ = self._columns()
-        return arrive, arrive + response
+        self._fold()
+        arrive = np.concatenate([_NO_ROWS[0], *(c.live(0) for c in self._columns)])
+        end = np.concatenate([_NO_ROWS[1], *(c.live(0) + c.live(1) for c in self._columns)])
+        return arrive, end
+
+    def drop_before(self, cutoff_ms: int) -> tuple[int, int | None]:
+        """Drop the rows arriving before ``cutoff_ms``.
+
+        Returns the number dropped and the earliest remaining arrival
+        (None when the log is empty).  Emptied templates leave ``sql_ids``.
+        """
+        self._fold()
+        dropped, oldest = 0, None
+        for sql_id, code in list(self._codes.items()):
+            col = self._columns[code]
+            dropped += col.drop_before(cutoff_ms)
+            if not len(col):
+                del self._codes[sql_id]
+                continue
+            first = int(col.cols[0][col.start])
+            oldest = first if oldest is None else min(oldest, first)
+        self._count -= dropped
+        return dropped, oldest
+
+
+class _Column:
+    """One template's rows in arrival order (ties in append order).
+
+    The rows live at ``[start, stop)`` of three arrays (arrival, response,
+    examined rows); in-order appends fill the room past ``stop``, so
+    they cost time in proportion to the appended rows.  Rows below
+    ``shared`` may be seen by a caller — a read handed out views of
+    them, or the arrays were adopted from an append — so they are never
+    written in place.
+    """
+
+    __slots__ = ("cols", "start", "stop", "shared")
+
+    def __init__(self) -> None:
+        self.cols: Sequence[np.ndarray] = _NO_ROWS
+        self.start = self.stop = self.shared = 0
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def live(self, i: int) -> np.ndarray:
+        return self.cols[i][self.start:self.stop]
+
+    def views(self) -> tuple[np.ndarray, ...]:
+        self.shared = self.stop
+        return _read_only(*(self.live(i) for i in range(3)))
+
+    def extend(self, *new: np.ndarray) -> None:
+        """Append arrival-ordered rows (ties after the resident rows)."""
+        if not len(self):
+            self.cols, self.start, self.stop = new, 0, len(new[0])
+            self.shared = self.stop
+            return
+        pos, arrive = self.stop, self.cols[0]
+        if new[0][0] < arrive[pos - 1]:
+            # Late rows: re-sort them with the resident rows they precede.
+            pos = self.start + int(np.searchsorted(self.live(0), new[0][0], side="right"))
+            merged = [np.concatenate((old[pos:self.stop], col)) for old, col in zip(self.cols, new)]
+            order = np.argsort(merged[0], kind="stable")
+            new = tuple(col[order] for col in merged)
+        end = pos + len(new[0])
+        if pos < self.shared or end > len(arrive):
+            self._move(pos, 2 * (end - self.start))
+            pos, end = self.stop, self.stop + len(new[0])
+        for col, rows in zip(self.cols, new):
+            col[pos:end] = rows
+        self.stop = end
+
+    def drop_before(self, cutoff_ms: int) -> int:
+        """Drop the rows arriving before ``cutoff_ms``; returns how many."""
+        cut = int(np.searchsorted(self.live(0), cutoff_ms))
+        self.start += cut
+        if self.start > len(self):
+            # More dead rows than live ones: release the dead prefix.
+            self._move(self.stop, 2 * len(self))
+        return cut
+
+    def _move(self, keep: int, capacity: int) -> None:
+        """Copy rows ``[start, keep)`` into fresh arrays of ``capacity``."""
+        n = keep - self.start
+        fresh = [np.empty(capacity, dtype=col.dtype) for col in self.cols]
+        for out, col in zip(fresh, self.cols):
+            out[:n] = col[self.start:keep]
+        self.cols, self.start, self.stop, self.shared = fresh, 0, n, 0
+
+
+def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    for col in columns:
+        col.setflags(write=False)
+    return columns
+
+
+_NO_ROWS = _read_only(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
+
+
+def _group_columns(
+    codes: np.ndarray,
+    arrive: np.ndarray,
+    response: np.ndarray,
+    rows: np.ndarray,
+    n_codes: int,
+) -> tuple[np.ndarray, ...]:
+    """Per-code bounds plus the columns grouped by code, then arrival,
+    keeping ties in row order.
+
+    Columns that are already grouped (codes non-decreasing, arrivals
+    ordered within each code) are kept as they are, without a copy.
+    Otherwise a stable sort by code keeps each template's rows in row
+    order, which is arrival order whenever seconds were appended in time
+    order; failing that, a stable (code, arrival) sort follows.
+    """
+    order = None
+    if (codes[1:] < codes[:-1]).any():
+        order = np.argsort(codes, kind="stable")
+        codes, arrive = codes[order], arrive[order]
+    if ((codes[1:] == codes[:-1]) & (arrive[1:] < arrive[:-1])).any():
+        resort = np.lexsort((arrive, codes))
+        order = resort if order is None else order[resort]
+        codes, arrive = codes[resort], arrive[resort]
+    if order is not None:
+        response, rows = response[order], rows[order]
+    counts = np.bincount(codes, minlength=n_codes)
+    return np.concatenate(([0], np.cumsum(counts))), arrive, response, rows

@@ -10,7 +10,7 @@ empty ``instance_id`` (preserving the original topics and unlabelled
 telemetry).
 
 Every engine is self-contained — consumers, detector buffers, log
-store partition, template catalog, emitted-anomaly dedup state — so
+store, template catalog, emitted-anomaly dedup state — so
 instances never share mutable state and a worker thread can step one
 engine without synchronising with the others.
 """
@@ -84,10 +84,6 @@ class ServiceConfig:
     #: budget abandons the diagnosis and counts
     #: ``diagnosis_stage_timeouts_total``.
     diagnosis_budget_s: float | None = None
-    #: Validate query-log blocks in the drain loop; malformed blocks are
-    #: quarantined to the dead-letter topic instead of raising (payloads
-    #: that are not blocks at all are quarantined either way).
-    validate_records: bool = True
     #: Degraded-mode thresholds (see DegradedModePolicy).
     max_gap_fraction: float = 0.25
     min_window_fraction: float = 0.5
@@ -177,8 +173,9 @@ class InstanceDiagnosisEngine:
         instance so per-stage histograms stay separable (and thread-
         private under the fleet worker pool).
     logstore:
-        Optional externally owned :class:`LogStore` (a fleet partition);
-        by default the engine creates its own.
+        Optional :class:`LogStore` (e.g. one with a shorter retention);
+        by default the engine creates its own.  Each step expires it
+        against the detector's stream clock.
     selfmon:
         Optional :class:`SelfMonitor`.  Defaults to a private one for
         the single-instance path; the fleet passes ``None`` and samples
@@ -357,7 +354,7 @@ class InstanceDiagnosisEngine:
     # Stream consumption
     # ------------------------------------------------------------------
     def _drain_query_logs(self, max_messages: int = 50_000) -> int:
-        from repro.collection.blocks import QueryLogBlock, validate_query_block
+        from repro.collection.blocks import validate_query_block
 
         handled = 0
         while True:
@@ -366,18 +363,14 @@ class InstanceDiagnosisEngine:
                 break
             for message in messages:
                 record = message.value
-                if self.config.validate_records or not isinstance(
-                    record, QueryLogBlock
-                ):
-                    reason = validate_query_block(record)
-                    if reason is not None:
-                        # A malformed payload is one lost *batch*: park
-                        # it on the dead-letter topic and remember the
-                        # loss for the degraded policy instead of
-                        # crashing the drain loop.
-                        quarantine(self.broker, self.query_topic, record, reason)
-                        self._quarantined_since_diagnosis += 1
-                        continue
+                reason = validate_query_block(record)
+                if reason is not None:
+                    # A malformed payload is one lost *batch*: park it on
+                    # the dead-letter topic and remember the loss for the
+                    # degraded policy instead of crashing the drain loop.
+                    quarantine(self.broker, self.query_topic, record, reason)
+                    self._quarantined_since_diagnosis += 1
+                    continue
                 if (
                     self.instance_id
                     and record.instance
@@ -502,10 +495,12 @@ class InstanceDiagnosisEngine:
             self._m_log_messages.inc(handled)
         events = self.detector.poll()
         self._capture_metric_samples()
-        if self.detector.stream_time is not None and self._last_event_s is not None:
-            self._g_freshness.set(
-                max(0.0, self.detector.stream_time - self._last_event_s)
-            )
+        if self.detector.stream_time is not None:
+            self.logstore.expire(self.detector.stream_time)
+            if self._last_event_s is not None:
+                self._g_freshness.set(
+                    max(0.0, self.detector.stream_time - self._last_event_s)
+                )
         produced: list[Diagnosis] = []
         if events and self._log_consumer.lag > 0:
             # The metric stream has outrun the query-log stream (e.g.

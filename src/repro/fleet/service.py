@@ -11,10 +11,11 @@ workers.  This module reproduces that shape at repo scale:
   shards instances over ``workers`` threads, so one :meth:`step` of the
   fleet advances every instance concurrently while each instance's
   state stays single-threaded (engines never share mutable state);
-- raw logs live in one :class:`PartitionedLogStore` with shared
-  retention accounting, and the broker can be pruned each step once all
-  engines have consumed (``FleetConfig.prune_broker``) — the memory
-  bound that makes an always-on fleet viable;
+- each engine keeps its instance's raw logs in its own retention-bounded
+  :class:`~repro.collection.logstore.LogStore`, and the broker can be
+  pruned each step once all engines have consumed
+  (``FleetConfig.prune_broker``) — the memory bounds that make an
+  always-on fleet viable;
 - self-monitoring samples the registry once per fleet step, after the
   worker pool has joined (sampling walks the whole registry and must
   not run concurrently with instrument creation).
@@ -30,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (incidents → core)
     from repro.health.sweeper import HealthSweeper
     from repro.incidents.recorder import IncidentRecorder
 
-from repro.collection.logstore import DEFAULT_RETENTION_S, PartitionedLogStore
 from repro.collection.stream import Broker
 from repro.dbsim.instance import DatabaseInstance
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
@@ -57,8 +57,6 @@ class FleetConfig:
     #: Off by default: archival replay (fresh consumers reading from
     #: offset 0) only works on unpruned topics.
     prune_broker: bool = False
-    #: Raw-log retention across the fleet's LogStore partitions.
-    retention_s: int = DEFAULT_RETENTION_S
     #: Supervised recovery: how many times a crashed worker step is
     #: retried (per instance, per fleet step) before the instance is
     #: skipped for that step.  Each retry counts
@@ -101,9 +99,6 @@ class FleetDiagnosisService:
         #: they never race engine state).
         self.sweeper = sweeper
         self.scheduler = DiagnosisScheduler(self.config.workers)
-        self.logstore = PartitionedLogStore(
-            retention_s=self.config.retention_s, registry=self.registry
-        )
         self.selfmon = SelfMonitor(
             self.registry, window_s=self.config.service.detector_window_s
         )
@@ -148,7 +143,6 @@ class FleetDiagnosisService:
                 history_provider=history_provider,
                 notify=self.notify,
                 registry=self.registry,
-                logstore=self.logstore.partition(instance_id),
                 selfmon=None,
                 recorder=self.recorder,
             )

@@ -2,10 +2,10 @@
 
 The equivalence contract of the columnar dataplane: shipping the same
 queries as blocks instead of per-(second, template) records changes
-nothing downstream — LogStore aggregates are byte-identical, the
-stream aggregator's snapshot is byte-identical to the batch
-aggregation, and the full-scan fallback telemetry fires only when
-ingestion actually goes out of order.
+nothing downstream — LogStore window reads and aggregates are
+byte-identical, the stream aggregator's snapshot is byte-identical to
+the batch aggregation, and batches ingested out of order read back in
+arrival order.
 """
 
 import numpy as np
@@ -68,18 +68,6 @@ def ingest_as_block(log, instance=""):
 
 
 class TestLogStoreEquivalence:
-    def test_second_aggregates_are_byte_identical(self):
-        log = make_log()
-        per_record = ingest_per_record(log)
-        block = ingest_as_block(log)
-        assert set(per_record.sql_ids) == set(block.sql_ids)
-        for sql_id in per_record.sql_ids:
-            for a, b in zip(
-                per_record.second_aggregates(sql_id, 0, 30),
-                block.second_aggregates(sql_id, 0, 30),
-            ):
-                np.testing.assert_array_equal(a, b)
-
     def test_window_reads_are_byte_identical(self):
         log = make_log()
         per_record = ingest_per_record(log)
@@ -146,55 +134,30 @@ class TestStreamAggregatorEquivalence:
         assert aggregator.snapshot().sql_ids == []
 
 
-class TestFullScanFallbackTelemetry:
-    def test_chronological_ingestion_never_full_scans(self):
-        registry = MetricsRegistry()
-        store = LogStore(registry=registry)
-        store.ingest_block(query_block_from_log(make_log()))
-        for sql_id in store.sql_ids:
-            store.queries_in_window(sql_id, 0, 30)
-            store.second_aggregates(sql_id, 0, 30)
-        assert registry.get("logstore_fullscan_reads_total").value == 0
-
-    def test_out_of_order_ingestion_counts_each_fallback_read(self):
-        registry = MetricsRegistry()
-        store = LogStore(registry=registry)
-        late = SecondBatch(
-            "q0",
-            np.array([9_000, 9_500], dtype=np.int64),
-            np.array([1.0, 2.0]),
-            np.array([10.0, 20.0]),
-        )
-        early = SecondBatch(
-            "q0",
-            np.array([1_000], dtype=np.int64),
-            np.array([3.0]),
-            np.array([30.0]),
-        )
-        store.ingest_batch(late)
-        store.ingest_batch(early)  # out of order: index invalidated
-        counter = registry.get("logstore_fullscan_reads_total")
-        assert counter.value == 0  # ingestion alone does not scan
-
-        tq = store.queries_in_window("q0", 0, 30)
-        assert counter.value == 1
-        # The fallback still returns every query, time-sorted.
-        np.testing.assert_array_equal(tq.arrive_ms, [1_000, 9_000, 9_500])
-
-        count, tres, _rows = store.second_aggregates("q0", 0, 30)
-        assert counter.value == 2
-        assert count.sum() == 3
-        assert tres.sum() == 6.0
-
-        # Templates that stayed chronological keep the indexed path.
+class TestOutOfOrderIngestion:
+    def test_late_then_early_reads_sorted(self):
+        store = LogStore(registry=MetricsRegistry())
         store.ingest_batch(
             SecondBatch(
-                "q1",
-                np.array([2_000], dtype=np.int64),
-                np.array([1.0]),
-                np.array([1.0]),
+                "q0",
+                np.array([9_000, 9_500], dtype=np.int64),
+                np.array([1.0, 2.0]),
+                np.array([10.0, 20.0]),
             )
         )
-        store.queries_in_window("q1", 0, 30)
-        store.second_aggregates("q1", 0, 30)
-        assert counter.value == 2
+        np.testing.assert_array_equal(
+            store.queries_in_window("q0", 0, 30).arrive_ms, [9_000, 9_500]
+        )
+        store.ingest_batch(  # earlier than everything already stored
+            SecondBatch(
+                "q0",
+                np.array([1_000, 9_000], dtype=np.int64),
+                np.array([3.0, 4.0]),
+                np.array([30.0, 40.0]),
+            )
+        )
+        tq = store.queries_in_window("q0", 0, 30)
+        np.testing.assert_array_equal(tq.arrive_ms, [1_000, 9_000, 9_000, 9_500])
+        # Rows follow their arrivals; the tie keeps ingest order.
+        np.testing.assert_array_equal(tq.response_ms, [3.0, 1.0, 4.0, 2.0])
+        np.testing.assert_array_equal(tq.examined_rows, [30.0, 10.0, 40.0, 20.0])

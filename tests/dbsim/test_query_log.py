@@ -150,6 +150,73 @@ class TestColumnarChunks:
         with pytest.raises(ValueError):
             chunk(QueryLog(), ["A"], [0, 0], [1])
 
+    def test_grouped_chunk_is_kept_without_a_copy(self):
+        log = QueryLog()
+        arrive = np.array([0, 5, 5, 1, 2], dtype=np.int64)
+        resp = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        log.append_chunk(["A", "B"], np.array([0, 0, 0, 1, 1]), arrive, resp, resp)
+        a = log.queries_of("A")
+        assert np.shares_memory(a.arrive_ms, arrive)
+        assert np.shares_memory(a.response_ms, resp)
+        assert list(log.queries_of("B").arrive_ms) == [1, 2]
+        # The caller's arrays keep their flags; the log's views do not write.
+        assert arrive.flags.writeable and not a.arrive_ms.flags.writeable
+
+    def test_in_order_appends_fill_spare_room_without_moving_rows(self):
+        log = QueryLog()
+        log.append(make_batch("A", [0, 1], resp=(1.0, 1.0), rows=(1.0, 1.0)))
+        log.append(make_batch("A", [2, 3], resp=(1.0, 1.0), rows=(1.0, 1.0)))  # grows the column
+        before = log.queries_of("A")
+        log.append(make_batch("A", [4], resp=(1.0,), rows=(1.0,)))
+        after = log.queries_of("A")
+        assert list(after.arrive_ms) == [0, 1, 2, 3, 4]
+        # The resident rows were not copied: both reads view one buffer.
+        assert np.shares_memory(before.arrive_ms, after.arrive_ms)
+
+    def test_late_rows_leave_earlier_reads_unchanged(self):
+        log = QueryLog()
+        log.append(make_batch("A", [0, 10], resp=(1.0, 1.0), rows=(1.0, 1.0)))
+        log.append(make_batch("A", [20, 30], resp=(2.0, 3.0), rows=(1.0, 1.0)))
+        before = log.queries_of("A")
+        log.append(make_batch("A", [15, 25], resp=(7.0, 8.0), rows=(1.0, 1.0)))
+        assert list(before.arrive_ms) == [0, 10, 20, 30]
+        assert list(before.response_ms) == [1.0, 1.0, 2.0, 3.0]
+        after = log.queries_of("A")
+        assert list(after.arrive_ms) == [0, 10, 15, 20, 25, 30]
+        assert list(after.response_ms) == [1.0, 1.0, 7.0, 2.0, 8.0, 3.0]
+
+    def test_drop_before_cuts_every_template(self):
+        log = QueryLog()
+        chunk(log, ["A", "B"], [0, 1, 0, 1], [10, 20, 30, 40])
+        assert log.drop_before(35) == (3, 40)
+        assert log.sql_ids == ["B"]
+        assert list(log.queries_of("B").arrive_ms) == [40]
+        assert log.total_queries == 1
+        assert log.drop_before(50) == (1, None)
+        assert log.sql_ids == [] and log.total_queries == 0
+
+    def test_interleaved_reads_match_one_sort_of_every_row(self):
+        # Hundreds of one-template appends with reads in between, some
+        # templates going back in time.
+        rng = np.random.default_rng(3)
+        log, rows = QueryLog(), []
+        for i in range(300):
+            sql_id = f"T{rng.integers(0, 4)}"
+            start = int(rng.integers(0, 50_000)) if i % 40 == 39 else 100 * i
+            arrive = np.sort(rng.integers(start, start + 300, size=3))
+            log.append(make_batch(sql_id, arrive, resp=(i, i + 0.25, i + 0.5)))
+            rows += [(sql_id, int(a), r) for a, r in zip(arrive, (i, i + 0.25, i + 0.5))]
+            if i % 25 == 0:
+                for check_id in log.sql_ids:
+                    expected = sorted((a for s, a, _ in rows if s == check_id))
+                    assert list(log.queries_of(check_id).arrive_ms) == expected
+        for sql_id in log.sql_ids:
+            mine = [(a, r) for s, a, r in rows if s == sql_id]
+            expected = sorted(range(len(mine)), key=lambda k: mine[k][0])  # stable
+            tq = log.queries_of(sql_id)
+            assert list(tq.arrive_ms) == [mine[k][0] for k in expected]
+            assert list(tq.response_ms) == [mine[k][1] for k in expected]
+
     def test_template_views_are_read_only(self):
         log = QueryLog()
         chunk(log, ["A"], [0, 0], [0, 1])

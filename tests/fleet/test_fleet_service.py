@@ -76,12 +76,10 @@ class TestFleetDiagnosis:
         with _build_service(broker, populations, workers=2) as service:
             service.run_until_drained()
         engines = [service.engine(i) for i in INSTANCE_IDS]
-        # Disjoint log partitions: each engine's store only holds its
-        # own instance's templates, keyed in the shared fleet store.
-        for instance_id in INSTANCE_IDS:
-            assert instance_id in service.logstore
-            partition = service.logstore.partition(instance_id)
-            assert partition is service.engine(instance_id).logstore
+        # One LogStore per engine, labelled with its instance.
+        assert len({id(e.logstore) for e in engines}) == len(engines)
+        for instance_id, engine in zip(INSTANCE_IDS, engines):
+            assert engine.logstore.instance_id == instance_id
         # Detector buffers are private objects per engine.
         buffer_ids = {id(e.detector._buffers) for e in engines}
         assert len(buffer_ids) == len(engines)

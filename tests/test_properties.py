@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collection import aggregate_query_log
+from repro.collection import LogStore, aggregate_query_log
 from repro.core.rsql import _safe_corrcoef
 from repro.core.session_estimation import CoverageFunction
 from repro.dbsim import QueryLog, SecondBatch
 from repro.evaluation.metrics import first_hit_rank, hits_at_k, reciprocal_rank
 from repro.sqltemplate import normalize_statement, sql_id
+from repro.telemetry import MetricsRegistry
 from repro.timeseries import TimeSeries
 from repro.workload.trends import ramp_profile, spike_profile
 
@@ -45,6 +46,55 @@ def query_batches(draw):
             )
         )
     return log
+
+
+@st.composite
+def shuffled_batches(draw):
+    """Per-template batches (arrivals in any order, frequent ties) in a
+    shuffled ingest order, plus the points at which reads interleave."""
+    batches = []
+    for i in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 4))):
+            arrive = draw(
+                st.lists(st.integers(0, 59).map(lambda h: h * 500), min_size=1, max_size=12)
+            )
+            n = len(arrive)
+            # Unique response times identify every row.
+            first = sum(len(b) for b in batches)
+            batches.append(
+                SecondBatch(
+                    f"Q{i}",
+                    np.asarray(arrive, dtype=np.int64),
+                    np.arange(first, first + n, dtype=np.float64),
+                    np.full(n, float(i)),
+                )
+            )
+    batches = draw(st.permutations(batches))
+    return batches, draw(st.sets(st.integers(0, len(batches) - 1)))
+
+
+class TestLogStoreWindowReads:
+    @given(shuffled_batches(), st.integers(0, 30), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_ingest_matches_stable_sorted_mask(self, drawn, t0, t1):
+        batches, reads = drawn
+        store = LogStore(registry=MetricsRegistry())
+        for i, batch in enumerate(batches):
+            if i in reads:
+                for sid in store.sql_ids:
+                    store.queries_in_window(sid, t0, t1)
+            store.ingest_batch(batch)
+        for sid in {b.sql_id for b in batches}:
+            mine = [b for b in batches if b.sql_id == sid]
+            arrive = np.concatenate([b.arrive_ms for b in mine])
+            resp = np.concatenate([b.response_ms for b in mine])
+            rows = np.concatenate([b.examined_rows for b in mine])
+            keep = np.flatnonzero((arrive >= t0 * 1000) & (arrive < t1 * 1000))
+            keep = keep[np.argsort(arrive[keep], kind="stable")]
+            tq = store.queries_in_window(sid, t0, t1)
+            np.testing.assert_array_equal(tq.arrive_ms, arrive[keep])
+            np.testing.assert_array_equal(tq.response_ms, resp[keep])
+            np.testing.assert_array_equal(tq.examined_rows, rows[keep])
 
 
 class TestAggregationConservation:

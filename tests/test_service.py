@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.collection import Broker, MetricsCollector, QueryLogCollector
-from repro.dbsim import DatabaseInstance
+from repro.collection import Broker, LogStore, MetricsCollector, QueryLogCollector
+from repro.dbsim import DatabaseInstance, QueryLog, SecondBatch
+from repro.dbsim.monitor import InstanceMetrics
+from repro.fleet.engine import InstanceDiagnosisEngine
 from repro.service import Diagnosis, PinSqlService, ServiceConfig
 from repro.telemetry import MetricsRegistry
+from repro.timeseries import TimeSeries
 from repro.workload import (
     AnomalyCategory,
     WorkloadGenerator,
@@ -298,3 +301,50 @@ class TestServiceTelemetry:
             + ",topic=performance_metrics}"
         )
         assert lag_key in service.selfmon.names()
+
+
+class TestLogRetention:
+    def test_step_expires_rows_older_than_retention(self):
+        duration, chunk = 360, 30
+        log = QueryLog()
+        for s in range(duration):
+            log.append(
+                SecondBatch(
+                    "q1",
+                    np.array([s * 1000 + 10, s * 1000 + 900], dtype=np.int64),
+                    np.array([5.0, 6.0]),
+                    np.array([40.0, 41.0]),
+                )
+            )
+        metrics = InstanceMetrics(
+            {"cpu": TimeSeries(np.full(duration, 0.2), start=0, name="cpu")}
+        )
+        source = Broker()
+        QueryLogCollector(source, instance_id="db-r").collect(log)
+        MetricsCollector(source, instance_id="db-r").collect(metrics)
+        registry = MetricsRegistry()
+        broker = Broker(registry=registry)
+        store = LogStore(retention_s=60, registry=registry, instance_id="db-r")
+        engine = InstanceDiagnosisEngine(
+            broker, instance_id="db-r", registry=registry, logstore=store
+        )
+        # One block per second on each topic; publish them a chunk at a time.
+        feeds = [
+            (topic, source.read(topic, 0, source.size(topic)))
+            for topic in ("query_logs.db-r", "performance_metrics.db-r")
+        ]
+        for t0 in range(0, duration, chunk):
+            for topic, messages in feeds:
+                for message in messages[t0 : t0 + chunk]:
+                    broker.publish_block(topic, message.value)
+            engine.step()
+            now = engine.detector.stream_time
+            cutoff_ms = (now - 60) * 1000
+            assert all(
+                store.queries_in_window(sql_id, 0, 1 << 40).arrive_ms.min() >= cutoff_ms
+                for sql_id in store.sql_ids
+            )
+        assert engine.detector.stream_time == duration - 1
+        evicted = registry.get("logstore_evicted_queries_total", instance="db-r")
+        assert evicted.value > 0
+        assert store.total_queries() + evicted.value == 2 * duration
