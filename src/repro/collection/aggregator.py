@@ -81,14 +81,21 @@ class TemplateMetricStore:
     def total_response_time(self, sql_id: str) -> TimeSeries:
         return self.get(sql_id, "total_tres")
 
-    def resample(self, factor: int) -> "TemplateMetricStore":
-        """Downsample every series (e.g. 60 → 1-minute granularity)."""
+    def resample(
+        self, factor: int, metrics: tuple[str, ...] | None = None
+    ) -> "TemplateMetricStore":
+        """Downsample every series (e.g. 60 → 1-minute granularity).
+
+        ``metrics`` restricts the copy to those metrics (default: all).
+        """
         usable = (self.length // factor) * factor * self.interval
         out = TemplateMetricStore(
             start=self.start, end=self.start + usable, interval=self.interval * factor
         )
-        for sql_id, metrics in self._data.items():
-            for metric, series in metrics.items():
+        for sql_id, template in self._data.items():
+            for metric, series in template.items():
+                if metrics is not None and metric not in metrics:
+                    continue
                 how = "mean" if metric == "avg_tres" else "sum"
                 out.put(sql_id, metric, series.resample(factor, how=how))
         return out

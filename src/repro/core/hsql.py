@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.core.case import AnomalyCase
 from repro.core.session_estimation import SessionEstimate
-from repro.timeseries import pearson, sigmoid_anomaly_weights, weighted_pearson
+from repro.timeseries import (
+    pearson,
+    pearson_rows,
+    sigmoid_anomaly_weights,
+    weighted_pearson_rows,
+)
 
 __all__ = ["HsqlScores", "HsqlRanking", "HsqlIdentifier"]
 
@@ -91,53 +96,46 @@ class HsqlIdentifier:
         )
         lo, hi = case.anomaly_indices()
 
-        trend: dict[str, float] = {}
-        scale_raw: dict[str, float] = {}
-        scale_trend: dict[str, float] = {}
+        # One templates × seconds matrix; each score is one row-wise pass.
+        values = np.vstack([sessions.per_template[sid].values for sid in sql_ids])
         session_values = session.values
+        trend = weighted_pearson_rows(values, session_values, weights)
         safe_session = np.where(session_values == 0.0, np.nan, session_values)
-        for sql_id in sql_ids:
-            series = sessions.per_template[sql_id]
-            trend[sql_id] = weighted_pearson(series.values, session_values, weights)
-            scale_raw[sql_id] = float(series.values[lo:hi].sum())
-            share = np.nan_to_num(series.values / safe_session, nan=0.0)
-            scale_trend[sql_id] = pearson(share, session_values)
+        share = np.nan_to_num(values / safe_session, nan=0.0)
+        scale_trend = pearson_rows(share, session_values)
 
         # Min-max normalise raw scales into [-1, 1].
-        raw = np.array([scale_raw[sid] for sid in sql_ids])
+        raw = values[:, lo:hi].sum(axis=1)
         span = raw.max() - raw.min()
         if span <= 0:
-            normalised = np.zeros(len(sql_ids))
+            scale = np.zeros(len(sql_ids))
         else:
-            normalised = 2.0 * (raw - raw.min()) / span - 1.0
-        scale = {sid: float(v) for sid, v in zip(sql_ids, normalised)}
+            scale = 2.0 * (raw - raw.min()) / span - 1.0
 
         # Adaptive weights: does the largest template drive the session?
-        q_max = max(sql_ids, key=lambda sid: scale[sid])
         if self.use_weighted_final_score:
-            alpha = pearson(sessions.per_template[q_max].values, session_values)
+            alpha = pearson(values[int(np.argmax(scale))], session_values)
             beta = -alpha
         else:
             alpha = 1.0
             beta = 1.0
 
-        scores = []
-        for sql_id in sql_ids:
-            impact = 0.0
-            if self.use_trend:
-                impact += beta * trend[sql_id]
-            if self.use_scale:
-                impact += alpha * scale[sql_id]
-            if self.use_scale_trend:
-                impact += scale_trend[sql_id]
-            scores.append(
-                HsqlScores(
-                    sql_id=sql_id,
-                    trend=trend[sql_id],
-                    scale=scale[sql_id],
-                    scale_trend=scale_trend[sql_id],
-                    impact=float(impact),
-                )
+        impact = np.zeros(len(sql_ids))
+        if self.use_trend:
+            impact += beta * trend
+        if self.use_scale:
+            impact += alpha * scale
+        if self.use_scale_trend:
+            impact += scale_trend
+        scores = [
+            HsqlScores(
+                sql_id=sql_id,
+                trend=float(trend[i]),
+                scale=float(scale[i]),
+                scale_trend=float(scale_trend[i]),
+                impact=float(impact[i]),
             )
+            for i, sql_id in enumerate(sql_ids)
+        ]
         scores.sort(key=lambda s: s.impact, reverse=True)
         return HsqlRanking(scores=scores, alpha=float(alpha), beta=float(beta))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
+from repro.collection.aggregator import TemplateMetricStore
 from repro.core.case import AnomalyCase
 from repro.core.hsql import HsqlRanking
 from repro.core.session_estimation import SessionEstimate
@@ -89,14 +90,27 @@ class RsqlIdentifier:
     # ------------------------------------------------------------------
     # Stage 1: clustering by #execution trends
     # ------------------------------------------------------------------
-    def cluster_templates(self, case: AnomalyCase) -> list[Cluster]:
-        """Connected components of the trend-correlation graph."""
+    def executions(self, case: AnomalyCase) -> TemplateMetricStore:
+        """``#execution`` of every template at the clustering interval.
+
+        The only metric clustering and history verification read, so
+        :meth:`identify` resamples it once for both.
+        """
         interval = self.clustering_interval_s
-        store = (
-            case.templates.resample(interval)
-            if interval > 1
-            else case.templates
-        )
+        if interval > 1:
+            return case.templates.resample(interval, metrics=("#execution",))
+        return case.templates
+
+    def cluster_templates(
+        self, case: AnomalyCase, executions: TemplateMetricStore | None = None
+    ) -> list[Cluster]:
+        """Connected components of the trend-correlation graph.
+
+        ``executions`` is :meth:`executions` of ``case``, computed here
+        when not given.
+        """
+        interval = self.clustering_interval_s
+        store = self.executions(case) if executions is None else executions
         sql_ids = [sid for sid in store.sql_ids]
         rows: list[np.ndarray] = [store.executions(sid).values for sid in sql_ids]
         node_names: list[str] = list(sql_ids)
@@ -175,14 +189,20 @@ class RsqlIdentifier:
     # ------------------------------------------------------------------
     # Stage 4: history-trend verification
     # ------------------------------------------------------------------
-    def verify_history(self, case: AnomalyCase, candidates: list[str]) -> list[str]:
-        """Keep templates whose execution surge is new (paper's two rules)."""
+    def verify_history(
+        self,
+        case: AnomalyCase,
+        candidates: list[str],
+        executions: TemplateMetricStore | None = None,
+    ) -> list[str]:
+        """Keep templates whose execution surge is new (paper's two rules).
+
+        ``executions`` is as for :meth:`cluster_templates`.
+        """
         if not self.use_history_verification:
             return list(candidates)
         interval = self.clustering_interval_s
-        store = (
-            case.templates.resample(interval) if interval > 1 else case.templates
-        )
+        store = self.executions(case) if executions is None else executions
         lo = (case.anomaly_start - case.ts) // interval
         hi = max(lo + 1, (case.anomaly_end - case.ts) // interval)
         verified: list[str] = []
@@ -230,11 +250,12 @@ class RsqlIdentifier:
         sessions: SessionEstimate,
     ) -> RsqlResult:
         with self.tracer.span("clustering_and_filtering") as s_cluster:
-            clusters = self.cluster_templates(case)
+            executions = self.executions(case)
+            clusters = self.cluster_templates(case, executions)
             clusters = self.rank_clusters(case, clusters, hsql)
             candidates = self.select_clusters(case, clusters, sessions)
         with self.tracer.span("history_verification") as s_verify:
-            verified = self.verify_history(case, candidates)
+            verified = self.verify_history(case, candidates, executions)
             widened = False
             if not verified and self.use_history_verification:
                 # Verification rejected every candidate: the root cause is
@@ -245,7 +266,7 @@ class RsqlIdentifier:
                 # history filter itself is what narrows the range.
                 widened = True
                 wide = [sql_id for cluster in clusters for sql_id in cluster.sql_ids]
-                verified = self.verify_history(case, wide)
+                verified = self.verify_history(case, wide, executions)
             # Last-resort fallback: never answer with nothing when candidates
             # existed — production systems page a DBA with *something* ranked.
             effective = verified if verified else candidates

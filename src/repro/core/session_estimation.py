@@ -11,9 +11,24 @@ whose expected session is closest to the monitor's observed value
 (locating t3), and evaluates each template's expected session *in that
 bucket* — which removes most of the sampling-instant uncertainty.
 
-Everything is vectorized through a cumulative coverage function
-``F(x) = Σ_q |[0, x) ∩ [t(q), t(q)+tres(q))|``; the expected session
-over ``[a, b)`` is ``(F(b) − F(a)) / (b − a)``.
+Every mode reads the window once, one arrival-ordered slice per
+template.  The expectation modes place each query once on a grid of
+``1000/K`` ms cells over ``[ts, te + span − 1)``, in runs of rows small
+enough to stay in cache.  In cell units a query covers ``[a, e)``, and
+its overlap with cell ``c`` is
+``H(e)[c] − H(a)[c]`` with ``H(x)[c] = clip(x − c, 0, 1)``: 1 below
+``⌊x⌋``, the fraction ``x − ⌊x⌋`` at ``⌊x⌋``, 0 above.  Summed over
+queries, the whole cells are a difference array (+1 at ``⌊a⌋``, −1 at
+``⌊e⌋``, one ``cumsum``) and the fractions are two weighted
+``bincount`` calls, so nothing is sorted.  The pooled (all-template) sum
+over every cell selects each second's bucket; each template is then
+summed only over the selected cells, a block of templates at a time, so
+memory stays ``O(rows + templates × seconds + seconds × K × span)``.
+Without buckets, K = 1 and each second is its own cell.
+
+:class:`CoverageFunction` is the cumulative form of the same measure,
+``F(x) = Σ_q |[0, x) ∩ [t(q), t(q)+tres(q))|``, for callers that query
+arbitrary intervals of one template.
 """
 
 from __future__ import annotations
@@ -24,9 +39,19 @@ import numpy as np
 
 from repro.collection.logstore import LogStore
 from repro.core.config import SessionEstimationMode
+from repro.dbsim.query import TemplateQueries
 from repro.timeseries import TimeSeries
 
 __all__ = ["CoverageFunction", "SessionEstimate", "SessionEstimator"]
+
+#: Seconds before ``ts`` whose queries may still be running inside the
+#: window; longer-running queries are rare.
+_LOOKBACK_S = 300
+#: Most cells the per-template pass holds at once: a block of templates
+#: gets a few arrays of this size, whatever the template count.
+_BLOCK_CELLS = 1 << 18
+#: Rows per numpy pass of the estimator, small enough to stay in cache.
+_CHUNK_ROWS = 1 << 14
 
 
 class CoverageFunction:
@@ -123,37 +148,25 @@ class SessionEstimator:
     ) -> SessionEstimate:
         """Estimate per-template sessions over the observed series' window."""
         ts, te = observed_session.start, observed_session.end
+        sql_ids = list(dict.fromkeys(sql_ids))
         if self.mode is SessionEstimationMode.RESPONSE_TIME:
-            return self._estimate_by_response_time(logs, sql_ids, ts, te, observed_session)
-        if self.mode is SessionEstimationMode.NO_BUCKETS:
-            return self._estimate_expectation(logs, sql_ids, ts, te, observed_session, buckets=1)
-        return self._estimate_expectation(
-            logs, sql_ids, ts, te, observed_session, buckets=self.buckets
-        )
+            return self._estimate_by_response_time(logs, sql_ids, ts, te)
+        buckets = 1 if self.mode is SessionEstimationMode.NO_BUCKETS else self.buckets
+        return self._estimate_expectation(logs, sql_ids, ts, te, observed_session, buckets)
 
     # ------------------------------------------------------------------
     # Baseline: total response time per second (Estimate-by-RT)
     # ------------------------------------------------------------------
-    def _estimate_by_response_time(
-        self, logs: LogStore, sql_ids, ts, te, observed: TimeSeries
-    ) -> SessionEstimate:
+    def _estimate_by_response_time(self, logs: LogStore, sql_ids, ts, te) -> SessionEstimate:
         n = te - ts
-        per_template: dict[str, TimeSeries] = {}
-        total = np.zeros(n)
-        for sql_id in sql_ids:
-            tq = logs.queries_in_window(sql_id, ts, te)
-            values = np.zeros(n)
-            if len(tq):
-                idx = (tq.arrive_ms // 1000 - ts).astype(np.int64)
-                ok = (idx >= 0) & (idx < n)
-                values = np.bincount(idx[ok], weights=tq.response_ms[ok], minlength=n) / 1000.0
-            per_template[sql_id] = TimeSeries(values, start=ts, name=sql_id)
-            total += values
-        return SessionEstimate(
-            per_template=per_template,
-            total=TimeSeries(total, start=ts, name="estimated_session"),
-            selected_buckets=np.zeros(0, dtype=np.int64),
+        views = _read_window(logs, sql_ids, ts, te)
+        template, arrive, response = _join(
+            [(t, tq.arrive_ms, tq.response_ms) for t, tq in enumerate(views)]
         )
+        values = np.bincount(
+            template * n + (arrive // 1000 - ts), weights=response, minlength=len(views) * n
+        ).reshape(len(views), n) / 1000.0
+        return _estimate_of(sql_ids, values, ts, np.zeros(0, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Expectation-based estimation, with or without bucket selection
@@ -162,55 +175,159 @@ class SessionEstimator:
         self, logs: LogStore, sql_ids, ts, te, observed: TimeSeries, buckets: int
     ) -> SessionEstimate:
         n = te - ts
-        width_ms = 1000.0 / buckets
-        seconds_ms = (ts + np.arange(n, dtype=np.float64)) * 1000.0
+        # With span_seconds > 1 the search covers K buckets per second
+        # over [t, t + span) — the paper's slow-SHOW STATUS extension.
+        span = self.span_seconds if buckets > 1 else 1
+        grid = _Grid(origin_ms=ts * 1000, buckets=buckets, cells=(n + span - 1) * buckets)
+        # Queries that began before ts but are still running contribute
+        # too, so the read reaches back _LOOKBACK_S seconds.
+        views = _read_window(logs, sql_ids, ts - _LOOKBACK_S, te)
+        chunks = [grid.place(*rows) for rows in _row_chunks(views)]
 
-        # Collect per-template query intervals once.  Queries that began
-        # before ts but are still running contribute too, so the lookup
-        # window extends a little backwards.
-        lookback = 300  # seconds; longer-running queries are rare
-        template_queries = {
-            sql_id: logs.queries_in_window(sql_id, ts - lookback, te)
-            for sql_id in sql_ids
-        }
+        # Expected instance session per bucket, from the pooled log.
+        pooled = grid.coverage(chunks, 0, len(views), np.arange(grid.cells), pooled=True)[0]
+        bucket_cells = np.arange(n)[:, None] * buckets + np.arange(buckets * span)
+        error = np.abs(pooled[bucket_cells] - observed.values[:, None])
+        selected = np.argmin(error, axis=1)
 
-        if buckets > 1:
-            # Expected instance session per bucket, from the pooled log.
-            arrive = np.concatenate(
-                [tq.arrive_ms for tq in template_queries.values()]
-            ) if template_queries else np.zeros(0)
-            response = np.concatenate(
-                [tq.response_ms for tq in template_queries.values()]
-            ) if template_queries else np.zeros(0)
-            pooled = CoverageFunction(arrive, response)
-            # Bucket edges: shape (n, total_buckets + 1).  With
-            # span_seconds > 1 the search covers K buckets per second
-            # over [t, t + span) — the paper's slow-SHOW STATUS extension.
-            total_buckets = buckets * self.span_seconds
-            edges = seconds_ms[:, None] + np.arange(total_buckets + 1) * width_ms
-            expected = pooled.expected_session(edges[:, :-1].ravel(), edges[:, 1:].ravel())
-            expected = expected.reshape(n, total_buckets)
-            error = np.abs(expected - observed.values[:, None])
-            selected = np.argmin(error, axis=1)
-            sel_start = seconds_ms + selected * width_ms
-            sel_end = sel_start + width_ms
-        else:
-            selected = np.zeros(0, dtype=np.int64)
-            sel_start = seconds_ms
-            sel_end = seconds_ms + 1000.0
+        # Each template over the selected cells only, a block at a time.
+        slots, slot_of = np.unique(bucket_cells[np.arange(n), selected], return_inverse=True)
+        values = np.empty((len(views), n))
+        block = max(1, _BLOCK_CELLS // (len(slots) + 2))
+        for t0 in range(0, len(views), block):
+            t1 = min(t0 + block, len(views))
+            values[t0:t1] = grid.coverage(chunks, t0, t1, slots)[:, slot_of]
+        chosen = selected if buckets > 1 else np.zeros(0, dtype=np.int64)
+        return _estimate_of(sql_ids, values, ts, chosen)
 
-        per_template: dict[str, TimeSeries] = {}
-        total = np.zeros(n)
-        for sql_id, tq in template_queries.items():
-            if len(tq) == 0:
-                per_template[sql_id] = TimeSeries.zeros(n, start=ts, name=sql_id)
+
+def _read_window(logs: LogStore, sql_ids: list[str], t0: int, t1: int) -> list[TemplateQueries]:
+    """Each template's queries arriving within [t0, t1), in ``sql_ids`` order."""
+    return [logs.queries_in_window(sql_id, t0, t1) for sql_id in sql_ids]
+
+
+def _join(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate ``(template, arrive_ms, response_ms)`` pieces, with each row's template."""
+    templates = np.array([t for t, _, _ in pieces], dtype=np.int64)
+    lengths = [len(arrive) for _, arrive, _ in pieces]
+    return (
+        np.repeat(templates, lengths),
+        np.concatenate([arrive for _, arrive, _ in pieces] + [np.zeros(0, np.int64)]),
+        np.concatenate([response for _, _, response in pieces] + [np.zeros(0)]),
+    )
+
+
+def _row_chunks(views: list[TemplateQueries]):
+    """Every template's rows, joined in runs of about _CHUNK_ROWS rows."""
+    pieces: list = []
+    rows = 0
+    for t, tq in enumerate(views):
+        for i in range(0, len(tq), _CHUNK_ROWS):
+            part = slice(i, i + _CHUNK_ROWS)
+            pieces.append((t, tq.arrive_ms[part], tq.response_ms[part]))
+            rows += len(pieces[-1][1])
+            if rows >= _CHUNK_ROWS:
+                yield _join(pieces)
+                pieces, rows = [], 0
+    if pieces:
+        yield _join(pieces)
+
+
+@dataclass(frozen=True)
+class _Placed:
+    """One run of rows on the grid: template, then column and in-cell
+    fraction of each query's arrival and end."""
+
+    template: np.ndarray
+    a_col: np.ndarray
+    a_frac: np.ndarray
+    e_col: np.ndarray
+    e_frac: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Cells of ``1000 / buckets`` ms from ``origin_ms`` on.
+
+    A position's *column* is its cell plus one, clipped to
+    ``[0, cells + 1]``: column 0 is before the grid, ``cells + 1`` after.
+    """
+
+    origin_ms: int
+    buckets: int
+    cells: int
+
+    def place(self, template: np.ndarray, arrive_ms: np.ndarray, response_ms: np.ndarray) -> _Placed:
+        """Column and in-cell fraction of each query's arrival and end."""
+        # Positions in cells, shifted by one so the column is the floor.
+        start = arrive_ms - self.origin_ms
+        start *= self.buckets
+        start += 1000
+        end = response_ms * self.buckets
+        end += start
+        end /= 1000.0
+        return _Placed(template, *self._column(start / 1000.0), *self._column(end))
+
+    def _column(self, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column and fraction; ``position`` becomes the fraction."""
+        whole = np.floor(position)
+        position -= whole
+        np.clip(whole, 0, self.cells + 1, out=whole)
+        return whole.astype(np.int64), position
+
+    def coverage(self, chunks: list[_Placed], lo: int, hi: int, slots: np.ndarray, pooled: bool = False):
+        """Expected session of templates ``[lo, hi)`` in the cells ``slots``.
+
+        ``slots`` are sorted, distinct cell indices.  Returns one row
+        per template, or one row in all when ``pooled``.  Slot ``i`` lies
+        wholly inside a query when ``rank(a) ≤ i < rank(e)``, where
+        ``rank`` counts the slots below an endpoint's column: a
+        difference array and one cumsum.  An endpoint inside a slot adds
+        (end) or takes away (arrival) its fraction there.  Rows have a
+        spare column before the slots and one after; ranks past every
+        slot and fractions outside every slot land in the last.  With
+        every cell a slot, rows and columns line up and need no lookup.
+        """
+        width = len(slots) + 2
+        is_slot = np.zeros(self.cells + 2, dtype=bool)
+        is_slot[slots + 1] = True
+        rank_at = 1 + np.cumsum(is_slot) - is_slot
+        frac_at = np.where(is_slot, rank_at, width - 1)
+        stride = 0 if pooled else width
+        steps = np.zeros((1 if pooled else hi - lo, width), dtype=np.int64)
+        fracs = np.zeros(steps.shape)
+        flat_steps, flat_fracs = steps.ravel(), fracs.ravel()
+        for chunk in chunks:
+            # Rows are in template order: templates [lo, hi) are a slice.
+            i, j = np.searchsorted(chunk.template, (lo, hi))
+            if i == j:
                 continue
-            coverage = CoverageFunction(tq.arrive_ms, tq.response_ms)
-            values = coverage.expected_session(sel_start, sel_end)
-            per_template[sql_id] = TimeSeries(values, start=ts, name=sql_id)
-            total += values
-        return SessionEstimate(
-            per_template=per_template,
-            total=TimeSeries(total, start=ts, name="estimated_session"),
-            selected_buckets=np.asarray(selected, dtype=np.int64),
-        )
+            template = chunk.template[i:j]
+            first = (template[0] - lo) * stride
+            part = slice(first, (template[-1] - lo) * stride + width)
+            count = part.stop - first
+            a_step = a_slot = chunk.a_col[i:j]
+            e_step = e_slot = chunk.e_col[i:j]
+            if not pooled:
+                row = (template - template[0]) * width
+                a_step, a_slot = rank_at[a_step] + row, frac_at[a_slot] + row
+                e_step, e_slot = rank_at[e_step] + row, frac_at[e_slot] + row
+            flat_steps[part] += np.bincount(a_step, minlength=count)
+            flat_steps[part] -= np.bincount(e_step, minlength=count)
+            flat_fracs[part] += np.bincount(e_slot, weights=chunk.e_frac[i:j], minlength=count)
+            flat_fracs[part] -= np.bincount(a_slot, weights=chunk.a_frac[i:j], minlength=count)
+        np.cumsum(steps, axis=1, out=steps)
+        fracs += steps
+        return fracs[:, 1:-1]
+
+
+def _estimate_of(sql_ids: list[str], values: np.ndarray, ts: int, selected) -> SessionEstimate:
+    """Wrap a templates × seconds array (rows in ``sql_ids`` order)."""
+    return SessionEstimate(
+        per_template={
+            sql_id: TimeSeries(row, start=ts, name=sql_id)
+            for sql_id, row in zip(sql_ids, values)
+        },
+        total=TimeSeries(values.sum(axis=0), start=ts, name="estimated_session"),
+        selected_buckets=np.asarray(selected, dtype=np.int64),
+    )

@@ -10,7 +10,9 @@ the Basic Perception layer and the history-trend verification step.
 from repro.timeseries.series import TimeSeries
 from repro.timeseries.correlation import (
     pearson,
+    pearson_rows,
     weighted_pearson,
+    weighted_pearson_rows,
     sigmoid_anomaly_weights,
 )
 from repro.timeseries.detectors import (
@@ -25,7 +27,9 @@ from repro.timeseries.features import AnomalousFeature, FeatureKind
 __all__ = [
     "TimeSeries",
     "pearson",
+    "pearson_rows",
     "weighted_pearson",
+    "weighted_pearson_rows",
     "sigmoid_anomaly_weights",
     "Detection",
     "SpikeDetector",

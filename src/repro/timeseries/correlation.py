@@ -13,7 +13,13 @@ import numpy as np
 
 from repro.timeseries.series import TimeSeries
 
-__all__ = ["pearson", "weighted_pearson", "sigmoid_anomaly_weights"]
+__all__ = [
+    "pearson",
+    "pearson_rows",
+    "weighted_pearson",
+    "weighted_pearson_rows",
+    "sigmoid_anomaly_weights",
+]
 
 #: Variance floor below which a series is treated as constant.
 _EPS = 1e-12
@@ -72,6 +78,52 @@ def weighted_pearson(x, y, weights) -> float:
         return 0.0
     r = cov / np.sqrt(vx * vy)
     return float(np.clip(r, -1.0, 1.0))
+
+
+def pearson_rows(rows: np.ndarray, y) -> np.ndarray:
+    """:func:`pearson` of each row of a 2-D array with ``y``.
+
+    Row sums use ``sum(axis=1)``, so identical rows score identically.
+    """
+    xa, ya = np.asarray(rows, dtype=np.float64), _as_array(y)
+    if xa.shape[1] != len(ya):
+        raise ValueError(f"length mismatch: {xa.shape[1]} vs {len(ya)}")
+    if len(ya) < 2:
+        return np.zeros(len(xa))
+    xc = xa - xa.mean(axis=1, keepdims=True)
+    yc = ya - ya.mean()
+    vx = (xc * xc).sum(axis=1)
+    vy = float(np.dot(yc, yc))
+    return _clipped_ratio((xc * yc).sum(axis=1), vx, vy)
+
+
+def weighted_pearson_rows(rows: np.ndarray, y, weights) -> np.ndarray:
+    """:func:`weighted_pearson` of each row of a 2-D array with ``y``."""
+    xa, ya = np.asarray(rows, dtype=np.float64), _as_array(y)
+    w = np.asarray(weights, dtype=np.float64)
+    if not (xa.shape[1] == len(ya) == len(w)):
+        raise ValueError("rows, y and weights must share a length")
+    wsum = float(w.sum())
+    if len(ya) < 2 or wsum < _EPS:
+        return np.zeros(len(xa))
+    mx = (xa * w).sum(axis=1, keepdims=True) / wsum
+    my = float(np.dot(w, ya)) / wsum
+    xc = xa - mx
+    yc = ya - my
+    cov = (xc * yc * w).sum(axis=1) / wsum
+    vx = (xc * xc * w).sum(axis=1) / wsum
+    vy = float(np.dot(w, yc * yc)) / wsum
+    return _clipped_ratio(cov, vx, vy)
+
+
+def _clipped_ratio(cov: np.ndarray, vx: np.ndarray, vy: float) -> np.ndarray:
+    """``cov / sqrt(vx·vy)`` in [−1, 1], and 0 where either variance < _EPS."""
+    r = np.zeros(len(cov))
+    if vy < _EPS:
+        return r
+    ok = ~(vx < _EPS)
+    r[ok] = cov[ok] / np.sqrt(vx[ok] * vy)
+    return np.clip(r, -1.0, 1.0)
 
 
 def sigmoid_anomaly_weights(

@@ -86,6 +86,18 @@ class TestStoreOperations:
         assert minute.interval == 60
         assert list(minute.executions("A").values) == [60.0, 60.0]
 
+    def test_resample_selected_metrics(self):
+        store = aggregate_query_log(make_log(), start=10, end=13)
+        full = store.resample(3)
+        executions = store.resample(3, metrics=("#execution",))
+        assert executions.sql_ids == full.sql_ids
+        for sql_id in store.sql_ids:
+            np.testing.assert_array_equal(
+                executions.executions(sql_id).values, full.executions(sql_id).values
+            )
+        assert executions.total_response_time("A").total() == 0.0
+        assert full.total_response_time("A").total() > 0.0
+
     def test_window_restriction(self):
         store = aggregate_query_log(make_log(), start=10, end=13)
         sub = store.window(11, 13)

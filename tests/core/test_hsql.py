@@ -9,7 +9,7 @@ from repro.core.case import AnomalyCase
 from repro.collection import LogStore, TemplateMetricStore
 from repro.dbsim.monitor import InstanceMetrics
 from repro.sqltemplate import TemplateCatalog
-from repro.timeseries import TimeSeries
+from repro.timeseries import TimeSeries, pearson, sigmoid_anomaly_weights, weighted_pearson
 
 
 def synthetic_case_and_sessions(n=600, as_=400, ae=600):
@@ -116,6 +116,43 @@ class TestWeighting:
         )
         ranking = HsqlIdentifier().identify(case, empty)
         assert ranking.ranked_ids == []
+
+
+class TestMatrixScores:
+    def test_matrix_scores_match_per_template_correlations(self):
+        # The level scores are computed for all templates as one matrix;
+        # each must match the per-template Pearson it replaces, including
+        # constant and all-zero templates and seconds with no session.
+        case, sessions = synthetic_case_and_sessions()
+        n = case.duration
+        session = case.active_session.values
+        session[:20] = 0.0
+        rng = np.random.default_rng(5)
+        per_template = dict(sessions.per_template)
+        per_template["NOISE"] = TimeSeries(rng.normal(4.0, 1.0, n), start=0)
+        per_template["CONST"] = TimeSeries(np.full(n, 2.5), start=0)
+        per_template["ZERO"] = TimeSeries(np.zeros(n), start=0)
+        sessions = SessionEstimate(
+            per_template=per_template,
+            total=sessions.total,
+            selected_buckets=np.zeros(0, dtype=np.int64),
+        )
+        ranking = HsqlIdentifier().identify(case, sessions)
+
+        weights = sigmoid_anomaly_weights(
+            case.ts, case.te, case.anomaly_start, case.anomaly_end, 30.0
+        )
+        safe = np.where(session == 0.0, np.nan, session)
+        for score in ranking.scores:
+            values = per_template[score.sql_id].values
+            share = np.nan_to_num(values / safe, nan=0.0)
+            assert score.trend == pytest.approx(
+                weighted_pearson(values, session, weights), rel=0, abs=1e-12
+            )
+            assert score.scale_trend == pytest.approx(pearson(share, session), rel=0, abs=1e-12)
+        by_id = {s.sql_id: s for s in ranking.scores}
+        assert by_id["CONST"].trend == 0.0 and by_id["ZERO"].trend == 0.0
+        assert by_id["ZERO"].scale_trend == 0.0
 
 
 class TestOnSimulatedCase:

@@ -231,6 +231,38 @@ class TestHistoryVerification:
         assert ident.verify_history(case, ["SURGE", "FLAT"]) == ["SURGE", "FLAT"]
 
 
+class TestSharedResample:
+    def test_identify_resamples_executions_once(self, monkeypatch):
+        # Clustering and history verification share one resample of
+        # #execution, even when verification widens to every template.
+        case = TestHistoryVerification()._case_with_history(history_anomalous=True)
+        calls = []
+        original = TemplateMetricStore.resample
+
+        def counting(self, factor, metrics=None):
+            calls.append((factor, metrics))
+            return original(self, factor, metrics)
+
+        monkeypatch.setattr(TemplateMetricStore, "resample", counting)
+        ident = RsqlIdentifier(clustering_interval_s=60, history_days=(1,))
+        sessions = sessions_for(case, {"SURGE": case.active_session.values, "FLAT": np.ones(600)})
+        result = ident.identify(case, hsql_ranking({"SURGE": 1.0, "FLAT": 0.5}), sessions)
+        assert result.widened
+        assert calls == [(60, ("#execution",))]
+
+    def test_stages_give_the_same_answer_with_shared_executions(self):
+        case = TestHistoryVerification()._case_with_history(history_anomalous=False)
+        ident = RsqlIdentifier(clustering_interval_s=60, history_days=(1,))
+        executions = ident.executions(case)
+        assert executions.interval == 60
+        own = sorted(sorted(c.sql_ids) for c in ident.cluster_templates(case))
+        shared = sorted(sorted(c.sql_ids) for c in ident.cluster_templates(case, executions))
+        assert own == shared
+        assert ident.verify_history(case, ["SURGE", "FLAT"]) == ident.verify_history(
+            case, ["SURGE", "FLAT"], executions
+        )
+
+
 class TestFinalRanking:
     def test_rank_by_execution_session_correlation(self):
         n = 600

@@ -1,5 +1,8 @@
 """Tests for individual active-session estimation (paper Sec. IV-C)."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,3 +203,114 @@ class TestMultiSecondSpan:
     def test_invalid_span(self):
         with pytest.raises(ValueError):
             SessionEstimator(span_seconds=0)
+
+
+def _exact_reference(queries, ts, n, buckets, span, observed):
+    """Bucket selection and per-template values from per-query overlaps,
+    each sum taken exactly with ``math.fsum``."""
+    width = 1000.0 / buckets
+
+    def expected(rows, lo):
+        overlaps = (max(0.0, min(a + r, lo + width) - max(a, lo)) for a, r in rows)
+        return math.fsum(overlaps) / width
+
+    pooled_rows = [row for rows in queries.values() for row in rows]
+    lows = [
+        [(ts + i) * 1000.0 + j * width for j in range(buckets * span)] for i in range(n)
+    ]
+    pooled = np.array([[expected(pooled_rows, lo) for lo in row] for row in lows])
+    selected = np.argmin(np.abs(pooled - observed[:, None]), axis=1)
+    per_template = {
+        sql_id: np.array([expected(rows, lows[i][selected[i]]) for i in range(n)])
+        for sql_id, rows in queries.items()
+    }
+    return selected, per_template
+
+
+class TestOnePassEstimation:
+    """The pooled grid estimator against an exact per-query reference."""
+
+    @given(
+        st.sampled_from([1, 3, 10]),
+        st.sampled_from([1, 2]),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_exact_reference(self, buckets, span, n, seed):
+        rng = np.random.default_rng(seed)
+        ts = 400
+        queries = {}
+        for t in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(0, 25))
+            # Arrivals from 3 s before ts; long queries run past te.
+            arrive = rng.integers((ts - 3) * 1000, (ts + n) * 1000, k)
+            long = rng.random(k) < 0.3
+            response = np.where(
+                long, rng.uniform(1_000, 5_000, k), rng.exponential(60.0, k) + 0.5
+            )
+            queries[f"T{t}"] = list(zip(arrive.tolist(), response.tolist()))
+        # One query always starts before ts and ends after te.
+        queries["T0"].append(((ts - 2) * 1000 + 17, (n + 3) * 1000.5))
+        observed = rng.integers(0, 4, n).astype(float)
+        store = _make_logstore(
+            [_batch(sid, [a for a, _ in rows], [r for _, r in rows]) for sid, rows in queries.items()]
+        )
+        mode = SessionEstimationMode.NO_BUCKETS if buckets == 1 else SessionEstimationMode.BUCKETS
+        est = SessionEstimator(mode, buckets=buckets, span_seconds=span).estimate(
+            store, list(queries), TimeSeries(observed, start=ts)
+        )
+
+        selected, expected = _exact_reference(
+            queries, ts, n, buckets, span if buckets > 1 else 1, observed
+        )
+        if buckets == 1:
+            assert len(est.selected_buckets) == 0
+        else:
+            np.testing.assert_array_equal(est.selected_buckets, selected)
+        for sql_id, values in expected.items():
+            np.testing.assert_allclose(est.get(sql_id).values, values, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            est.total.values, np.sum(list(expected.values()), axis=0), rtol=0, atol=1e-9
+        )
+
+    def test_memory_stays_below_the_full_grid(self):
+        # Paper-scale template count and window, a few rows per template:
+        # a templates x seconds x K float64 grid would be 288 MB.
+        n_templates, n, buckets, ts = 2_000, 1_800, 10, 1_000
+        rng = np.random.default_rng(3)
+        log = QueryLog()
+        for t in range(n_templates):
+            arrive = rng.integers(ts * 1000, (ts + n) * 1000, 3)
+            log.append(SecondBatch(f"T{t}", arrive, rng.exponential(200.0, 3), np.ones(3)))
+        store = LogStore()
+        store.ingest_query_log(log)
+        observed = TimeSeries(rng.integers(0, 3, n).astype(float), start=ts)
+        estimator = SessionEstimator(SessionEstimationMode.BUCKETS, buckets=buckets)
+        sql_ids = [f"T{t}" for t in range(n_templates)]
+
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            est = estimator.estimate(store, sql_ids, observed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < n_templates * n * buckets * 8 / 4
+        assert est.total.values.sum() == pytest.approx(
+            sum(est.get(sid).values.sum() for sid in sql_ids)
+        )
+
+    def test_response_time_mode_sums_in_row_order(self):
+        # Estimate-by-RT is one bincount over template x second; each bin
+        # must add its rows in arrival order, as a per-template loop did.
+        rng = np.random.default_rng(11)
+        arrive = np.sort(rng.integers(0, 5_000, 400))
+        response = rng.exponential(300.0, 400)
+        store = _make_logstore([_batch("A", arrive, response), _batch("B", arrive[::2], response[::2])])
+        est = SessionEstimator(SessionEstimationMode.RESPONSE_TIME).estimate(
+            store, ["A", "B"], TimeSeries(np.zeros(5), start=0)
+        )
+        for sql_id, (a, r) in {"A": (arrive, response), "B": (arrive[::2], response[::2])}.items():
+            expected = np.bincount(a // 1000, weights=r, minlength=5) / 1000.0
+            np.testing.assert_array_equal(est.get(sql_id).values, expected)

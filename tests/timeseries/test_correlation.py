@@ -9,8 +9,10 @@ from hypothesis.extra import numpy as hnp
 from repro.timeseries import (
     TimeSeries,
     pearson,
+    pearson_rows,
     sigmoid_anomaly_weights,
     weighted_pearson,
+    weighted_pearson_rows,
 )
 
 
@@ -113,6 +115,42 @@ class TestWeightedPearson:
         w = rng.uniform(0, 1, size=n)
         r = weighted_pearson(x, y, w)
         assert -1.0 <= r <= 1.0
+
+
+class TestRowwise:
+    def _rows(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return np.vstack([
+            rng.normal(size=n),
+            np.full(n, 3.0),
+            np.zeros(n),
+            np.linspace(0.0, 1.0, n),
+        ]), rng.normal(size=n), rng.uniform(0, 1, size=n)
+
+    @given(st.integers(2, 60), st.integers(0, 1_000))
+    @settings(max_examples=40)
+    def test_property_matches_scalar(self, n, seed):
+        rows, y, w = self._rows(n, seed)
+        plain = pearson_rows(rows, y)
+        weighted = weighted_pearson_rows(rows, y, w)
+        for i, row in enumerate(rows):
+            assert plain[i] == pytest.approx(pearson(row, y), rel=0, abs=1e-12)
+            assert weighted[i] == pytest.approx(weighted_pearson(row, y, w), rel=0, abs=1e-12)
+
+    def test_identical_rows_score_identically(self):
+        rng = np.random.default_rng(2)
+        y = rng.normal(size=1801)
+        rows = np.tile(rng.normal(size=1801), (9, 1))
+        assert len(set(pearson_rows(rows, y))) == 1
+        assert len(set(weighted_pearson_rows(rows, y, rng.uniform(size=1801)))) == 1
+
+    def test_degenerate_inputs_are_zero(self):
+        rows, y, w = self._rows(8, 0)
+        assert (pearson_rows(rows, np.full(8, 2.0)) == 0.0).all()
+        assert (weighted_pearson_rows(rows, y, np.zeros(8)) == 0.0).all()
+        assert (pearson_rows(rows[:, :1], y[:1]) == 0.0).all()
+        with pytest.raises(ValueError):
+            pearson_rows(rows, y[:5])
 
 
 class TestSigmoidWeights:
