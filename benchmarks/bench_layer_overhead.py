@@ -231,13 +231,10 @@ def health_row(request, tmp_path) -> Row:
         """Replay the fleet through a fresh service; returns its diagnoses."""
         config = ServiceConfig(delta_start_s=300, detector_window_s=DURATION)
         service = FleetDiagnosisService(
-            Broker(), FleetConfig(service=config, workers=2, prune_broker=True),
+            Broker(), FleetConfig(service=config, prune_broker=True),
             sweeper=sweeper,
         )
-        try:
-            replay_chronologically(service, feeds, DURATION, CHUNK_S)
-        finally:
-            service.close()
+        replay_chronologically(service, feeds, DURATION, CHUNK_S)
         return len(service.diagnoses)
 
     def sweeping(feeds) -> tuple[int, HealthSweeper]:

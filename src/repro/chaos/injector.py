@@ -1,10 +1,10 @@
 """The fault injector: wraps the substrate, injects per the plan.
 
 Every decision is a pure hash of ``(seed, kind, scope, sequence)`` —
-no shared RNG state — so injection is reproducible bit-for-bit even
-when fleet workers interleave on threads.  Stream faults decide per
-row: each published block gets one draw array per fault kind, seeded
-from that hash.  The injector never touches the dead-letter topic:
+no shared RNG state — so injection is reproducible bit-for-bit
+whichever order or process the fleet steps instances in.  Stream
+faults decide per row: each published block gets one draw array per
+fault kind, seeded from that hash.  The injector never touches the dead-letter topic:
 quarantined evidence must survive the chaos that produced it.
 """
 

@@ -7,7 +7,7 @@ Seven subcommands cover the adoption path:
 * ``repro evaluate``   — run the Table-I comparison over a corpus;
 * ``repro demo``       — generate-and-diagnose in one go;
 * ``repro fleet-demo`` — simulate a fleet of instances on one broker and
-  diagnose them concurrently with the sharded worker pool;
+  diagnose them in one in-process fleet loop;
   ``--record DIR`` persists every diagnosis to an incident store;
   ``--processes N`` drains over the columnar dataplane in N worker
   processes, with spans and telemetry merged back into the parent;
@@ -100,12 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet-demo",
-        help="simulate and diagnose a fleet of instances concurrently",
+        help="simulate and diagnose a fleet of instances",
     )
     fleet.add_argument("--instances", type=int, default=8,
                        help="monitored database instances to simulate")
-    fleet.add_argument("--workers", type=int, default=4,
-                       help="diagnosis worker threads (instances are sharded)")
     fleet.add_argument("--anomalous", type=int, default=None,
                        help="instances given an injected anomaly "
                             "(default: half, at least one)")
@@ -126,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "--record, findings persist under DIR/health")
     fleet.add_argument("--processes", type=int, default=0, metavar="N",
                        help="diagnose in N worker processes over the "
-                            "columnar dataplane instead of in-process "
-                            "threads; worker spans and telemetry merge back "
+                            "columnar dataplane instead of the in-process "
+                            "loop; worker spans and telemetry merge back "
                             "into the parent (recorded incidents carry "
                             "cross-process traces)")
 
@@ -296,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "over --incidents)")
     h_sweep.add_argument("--duration", type=int, default=600,
                          help="simulated seconds per instance (--fleet mode)")
-    h_sweep.add_argument("--workers", type=int, default=2,
-                         help="diagnosis workers (--fleet mode)")
     h_sweep.add_argument("--seed", type=int, default=7)
     h_sweep.add_argument("--json", action="store_true",
                          help="emit the sweep result as JSON")
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: ceil(instances * 2/3))")
     chaos.add_argument("--duration", type=int, default=480,
                        help="simulated seconds per instance")
-    chaos.add_argument("--workers", type=int, default=2)
     chaos_src = chaos.add_mutually_exclusive_group()
     chaos_src.add_argument(
         "--faults", default=None, metavar="KIND[,KIND...]",
@@ -585,7 +580,6 @@ def _simulate_fleet(n_instances: int, anomalous: int, duration: int, seed: int):
 
 def _run_fleet(
     n_instances: int,
-    workers: int,
     anomalous: int,
     duration: int,
     seed: int,
@@ -612,7 +606,6 @@ def _run_fleet(
         service=ServiceConfig(
             delta_start_s=min(500, onset - 60), detector_window_s=duration
         ),
-        workers=workers,
         prune_broker=prune,
     )
     recorder = None
@@ -625,7 +618,6 @@ def _run_fleet(
     service = FleetDiagnosisService(broker, config, recorder=recorder, sweeper=sweeper)
     register_fleet(service, statements)
     service.run_until_drained()
-    service.close()
     return service, truths
 
 
@@ -740,10 +732,7 @@ def cmd_fleet_demo(args) -> int:
     anomalous = min(anomalous, args.instances)
     record_dir = getattr(args, "record", None)
     processes = getattr(args, "processes", 0)
-    how = (
-        f"in {processes} processes" if processes > 1
-        else f"with {args.workers} workers"
-    )
+    how = f"in {processes} processes" if processes > 1 else "in-process"
     print(
         f"simulating {args.instances} instances ({anomalous} anomalous) "
         f"for {args.duration}s, diagnosing {how} ..."
@@ -765,9 +754,8 @@ def cmd_fleet_demo(args) -> int:
             findings_store = FindingsStore(Path(record_dir) / "health")
         sweeper = HealthSweeper(store=findings_store)
     service, truths = _run_fleet(
-        args.instances, args.workers, anomalous,
-        args.duration, args.seed, prune=not args.no_prune,
-        record_dir=record_dir, sweeper=sweeper,
+        args.instances, anomalous, args.duration, args.seed,
+        prune=not args.no_prune, record_dir=record_dir, sweeper=sweeper,
     )
     rows, misattributed = [], 0
     for instance_id in service.instance_ids:
@@ -873,7 +861,6 @@ def cmd_obs(args) -> int:
     if args.fleet > 0:
         _run_fleet(
             args.fleet,
-            workers=min(4, args.fleet),
             anomalous=max(1, args.fleet // 2),
             duration=600,
             seed=args.seed,
@@ -1277,8 +1264,8 @@ def _health_sweep(args) -> int:
             flush=True,
         )
         service, _ = _run_fleet(
-            args.fleet, args.workers, anomalous, args.duration,
-            args.seed, prune=True, sweeper=sweeper,
+            args.fleet, anomalous, args.duration, args.seed,
+            prune=True, sweeper=sweeper,
         )
         # Scheduled sweeps already ran during the replay; one more final
         # sweep reflects the fleet's state at shutdown, and only its
@@ -1434,7 +1421,6 @@ def cmd_chaos(args) -> int:
             n_instances=args.instances,
             anomalous=anomalous,
             duration_s=args.duration,
-            workers=args.workers,
             fault_kinds=kinds,
             diagnosis_budget_s=args.budget,
             record_dir=str(args.record) if args.record is not None else None,

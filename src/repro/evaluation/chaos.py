@@ -74,7 +74,9 @@ class ChaosHarnessConfig:
     #: The first ``anomalous`` instances get an injected row-lock storm.
     anomalous: int = 2
     duration_s: int = 480
-    workers: int = 2
+    #: Kept only so existing callers that pass ``workers=1`` still
+    #: construct; it selects nothing (the fleet loop runs in-process).
+    workers: int = 1
     #: Prune the broker between steps — required to exercise the
     #: stuck-offset resync path under late/backpressure faults.
     prune_broker: bool = True
@@ -97,6 +99,11 @@ class ChaosHarnessConfig:
             raise ValueError("n_instances must be at least 1")
         if not 0 <= self.anomalous <= self.n_instances:
             raise ValueError("anomalous must be within [0, n_instances]")
+        if self.workers != 1:
+            raise ValueError(
+                "workers must be 1: chaos runs diagnose in-process; use "
+                "run_sharded(processes=N) to diagnose in parallel"
+            )
         unknown = set(self.fault_kinds) - set(FAULT_KINDS)
         if unknown:
             raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
@@ -304,7 +311,6 @@ def run_fault_class(
             detector_window_s=fixture.duration_s,
             diagnosis_budget_s=cfg.diagnosis_budget_s,
         ),
-        workers=cfg.workers,
         prune_broker=cfg.prune_broker,
     )
     service = FleetDiagnosisService(
@@ -334,8 +340,6 @@ def run_fault_class(
             extra={"fault": fault, "error": type(exc).__name__},
             exc_info=True,
         )
-    finally:
-        service.close()
 
     diagnoses = service.diagnoses
     if diagnoses_out is not None:

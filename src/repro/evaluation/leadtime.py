@@ -88,7 +88,6 @@ class LeadTimeConfig:
     chunk_s: int = 60
     sweep_interval_s: int = 120
     sweep_window_s: int = 300
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.creeping <= self.n_instances:
@@ -268,16 +267,12 @@ def run_leadtime(cfg: LeadTimeConfig | None = None) -> LeadTimeReport:
                 delta_start_s=min(500, cfg.creep_start_s),
                 detector_window_s=cfg.duration_s,
             ),
-            workers=cfg.workers,
         ),
         registry=registry,
         sweeper=sweeper,
     )
     register_fleet(service, fixture.exemplars)
-    try:
-        replay_chronologically(service, fixture.feeds, cfg.duration_s, cfg.chunk_s)
-    finally:
-        service.close()
+    replay_chronologically(service, fixture.feeds, cfg.duration_s, cfg.chunk_s)
 
     creeping = tuple(i for i, truth in fixture.truths.items() if truth.anomalous)
     report = LeadTimeReport(config=cfg, creeping_instances=creeping)

@@ -1,16 +1,16 @@
-"""Fleet-scale diagnosis: sharded scheduling, worker pool.
+"""Fleet-scale diagnosis: one in-process loop, sharded worker processes.
 
 One PinSQL deployment watches many database instances.  This package
-holds the control plane for that: :class:`DiagnosisScheduler` (which
-worker owns which instance), :class:`InstanceDiagnosisEngine` (one
-instance's end-to-end loop) and :class:`FleetDiagnosisService` (the
-whole fleet behind one ``step()``/``run_until_drained()``).  The
-single-instance :class:`~repro.service.PinSqlService` is a facade over
-the engine.
+holds the control plane for that: :class:`InstanceDiagnosisEngine` (one
+instance's end-to-end loop), :class:`FleetDiagnosisService` (the whole
+fleet behind one ``step()``/``run_until_drained()`` on the caller's
+thread) and :func:`run_sharded` (the fleet sharded by
+:func:`stable_shard` over a :class:`PersistentWorkerPool` of processes,
+the only way to diagnose in parallel).  The single-instance
+:class:`~repro.service.PinSqlService` is a facade over the engine.
 """
 
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
-from repro.fleet.scheduler import DiagnosisScheduler, stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
 from repro.fleet.sharded import run_sharded
 from repro.fleet.workers import (
@@ -18,12 +18,12 @@ from repro.fleet.workers import (
     PersistentWorkerPool,
     WorkItem,
     execute_work_item,
+    stable_shard,
 )
 
 __all__ = [
     "BlockFeed",
     "Diagnosis",
-    "DiagnosisScheduler",
     "FleetConfig",
     "FleetDiagnosisService",
     "InstanceDiagnosisEngine",

@@ -11,8 +11,9 @@ telemetry).
 
 Every engine is self-contained — consumers, detector buffers, log
 store, template catalog, emitted-anomaly dedup state — so
-instances never share mutable state and a worker thread can step one
-engine without synchronising with the others.
+instances never share mutable state and an engine steps the same
+whether the fleet loop runs it in this process or a worker process
+does.
 """
 
 from __future__ import annotations
@@ -179,8 +180,7 @@ class InstanceDiagnosisEngine:
     selfmon:
         Optional :class:`SelfMonitor`.  Defaults to a private one for
         the single-instance path; the fleet passes ``None`` and samples
-        one fleet-level monitor itself (sampling walks the whole
-        registry and must not run concurrently from many workers).
+        one fleet-level monitor itself, once per fleet step.
     """
 
     def __init__(

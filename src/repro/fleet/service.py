@@ -1,29 +1,27 @@
-"""Fleet diagnosis service: many instances, one broker, N workers.
+"""Fleet diagnosis service: many instances, one broker, one loop.
 
 The production PinSQL deployment watches thousands of instances with a
 shared collection substrate (Kafka + LogStore) and a pool of diagnosis
-workers.  This module reproduces that shape at repo scale:
+workers.  This module reproduces one such worker at repo scale:
 
 - every registered instance gets its own
   :class:`~repro.fleet.engine.InstanceDiagnosisEngine` reading the
   instance-keyed topic partitions (``query_logs.<id>`` etc.);
-- a :class:`~repro.fleet.scheduler.DiagnosisScheduler` deterministically
-  shards instances over ``workers`` threads, so one :meth:`step` of the
-  fleet advances every instance concurrently while each instance's
-  state stays single-threaded (engines never share mutable state);
+- one :meth:`step` of the fleet advances every engine in registration
+  order on the caller's thread (engines never share mutable state).
+  Multicore runs shard instances over worker processes instead
+  (:func:`~repro.fleet.sharded.run_sharded`), each running this loop;
 - each engine keeps its instance's raw logs in its own retention-bounded
   :class:`~repro.collection.logstore.LogStore`, and the broker can be
   pruned each step once all engines have consumed
   (``FleetConfig.prune_broker``) — the memory bounds that make an
   always-on fleet viable;
-- self-monitoring samples the registry once per fleet step, after the
-  worker pool has joined (sampling walks the whole registry and must
-  not run concurrently with instrument creation).
+- self-monitoring samples the registry once per fleet step, after
+  every engine has stepped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -34,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (incidents → core)
 from repro.collection.stream import Broker
 from repro.dbsim.instance import DatabaseInstance
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
-from repro.fleet.scheduler import DiagnosisScheduler
 from repro.sqltemplate import TemplateCatalog
 from repro.telemetry import MetricsRegistry, SelfMonitor, get_logger, get_registry
 from repro.timeseries import TimeSeries
@@ -51,7 +48,9 @@ class FleetConfig:
     #: Default per-instance service configuration (overridable per
     #: instance at registration time).
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: Diagnosis worker threads; instances are sharded over them.
+    #: Kept only so existing callers that pass ``workers=1`` still
+    #: construct; it selects nothing.  The fleet loop steps every
+    #: instance on the caller's thread.
     workers: int = 1
     #: Prune broker topics each step once every consumer has read them.
     #: Off by default: archival replay (fresh consumers reading from
@@ -64,8 +63,11 @@ class FleetConfig:
     max_worker_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
+        if self.workers != 1:
+            raise ValueError(
+                "workers must be 1: the fleet loop runs in-process; use "
+                "run_sharded(processes=N) to diagnose in parallel"
+            )
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be non-negative")
 
@@ -91,19 +93,15 @@ class FleetDiagnosisService:
         #: before every engine step; an exception it raises is treated
         #: exactly like a worker crash (supervised restart).
         self.fault_hook = fault_hook
-        #: Shared incident flight recorder handed to every engine; its
-        #: store serialises appends, so fleet workers may share one.
+        #: Shared incident flight recorder handed to every engine.
         self.recorder = recorder
         #: Optional proactive health sweeper; its scheduled sweeps run
-        #: in step() housekeeping (after the worker pool has joined, so
-        #: they never race engine state).
+        #: in step() housekeeping, after every engine has stepped.
         self.sweeper = sweeper
-        self.scheduler = DiagnosisScheduler(self.config.workers)
         self.selfmon = SelfMonitor(
             self.registry, window_s=self.config.service.detector_window_s
         )
         self._engines: dict[str, InstanceDiagnosisEngine] = {}
-        self._executor: ThreadPoolExecutor | None = None
         self._m_steps = self.registry.counter(
             "fleet_steps_total", help="Fleet loop iterations."
         )
@@ -181,26 +179,14 @@ class FleetDiagnosisService:
     def step(self) -> list[Diagnosis]:
         """One fleet iteration: step every instance, then housekeeping.
 
-        Shards are stepped concurrently on the worker pool; within a
-        shard, instances advance sequentially.  Housekeeping (broker
-        pruning, self-monitor sampling) runs after the pool has joined,
-        so it never races the workers.
+        Instances advance one after the other in registration order.
+        Housekeeping (broker pruning, self-monitor sampling, scheduled
+        health sweeps) runs once every engine has stepped.
         """
         self._m_steps.inc()
-        engine_ids = list(self._engines)
         produced: list[Diagnosis] = []
-        if self.config.workers == 1 or len(engine_ids) <= 1:
-            for instance_id in engine_ids:
-                produced.extend(self._step_instance(instance_id))
-        else:
-            shards = [
-                s for s in self.scheduler.partition(engine_ids) if s
-            ]
-            futures = [
-                self._pool().submit(self._step_shard, shard) for shard in shards
-            ]
-            for future in futures:
-                produced.extend(future.result())
+        for instance_id in list(self._engines):
+            produced.extend(self._step_instance(instance_id))
         if produced:
             self._m_diagnoses.inc(len(produced))
         if self.config.prune_broker:
@@ -214,12 +200,6 @@ class FleetDiagnosisService:
             self.selfmon.sample(max(stream_times))
             if self.sweeper is not None:
                 self.sweeper.maybe_sweep(self, now=max(stream_times))
-        return produced
-
-    def _step_shard(self, instance_ids: list[str]) -> list[Diagnosis]:
-        produced: list[Diagnosis] = []
-        for instance_id in instance_ids:
-            produced.extend(self._step_instance(instance_id))
         return produced
 
     def _step_instance(self, instance_id: str) -> list[Diagnosis]:
@@ -303,22 +283,10 @@ class FleetDiagnosisService:
         return produced
 
     # ------------------------------------------------------------------
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="fleet-worker",
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
+    # Kept as a no-op so ``with service:`` callers still work; the
+    # service holds no resources to release.
     def __enter__(self) -> "FleetDiagnosisService":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        pass

@@ -1,12 +1,11 @@
 """Process-sharded fleet runs (multicore scaling past the GIL).
 
-The fleet's thread pool keeps one process's instances concurrent, but
-PinSQL analysis is CPU-bound Python: threads interleave under the GIL
-instead of truly overlapping.  For real multicore scaling the fleet is
-sharded across *processes*: the parent partitions instances with the
-same :func:`~repro.fleet.scheduler.stable_shard` hash, ships each
-worker its instances' collected streams, and merges the per-shard
-diagnosis counts.
+PinSQL analysis is CPU-bound Python that holds the GIL, so the only
+way to diagnose instances in parallel is to shard the fleet across
+*processes*: the parent partitions instances with the
+:func:`~repro.fleet.workers.stable_shard` hash, ships each worker its
+instances' collected streams, and merges the per-shard diagnosis
+counts.
 
 Every run goes through one path: each instance's
 :class:`~repro.fleet.workers.BlockFeed` of encoded block frames becomes
@@ -31,8 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - chaos wraps fleet, import lazily
     from repro.chaos.plan import FaultPlan
 
 from repro.fleet.engine import ServiceConfig
-from repro.fleet.scheduler import stable_shard
-from repro.fleet.workers import BlockFeed, PersistentWorkerPool, WorkItem
+from repro.fleet.workers import (
+    BlockFeed,
+    PersistentWorkerPool,
+    WorkItem,
+    stable_shard,
+)
 
 __all__ = ["run_sharded"]
 

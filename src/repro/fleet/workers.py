@@ -32,10 +32,10 @@ processes:
   ``span_export_dropped_total`` and replaced by a synthetic
   ``fleet.worker_crash`` span linked to the feed's trace context.
 
-Worker routing uses the same
-:func:`~repro.fleet.scheduler.stable_shard` hash as the thread-pool
-scheduler, so each incident directory (``shard-NN``) keeps a single
-writer at any moment.
+The pool routes each item to worker ``stable_shard(instance_id, n)``,
+the same index :func:`~repro.fleet.sharded.run_sharded` names the
+item's incident directory (``shard-NN``) by, so each directory keeps a
+single writer at any moment.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import queue as queue_mod
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.collection.blocks import (
@@ -58,7 +59,6 @@ from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
 from repro.collection.quarantine import quarantine
 from repro.collection.stream import Broker, instance_topic
 from repro.fleet.engine import ServiceConfig
-from repro.fleet.scheduler import stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -80,10 +80,21 @@ __all__ = [
     "PersistentWorkerPool",
     "WorkItem",
     "execute_work_item",
+    "stable_shard",
 ]
 
 #: Exit code a worker uses for a chaos-injected hard crash.
 _CRASH_EXIT_CODE = 17
+
+
+# blake2b, not the per-process-randomised builtin ``hash``: the parent
+# and every worker process must derive the same placement.
+def stable_shard(instance_id: str, n_shards: int) -> int:
+    """Deterministic shard index in ``[0, n_shards)`` for an instance."""
+    if n_shards <= 0:
+        raise ValueError("n_shards must be positive")
+    digest = blake2b(instance_id.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % n_shards
 
 
 @dataclass
@@ -252,7 +263,7 @@ def execute_work_item(
         recorder = IncidentRecorder(IncidentStore(item.incident_dir))
     service = FleetDiagnosisService(
         broker,
-        config=FleetConfig(service=item.config or ServiceConfig(), workers=1),
+        config=FleetConfig(service=item.config or ServiceConfig()),
         registry=registry,
         recorder=recorder,
         fault_hook=fault_hook,

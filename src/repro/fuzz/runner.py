@@ -212,7 +212,6 @@ class ScenarioRunner:
             n_instances=spec.n_instances,
             anomalous=spec.anomalous,
             duration_s=spec.duration_s,
-            workers=spec.workers,
             top_k=spec.top_k,
         )
         clean_registry = MetricsRegistry()

@@ -234,6 +234,8 @@ class ScenarioSpec:
     #: Plant labelled workload-advisory bait templates.
     advisory_baits: bool = False
     faults: FaultPlan | None = None
+    #: Kept in the JSON genome only because :meth:`content_key` hashes
+    #: it into corpus entry ids; it selects nothing and must be 1.
     workers: int = 1
     top_k: int = 3
 
@@ -254,8 +256,11 @@ class ScenarioSpec:
         if not 2 <= lo <= hi <= 20:
             raise ValueError("templates_per_business must satisfy 2 <= lo <= hi <= 20")
         object.__setattr__(self, "templates_per_business", (lo, hi))
-        if not 1 <= self.workers <= 4:
-            raise ValueError("workers must be within [1, 4]")
+        if self.workers != 1:
+            raise ValueError(
+                "workers must be 1: scenarios diagnose in-process; use "
+                "run_sharded(processes=N) to diagnose in parallel"
+            )
         if not 1 <= self.top_k <= 10:
             raise ValueError("top_k must be within [1, 10]")
         start, end = self.anomaly.window(self.duration_s)

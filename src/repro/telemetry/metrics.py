@@ -262,7 +262,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
-        # Instrument *creation* is locked so concurrent fleet workers
+        # Instrument *creation* is locked so concurrent threads
         # can't race the check-then-insert and orphan an instrument; the
         # per-call fast path (existing series) stays lock-free under the
         # GIL's atomic dict reads.

@@ -31,7 +31,6 @@ def chaos_setup(tmp_path_factory):
         n_instances=3,
         anomalous=2,
         duration_s=480,
-        workers=2,
         record_dir=str(record_dir),
     )
     return cfg, run_chaos_suite(cfg)

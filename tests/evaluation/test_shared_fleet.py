@@ -7,7 +7,17 @@ import pytest
 import repro.workload
 from repro.cli import main
 from repro.evaluation.chaos import ChaosHarnessConfig, simulate_fleet
+from repro.fleet import FleetConfig
 from repro.fuzz import AnomalySpec, ScenarioSpec, build_fixture, fixture_digest
+
+
+@pytest.mark.parametrize("config", [FleetConfig, ChaosHarnessConfig, ScenarioSpec])
+def test_workers_other_than_one_is_rejected(config):
+    """``workers`` survives only for callers and corpus ids that still
+    carry it; parallel diagnosis is worker processes, never threads."""
+    assert config(workers=1).workers == 1
+    with pytest.raises(ValueError, match=r"run_sharded\(processes=N\)"):
+        config(workers=2)
 
 
 def test_chaos_and_fuzz_build_the_same_fleet():

@@ -13,7 +13,7 @@ from repro.collection import Broker, MetricsCollector, QueryLogCollector
 from repro.dbsim import DatabaseInstance
 from repro.dbsim.monitor import InstanceMetrics
 from repro.dbsim.query import QueryLog, SecondBatch
-from repro.fleet import BlockFeed, FleetConfig, FleetDiagnosisService
+from repro.fleet import BlockFeed, FleetDiagnosisService
 from repro.timeseries import TimeSeries
 from repro.workload import (
     AnomalyCategory,
@@ -78,13 +78,12 @@ def service_drain(broker, instance_ids):
 
     The reference the ``run_sharded`` and work-item paths must match:
     the instances' blocks are replayed onto a fresh broker and drained
-    by one single-threaded fleet service.
+    by one in-process fleet service.
     """
-    service = FleetDiagnosisService(replay(broker, instance_ids), FleetConfig(workers=1))
+    service = FleetDiagnosisService(replay(broker, instance_ids))
     for instance_id in instance_ids:
         service.register_instance(instance_id)
     service.run_until_drained()
-    service.close()
     return {i: len(service.diagnoses_for(i)) for i in instance_ids}
 
 

@@ -13,12 +13,11 @@ from repro.telemetry import MetricsRegistry
 from tests.fleet.conftest import ANOMALOUS, DURATION, INSTANCE_IDS
 
 
-def _build_service(broker, populations, workers, registry=None, prune=False):
+def _build_service(broker, populations, registry=None, prune=False):
     service = FleetDiagnosisService(
         broker,
         FleetConfig(
             service=ServiceConfig(delta_start_s=300, detector_window_s=DURATION),
-            workers=workers,
             prune_broker=prune,
         ),
         registry=registry,
@@ -33,8 +32,8 @@ def _build_service(broker, populations, workers, registry=None, prune=False):
 class TestFleetDiagnosis:
     def test_multi_worker_attribution(self, fleet_stream):
         broker, populations, truths = fleet_stream
-        with _build_service(broker, populations, workers=2) as service:
-            diagnoses = service.run_until_drained()
+        service = _build_service(broker, populations)
+        diagnoses = service.run_until_drained()
         assert diagnoses
         # Every anomalous instance diagnosed, the healthy one untouched.
         by_instance = {i: service.diagnoses_for(i) for i in service.instance_ids}
@@ -53,28 +52,17 @@ class TestFleetDiagnosis:
             top_hits += diagnosis.result.rsql_ids[0] in truth.r_sql_ids
         # Exact top-1 accuracy on this short 600 s window is the service
         # suite's concern; here it suffices that ranking works end to end
-        # for at least one instance under concurrent workers.
+        # for at least one instance of the fleet.
         assert top_hits >= 1
         assert by_instance["db-c"] == []
         # Diagnoses carry their instance and land on the right engine.
         for instance_id, diagnoses_ in by_instance.items():
             assert all(d.instance_id == instance_id for d in diagnoses_)
 
-    def test_single_worker_matches_multi_worker(self, fleet_stream):
-        broker, populations, truths = fleet_stream
-        with _build_service(broker, populations, workers=1) as single:
-            single.run_until_drained()
-        with _build_service(broker, populations, workers=3) as multi:
-            multi.run_until_drained()
-        for instance_id in INSTANCE_IDS:
-            s = [d.anomaly.start for d in single.diagnoses_for(instance_id)]
-            m = [d.anomaly.start for d in multi.diagnoses_for(instance_id)]
-            assert s == m
-
     def test_no_cross_instance_state_bleed(self, fleet_stream):
         broker, populations, _ = fleet_stream
-        with _build_service(broker, populations, workers=2) as service:
-            service.run_until_drained()
+        service = _build_service(broker, populations)
+        service.run_until_drained()
         engines = [service.engine(i) for i in INSTANCE_IDS]
         # One LogStore per engine, labelled with its instance.
         assert len({id(e.logstore) for e in engines}) == len(engines)
@@ -93,10 +81,10 @@ class TestFleetDiagnosis:
         for topic in broker.topics:
             for message in broker.read(topic, 0, 1 << 31):
                 pruned_broker.publish(topic, message.key, message.value)
-        with _build_service(
-            pruned_broker, populations, workers=2, registry=registry, prune=True
-        ) as service:
-            service.run_until_drained()
+        service = _build_service(
+            pruned_broker, populations, registry=registry, prune=True
+        )
+        service.run_until_drained()
         for topic in pruned_broker.topics:
             assert pruned_broker.retained(topic) == 0
             assert pruned_broker.size(topic) > 0
@@ -111,10 +99,8 @@ class TestFleetDiagnosis:
     def test_instance_labelled_metrics(self, fleet_stream):
         broker, populations, _ = fleet_stream
         registry = MetricsRegistry()
-        with _build_service(
-            broker, populations, workers=2, registry=registry
-        ) as service:
-            service.run_until_drained()
+        service = _build_service(broker, populations, registry=registry)
+        service.run_until_drained()
         for instance_id in ANOMALOUS:
             counter = registry.get("service_diagnoses_total", instance=instance_id)
             assert counter is not None and counter.value >= 1

@@ -6,7 +6,7 @@ under the multiprocess shard runner, where each shard writes its own
 store directory and the health rollup merges them.
 """
 
-from repro.fleet import BlockFeed, FleetConfig, FleetDiagnosisService, run_sharded
+from repro.fleet import BlockFeed, FleetDiagnosisService, run_sharded
 from repro.incidents import IncidentRecorder, IncidentStore, load_health
 from repro.telemetry import MetricsRegistry
 from tests.fleet.conftest import ANOMALOUS, INSTANCE_IDS, replay
@@ -24,15 +24,12 @@ class TestFleetServiceCapture:
         reg = MetricsRegistry()
         store = IncidentStore(tmp_path, registry=reg)
         recorder = IncidentRecorder(store, registry=reg)
-        service = FleetDiagnosisService(
-            broker, FleetConfig(workers=2), registry=reg, recorder=recorder
-        )
+        service = FleetDiagnosisService(broker, registry=reg, recorder=recorder)
         for instance_id, population in populations.items():
             engine = service.register_instance(instance_id)
             for spec in population.specs.values():
                 engine.register_statement(spec.template.replace("?", "1"))
         diagnoses = service.run_until_drained()
-        service.close()
 
         assert diagnoses, "fixture must produce at least one diagnosis"
         assert store.record_count == len(diagnoses)
@@ -62,15 +59,12 @@ class TestFleetServiceCapture:
     ):
         broker, populations, _ = _replay(fleet_stream)
         store = IncidentStore(tmp_path)
-        service = FleetDiagnosisService(
-            broker, FleetConfig(workers=1), recorder=IncidentRecorder(store)
-        )
+        service = FleetDiagnosisService(broker, recorder=IncidentRecorder(store))
         for instance_id, population in populations.items():
             engine = service.register_instance(instance_id)
             for spec in population.specs.values():
                 engine.register_statement(spec.template.replace("?", "1"))
         service.run_until_drained()
-        service.close()
         meta = store.latest()
         record = store.get(meta.incident_id)
         trace = next(t for t in record.metric_traces if t.name == "active_session")

@@ -17,7 +17,6 @@ from repro.chaos import FaultPlan, FaultSpec, single_fault_plan
 from repro.collection.blocks import QueryLogBlock, decode_block
 from repro.fleet import (
     BlockFeed,
-    FleetConfig,
     FleetDiagnosisService,
     PersistentWorkerPool,
     WorkItem,
@@ -186,9 +185,7 @@ class TestGrainIdentity:
         runs, _, _ = fleet_runs
 
         def drain(grain):
-            service = FleetDiagnosisService(
-                collected(runs, grain), FleetConfig(workers=1)
-            )
+            service = FleetDiagnosisService(collected(runs, grain))
             for instance_id in INSTANCE_IDS:
                 service.register_instance(instance_id)
             service.run_until_drained()

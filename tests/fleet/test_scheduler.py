@@ -1,8 +1,8 @@
-"""Tests for shard hashing and the diagnosis scheduler."""
+"""Tests for the stable shard hash that routes instances to worker processes."""
 
 import pytest
 
-from repro.fleet import DiagnosisScheduler, stable_shard
+from repro.fleet import stable_shard
 
 
 class TestStableShard:
@@ -24,35 +24,3 @@ class TestStableShard:
     def test_invalid_shards(self):
         with pytest.raises(ValueError):
             stable_shard("x", 0)
-        with pytest.raises(ValueError):
-            DiagnosisScheduler(0)
-
-
-class TestPartition:
-    def test_partition_covers_all_preserving_order(self):
-        scheduler = DiagnosisScheduler(3)
-        ids = [f"db-{i:02d}" for i in range(12)]
-        shards = scheduler.partition(ids)
-        assert len(shards) == 3
-        flat = [i for shard in shards for i in shard]
-        assert sorted(flat) == sorted(ids)
-        for shard in shards:
-            assert shard == [i for i in ids if i in shard]
-
-    def test_partition_matches_shard_of(self):
-        scheduler = DiagnosisScheduler(4)
-        ids = [f"inst-{i}" for i in range(20)]
-        for shard_idx, shard in enumerate(scheduler.partition(ids)):
-            for instance_id in shard:
-                assert scheduler.shard_of(instance_id) == shard_idx
-
-    def test_single_shard_gets_everything(self):
-        scheduler = DiagnosisScheduler(1)
-        ids = ["a", "b", "c"]
-        assert scheduler.partition(ids) == [ids]
-
-    def test_imbalance_reasonable(self):
-        scheduler = DiagnosisScheduler(4)
-        ids = [f"db-{i:03d}" for i in range(200)]
-        assert scheduler.imbalance(ids) < 1.5
-        assert scheduler.imbalance([]) == 1.0

@@ -164,7 +164,7 @@ def scenario_specs(draw):
         antipatterns=draw(st.booleans()),
         advisory_baits=draw(st.booleans()),
         faults=faults,
-        workers=draw(st.integers(1, 2)),
+        workers=1,
         top_k=draw(st.integers(1, 5)),
     )
 
