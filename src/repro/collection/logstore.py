@@ -6,11 +6,15 @@ response times), and expires data older than the retention period —
 the paper keeps three days by default.
 
 The rows live in one :class:`~repro.dbsim.query.QueryLog`, which keeps
-each template's rows in arrival order: a batch ingested in order fills
-the spare room at the end of its template's columns, and a late,
-reordered or duplicated batch is re-sorted with the rows it precedes,
-so an ingest costs time in proportion to the batch.  A window read is
-two ``searchsorted`` calls on the template's arrival column, and
+each template's rows in arrival order.  A block is ingested as one
+queued chunk (constant Python work per block).  The next read sorts the
+queued chunks into the template columns in one pass, and so does an
+ingest that leaves more chunks queued than there are templates, which
+bounds the queue of a store that is rarely read.  Rows in order fill
+the spare room at the end of their template's columns, and late,
+reordered or duplicated rows are re-sorted with the rows they precede,
+so the sort costs time in proportion to the queued rows.  A window
+read is two ``searchsorted`` calls on the template's arrival column, and
 expiry one ``searchsorted`` per template.  A store built with an
 ``instance_id`` labels its telemetry with the instance; every
 diagnosis engine owns one.
@@ -80,7 +84,7 @@ class LogStore:
 
     def _set_gauges(self) -> None:
         self._g_bytes.set(self.resident_bytes)
-        self._g_templates.set(len(self._log.sql_ids))
+        self._g_templates.set(self._log.n_templates)
 
     def _ingested(self, batches: int, rows: int, oldest_ms: int) -> None:
         self._m_batches.inc(batches)
@@ -115,14 +119,28 @@ class LogStore:
     def ingest_block(self, block) -> int:
         """Absorb one columnar :class:`~repro.collection.blocks.QueryLogBlock`.
 
-        The block is split into per-template, arrival-ordered batches in
-        one vectorized pass (a single argsort over the block) and each
-        batch goes through :meth:`ingest_batch`.  Returns queries stored.
+        The block is queued whole as one log chunk and sorted into the
+        template columns on the next read, so the stored rows match
+        :meth:`ingest_batch` of each of its templates' rows.  Once the
+        queued chunks outnumber the templates they are folded at once:
+        the queue stays within about one template-count of blocks, and
+        each fold's per-template work is shared by at least that many.
+        The counters and gauges move once per block (a batch per
+        template present).  Returns queries stored.
         """
-        stored = 0
-        for batch in block.iter_template_batches():
-            self.ingest_batch(batch)
-            stored += len(batch)
+        data = block.data
+        stored = len(data)
+        if stored:
+            template = data["template"]
+            log = self._log
+            log.append_chunk(
+                block.sql_ids, template, data["arrive_ms"],
+                data["response_ms"], data["examined_rows"],
+            )
+            if log.queued_chunks > log.n_templates:
+                log.fold()
+            present = np.count_nonzero(np.bincount(template))
+            self._ingested(int(present), stored, int(data["arrive_ms"].min()))
         return stored
 
     # ------------------------------------------------------------------

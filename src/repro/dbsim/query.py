@@ -3,11 +3,15 @@
 Each simulated second the engine appends one columnar chunk to a
 :class:`QueryLog`: a template code per query plus the arrival, response
 and examined-rows columns of every query that arrived in that second.
-The next read sorts the chunks into one arrival-ordered column set per
-template.  A :class:`SecondBatch` (one template's queries, as a
-streaming store ingests them) goes straight into its template's
-columns: in order, it fills their spare room; late, it is re-sorted
-with the resident rows it precedes.  Per-template reads are slices
+A streaming store appends each block it ingests as one chunk too.  The
+next read (or :meth:`QueryLog.fold`) sorts the queued chunks into one
+arrival-ordered column set per template in one grouping pass, so a log
+built before it is read, as the simulator's is, gets columns of exactly
+its rows.  Rows in order fill the spare room of their template's
+columns, and late rows are re-sorted with the resident rows they
+precede.  A :class:`SecondBatch` (one template's queries) goes straight
+into its template's columns in the same way.  Ties in arrival time keep
+ingest order.  Per-template reads are slices
 (:class:`TemplateQueries`, read-only views that later appends leave
 unchanged) for the collection pipeline and the active-session
 estimator.  For each query ``q`` the log records ``t(q)`` (arrival,
@@ -94,7 +98,7 @@ class QueryLog:
         n = len(batch)
         if n == 0:
             return
-        self._fold()
+        self.fold()
         arrive = np.asarray(batch.arrive_ms, dtype=np.int64)
         response = np.asarray(batch.response_ms, dtype=np.float64)
         rows = np.asarray(batch.examined_rows, dtype=np.float64)
@@ -112,10 +116,12 @@ class QueryLog:
         response_ms: np.ndarray,
         examined_rows: np.ndarray,
     ) -> None:
-        """Append one second's queries; ``template[i]`` indexes ``sql_ids``.
+        """Queue one chunk of queries; ``template[i]`` indexes ``sql_ids``.
 
-        Templates new to the log are registered in ``sql_ids`` order.
-        The chunk is sorted into the columns on the next read.
+        Templates new to the log are registered in ``sql_ids`` order, so
+        ``sql_ids``, ``n_templates`` and ``total_queries`` count the chunk
+        at once.  The chunk is sorted into the columns by the next read
+        or :meth:`fold`.
         """
         n = len(arrive_ms)
         if not (len(template) == len(response_ms) == n == len(examined_rows)):
@@ -128,16 +134,25 @@ class QueryLog:
             for i in np.flatnonzero(present).tolist():
                 if lut[i] < 0:
                     lut[i] = self._code(sql_ids[i])
+        # A structured block's fields are strided views: copy them, so a
+        # column never adopts a strided array (``searchsorted`` would
+        # copy it whole on every read).
         self._pending.append((
             np.array(lut, dtype=np.int32)[template],
-            np.asarray(arrive_ms, dtype=np.int64),
-            np.asarray(response_ms, dtype=np.float64),
-            np.asarray(examined_rows, dtype=np.float64),
+            np.ascontiguousarray(arrive_ms, dtype=np.int64),
+            np.ascontiguousarray(response_ms, dtype=np.float64),
+            np.ascontiguousarray(examined_rows, dtype=np.float64),
         ))
         self._count += n
 
-    def _fold(self) -> None:
-        """Sort the pending chunks into the template columns."""
+    @property
+    def queued_chunks(self) -> int:
+        """Chunks appended since the last read or fold."""
+        return len(self._pending)
+
+    def fold(self) -> None:
+        """Sort the queued chunks into the template columns (one grouping
+        pass over all of them)."""
         if not self._pending:
             return
         if len(self._pending) == 1:
@@ -158,12 +173,17 @@ class QueryLog:
     def sql_ids(self) -> list[str]:
         return list(self._codes)
 
+    @property
+    def n_templates(self) -> int:
+        """Number of templates holding rows (``len(sql_ids)``, no list)."""
+        return len(self._codes)
+
     def __contains__(self, sql_id: str) -> bool:
         return sql_id in self._codes
 
     def queries_of(self, sql_id: str) -> TemplateQueries:
         """Arrival-ordered observations of one template (read-only views)."""
-        self._fold()
+        self.fold()
         code = self._codes.get(sql_id)
         if code is None:
             return TemplateQueries(sql_id, *_NO_ROWS)
@@ -175,7 +195,7 @@ class QueryLog:
 
     def all_intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """(arrive_ms, end_ms) over every logged query, unordered."""
-        self._fold()
+        self.fold()
         arrive = np.concatenate([_NO_ROWS[0], *(c.live(0) for c in self._columns)])
         end = np.concatenate([_NO_ROWS[1], *(c.live(0) + c.live(1) for c in self._columns)])
         return arrive, end
@@ -186,7 +206,7 @@ class QueryLog:
         Returns the number dropped and the earliest remaining arrival
         (None when the log is empty).  Emptied templates leave ``sql_ids``.
         """
-        self._fold()
+        self.fold()
         dropped, oldest = 0, None
         for sql_id, code in list(self._codes.items()):
             col = self._columns[code]
