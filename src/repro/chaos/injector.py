@@ -10,7 +10,6 @@ quarantined evidence must survive the chaos that produced it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from fnmatch import fnmatch
 from hashlib import blake2b
@@ -19,21 +18,9 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.chaos.plan import FaultPlan, FaultSpec
-from repro.collection.blocks import (
-    BLOCK_KEY,
-    MetricBlock,
-    QueryLogBlock,
-    stamp_block,
-    validate_block,
-)
-from repro.collection.quarantine import quarantine
+from repro.collection.blocks import MetricBlock, QueryLogBlock
 from repro.collection.stream import Broker, Consumer, Message
-from repro.telemetry import (
-    MetricsRegistry,
-    get_logger,
-    get_registry,
-    trace_propagation_enabled,
-)
+from repro.telemetry import MetricsRegistry, get_logger, get_registry
 
 __all__ = [
     "ChaosBroker",
@@ -319,29 +306,12 @@ class ChaosBroker:
         inj._count(kind)
         return hit
 
-    def publish_block(self, topic: str, block: Any) -> Message | None:
-        """Columnar publish through the fault pipeline.
-
-        Mirrors :meth:`Broker.publish_block` (validate, quarantine,
-        count) but routes the accepted block through :meth:`publish` so
-        the row faults and reordering apply — ``__getattr__`` delegation
-        would silently bypass injection.
-        """
-        reason = validate_block(block)
-        if reason is not None:
-            quarantine(self.inner, topic, block, reason)
-            return None
-        self.inner.count_block(topic, n_records=len(block), nbytes=block.nbytes)
-        if trace_propagation_enabled():
-            # Same trace stamping as Broker.publish_block — fault
-            # injection must not strip distributed-tracing coverage.
-            tracer = self.inner.tracer
-            with tracer.span(
-                "broker.publish_block", topic=topic, records=len(block)
-            ) as span:
-                block = stamp_block(block, tracer.context_for(span), time.time())
-                return self.publish(topic, key=BLOCK_KEY, value=block)
-        return self.publish(topic, key=BLOCK_KEY, value=block)
+    #: Columnar publish through the fault pipeline: the broker's own
+    #: method (validate, quarantine, count, trace stamping) run on this
+    #: facade, so the accepted block goes through :meth:`publish` and
+    #: the row faults and reordering apply — ``__getattr__`` delegation
+    #: would silently bypass injection.
+    publish_block = Broker.publish_block
 
     def _emit(self, topic: str, seq: int, key: str, value: Any) -> Message | None:
         reorder = self.injector.spec_for("reorder", topic)

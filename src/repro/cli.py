@@ -494,6 +494,13 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _write_out(path: Path, text: str) -> None:
+    """Write a command's output file (parents created) and say so."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def _print_telemetry() -> None:
     """Dump the global registry and last span tree (the --telemetry flag)."""
     from repro.telemetry import get_registry, get_tracer, render_summary
@@ -1052,9 +1059,7 @@ def cmd_incidents(args) -> int:
 
     html_text = render_incident_html(record)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(html_text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_out(args.out, html_text)
     else:
         sys.stdout.write(html_text)
     return 0
@@ -1078,9 +1083,7 @@ def cmd_trace(args) -> int:
 
     html_text = render_trace_html(record)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(html_text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_out(args.out, html_text)
     else:
         sys.stdout.write(html_text)
     return 0
@@ -1174,9 +1177,7 @@ def cmd_lint(args) -> int:
         else report.render_text()
     )
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_out(args.out, text + "\n")
     else:
         print(text)
     return 1 if lint_failed(report, args.fail_on) else 0
@@ -1218,9 +1219,7 @@ def cmd_advise(args) -> int:
         else report.render_text()
     )
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_out(args.out, text + "\n")
     else:
         print(text)
     return 1 if advise_failed(report, args.fail_on) else 0
@@ -1391,9 +1390,7 @@ def cmd_health(args) -> int:
     else:
         text = render_health_report_text(report)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_out(args.out, text + "\n")
     else:
         print(text)
     return 0
@@ -1439,9 +1436,7 @@ def cmd_chaos(args) -> int:
     )
     scorecard = run_chaos_suite(cfg, plan=plan)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(scorecard.to_json() + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_out(args.out, scorecard.to_json() + "\n")
     print(scorecard.to_json() if args.json else scorecard.render_text())
     if cfg.record_dir is not None:
         print(
@@ -1473,9 +1468,7 @@ def _fuzz_run(args) -> int:
     )
     report = CoverageFuzzer(cfg).run()
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_out(args.out, report.to_json() + "\n")
     for failure in report.seed_failures:
         print(f"seed failure: {failure}")
     for mutant in report.mutants:
@@ -1533,11 +1526,7 @@ def _fuzz_replay(args) -> int:
         for r in results
     ]
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(
-            _json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.out}")
+        _write_out(args.out, _json.dumps(payload, indent=2) + "\n")
     if args.json:
         print(_json.dumps(payload, indent=2))
     else:

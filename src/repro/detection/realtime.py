@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from repro.collection.quarantine import quarantine
 from repro.collection.stream import Consumer
 from repro.detection.basic import BasicPerception
 from repro.detection.case_builder import CaseBuilder, DetectedAnomaly
 from repro.detection.phenomenon import PhenomenonPerception
 from repro.telemetry import MetricsRegistry, get_registry
+from repro.telemetry.selfmon import forward_fill_series
 from repro.timeseries import TimeSeries
 
 __all__ = ["AnomalyEvent", "RealtimeAnomalyDetector", "snapshot_samples"]
@@ -34,9 +33,9 @@ def snapshot_samples(
     """Raw ``(timestamp, value)`` points with ``ts <= t < te``, sorted.
 
     This is the *triggering* evidence shape the incident flight
-    recorder persists: the actual samples a detector buffer (or the
-    service's retention-bounded mirror of one) held, with gaps left as
-    gaps — unlike the forward-filled series the pipeline consumes.
+    recorder persists: the actual samples a detector buffer held, with
+    gaps left as gaps — unlike the forward-filled series the pipeline
+    consumes.
     """
     return sorted((t, v) for t, v in samples.items() if ts <= t < te)
 
@@ -61,11 +60,6 @@ class _MetricBuffer:
     def add(self, timestamp: int, value: float) -> None:
         self.samples[timestamp] = value
 
-    def trim(self, now: int) -> None:
-        cutoff = now - self.window_s
-        if len(self.samples) > 2 * self.window_s:
-            self.samples = {t: v for t, v in self.samples.items() if t >= cutoff}
-
     def series(self, now: int) -> TimeSeries | None:
         """Contiguous series over the window ending at ``now`` (inclusive).
 
@@ -76,16 +70,7 @@ class _MetricBuffer:
         timestamps = sorted(t for t in self.samples if cutoff < t <= now)
         if len(timestamps) < 8:
             return None
-        start = timestamps[0]
-        values = np.empty(now - start + 1, dtype=np.float64)
-        last = self.samples[timestamps[0]]
-        idx = 0
-        for t in range(start, now + 1):
-            if t in self.samples:
-                last = self.samples[t]
-            values[idx] = last
-            idx += 1
-        return TimeSeries(values, start=start)
+        return forward_fill_series(self.samples, timestamps[0], now + 1)
 
 
 class RealtimeAnomalyDetector:
@@ -164,25 +149,40 @@ class RealtimeAnomalyDetector:
         """Largest metric timestamp observed so far."""
         return self._stream_time
 
-    @property
-    def metric_names(self) -> list[str]:
-        """Names of the metrics buffered so far."""
-        return list(self._buffers)
-
     def iter_buffer_samples(self) -> Iterator[tuple[str, Mapping[int, float]]]:
         """Read-only views of the per-metric raw sample buffers.
 
-        Yields ``(metric_name, {timestamp: value})`` pairs; the mappings
-        are live read-only proxies (no copy), valid until the next
-        :meth:`poll`.  This is the supported way for the service layer to
-        mirror detector state — the buffers themselves stay private.
+        Yields ``(metric_name, {timestamp: value})`` pairs in the order
+        the metrics were first seen; the mappings are live read-only
+        proxies (no copy), valid until the next :meth:`poll` or
+        :meth:`drop_before`.  The buffers are the only copy of the
+        instance's raw metric samples: case assembly reads them here and
+        the buffers themselves stay private.
         """
         for name, buffer in self._buffers.items():
             yield name, MappingProxyType(buffer.samples)
 
+    def drop_before(self, cutoff_s: int) -> int:
+        """Drop every buffered sample with ``t < cutoff_s``; return how
+        many were dropped.
+
+        The detector never forgets on its own: its owner bounds the
+        buffers to the evidence a case can still reference, the way
+        :meth:`~repro.collection.logstore.LogStore.expire` bounds raw
+        query rows.
+        """
+        dropped = 0
+        for buffer in self._buffers.values():
+            stale = [t for t in buffer.samples if t < cutoff_s]
+            for t in stale:
+                del buffer.samples[t]
+            dropped += len(stale)
+        return dropped
+
     def window_snapshot(self, ts: int, te: int) -> dict[str, list[tuple[int, float]]]:
         """Per-metric raw samples within ``[ts, te)`` (metrics with none
-        are omitted).  Evidence capture for the incident recorder."""
+        are omitted).  Evidence capture for the incident recorder and
+        the health sweeper."""
         out: dict[str, list[tuple[int, float]]] = {}
         for name, buffer in self._buffers.items():
             points = snapshot_samples(buffer.samples, ts, te)
@@ -264,7 +264,6 @@ class RealtimeAnomalyDetector:
         self._m_evaluations.inc()
         features = []
         for name, buffer in self._buffers.items():
-            buffer.trim(now)
             series = buffer.series(now)
             if series is not None:
                 features.extend(self._basic.perceive_series(name, series))

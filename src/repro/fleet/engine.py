@@ -13,7 +13,9 @@ Every engine is self-contained — consumers, detector buffers, log
 store, template catalog, emitted-anomaly dedup state — so
 instances never share mutable state and an engine steps the same
 whether the fleet loop runs it in this process or a worker process
-does.
+does.  The detector's buffers are the engine's only copy of the raw
+metric samples, and the log store its only copy of the raw queries;
+each step bounds both against the detector's stream clock.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.core.repair.rules import DEFAULT_REPAIR_CONFIG, RepairConfig
 from repro.core.report import DiagnosisReport, render_report
 from repro.dbsim.instance import DatabaseInstance
 from repro.detection.case_builder import DetectedAnomaly
-from repro.detection.realtime import RealtimeAnomalyDetector, snapshot_samples
+from repro.detection.realtime import RealtimeAnomalyDetector
 from repro.detection.typing import CategoryVerdict, classify_case
 from repro.resilience import (
     CircuitBreaker,
@@ -178,9 +180,9 @@ class InstanceDiagnosisEngine:
         by default the engine creates its own.  Each step expires it
         against the detector's stream clock.
     selfmon:
-        Optional :class:`SelfMonitor`.  Defaults to a private one for
-        the single-instance path; the fleet passes ``None`` and samples
-        one fleet-level monitor itself, once per fleet step.
+        Optional :class:`SelfMonitor`, sampled at the end of every step.
+        Defaults to a private one for the single-instance path; the
+        fleet passes ``None`` (no self-monitor history).
     """
 
     def __init__(
@@ -282,9 +284,6 @@ class InstanceDiagnosisEngine:
         #: Query-log records quarantined since the last diagnosis —
         #: evidence of missing log batches for the degraded policy.
         self._quarantined_since_diagnosis = 0
-        #: Per-metric raw samples retained for case assembly; bounded by
-        #: the detector window extended by δs (see _capture_metric_samples).
-        self._metric_samples: dict[str, dict[int, float]] = {}
         self.diagnoses: list[Diagnosis] = []
         reg = self.registry
         labels = self._labels
@@ -306,12 +305,12 @@ class InstanceDiagnosisEngine:
         )
         self._m_samples_evicted = reg.counter(
             "service_metric_samples_evicted_total",
-            help="Mirrored metric samples dropped by the retention bound.",
+            help="Buffered metric samples dropped by the retention bound.",
             **labels,
         )
         self._g_sample_count = reg.gauge(
             "service_metric_samples_resident",
-            help="Mirrored metric samples currently retained.",
+            help="Buffered metric samples currently retained.",
             **labels,
         )
         self._h_ingest_lag = reg.histogram(
@@ -494,8 +493,8 @@ class InstanceDiagnosisEngine:
         if handled:
             self._m_log_messages.inc(handled)
         events = self.detector.poll()
-        self._capture_metric_samples()
         if self.detector.stream_time is not None:
+            self._expire_metric_samples(self.detector.stream_time)
             self.logstore.expire(self.detector.stream_time)
             if self._last_event_s is not None:
                 self._g_freshness.set(
@@ -585,50 +584,22 @@ class InstanceDiagnosisEngine:
         return produced
 
     # ------------------------------------------------------------------
-    def _capture_metric_samples(self) -> None:
-        """Mirror the detector's buffers for case assembly (bounded).
+    def _expire_metric_samples(self, now: int) -> None:
+        """Bound the detector's buffers to the evidence a case can use.
 
-        Uses the detector's public read-only buffer views, and bounds the
-        mirror with the detector's own retention window extended by δs:
-        an anomaly can start up to ``window_s`` in the past and the case
-        needs ``delta_start_s`` of context before that, so anything older
-        than ``stream_time - (window_s + δs)`` can never be referenced
-        again and is evicted (reported via the telemetry gauges).
+        An anomaly can start up to ``window_s`` before ``now`` and its
+        case needs ``delta_start_s`` of context before that, so samples
+        older than ``now - (window_s + δs)`` can never be referenced
+        again.  Evictions and residency are reported via telemetry.
         """
-        for name, samples in self.detector.iter_buffer_samples():
-            mirror = self._metric_samples.setdefault(name, {})
-            mirror.update(samples)
-        now = self.detector.stream_time
-        resident = 0
-        if now is not None:
-            cutoff = now - (self.detector.window_s + self.config.delta_start_s)
-            evicted = 0
-            for mirror in self._metric_samples.values():
-                stale = [t for t in mirror if t < cutoff]
-                for t in stale:
-                    del mirror[t]
-                evicted += len(stale)
-                resident += len(mirror)
-            if evicted:
-                self._m_samples_evicted.inc(evicted)
-        self._g_sample_count.set(resident)
-
-    def metric_window_snapshot(
-        self, ts: int, te: int
-    ) -> dict[str, list[tuple[int, float]]]:
-        """Raw mirrored samples per metric within ``[ts, te)``.
-
-        Evidence capture for the incident recorder: the mirror outlives
-        the detector's own trim (it retains window_s + δs), so the
-        triggering samples are still available when a diagnosis
-        completes.  Metrics with no points in the window are omitted.
-        """
-        out: dict[str, list[tuple[int, float]]] = {}
-        for name, samples in self._metric_samples.items():
-            points = snapshot_samples(samples, ts, te)
-            if points:
-                out[name] = points
-        return out
+        evicted = self.detector.drop_before(
+            now - (self.detector.window_s + self.config.delta_start_s)
+        )
+        if evicted:
+            self._m_samples_evicted.inc(evicted)
+        self._g_sample_count.set(
+            sum(len(samples) for _, samples in self.detector.iter_buffer_samples())
+        )
 
     def _diagnose(self, anomaly: DetectedAnomaly) -> Diagnosis | None:
         with self.tracer.span("service.diagnose") as span:
@@ -670,8 +641,9 @@ class InstanceDiagnosisEngine:
             self._quarantined_since_diagnosis = 0
             if quarantined:
                 extra_reasons.append(f"quarantined_logs:{quarantined}")
+            samples_by_metric = dict(self.detector.iter_buffer_samples())
             assessment = self.degraded_policy.assess(
-                self._metric_samples,
+                samples_by_metric,
                 ts,
                 te,
                 anomaly_start=anomaly.start,
@@ -683,7 +655,7 @@ class InstanceDiagnosisEngine:
                     name: self.degraded_policy.build_series(
                         samples, assessment, te, name=name
                     )
-                    for name, samples in self._metric_samples.items()
+                    for name, samples in samples_by_metric.items()
                 }
             )
             if "active_session" not in metrics:

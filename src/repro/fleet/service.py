@@ -15,9 +15,7 @@ workers.  This module reproduces one such worker at repo scale:
   :class:`~repro.collection.logstore.LogStore`, and the broker can be
   pruned each step once all engines have consumed
   (``FleetConfig.prune_broker``) — the memory bounds that make an
-  always-on fleet viable;
-- self-monitoring samples the registry once per fleet step, after
-  every engine has stepped.
+  always-on fleet viable.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.collection.stream import Broker
 from repro.dbsim.instance import DatabaseInstance
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig
 from repro.sqltemplate import TemplateCatalog
-from repro.telemetry import MetricsRegistry, SelfMonitor, get_logger, get_registry
+from repro.telemetry import MetricsRegistry, get_logger, get_registry
 from repro.timeseries import TimeSeries
 
 __all__ = ["FleetConfig", "FleetDiagnosisService"]
@@ -98,9 +96,6 @@ class FleetDiagnosisService:
         #: Optional proactive health sweeper; its scheduled sweeps run
         #: in step() housekeeping, after every engine has stepped.
         self.sweeper = sweeper
-        self.selfmon = SelfMonitor(
-            self.registry, window_s=self.config.service.detector_window_s
-        )
         self._engines: dict[str, InstanceDiagnosisEngine] = {}
         self._m_steps = self.registry.counter(
             "fleet_steps_total", help="Fleet loop iterations."
@@ -180,8 +175,8 @@ class FleetDiagnosisService:
         """One fleet iteration: step every instance, then housekeeping.
 
         Instances advance one after the other in registration order.
-        Housekeeping (broker pruning, self-monitor sampling, scheduled
-        health sweeps) runs once every engine has stepped.
+        Housekeeping (broker pruning, scheduled health sweeps) runs once
+        every engine has stepped.
         """
         self._m_steps.inc()
         produced: list[Diagnosis] = []
@@ -191,15 +186,8 @@ class FleetDiagnosisService:
             self._m_diagnoses.inc(len(produced))
         if self.config.prune_broker:
             self.broker.prune()
-        stream_times = [
-            e.detector.stream_time
-            for e in self._engines.values()
-            if e.detector.stream_time is not None
-        ]
-        if stream_times:
-            self.selfmon.sample(max(stream_times))
-            if self.sweeper is not None:
-                self.sweeper.maybe_sweep(self, now=max(stream_times))
+        if self.sweeper is not None:
+            self.sweeper.maybe_sweep(self)
         return produced
 
     def _step_instance(self, instance_id: str) -> list[Diagnosis]:

@@ -79,9 +79,6 @@ class SweepResult:
     def worst(self) -> Severity | None:
         return max((f.severity for f in self.findings), default=None)
 
-    def for_instance(self, instance_id: str) -> list[HealthFinding]:
-        return [f for f in self.findings if f.instance_id == instance_id]
-
 
 class HealthSweeper:
     """Runs registered health checks on a schedule and persists findings.
@@ -118,11 +115,6 @@ class HealthSweeper:
         self.sweeps: list[SweepResult] = []
         self._seq = 0
         self._last_sweep_at: int | None = None
-        #: Static analysis is pure on the (immutable) template text, so
-        #: each template is analyzed once per sweeper lifetime — without
-        #: this the sweep re-parses every catalog entry every interval
-        #: and blows the <5% overhead budget.
-        self._analysis_cache: dict[tuple[str, str], tuple] = {}
         self._m_sweeps = self.registry.counter(
             "health_sweeps_total", help="Completed health sweeps."
         )
@@ -157,18 +149,14 @@ class HealthSweeper:
         if now > ts:
             templates = aggregate_logstore(engine.logstore, ts, now)
             for sql_id in templates.sql_ids:
-                key = (engine.instance_id, sql_id)
-                found = self._analysis_cache.get(key)
-                if found is None:
-                    info = engine.catalog.get(sql_id)
-                    found = (
-                        tuple(engine.analyzer.analyze_template(info))
-                        if info is not None
-                        else ()
-                    )
-                    self._analysis_cache[key] = found
+                # The engine's analyzer caches per template text, so a
+                # repeat sweep re-parses nothing.
+                info = engine.catalog.get(sql_id)
+                if info is None:
+                    continue
+                found = engine.analyzer.analyze_template(info)
                 if found:
-                    analysis[sql_id] = found
+                    analysis[sql_id] = tuple(found)
         incidents: list[IncidentMeta] = []
         if self.incident_store is not None:
             incidents = self.incident_store.query(
@@ -180,7 +168,7 @@ class HealthSweeper:
             now=now,
             config=cfg,
             scope="instance",
-            metrics=engine.metric_window_snapshot(ts, now),
+            metrics=engine.detector.window_snapshot(ts, now),
             templates=templates,
             analysis=analysis,
             incidents=incidents,
@@ -364,14 +352,6 @@ class HealthSweeper:
             },
         )
         return result
-
-    def sweep_engine(
-        self, engine: "InstanceDiagnosisEngine", now: int | None = None
-    ) -> SweepResult:
-        """Sweep a single live engine (instance scope only)."""
-        if now is None:
-            now = engine.detector.stream_time or 0
-        return self.sweep_contexts([self.context_for_engine(engine, now)], now)
 
     def sweep_fleet(
         self, service: "FleetDiagnosisService", now: int | None = None

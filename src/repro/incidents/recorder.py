@@ -202,7 +202,7 @@ class IncidentRecorder:
         cap = self.max_samples_per_metric
         traces = []
         if engine is not None:
-            window = engine.metric_window_snapshot(case.ts, case.te)
+            window = engine.detector.window_snapshot(case.ts, case.te)
             for name in sorted(window):
                 samples = window[name]
                 if len(samples) > cap:

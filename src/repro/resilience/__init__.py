@@ -4,9 +4,6 @@ PinSQL's always-on loop assumes a perfect world — brokers never stall,
 repair execution never fails, metric windows never have holes.  This
 package holds the reusable primitives that drop that assumption:
 
-* :func:`retry_call` — bounded retries with exponential backoff and
-  *deterministic* jitter (a seeded RNG, injectable sleep — tests never
-  touch the wall clock);
 * :class:`Deadline` / :class:`StageWatchdog` — per-diagnosis time
   budgets checked between pipeline stages, so one pathological case
   cannot wedge a fleet worker;
@@ -18,12 +15,13 @@ package holds the reusable primitives that drop that assumption:
   diagnosis so downstream consumers (incident records, DBAs) can see
   which verdicts rode on imperfect evidence.
 
-Everything is clock- and RNG-injectable: determinism is a feature, not
-an accident, because the chaos harness (:mod:`repro.chaos`) replays the
-exact same fault sequences against these primitives.
+Nothing here retries a failed call: a crashed fleet step is restarted
+by the fleet supervisor, and a failing repair path opens the breaker.
+Every clock is injectable: determinism is a feature, not an accident,
+because the chaos harness (:mod:`repro.chaos`) replays the exact same
+fault sequences against these primitives.
 """
 
-from repro.resilience.retry import RetryExhausted, backoff_delays, retry_call
 from repro.resilience.deadline import Deadline, DeadlineExceeded, StageWatchdog
 from repro.resilience.breaker import (
     BreakerState,
@@ -47,10 +45,7 @@ __all__ = [
     "DegradedAssessment",
     "DegradedModePolicy",
     "DiagnosisConfidence",
-    "RetryExhausted",
     "StageWatchdog",
-    "backoff_delays",
     "interpolate_series",
-    "retry_call",
     "window_gap_fraction",
 ]

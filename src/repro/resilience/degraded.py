@@ -1,6 +1,6 @@
 """Degraded-mode policy: diagnose on imperfect evidence, and say so.
 
-The detector's metric mirror can have holes — dropped messages, a
+The detector's metric buffers can have holes — dropped messages, a
 collector restart, a late-arriving batch still in flight.  Refusing to
 diagnose would miss real incidents; diagnosing silently would launder
 shaky evidence into confident verdicts.  The middle path, following
@@ -106,7 +106,7 @@ class DegradedModePolicy:
         considered gappy: the metric's series is rebuilt by linear
         interpolation and the diagnosis is stamped ``degraded``.
     min_window_fraction:
-        When leading context is missing (the mirror starts after the
+        When leading context is missing (the buffers start after the
         requested ``ts``) the window is shrunk to the earliest available
         sample.  Shrinking below this fraction of the requested window
         also stamps ``degraded``.
@@ -137,7 +137,7 @@ class DegradedModePolicy:
         anomaly_start: int | None = None,
         extra_reasons: tuple[str, ...] = (),
     ) -> DegradedAssessment:
-        """Inspect the mirror over ``[ts, te)``; decide the fallback.
+        """Inspect the buffered samples over ``[ts, te)``; decide the fallback.
 
         ``extra_reasons`` lets the caller contribute defects the policy
         cannot see itself (e.g. quarantined log batches); any reason —

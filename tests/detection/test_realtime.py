@@ -126,13 +126,19 @@ class TestBufferGapHandling:
         assert buffer.series(now=3) is None
 
     def test_trim_discards_old_samples(self):
-        from repro.detection.realtime import _MetricBuffer
-
-        buffer = _MetricBuffer(window_s=10)
-        for t in range(50):
-            buffer.add(t, 1.0)
-        buffer.trim(now=49)
-        assert all(t >= 39 for t in buffer.samples)
+        broker = Broker()
+        publish_metrics(broker, np.ones(50))
+        publish_metrics(broker, np.ones(50), metric="cpu_usage")
+        detector = RealtimeAnomalyDetector(
+            broker.consumer("performance_metrics"), window_s=10
+        )
+        detector.run_until_drained()
+        # The detector itself forgets nothing; its owner bounds it.
+        assert detector.window_snapshot(0, 50)["cpu_usage"][0] == (0, 1.0)
+        assert detector.drop_before(39) == 2 * 39
+        assert detector.drop_before(39) == 0
+        for name, samples in detector.iter_buffer_samples():
+            assert sorted(samples) == list(range(39, 50)), name
 
 
 class TestPerInstanceIsolation:

@@ -40,13 +40,15 @@ def fake_engine(instance_id: str = "db-x", stream_time: int = 600):
     """Duck-types everything the sweeper reads off a live engine."""
     return SimpleNamespace(
         instance_id=instance_id,
-        detector=SimpleNamespace(stream_time=stream_time),
+        detector=SimpleNamespace(
+            stream_time=stream_time,
+            window_snapshot=lambda ts, now: {
+                "active_session": metric_samples(np.linspace(3, 12, 120))
+            },
+        ),
         logstore=SimpleNamespace(sql_ids=[]),
         catalog=SimpleNamespace(get=lambda sql_id: None),
         analyzer=SimpleNamespace(analyze_template=lambda info: []),
-        metric_window_snapshot=lambda ts, now: {
-            "active_session": metric_samples(np.linspace(3, 12, 120))
-        },
         lag=0,
         repair_breaker=SimpleNamespace(state=BreakerState.CLOSED),
     )

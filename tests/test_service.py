@@ -245,18 +245,18 @@ class TestServiceTelemetry:
 
     def test_metric_sample_mirror_is_bounded_and_public(self, diagnosed):
         service, registry, _ = diagnosed
-        # The mirror is populated via the detector's public accessor …
-        names = dict(service.detector.iter_buffer_samples())
-        assert "active_session" in names
+        # The detector's buffers are read through its public accessor …
+        buffers = dict(service.detector.iter_buffer_samples())
+        assert "active_session" in buffers
         with pytest.raises(TypeError):
-            names["active_session"][0] = 1.0  # read-only view
-        # … and bounded by window_s + delta_start_s.
+            buffers["active_session"][0] = 1.0  # read-only view
+        # … bounded by window_s + delta_start_s, and counted by the gauge.
         now = service.detector.stream_time
         bound = service.detector.window_s + service.config.delta_start_s
-        for samples in service._metric_samples.values():
+        for samples in buffers.values():
             assert all(t >= now - bound for t in samples)
         assert registry.get("service_metric_samples_resident").value == sum(
-            len(s) for s in service._metric_samples.values()
+            len(s) for s in buffers.values()
         )
 
     def test_selfmon_history_feeds_repo_detectors(self, anomaly_stream):
@@ -301,6 +301,52 @@ class TestServiceTelemetry:
             + ",topic=performance_metrics}"
         )
         assert lag_key in service.selfmon.names()
+
+
+class TestMetricRetention:
+    def test_evidence_retention_does_not_depend_on_poll_batching(self):
+        """W + δs of raw samples survive however many seconds one poll
+        carries: a backlog drained in one step keeps the context before
+        the detector window, exactly as a live, stepwise drain does."""
+        duration, chunk = 400, 30
+        config = ServiceConfig(detector_window_s=100, delta_start_s=60)
+        values = 10.0 + np.random.default_rng(3).normal(size=duration)
+        source = Broker()
+        MetricsCollector(source).collect(
+            InstanceMetrics(
+                {"active_session": TimeSeries(values, start=0, name="active_session")}
+            )
+        )
+        blocks = [
+            m.value
+            for m in source.read("performance_metrics", 0, source.size("performance_metrics"))
+        ]
+        assert len(blocks) == duration
+
+        def engine_fed(step_messages):
+            registry = MetricsRegistry()
+            broker = Broker(registry=registry)
+            engine = InstanceDiagnosisEngine(broker, config=config, registry=registry)
+            for t0 in range(0, duration, step_messages):
+                for block in blocks[t0 : t0 + step_messages]:
+                    broker.publish_block("performance_metrics", block)
+                engine.step()
+            return engine, registry
+
+        backlog, backlog_registry = engine_fed(duration)
+        stepwise, _ = engine_fed(chunk)
+        now = duration - 1
+        assert backlog.detector.stream_time == stepwise.detector.stream_time == now
+        window = backlog.detector.window_snapshot(now - 160, now + 1)
+        assert window == stepwise.detector.window_snapshot(now - 160, now + 1)
+        samples = window["active_session"]
+        assert samples[0][0] == now - 160
+        assert len(samples) == 161
+        # Nothing older than W + δs is kept, and the telemetry says so.
+        assert backlog.detector.window_snapshot(0, now - 160) == {}
+        assert backlog_registry.get("service_metric_samples_resident").value == 161
+        evicted = backlog_registry.get("service_metric_samples_evicted_total")
+        assert evicted.value == duration - 161
 
 
 class TestLogRetention:
