@@ -39,9 +39,15 @@ ONSET = int(DURATION * 2 / 3)
 SERVICE_CONFIG = ServiceConfig(delta_start_s=300, detector_window_s=DURATION)
 
 
+#: Cache key of the simulated feeds; bump it when what they carry changes.
+FEEDS_KEY = f"fleet_feeds_v4_{N_INSTANCES}x{DURATION}"
+
+
 def _simulate_feeds():
     """Simulate the fleet once; returns picklable per-instance feeds of
-    per-second blocks (the layer-overhead bench replays them by chunk)."""
+    per-second blocks (the layer-overhead bench replays them by chunk),
+    each carrying its population's raw SQL exemplars so the engines
+    that replay it run static analysis over a real catalog."""
     broker = Broker()
     feeds = []
     for i in range(N_INSTANCES):
@@ -57,12 +63,16 @@ def _simulate_feeds():
         run = db.run(WorkloadGenerator(population), duration=DURATION)
         QueryLogCollector(broker, instance_id=instance_id).collect(run.query_log)
         MetricsCollector(broker, instance_id=instance_id).collect(run.metrics)
-        feeds.append(BlockFeed.from_broker(broker, instance_id).unstamped())
+        feed = BlockFeed.from_broker(broker, instance_id).unstamped()
+        feed.statements = [
+            spec.exemplar or spec.template for spec in population.specs.values()
+        ]
+        feeds.append(feed)
     return feeds
 
 
 def test_fleet_throughput():
-    feeds = _cached(f"fleet_feeds_v3_{N_INSTANCES}x{DURATION}", _simulate_feeds)
+    feeds = _cached(FEEDS_KEY, _simulate_feeds)
     cores = os.cpu_count() or 1
     payload: dict = {
         "env": {"cores": cores, "n_instances": N_INSTANCES, "duration_s": DURATION},

@@ -47,7 +47,7 @@ from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.tracing import set_trace_propagation, trace_propagation_enabled
 from repro.workload import WorkloadGenerator, build_population
 
-from benchmarks.bench_fleet_throughput import DURATION, N_INSTANCES, _simulate_feeds
+from benchmarks.bench_fleet_throughput import DURATION, FEEDS_KEY, _simulate_feeds
 from benchmarks.conftest import _cached, write_json, write_report
 
 BUDGET = 0.05
@@ -224,16 +224,24 @@ SWEEP_INTERVAL_S = 120
 
 
 def health_row(request, tmp_path) -> Row:
-    feeds = _cached(f"fleet_feeds_v3_{N_INSTANCES}x{DURATION}", _simulate_feeds)[:4]
+    feeds = _cached(FEEDS_KEY, _simulate_feeds)[:4]
     runs = itertools.count()
 
     def drain(feeds, sweeper=None) -> int:
-        """Replay the fleet through a fresh service; returns its diagnoses."""
+        """Replay the fleet through a fresh service; returns its diagnoses.
+
+        Each engine learns its instance's statements first, as a worker
+        does from a work item, so sweeps analyse real templates.
+        """
         config = ServiceConfig(delta_start_s=300, detector_window_s=DURATION)
         service = FleetDiagnosisService(
             Broker(), FleetConfig(service=config, prune_broker=True),
             sweeper=sweeper,
         )
+        for feed in feeds:
+            engine = service.register_instance(feed.instance_id)
+            for statement in feed.statements:
+                engine.register_statement(statement)
         replay_chronologically(service, feeds, DURATION, CHUNK_S)
         return len(service.diagnoses)
 

@@ -242,10 +242,12 @@ class InstanceDiagnosisEngine:
             registry=self.registry,
         )
         #: Workload-level advisor (lock-conflict graph, index advisor,
-        #: join/fan-out) shared by repair planning and health sweeps.
+        #: join/fan-out) shared by repair planning and health sweeps.  It
+        #: parses through ``self.analyzer``: one IR cache per engine.
         self.advisor = WorkloadAnalyzer(
             schema=instance.schema if instance is not None else None,
             registry=self.registry,
+            analyzer=self.analyzer,
         )
         self._repair = RepairEngine(
             self.config.repair, registry=self.registry, instance_id=instance_id,
@@ -429,9 +431,16 @@ class InstanceDiagnosisEngine:
         return out
 
     def register_statement(self, sql: str) -> None:
-        """Teach the catalog a statement (collectors may also inline them)."""
+        """Teach the catalog a statement (collectors may also inline them).
+
+        The raw text is kept as the template's exemplar: static analysis
+        needs the literals (IN-list sizes, quoted numbers) that the
+        template erases.
+        """
         fp = fingerprint(sql)
-        self.catalog.register_template(fp.sql_id, fp.template, fp.kind, fp.tables)
+        self.catalog.register_template(
+            fp.sql_id, fp.template, fp.kind, fp.tables, exemplar=sql
+        )
 
     def register_catalog(self, catalog: TemplateCatalog) -> None:
         """Merge an external template catalog (e.g. from the workload)."""

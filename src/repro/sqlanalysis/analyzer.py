@@ -6,6 +6,12 @@ severity and **never raises** — a broken rule or unparseable statement
 degrades to an empty finding list plus a telemetry counter, because the
 analyzer rides inside the diagnosis loop where an exception would cost
 an incident.
+
+It also owns the IR cache: :meth:`SqlAnalyzer.parse` lexes and parses
+each distinct statement text once per analyzer, and a
+:class:`~repro.sqlanalysis.workload.WorkloadAnalyzer` built on the same
+analyzer parses through it, so one engine holds one IR per template.
+Both caches are bounded by ``AnalyzerConfig.max_cache_entries``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Iterable, Mapping
 
 from repro.dbsim.spec import TemplateSpec
 from repro.dbsim.tables import Schema
-from repro.sqlanalysis.ir import parse_statement
+from repro.sqlanalysis.ir import StatementIR, parse_statement
 from repro.sqlanalysis.rules import (
     AnalysisContext,
     Finding,
@@ -81,8 +87,19 @@ class SqlAnalyzer:
         )
         self.registry = registry or get_registry()
         self._cache: dict[tuple[str, str], tuple[Finding, ...]] = {}
+        self._ir_cache: dict[str, StatementIR] = {}
 
     # ------------------------------------------------------------------
+    def parse(self, sql: str) -> StatementIR:
+        """The IR of ``sql``, parsed once per distinct text; never raises."""
+        ir = self._ir_cache.get(sql)
+        if ir is None:
+            ir = parse_statement(sql)
+            if len(self._ir_cache) >= self.config.max_cache_entries:
+                self._ir_cache.clear()
+            self._ir_cache[sql] = ir
+        return ir
+
     def analyze_statement(self, sql: str, sql_id: str = "") -> list[Finding]:
         """All findings for one statement, most severe first; never raises."""
         key = (sql_id, sql)
@@ -91,7 +108,7 @@ class SqlAnalyzer:
             return list(cached)
         findings: list[Finding] = []
         try:
-            ir = parse_statement(sql)
+            ir = self.parse(sql)
             for rule in self.rules:
                 try:
                     findings.extend(rule.check(ir, self.context))

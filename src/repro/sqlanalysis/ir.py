@@ -8,6 +8,12 @@ select-list shape, table references and join constraints, a flat
 predicate list, ORDER/GROUP/LIMIT presence and locking clauses.  It is
 total: any input (including garbage) yields a :class:`StatementIR`, with
 ``parse_ok=False`` marking the rare internal failure.
+
+:func:`parse_statement` lexes its input once: the statement kind and
+the fallback table list come from the same token list the clause
+segmentation walks.  It keeps no cache of its own; the per-engine IR
+cache lives in :class:`~repro.sqlanalysis.analyzer.SqlAnalyzer`, which
+the engine's workload analyzer parses through as well.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from dataclasses import dataclass, field
 
 from repro.sqltemplate.fingerprint import (
     StatementKind,
+    _kind_of,
+    _tables_of,
     classify_statement,
     extract_tables,
 )
@@ -445,7 +453,9 @@ def parse_statement(sql: str) -> StatementIR:
 def _parse(sql: str) -> StatementIR:
     tokens = tokenize(sql)
     # Statement terminators carry no structure; stripping them keeps the
-    # clause spans clean for inputs like ``SELECT ... ;``.
+    # clause spans clean for inputs like ``SELECT ... ;``.  The kind and
+    # the fallback tables read the same tokens: a trailing ``;`` changes
+    # neither.
     while tokens and tokens[-1].text == ";":
         tokens = tokens[:-1]
     if not tokens:
@@ -453,7 +463,7 @@ def _parse(sql: str) -> StatementIR:
         # empty IR, not an error — the parser is total by contract.
         return StatementIR(kind=StatementKind.OTHER, raw=sql)
     depths = _depths(tokens)
-    kind = classify_statement(sql)
+    kind = _kind_of(tokens)
     ir = StatementIR(kind=kind, raw=sql)
     n = len(tokens)
 
@@ -516,7 +526,7 @@ def _parse(sql: str) -> StatementIR:
         ir.join_constraints = constraints
     else:
         on_spans = []
-        ir.tables = tuple(TableRef(name=t) for t in extract_tables(sql))
+        ir.tables = tuple(TableRef(name=t) for t in _tables_of(tokens))
     ir._alias_map = {}
     for t in ir.tables:
         if t.name:

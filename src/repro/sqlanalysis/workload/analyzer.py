@@ -1,8 +1,10 @@
 """The workload analyzer facade: template sets in, advisories out.
 
 ``WorkloadAnalyzer`` is the cross-statement counterpart of
-``SqlAnalyzer``: it parses every template once (cached), computes hot
-tables from traffic weights, runs the registered advisory passes and
+``SqlAnalyzer``: it parses every template through a ``SqlAnalyzer``'s
+IR cache (the engine passes its own analyzer, so a template analysed
+for findings is not parsed again for advisories), computes hot tables
+from traffic weights, runs the registered advisory passes and
 **never raises** — a broken pass degrades to zero advisories plus a
 telemetry counter, because the analyzer rides inside repair planning and
 health sweeps where an exception would cost an incident.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.dbsim.tables import Schema
-from repro.sqlanalysis.ir import StatementIR, parse_statement
+from repro.sqlanalysis.analyzer import SqlAnalyzer
 from repro.sqlanalysis.workload.advisory import Advisory, AdvisoryReport
 from repro.sqlanalysis.workload.passes import (
     AdvisoryPass,
@@ -45,6 +47,10 @@ class WorkloadAnalyzer:
         checks; ``None`` degrades those passes gracefully.
     passes:
         Override the pass set (defaults to the full registry).
+    analyzer:
+        The statement analyzer whose IR cache parses the templates; an
+        engine passes the one its repair planner and sweeps use.  By
+        default a private one is made.
     """
 
     def __init__(
@@ -53,6 +59,7 @@ class WorkloadAnalyzer:
         config: WorkloadConfig | None = None,
         passes: Iterable[AdvisoryPass] | None = None,
         registry: MetricsRegistry | None = None,
+        analyzer: SqlAnalyzer | None = None,
     ) -> None:
         self.schema = schema
         self.config = config or WorkloadConfig()
@@ -60,7 +67,7 @@ class WorkloadAnalyzer:
             tuple(passes) if passes is not None else default_passes()
         )
         self.registry = registry or get_registry()
-        self._ir_cache: dict[tuple[str, str], StatementIR] = {}
+        self.analyzer = analyzer or SqlAnalyzer(registry=self.registry)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -119,23 +126,12 @@ class WorkloadAnalyzer:
                     continue
                 seen[sql_id] = TemplateFootprint(
                     sql_id=sql_id,
-                    ir=self._ir(sql_id, text),
+                    ir=self.analyzer.parse(text),
                     weight=weights.get(sql_id) or TrafficWeight(),
                 )
             except Exception as exc:
                 self._count_failure("footprint", exc)
         return tuple(seen[sql_id] for sql_id in sorted(seen))
-
-    def _ir(self, sql_id: str, text: str) -> StatementIR:
-        key = (sql_id, text)
-        cached = self._ir_cache.get(key)
-        if cached is not None:
-            return cached
-        ir = parse_statement(text)
-        if len(self._ir_cache) >= self.config.max_cache_entries:
-            self._ir_cache.clear()
-        self._ir_cache[key] = ir
-        return ir
 
     def _hot_tables(
         self, footprints: tuple[TemplateFootprint, ...]

@@ -86,7 +86,6 @@ class WorkloadConfig:
     #: Minimum combined calls before a write-write conflict advisory fires.
     min_conflict_calls: float = 30.0
     max_advisories: int = 64
-    max_cache_entries: int = 4096
 
 
 @dataclass(frozen=True)

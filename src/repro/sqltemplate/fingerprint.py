@@ -5,6 +5,14 @@ literals become ``?``, ``IN (...)`` lists collapse to ``IN (?)``, keywords
 are upper-cased, whitespace is canonicalised.  ``sql_id`` hashes the
 template into the short hex identifier the paper's query logs show
 (e.g. ``E6DC``-style ids in Fig. 1).
+
+Each public function that reads a statement lexes it exactly once.  The
+work is done by private helpers that take the token list, so :func:`fingerprint` builds
+the template, the kind and the tables from one ``tokenize`` call, and
+:func:`normalize_statement`, :func:`classify_statement` and
+:func:`extract_tables` are thin wrappers that lex and delegate.  The IR
+parser (:mod:`repro.sqlanalysis.ir`) reuses the same helpers on the
+tokens it lexed.
 """
 
 from __future__ import annotations
@@ -69,11 +77,11 @@ def _leading_wildcard(tok: Token) -> bool:
     return tok.text[1:].startswith("%")
 
 
-def _normalized_tokens(sql: str) -> list[Token]:
-    """Tokenize and replace literal tokens with placeholders."""
+def _normalized_tokens(tokens: list[Token]) -> list[Token]:
+    """Replace literal tokens with placeholders."""
     out: list[Token] = []
     prev_like = False
-    for tok in tokenize(sql):
+    for tok in tokens:
         if tok.kind in (TokenKind.NUMBER, TokenKind.STRING):
             if prev_like and _leading_wildcard(tok):
                 out.append(Token(TokenKind.PLACEHOLDER, WILDCARD_PLACEHOLDER))
@@ -189,18 +197,16 @@ def _collapse_values_rows(tokens: list[Token]) -> list[Token]:
     return out
 
 
-def normalize_statement(sql: str) -> str:
-    """Return the SQL template text for a statement.
+_PLAIN_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 
-    >>> normalize_statement("SELECT * FROM user_table WHERE uid = 123456")
-    'SELECT * FROM user_table WHERE uid = ?'
-    """
-    tokens = _collapse_values_rows(_collapse_in_lists(_normalized_tokens(sql)))
+
+def _template_of(tokens: list[Token]) -> str:
+    """The template text of a lexed statement."""
+    tokens = _collapse_values_rows(_collapse_in_lists(_normalized_tokens(tokens)))
     parts: list[str] = []
-    plain_identifier = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
     for tok in tokens:
         text = tok.text.upper() if tok.kind == TokenKind.KEYWORD else tok.text
-        if tok.kind == TokenKind.IDENTIFIER and not plain_identifier.match(text):
+        if tok.kind == TokenKind.IDENTIFIER and not _PLAIN_IDENTIFIER.match(text):
             # Identifiers that would not re-lex as identifiers (spaces,
             # leading digits) keep their backquotes in the template.
             text = f"`{text}`"
@@ -219,15 +225,24 @@ def normalize_statement(sql: str) -> str:
     return " ".join(parts)
 
 
+def normalize_statement(sql: str) -> str:
+    """Return the SQL template text for a statement.
+
+    >>> normalize_statement("SELECT * FROM user_table WHERE uid = 123456")
+    'SELECT * FROM user_table WHERE uid = ?'
+    """
+    return _template_of(tokenize(sql))
+
+
 def sql_id(template_text: str, length: int = 8) -> str:
     """Stable hex SQL_ID for a template (MD5-derived, upper-case)."""
     digest = hashlib.md5(template_text.encode("utf-8")).hexdigest()
     return digest[:length].upper()
 
 
-def classify_statement(sql: str) -> StatementKind:
-    """Classify a statement (or template) into a :class:`StatementKind`."""
-    for tok in tokenize(sql):
+def _kind_of(tokens: list[Token]) -> StatementKind:
+    """The :class:`StatementKind` of a lexed statement (its leading word)."""
+    for tok in tokens:
         word = tok.text.lower()
         if tok.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER):
             continue
@@ -249,15 +264,13 @@ def classify_statement(sql: str) -> StatementKind:
     return StatementKind.OTHER
 
 
-def extract_tables(sql: str) -> tuple[str, ...]:
-    """Best-effort extraction of the table names a statement touches.
+def classify_statement(sql: str) -> StatementKind:
+    """Classify a statement (or template) into a :class:`StatementKind`."""
+    return _kind_of(tokenize(sql))
 
-    Looks for identifiers following ``FROM``, ``JOIN``, ``UPDATE``,
-    ``INTO`` and ``TABLE`` keywords — which covers the DML/DDL shapes the
-    simulator generates, and is the same heuristic production digest
-    pipelines start from.
-    """
-    tokens = tokenize(sql)
+
+def _tables_of(tokens: list[Token]) -> tuple[str, ...]:
+    """Table names named after FROM/JOIN/UPDATE/INTO/TABLE, in order."""
     tables: list[str] = []
     expect_table = False
     for tok in tokens:
@@ -277,6 +290,17 @@ def extract_tables(sql: str) -> tuple[str, ...]:
     return tuple(tables)
 
 
+def extract_tables(sql: str) -> tuple[str, ...]:
+    """Best-effort extraction of the table names a statement touches.
+
+    Looks for identifiers following ``FROM``, ``JOIN``, ``UPDATE``,
+    ``INTO`` and ``TABLE`` keywords — which covers the DML/DDL shapes the
+    simulator generates, and is the same heuristic production digest
+    pipelines start from.
+    """
+    return _tables_of(tokenize(sql))
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """Full fingerprint of a SQL statement."""
@@ -288,11 +312,19 @@ class Fingerprint:
 
 
 def fingerprint(sql: str) -> Fingerprint:
-    """Normalize, hash and classify a statement in one call."""
-    template = normalize_statement(sql)
+    """Normalize, hash and classify a statement from one lex.
+
+    >>> fp = fingerprint("UPDATE orders SET state = 2 WHERE id IN (7, 8, 9)")
+    >>> fp.template
+    'UPDATE orders SET state = ? WHERE id IN (?)'
+    >>> fp.sql_id, fp.kind, fp.tables
+    ('8AE8633A', <StatementKind.UPDATE: 'update'>, ('orders',))
+    """
+    tokens = tokenize(sql)
+    template = _template_of(tokens)
     return Fingerprint(
         sql_id=sql_id(template),
         template=template,
-        kind=classify_statement(sql),
-        tables=extract_tables(sql),
+        kind=_kind_of(tokens),
+        tables=_tables_of(tokens),
     )

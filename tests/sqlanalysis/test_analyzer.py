@@ -129,3 +129,18 @@ class TestRuleOverride:
         analyzer = SqlAnalyzer(rules=[OnlyStar()])
         findings = analyzer.analyze_statement("SELECT * FROM t")
         assert [f.rule for f in findings] == ["only-star"]
+
+
+class TestIrCache:
+    def test_parse_once_per_text(self):
+        analyzer = SqlAnalyzer()
+        ir = analyzer.parse("SELECT * FROM t")
+        assert analyzer.parse("SELECT * FROM t") is ir
+        analyzer.analyze_statement("SELECT * FROM t", sql_id="A")
+        assert analyzer._ir_cache == {"SELECT * FROM t": ir}
+
+    def test_ir_cache_bounded(self):
+        analyzer = SqlAnalyzer(config=AnalyzerConfig(max_cache_entries=4))
+        for i in range(10):
+            analyzer.parse(f"SELECT c{i} FROM t WHERE k = 1")
+        assert len(analyzer._ir_cache) <= 4

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sqltemplate import (
+    Fingerprint,
     StatementKind,
     TemplateCatalog,
     TokenKind,
@@ -283,3 +284,39 @@ class TestValuesCollapse:
         raw = "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')"
         once = normalize_statement(raw)
         assert normalize_statement(once) == once
+
+
+#: SQL-shaped fragments: keywords, identifiers, literals of every lexed
+#: kind, comments and punctuation, so drawn statements reach the IN-list,
+#: VALUES, LIKE-wildcard and table-extraction branches.
+_FRAGMENTS = (
+    "SELECT", "INSERT", "REPLACE", "UPDATE", "DELETE", "CREATE", "DROP",
+    "TABLE", "IF", "EXISTS", "BEGIN", "SET", "FROM", "JOIN", "INTO", "WHERE",
+    "VALUES", "IN", "LIKE", "NOT", "NULL", "AND", "OR", "t", "orders",
+    "`odd name`", "c0", "*", "=", "-", ",", ".", ";", "(", ")", "?", "42",
+    "-7", "1.5e3", "0x1F", "b'01'", "'a''b'", "'%abc'", "\"q\"", "-- note\n",
+    "/* c */", "#x\n",
+)
+
+
+class TestOneLex:
+    """``fingerprint`` builds everything from one lex; the IR agrees."""
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map(" ".join),
+            st.text(max_size=120),
+        )
+    )
+    @settings(max_examples=150)
+    def test_fingerprint_composes_the_public_wrappers(self, sql):
+        from repro.sqlanalysis import parse_statement
+
+        template = normalize_statement(sql)
+        assert fingerprint(sql) == Fingerprint(
+            sql_id=sql_id(template),
+            template=template,
+            kind=classify_statement(sql),
+            tables=extract_tables(sql),
+        )
+        assert parse_statement(sql).kind == classify_statement(sql)
