@@ -3,9 +3,9 @@
 In production PinSQL ships query logs through collectors → Kafka →
 Flink → LogStore.  This package provides in-process functional
 equivalents: a polling message broker, instance-side collectors, a
-windowed stream aggregator that rolls raw query records up into
-per-template metric series (1 s and 1 min granularities), and a
-retention-bounded log store.
+retention-bounded log store, and the windowed aggregation that rolls
+raw query records up into per-template metric series (1 s and 1 min
+granularities).
 """
 
 from repro.collection.stream import (
@@ -23,7 +23,6 @@ from repro.collection.collector import (
 )
 from repro.collection.aggregator import (
     TemplateMetricStore,
-    StreamAggregator,
     aggregate_query_log,
     aggregate_logstore,
     TEMPLATE_METRICS,
@@ -63,7 +62,6 @@ __all__ = [
     "QUERY_TOPIC",
     "METRIC_TOPIC",
     "TemplateMetricStore",
-    "StreamAggregator",
     "aggregate_query_log",
     "aggregate_logstore",
     "TEMPLATE_METRICS",

@@ -6,11 +6,12 @@ Rolls raw query records up into per-template metric time series:
 on-demand 1-minute resampling — the ``metricQ,t = Aggregate({...})``
 operation of paper Section IV-A.
 
-Three paths produce identical results: :func:`aggregate_query_log`
-(batch aggregation straight from a :class:`QueryLog`),
-:func:`aggregate_logstore` (the same per-template ``bincount`` helper
-over LogStore window reads) and :class:`StreamAggregator` (incremental
-consumption from the broker).
+Two paths produce identical results through one per-template
+``bincount`` helper: :func:`aggregate_query_log` (batch aggregation
+straight from a :class:`QueryLog`) and :func:`aggregate_logstore`
+(LogStore window reads).  The streaming path is the diagnosis engine's:
+it drains the broker's query-log blocks into its LogStore and
+aggregates the case window with :func:`aggregate_logstore`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.collection.blocks import QueryLogBlock, validate_query_block
-from repro.collection.quarantine import quarantine
-from repro.collection.stream import Consumer
 from repro.dbsim.query import QueryLog
 from repro.timeseries import TimeSeries
 
@@ -29,7 +27,7 @@ __all__ = [
     "TEMPLATE_METRICS",
     "TemplateMetricStore",
     "aggregate_query_log",
-    "StreamAggregator",
+    "aggregate_logstore",
 ]
 
 #: The per-template metrics the aggregation pipeline materialises.
@@ -171,93 +169,3 @@ def aggregate_logstore(logstore, start: int, end: int) -> TemplateMetricStore:
             _store_from_arrays(store, sql_id, seconds, tq.response_ms, tq.examined_rows)
     return store
 
-
-class StreamAggregator:
-    """Incremental aggregation from the broker's query-log topic.
-
-    When built with an ``instance_id``, records stamped with a different
-    instance are skipped — a defensive guard for consumers positioned on
-    a shared (non-partitioned) topic carrying fleet traffic.
-    """
-
-    def __init__(
-        self, consumer: Consumer, start: int, end: int, instance_id: str = ""
-    ) -> None:
-        self.consumer = consumer
-        self.start = int(start)
-        self.end = int(end)
-        self.instance_id = instance_id
-        self._accum: dict[str, dict[str, np.ndarray]] = {}
-
-    def _template_arrays(self, sql_id: str) -> dict[str, np.ndarray]:
-        arrays = self._accum.get(sql_id)
-        if arrays is None:
-            n = self.end - self.start
-            arrays = {
-                "count": np.zeros(n),
-                "total_tres": np.zeros(n),
-                "total_rows": np.zeros(n),
-            }
-            self._accum[sql_id] = arrays
-        return arrays
-
-    def _ingest_block(self, block: QueryLogBlock) -> None:
-        """Vectorized accumulation of one columnar block.
-
-        Per-template, per-second sums are formed with one ``bincount``
-        per template over the block's sorted rows.
-        """
-        n = self.end - self.start
-        for batch in block.iter_template_batches():
-            seconds = (batch.arrive_ms // 1000).astype(np.int64) - self.start
-            in_window = (seconds >= 0) & (seconds < n)
-            if not in_window.any():
-                continue
-            idx = seconds[in_window]
-            resp = batch.response_ms[in_window]
-            rows = batch.examined_rows[in_window]
-            arrays = self._template_arrays(batch.sql_id)
-            arrays["count"] += np.bincount(idx, minlength=n)
-            arrays["total_tres"] += np.bincount(idx, weights=resp, minlength=n)
-            arrays["total_rows"] += np.bincount(idx, weights=rows, minlength=n)
-
-    def poll(self, max_messages: int = 10_000) -> int:
-        """Consume a batch of query-log blocks; returns messages handled.
-
-        Malformed blocks and non-block payloads are quarantined to the
-        dead-letter topic, never raised.
-        """
-        messages = self.consumer.poll(max_messages)
-        for message in messages:
-            block = message.value
-            reason = validate_query_block(block)
-            if reason is not None:
-                quarantine(self.consumer.broker, self.consumer.topic, block, reason)
-                continue
-            if self.instance_id and block.instance and block.instance != self.instance_id:
-                continue
-            self._ingest_block(block)
-        return len(messages)
-
-    def drain(self) -> None:
-        """Consume until the topic is exhausted."""
-        while self.consumer.lag > 0:
-            self.poll()
-
-    def snapshot(self) -> TemplateMetricStore:
-        """Materialise the current aggregation state as a metric store."""
-        store = TemplateMetricStore(start=self.start, end=self.end, interval=1)
-        for sql_id, arrays in self._accum.items():
-            count = arrays["count"]
-            total_tres = arrays["total_tres"]
-            total_rows = arrays["total_rows"]
-            avg = np.where(count > 0, total_tres / np.maximum(count, 1.0), 0.0)
-            store.put(sql_id, "#execution", TimeSeries(count.copy(), self.start, 1, "#execution"))
-            store.put(sql_id, "total_tres", TimeSeries(total_tres.copy(), self.start, 1, "total_tres"))
-            store.put(sql_id, "avg_tres", TimeSeries(avg, self.start, 1, "avg_tres"))
-            store.put(
-                sql_id,
-                "total_examined_rows",
-                TimeSeries(total_rows.copy(), self.start, 1, "total_examined_rows"),
-            )
-        return store

@@ -27,8 +27,9 @@ they publish to that instance's topic partition
 (``query_logs.<instance_id>`` etc., see
 :func:`~repro.collection.stream.instance_topic`) and stamp every record
 with the id, so a fleet of collectors multiplexes one broker without
-record-level ambiguity.  The default empty id preserves the original
-single-instance topics.
+record-level ambiguity.  The default empty id publishes to the bare
+``query_logs`` / ``performance_metrics`` topics, which standalone
+collectors use when no diagnosis engine consumes them.
 """
 
 from __future__ import annotations

@@ -57,8 +57,8 @@ __all__ = [
 def instance_topic(base: str, instance_id: str = "") -> str:
     """The topic name carrying ``base`` records of one instance.
 
-    An empty ``instance_id`` names the shared single-instance topic, so
-    pre-fleet callers keep publishing and consuming exactly as before.
+    An empty ``instance_id`` names the bare ``base`` topic, which
+    standalone collectors and consumers use outside a fleet.
     """
     if not instance_id:
         return base

@@ -180,9 +180,6 @@ class SimulationEngine:
     def add_throttle(self, throttle: Throttle) -> None:
         self.throttles.append(throttle)
 
-    def remove_throttles(self, sql_id: str) -> None:
-        self.throttles = [t for t in self.throttles if t.sql_id != sql_id]
-
     def override_spec(self, spec: TemplateSpec) -> None:
         self.spec_overrides[spec.sql_id] = spec
         row = self._registry.row_of.get(spec.sql_id)

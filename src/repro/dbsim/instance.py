@@ -122,9 +122,6 @@ class DatabaseInstance:
         self.engine.add_throttle(throttle)
         return throttle
 
-    def unthrottle(self, sql_id: str) -> None:
-        self.engine.remove_throttles(sql_id)
-
     def apply_optimization(self, spec: TemplateSpec, rows_gain: float, tres_gain: float) -> TemplateSpec:
         """Swap in an optimized spec for a template (query optimization)."""
         optimized = spec.optimized(rows_gain=rows_gain, tres_gain=tres_gain)

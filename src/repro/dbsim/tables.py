@@ -65,11 +65,6 @@ class Table:
             return True
         return any(ix[: len(cols)] == cols for ix in self.composite_indexes)
 
-    def index_specs(self) -> tuple[tuple[str, ...], ...]:
-        """Every index as an ordered column tuple (deterministic order)."""
-        singles = [(c,) for c in sorted(self.indexes)]
-        return tuple(singles + sorted(self.composite_indexes))
-
 
 class Schema:
     """The set of tables on one database instance."""

@@ -21,8 +21,7 @@ from repro.detection.basic import BasicPerception
 from repro.detection.case_builder import CaseBuilder, DetectedAnomaly
 from repro.detection.phenomenon import PhenomenonPerception
 from repro.telemetry import MetricsRegistry, get_registry
-from repro.telemetry.selfmon import forward_fill_series
-from repro.timeseries import TimeSeries
+from repro.timeseries import TimeSeries, forward_fill_series
 
 __all__ = ["AnomalyEvent", "RealtimeAnomalyDetector", "snapshot_samples"]
 

@@ -6,8 +6,8 @@ instance's end-to-end loop), :class:`FleetDiagnosisService` (the whole
 fleet behind one ``step()``/``run_until_drained()`` on the caller's
 thread) and :func:`run_sharded` (the fleet sharded by
 :func:`stable_shard` over a :class:`PersistentWorkerPool` of processes,
-the only way to diagnose in parallel).  The single-instance
-:class:`~repro.service.PinSqlService` is a facade over the engine.
+the only way to diagnose in parallel).  An engine stepped by the fleet
+service is the only consumer of the broker topics.
 """
 
 from repro.fleet.engine import Diagnosis, InstanceDiagnosisEngine, ServiceConfig

@@ -1,13 +1,11 @@
 """Per-instance diagnosis engine (one instance's always-on loop).
 
-This is the single-instance machinery the pre-fleet ``PinSqlService``
-carried inline: consume one instance's query-log and metric topics,
-run the real-time detector, assemble anomaly cases from the retention-
-bounded log store, run PinSQL, plan/execute repairs, notify.  The fleet
-service owns one engine per registered instance; the single-instance
-:class:`~repro.service.PinSqlService` facade owns exactly one with an
-empty ``instance_id`` (preserving the original topics and unlabelled
-telemetry).
+Consume one instance's query-log and metric topic partitions, run the
+real-time detector, assemble anomaly cases from the retention-bounded
+log store, run PinSQL, plan/execute repairs, notify.  The fleet service
+(:class:`~repro.fleet.service.FleetDiagnosisService`) owns one engine
+per registered instance and steps it; the engine is the only consumer
+of the broker topics.
 
 Every engine is self-contained — consumers, detector buffers, log
 store, template catalog, emitted-anomaly dedup state — so
@@ -55,12 +53,10 @@ from repro.sqltemplate import TemplateCatalog, fingerprint
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    SelfMonitor,
     TraceContext,
     Tracer,
     get_logger,
     get_registry,
-    get_tracer,
 )
 from repro.timeseries import TimeSeries
 
@@ -110,7 +106,7 @@ class Diagnosis:
     verdict: CategoryVerdict | None = None
     #: Static-analysis findings per top-ranked template (R-SQLs first).
     findings: dict[str, tuple[Finding, ...]] = field(default_factory=dict)
-    #: The monitored instance the anomaly occurred on ("" pre-fleet).
+    #: The monitored instance the anomaly occurred on.
     instance_id: str = ""
     #: Id of the persisted incident record, when a recorder is attached.
     incident_id: str | None = None
@@ -154,10 +150,9 @@ class InstanceDiagnosisEngine:
     broker:
         The (fleet-shared) message broker.
     instance_id:
-        Id of the monitored instance.  Decides the topic partition
-        (``query_logs.<id>`` / ``performance_metrics.<id>``) and labels
-        all telemetry; empty means the pre-fleet shared topics and
-        unlabelled telemetry.
+        Id of the monitored instance (non-empty).  Decides the topic
+        partition (``query_logs.<id>`` / ``performance_metrics.<id>``)
+        and labels all telemetry.
     config:
         Service configuration.
     instance:
@@ -169,36 +164,31 @@ class InstanceDiagnosisEngine:
     notify:
         Optional callback invoked with each completed :class:`Diagnosis`
         (the DingTalk/SMS hook of the paper's Fig. 5).
-    registry / tracer:
-        Optional telemetry sinks; by default the process-wide registry
-        and tracer from :mod:`repro.telemetry` are used.  Engines with
-        an ``instance_id`` get a private tracer labelled with the
-        instance so per-stage histograms stay separable (and thread-
-        private under the fleet worker pool).
+    registry:
+        Optional metrics registry; by default the process-wide one from
+        :mod:`repro.telemetry`.  The engine's private tracer, bound to
+        it, labels spans with the instance so per-stage histograms stay
+        separable.
     logstore:
         Optional :class:`LogStore` (e.g. one with a shorter retention);
         by default the engine creates its own.  Each step expires it
         against the detector's stream clock.
-    selfmon:
-        Optional :class:`SelfMonitor`, sampled at the end of every step.
-        Defaults to a private one for the single-instance path; the
-        fleet passes ``None`` (no self-monitor history).
     """
 
     def __init__(
         self,
         broker: Broker,
-        instance_id: str = "",
+        instance_id: str,
         config: ServiceConfig | None = None,
         instance: DatabaseInstance | None = None,
         history_provider: Callable[[str, int, int, int], TimeSeries | None] | None = None,
         notify: Callable[[Diagnosis], None] | None = None,
         registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         logstore: LogStore | None = None,
-        selfmon: SelfMonitor | None | str = "default",
         recorder: "IncidentRecorder | None" = None,
     ) -> None:
+        if not instance_id:
+            raise ValueError("instance_id must be non-empty")
         self.config = config or ServiceConfig()
         self.broker = broker
         self.instance_id = instance_id
@@ -210,17 +200,8 @@ class InstanceDiagnosisEngine:
         self.recorder = recorder
         self.query_topic = instance_topic(QUERY_TOPIC, instance_id)
         self.metric_topic = instance_topic(METRIC_TOPIC, instance_id)
-        if tracer is None:
-            if instance_id:
-                tracer = Tracer(
-                    registry=registry or get_registry(),
-                    labels={"instance": instance_id},
-                )
-            else:
-                tracer = get_tracer() if registry is None else Tracer(registry=registry)
         self.registry = registry or get_registry()
-        self.tracer = tracer
-        self._labels = {"instance": instance_id} if instance_id else {}
+        self.tracer = Tracer(registry=self.registry, labels={"instance": instance_id})
         self.logstore = logstore if logstore is not None else LogStore(
             registry=self.registry, instance_id=instance_id
         )
@@ -253,32 +234,23 @@ class InstanceDiagnosisEngine:
             self.config.repair, registry=self.registry, instance_id=instance_id,
             analyzer=self.analyzer, advisor=self.advisor,
         )
-        #: Self-monitoring: gauge/counter history of this very service,
-        #: exposed as TimeSeries so the repo's detectors can watch it.
-        self.selfmon: SelfMonitor | None
-        if selfmon == "default":
-            self.selfmon = SelfMonitor(
-                self.registry, window_s=self.config.detector_window_s
-            )
-        else:
-            self.selfmon = selfmon  # type: ignore[assignment]
         #: Degraded-mode policy: gap detection and evidence fallbacks.
         self.degraded_policy = DegradedModePolicy(
             max_gap_fraction=self.config.max_gap_fraction,
             min_window_fraction=self.config.min_window_fraction,
             registry=self.registry,
-            **self._labels,
+            instance=instance_id,
         )
         #: Stage watchdog bounding each diagnosis's wall-clock budget.
         self._watchdog = StageWatchdog(
             self.config.diagnosis_budget_s,
             registry=self.registry,
-            **self._labels,
+            instance=instance_id,
         )
         #: Circuit breaker around repair execution: stop hammering an
         #: instance whose repair path keeps failing.
         self.repair_breaker = CircuitBreaker(
-            name=f"repair.{instance_id or 'default'}",
+            name=f"repair.{instance_id}",
             failure_threshold=self.config.breaker_failure_threshold,
             recovery_s=self.config.breaker_recovery_s,
             registry=self.registry,
@@ -288,7 +260,7 @@ class InstanceDiagnosisEngine:
         self._quarantined_since_diagnosis = 0
         self.diagnoses: list[Diagnosis] = []
         reg = self.registry
-        labels = self._labels
+        labels = {"instance": instance_id}
         self._m_steps = reg.counter(
             "service_steps_total", help="Service loop iterations.", **labels
         )
@@ -348,7 +320,7 @@ class InstanceDiagnosisEngine:
             "service_anomalies_skipped_total",
             help="Anomaly events not diagnosed, by reason.",
             reason=reason,
-            **self._labels,
+            instance=self.instance_id,
         ).inc()
 
     # ------------------------------------------------------------------
@@ -372,11 +344,7 @@ class InstanceDiagnosisEngine:
                     quarantine(self.broker, self.query_topic, record, reason)
                     self._quarantined_since_diagnosis += 1
                     continue
-                if (
-                    self.instance_id
-                    and record.instance
-                    and record.instance != self.instance_id
-                ):
+                if record.instance and record.instance != self.instance_id:
                     continue
                 if record.trace is not None:
                     # Adopt the publish span's context: subsequent
@@ -482,7 +450,7 @@ class InstanceDiagnosisEngine:
             self.registry.counter(
                 "service_log_catchups_total",
                 help="Query-log messages drained by pre-diagnosis catch-up.",
-                **self._labels,
+                instance=self.instance_id,
             ).inc(handled)
         return handled
 
@@ -549,47 +517,6 @@ class InstanceDiagnosisEngine:
                 )
                 if self.notify is not None:
                     self.notify(diagnosis)
-        if self.selfmon is not None and self.detector.stream_time is not None:
-            self.selfmon.sample(self.detector.stream_time)
-        return produced
-
-    def run_until_drained(self, max_idle_iterations: int = 25) -> list[Diagnosis]:
-        """Step until both topics are exhausted.
-
-        Guarded against a non-advancing broker: when the lag stays
-        positive but :meth:`step` makes no progress for
-        ``max_idle_iterations`` consecutive iterations (offsets frozen,
-        nothing diagnosed), the loop logs a warning with the stuck topic
-        lags and breaks rather than spinning forever.
-        """
-        produced: list[Diagnosis] = []
-        idle = 0
-        while self._log_consumer.lag > 0 or self.detector.consumer.lag > 0:
-            offsets = self.consumer_offsets()
-            step_produced = self.step()
-            produced.extend(step_produced)
-            advanced = self.consumer_offsets() != offsets
-            if advanced or step_produced:
-                idle = 0
-                continue
-            if self.resync_consumers():
-                # A consumer was stranded behind a pruned log head;
-                # after the resync the loop can re-evaluate the lag.
-                idle = 0
-                continue
-            idle += 1
-            if idle >= max_idle_iterations:
-                _log.warning(
-                    "broker not advancing; abandoning drain",
-                    extra={
-                        "instance": self.instance_id,
-                        "idle_iterations": idle,
-                        "query_logs_lag": self._log_consumer.lag,
-                        "performance_metrics_lag": self.detector.consumer.lag,
-                    },
-                )
-                self._count_skip("drain_stalled")
-                break
         return produced
 
     # ------------------------------------------------------------------

@@ -121,11 +121,9 @@ class FleetDiagnosisService:
         """Bring an instance under diagnosis; returns its engine.
 
         Re-registering an id returns the existing engine.  Ids may not be
-        empty (that names the shared single-instance topics) or contain
-        ``'.'`` (the topic separator).
+        empty or contain ``'.'`` (the topic separator); the engine
+        rejects both.
         """
-        if not instance_id:
-            raise ValueError("instance_id must be non-empty")
         engine = self._engines.get(instance_id)
         if engine is None:
             engine = InstanceDiagnosisEngine(
@@ -136,7 +134,6 @@ class FleetDiagnosisService:
                 history_provider=history_provider,
                 notify=self.notify,
                 registry=self.registry,
-                selfmon=None,
                 recorder=self.recorder,
             )
             if catalog is not None:
@@ -230,9 +227,11 @@ class FleetDiagnosisService:
     def run_until_drained(self, max_idle_iterations: int = 25) -> list[Diagnosis]:
         """Step until every instance's partitions are exhausted.
 
-        Same stall guard as the single-instance loop: if the fleet lag
-        stays positive but no consumer advances and nothing is produced
-        for ``max_idle_iterations`` consecutive steps, log and break.
+        Guarded against a non-advancing broker: if the fleet lag stays
+        positive but no consumer advances, no stranded consumer can be
+        resynced and nothing is produced for ``max_idle_iterations``
+        consecutive steps, log, count ``fleet_drain_stalled_total`` and
+        break rather than spinning forever.
         """
         produced: list[Diagnosis] = []
         idle = 0

@@ -140,8 +140,8 @@ class HealthSweeper:
         """
         cfg = self.config
         if telemetry is None:
-            telemetry = self._instance_telemetry(
-                self.registry.snapshot(), engine.instance_id
+            telemetry = filter_snapshot(
+                self.registry.snapshot(), instance=engine.instance_id
             )
         ts = max(0, now - cfg.sweep_window_s)
         templates = None
@@ -215,18 +215,6 @@ class HealthSweeper:
                 exc_info=True,
             )
             return ()
-
-    @staticmethod
-    def _instance_telemetry(snapshot: Mapping, instance_id: str) -> Mapping:
-        """One instance's slice of a registry snapshot.
-
-        Single-instance engines (empty id) label nothing, so their
-        slice is the whole snapshot — there is nobody to confuse them
-        with.
-        """
-        if not instance_id:
-            return snapshot
-        return filter_snapshot(dict(snapshot), instance=instance_id)
 
     def fleet_context(
         self,
@@ -368,7 +356,7 @@ class HealthSweeper:
         snap = self.registry.snapshot()
         contexts = [
             self.context_for_engine(
-                e, now, telemetry=self._instance_telemetry(snap, e.instance_id)
+                e, now, telemetry=filter_snapshot(snap, instance=e.instance_id)
             )
             for e in engines
         ]

@@ -1,7 +1,7 @@
 """The incident recorder: diagnosis in, durable evidence chain out.
 
-Hooks into the diagnosis loop (``InstanceDiagnosisEngine`` and the
-``PinSqlService`` facade accept a ``recorder=``): each completed
+Hooks into the diagnosis loop (``FleetDiagnosisService`` hands its
+``recorder=`` to every ``InstanceDiagnosisEngine``): each completed
 :class:`~repro.fleet.engine.Diagnosis` is flattened into an
 :class:`~repro.incidents.record.IncidentRecord` and appended to the
 :class:`~repro.incidents.store.IncidentStore`.  One recorder may serve

@@ -84,10 +84,6 @@ class CircuitBreaker:
                 self._transition(BreakerState.HALF_OPEN)
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
     def _transition(self, state: BreakerState) -> None:
         if state is self._state:
             return

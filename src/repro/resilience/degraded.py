@@ -20,8 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.telemetry import MetricsRegistry, get_registry
-from repro.telemetry.selfmon import forward_fill_series
-from repro.timeseries import TimeSeries
+from repro.timeseries import TimeSeries, forward_fill_series
 
 __all__ = [
     "DiagnosisConfidence",

@@ -9,10 +9,7 @@ Table IV's overhead budget) is observable in the reproduction:
 * :class:`Tracer` — nested context-manager spans replacing the old
   ad-hoc ``perf_counter`` sites while still feeding ``StageTimings``;
 * structured logging (``key=value`` or JSON lines) behind a single
-  :func:`configure_telemetry` entry point;
-* :class:`SelfMonitor` — adapts the registry's own gauge/counter
-  histories into :class:`~repro.timeseries.TimeSeries` so the repo's
-  detectors can watch the watcher.
+  :func:`configure_telemetry` entry point.
 
 A process-wide default registry and tracer back every instrumented
 component; all of them also accept explicit instances for isolation
@@ -50,7 +47,6 @@ from repro.telemetry.logs import (
     configure_telemetry,
     get_logger,
 )
-from repro.telemetry.selfmon import SelfMonitor, forward_fill_series
 
 __all__ = [
     "Counter",
@@ -78,8 +74,6 @@ __all__ = [
     "KeyValueFormatter",
     "configure_telemetry",
     "get_logger",
-    "SelfMonitor",
-    "forward_fill_series",
     "get_registry",
     "get_tracer",
     "reset_telemetry",

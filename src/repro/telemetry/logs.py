@@ -1,4 +1,4 @@
-"""Structured logging for the repro service.
+"""Structured logging for the PinSQL diagnosis service.
 
 Everything logs through the ``repro`` logger hierarchy via stdlib
 ``logging``; this module adds two structured formatters (logfmt-style

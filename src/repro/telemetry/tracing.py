@@ -212,10 +212,6 @@ class Tracer:
         """Parent subsequent root spans under a remote span's context."""
         self._remote_parent = ctx
 
-    @property
-    def remote_parent(self) -> TraceContext | None:
-        return self._remote_parent
-
     def context_for(self, span: Span) -> TraceContext | None:
         """The :class:`TraceContext` identifying ``span``, minting ids
         lazily.

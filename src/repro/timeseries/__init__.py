@@ -7,7 +7,7 @@ and the anomaly detectors (spike, level shift, Tukey's rule) that back both
 the Basic Perception layer and the history-trend verification step.
 """
 
-from repro.timeseries.series import TimeSeries
+from repro.timeseries.series import TimeSeries, forward_fill_series
 from repro.timeseries.correlation import (
     pearson,
     pearson_rows,
@@ -26,6 +26,7 @@ from repro.timeseries.features import AnomalousFeature, FeatureKind
 
 __all__ = [
     "TimeSeries",
+    "forward_fill_series",
     "pearson",
     "pearson_rows",
     "weighted_pearson",

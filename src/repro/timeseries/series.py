@@ -10,10 +10,11 @@ is the timestamp one interval after the series start.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-__all__ = ["TimeSeries"]
+__all__ = ["TimeSeries", "forward_fill_series"]
 
 
 @dataclass
@@ -210,3 +211,23 @@ class TimeSeries:
         if len(values) != len(template):
             raise ValueError("values length does not match the template series")
         return cls(values, template.start, template.interval, name)
+
+
+def forward_fill_series(
+    samples: Mapping[int, float], ts: int, te: int, name: str = ""
+) -> TimeSeries:
+    """Forward-filled 1 Hz series over ``[ts, te)`` from sparse samples.
+
+    Seconds before the first sample hold 0.0; afterwards each second
+    carries the most recent sample value (the same convention the
+    service uses when reconstructing detector metric buffers).
+    """
+    if te <= ts:
+        raise ValueError("te must be greater than ts")
+    values = np.zeros(te - ts, dtype=np.float64)
+    last = 0.0
+    for i, t in enumerate(range(ts, te)):
+        if t in samples:
+            last = samples[t]
+        values[i] = last
+    return TimeSeries(values, start=ts, name=name)

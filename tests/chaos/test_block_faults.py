@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import ChaosBroker, FaultInjector, FaultPlan, FaultSpec, single_fault_plan
-from repro.collection import Broker, LogStore, StreamAggregator
+from repro.collection import Broker, aggregate_logstore
 from repro.collection.blocks import (
     METRIC_BLOCK_DTYPE,
     QUERY_BLOCK_DTYPE,
@@ -20,6 +20,8 @@ from repro.collection.blocks import (
     validate_metric_block,
     validate_query_block,
 )
+from repro.collection.quarantine import dead_letter_topic
+from repro.fleet import InstanceDiagnosisEngine
 from repro.telemetry import MetricsRegistry
 
 
@@ -125,18 +127,19 @@ class TestChaosPublishBlock:
 
     def test_duplicate_blocks_double_aggregates_honestly(self):
         chaos, broker, _ = chaos_broker("duplicate", rate=1.0)
-        chaos.publish_block("query_logs", query_block())
-        assert broker.retained("query_logs") == 2
-        aggregator = StreamAggregator(broker.consumer("query_logs"), start=0, end=10)
-        aggregator.drain()
+        chaos.publish_block("query_logs.db-a", query_block("db-a"))
+        assert broker.retained("query_logs.db-a") == 2
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=broker.registry)
+        engine.step()
         # Both copies aggregate — duplication is a data fault the
         # detector layer sees, not one the transport hides.
-        assert aggregator.snapshot().get("q1", "#execution").values.sum() == 6
+        store = aggregate_logstore(engine.logstore, 0, 10)
+        assert store.get("q1", "#execution").values.sum() == 6
 
 
 class TestDownstreamResilience:
     def test_aggregator_skips_chaos_corrupted_blocks(self):
-        """A consumer validates blocks and quarantines the damage."""
+        """The engine's drain validates blocks and quarantines the damage."""
         registry = MetricsRegistry()
         broker = Broker(registry=registry)
         injector = FaultInjector(
@@ -149,24 +152,22 @@ class TestDownstreamResilience:
         )
         chaos = injector.wrap_broker(broker)
         for _ in range(20):
-            chaos.publish_block("query_logs", query_block())
+            chaos.publish_block("query_logs.db-a", query_block("db-a"))
         chaos.flush()
-        store = LogStore(registry=registry)
-        consumer = broker.consumer("query_logs")
-        delivered_rows = carved_rows = quarantined = 0
-        for message in consumer.poll(100):
-            reason = validate_query_block(message.value)
-            if reason is not None:
-                quarantined += 1
-                carved_rows += len(message.value)
-                continue
-            delivered_rows += store.ingest_block(message.value)
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=registry)
+        engine.step()
+        dead = broker.read(dead_letter_topic("query_logs.db-a"), 0, 100)
+        quarantined = len(dead)
+        carved_rows = sum(len(m.value["record"]) for m in dead)
+        delivered_rows = registry.get(
+            "service_querylog_block_records_total", instance="db-a"
+        ).value
         # Corruption acts per row: the hit rows of a block are carved
         # into one damaged block, the rest of the block ingests.
         assert 0 < quarantined <= 20, "corrupt rate 0.5 over 80 rows must hit"
         assert delivered_rows > 0, "corrupt rate 0.5 over 80 rows must miss"
         # The store only absorbed intact rows (an emptied carve holds none).
-        assert store.total_queries() == delivered_rows
+        assert engine.logstore.total_queries() == delivered_rows
         assert delivered_rows + carved_rows <= 80
 
     def test_fault_counts_are_deterministic_across_runs(self):

@@ -3,9 +3,10 @@
 The equivalence contract of the columnar dataplane: shipping the same
 queries as blocks instead of per-(second, template) records changes
 nothing downstream — LogStore window reads and aggregates are
-byte-identical, the stream aggregator's snapshot is byte-identical to
-the batch aggregation, and batches ingested out of order read back in
-arrival order.
+byte-identical, the diagnosis engine's streaming path (broker drain →
+LogStore → window aggregation) is byte-identical to the batch
+aggregation, and batches ingested out of order read back in arrival
+order.
 """
 
 from dataclasses import replace
@@ -16,7 +17,6 @@ import pytest
 from repro.collection import (
     Broker,
     LogStore,
-    StreamAggregator,
     aggregate_logstore,
     aggregate_query_log,
     query_block_from_log,
@@ -28,6 +28,7 @@ from repro.collection.blocks import (
     split_query_block,
 )
 from repro.dbsim import QueryLog, SecondBatch
+from repro.fleet import InstanceDiagnosisEngine
 from repro.telemetry import MetricsRegistry
 
 
@@ -113,14 +114,23 @@ class TestLogStoreEquivalence:
         )
 
 
+def drain_engine(block: QueryLogBlock, instance_id: str = "db-a"):
+    """Publish one block to the instance's partition and let an engine
+    drain it: the streaming path into the engine's LogStore."""
+    registry = MetricsRegistry()
+    broker = Broker(registry=registry)
+    broker.publish_block(f"query_logs.{instance_id}", block)
+    engine = InstanceDiagnosisEngine(broker, instance_id, registry=registry)
+    engine.step()
+    assert engine.lag == 0
+    return engine
+
+
 class TestStreamAggregatorEquivalence:
     def test_block_path_matches_batch_aggregation_bit_for_bit(self):
         log = make_log()
-        broker = Broker(registry=MetricsRegistry())
-        broker.publish_block("query_logs", query_block_from_log(log))
-        aggregator = StreamAggregator(broker.consumer("query_logs"), start=0, end=30)
-        aggregator.drain()
-        snapshot = aggregator.snapshot()
+        engine = drain_engine(query_block_from_log(log, instance="db-a"))
+        snapshot = aggregate_logstore(engine.logstore, 0, 30)
         reference = aggregate_query_log(log, 0, 30)
         assert set(snapshot.sql_ids) == set(reference.sql_ids)
         for sql_id in reference.sql_ids:
@@ -132,15 +142,9 @@ class TestStreamAggregatorEquivalence:
 
     def test_instance_filter_skips_foreign_blocks(self):
         log = make_log()
-        broker = Broker(registry=MetricsRegistry())
-        broker.publish_block(
-            "query_logs", query_block_from_log(log, instance="db-other")
-        )
-        aggregator = StreamAggregator(
-            broker.consumer("query_logs"), start=0, end=30, instance_id="db-a"
-        )
-        aggregator.drain()
-        assert aggregator.snapshot().sql_ids == []
+        engine = drain_engine(query_block_from_log(log, instance="db-other"))
+        assert engine.logstore.total_queries() == 0
+        assert aggregate_logstore(engine.logstore, 0, 30).sql_ids == []
 
 
 class TestOutOfOrderIngestion:

@@ -8,12 +8,14 @@ from repro.collection import (
     LogStore,
     MetricsCollector,
     QueryLogCollector,
-    StreamAggregator,
     TEMPLATE_METRICS,
     TemplateMetricStore,
+    aggregate_logstore,
     aggregate_query_log,
 )
 from repro.dbsim import QueryLog, SecondBatch
+from repro.fleet import InstanceDiagnosisEngine
+from repro.telemetry import MetricsRegistry
 from repro.timeseries import TimeSeries
 
 
@@ -114,13 +116,16 @@ class TestStreamingPath:
     def test_stream_matches_batch(self):
         log = make_log()
         broker = Broker()
-        collector = QueryLogCollector(broker)
+        collector = QueryLogCollector(broker, instance_id="db-a")
         n_blocks = collector.collect(log)
         assert n_blocks == 3  # one block per second: 10 and 11 (A), 12 (B)
 
-        aggregator = StreamAggregator(broker.consumer(collector.topic), start=10, end=13)
-        aggregator.drain()
-        streamed = aggregator.snapshot()
+        # The streaming path: the engine drains the blocks into its
+        # LogStore, and the case window is aggregated from there.
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=MetricsRegistry())
+        engine.step()
+        assert engine.lag == 0
+        streamed = aggregate_logstore(engine.logstore, start=10, end=13)
         batch = aggregate_query_log(log, start=10, end=13)
         for sql_id in ("A", "B"):
             for metric in TEMPLATE_METRICS:
@@ -130,13 +135,24 @@ class TestStreamingPath:
                 ), (sql_id, metric)
 
     def test_incremental_polling(self):
+        """Blocks drained over several engine steps aggregate as one batch."""
+        log = make_log()
+        source = Broker()
+        QueryLogCollector(source, instance_id="db-a").collect(log)
+        blocks = [m.value for m in source.read("query_logs.db-a", 0, 10)]
         broker = Broker()
-        QueryLogCollector(broker).collect(make_log())
-        aggregator = StreamAggregator(broker.consumer("query_logs"), start=10, end=13)
-        handled = aggregator.poll(max_messages=1)
-        assert handled == 1
-        aggregator.drain()
-        assert aggregator.consumer.lag == 0
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=MetricsRegistry())
+        for block in blocks:
+            broker.publish_block("query_logs.db-a", block)
+            engine.step()
+            assert engine.lag == 0
+        assert engine.consumer_offsets()[0] == len(blocks) == 3
+        streamed = aggregate_logstore(engine.logstore, start=10, end=13)
+        batch = aggregate_query_log(log, start=10, end=13)
+        for sql_id in ("A", "B"):
+            np.testing.assert_array_equal(
+                streamed.executions(sql_id).values, batch.executions(sql_id).values
+            )
 
     def test_metrics_collector(self):
         from repro.dbsim.monitor import InstanceMetrics

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collection import Broker, MetricsCollector, StreamAggregator
+from repro.collection import Broker, MetricsCollector
 from repro.collection.blocks import (
     METRIC_BLOCK_DTYPE,
     QUERY_BLOCK_DTYPE,
@@ -15,6 +15,7 @@ from repro.collection.blocks import (
 from repro.collection.quarantine import dead_letter_topic, quarantine
 from repro.dbsim.monitor import InstanceMetrics
 from repro.detection import RealtimeAnomalyDetector
+from repro.fleet import InstanceDiagnosisEngine
 from repro.telemetry import MetricsRegistry
 from repro.timeseries import TimeSeries
 
@@ -74,12 +75,13 @@ class TestValidateQueryRecord:
     def test_rejects_with_reason(self, mutate, legacy_reason):
         record = mutate(good_query_record())
         assert validate_query_block(record) == "not_a_block", legacy_reason
-        broker = Broker(registry=MetricsRegistry())
-        broker.publish("query_logs", "k", record)
-        aggregator = StreamAggregator(broker.consumer("query_logs"), start=0, end=10)
-        aggregator.drain()
-        assert dead_letter_reasons(broker, "query_logs") == ["not_a_block"]
-        assert len(aggregator.snapshot()) == 0
+        registry = MetricsRegistry()
+        broker = Broker(registry=registry)
+        broker.publish("query_logs.db-a", "k", record)
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=registry)
+        engine.step()
+        assert dead_letter_reasons(broker, "query_logs.db-a") == ["not_a_block"]
+        assert engine.logstore.total_queries() == 0
 
 
 class TestValidateMetricRecord:

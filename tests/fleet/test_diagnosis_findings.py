@@ -6,7 +6,7 @@ from repro.fleet import InstanceDiagnosisEngine
 
 
 def _engine_with_catalog(labeled):
-    engine = InstanceDiagnosisEngine(Broker(), instance_id="db-t", selfmon=None)
+    engine = InstanceDiagnosisEngine(Broker(), instance_id="db-t")
     engine.register_catalog(labeled.case.catalog)
     return engine
 
@@ -31,7 +31,7 @@ class TestTemplateFindings:
         assert merged.exemplar == original.exemplar
 
     def test_unknown_templates_are_skipped(self, poor_sql_case):
-        engine = InstanceDiagnosisEngine(Broker(), instance_id="db-t", selfmon=None)
+        engine = InstanceDiagnosisEngine(Broker(), instance_id="db-t")
         result = PinSQL().analyze(poor_sql_case.case)  # catalog never registered
         assert engine._template_findings(result) == {}
 

@@ -11,7 +11,7 @@ from repro.collection import (
     Broker,
     LogStore,
     QueryLogCollector,
-    StreamAggregator,
+    aggregate_logstore,
     aggregate_query_log,
 )
 from repro.core import (
@@ -24,6 +24,7 @@ from repro.core import (
 )
 from repro.dbsim import DatabaseInstance
 from repro.detection import BasicPerception, CaseBuilder, PhenomenonPerception
+from repro.fleet import InstanceDiagnosisEngine
 from repro.sqltemplate import TemplateCatalog
 from repro.workload import (
     AnomalyCategory,
@@ -51,10 +52,11 @@ class TestPipelineContract:
     def test_streaming_equals_batch_aggregation(self, simulated_run):
         _, _, result, duration, _ = simulated_run
         broker = Broker()
-        QueryLogCollector(broker).collect(result.query_log)
-        aggregator = StreamAggregator(broker.consumer("query_logs"), 0, duration)
-        aggregator.drain()
-        streamed = aggregator.snapshot()
+        QueryLogCollector(broker, instance_id="db-a").collect(result.query_log)
+        engine = InstanceDiagnosisEngine(broker, "db-a")
+        engine.step()
+        assert engine.lag == 0
+        streamed = aggregate_logstore(engine.logstore, 0, duration)
         batch = aggregate_query_log(result.query_log, 0, duration)
         assert set(streamed.sql_ids) == set(batch.sql_ids)
         for sid in batch.sql_ids:

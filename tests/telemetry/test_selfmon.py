@@ -1,11 +1,16 @@
-"""Self-monitoring: the registry's own history as TimeSeries, watched
-by the repo's own detectors (the watch-the-watcher loop)."""
+"""Sampled gauge history as TimeSeries (``forward_fill_series``), watched
+by the repo's own detectors."""
 
 import numpy as np
 import pytest
 
-from repro.telemetry import MetricsRegistry, SelfMonitor, forward_fill_series
-from repro.timeseries import LevelShiftDetector, SpikeDetector, TimeSeries
+from repro.telemetry import MetricsRegistry
+from repro.timeseries import (
+    LevelShiftDetector,
+    SpikeDetector,
+    TimeSeries,
+    forward_fill_series,
+)
 
 
 class TestForwardFill:
@@ -23,77 +28,13 @@ class TestForwardFill:
             forward_fill_series({}, 5, 5)
 
 
-class TestSelfMonitor:
-    def test_samples_gauges_and_counters(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth", topic="q")
-        c = reg.counter("handled_total")
-        monitor = SelfMonitor(reg)
-        g.set(4)
-        c.inc(2)
-        assert monitor.sample(100) == 2
-        g.set(9)
-        monitor.sample(101)
-        assert monitor.names() == ["depth{topic=q}", "handled_total"]
-        series = monitor.series("depth{topic=q}")
-        np.testing.assert_allclose(series.values, [4.0, 9.0])
-
-    def test_histograms_export_mean_and_p95(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", instance="db-00")
-        for value in (0.1, 0.1, 0.1, 0.1, 4.0):
-            hist.observe(value)
-        monitor = SelfMonitor(reg)
-        assert monitor.sample(1) == 2
-        assert monitor.names() == [
-            "lat_p95{instance=db-00}", "lat{instance=db-00}",
-        ]
-        mean = monitor.series("lat{instance=db-00}")
-        np.testing.assert_allclose(mean.values, [hist.mean])
-        p95 = monitor.series("lat_p95{instance=db-00}")
-        np.testing.assert_allclose(p95.values, [hist.quantile(0.95)])
-        # The p95 watches the tail: far above the mean here.
-        assert p95.values[0] > mean.values[0]
-
-    def test_histograms_excluded_when_opted_out(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat").observe(0.1)
-        monitor = SelfMonitor(reg, include_histograms=False)
-        assert monitor.sample(1) == 0
-
-    def test_window_bounds_history(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("v")
-        monitor = SelfMonitor(reg, window_s=10)
-        for t in range(0, 40, 5):
-            g.set(t)
-            monitor.sample(t)
-        series = monitor.series("v")
-        # Only samples within the final 10 s window remain.
-        assert series.start >= 25
-
-    def test_missing_series_is_none(self):
-        monitor = SelfMonitor(MetricsRegistry())
-        assert monitor.series("nope") is None
-
-    def test_all_series(self):
-        reg = MetricsRegistry()
-        reg.gauge("a").set(1)
-        reg.gauge("b").set(2)
-        monitor = SelfMonitor(reg)
-        monitor.sample(0)
-        monitor.sample(1)
-        series = monitor.all_series()
-        assert set(series) == {"a", "b"}
-
-
 class TestWatchTheWatcher:
-    """The repo's own detectors must run on exported gauge history."""
+    """The repo's own detectors must run on sampled gauge history."""
 
     def test_detectors_flag_an_anomalous_gauge(self):
         reg = MetricsRegistry()
         lag = reg.gauge("broker_consumer_lag", topic="query_logs")
-        monitor = SelfMonitor(reg, window_s=600)
+        history = {}
         rng = np.random.default_rng(7)
         # 300 s of healthy lag, then the consumer stalls and lag ramps up.
         for t in range(300):
@@ -101,8 +42,8 @@ class TestWatchTheWatcher:
                 lag.set(5.0 + rng.normal(0, 0.5))
             else:
                 lag.set(5.0 + (t - 200) * 3.0)
-            monitor.sample(t)
-        series = monitor.series("broker_consumer_lag{topic=query_logs}")
+            history[t] = lag.value
+        series = forward_fill_series(history, 0, 300, name="broker_consumer_lag")
         assert len(series) == 300
         detections = LevelShiftDetector().detect(series) + SpikeDetector().detect(
             series
@@ -113,10 +54,10 @@ class TestWatchTheWatcher:
     def test_healthy_gauge_stays_quiet(self):
         reg = MetricsRegistry()
         g = reg.gauge("steady")
-        monitor = SelfMonitor(reg)
+        history = {}
         rng = np.random.default_rng(11)
         for t in range(120):
             g.set(10.0 + rng.normal(0, 0.1))
-            monitor.sample(t)
-        series = monitor.series("steady")
+            history[t] = g.value
+        series = forward_fill_series(history, 0, 120, name="steady")
         assert LevelShiftDetector().detect(series) == []

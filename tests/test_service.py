@@ -1,4 +1,4 @@
-"""Tests for the autonomous diagnosis service."""
+"""Tests for the autonomous diagnosis service (one registered instance)."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,12 @@ import pytest
 from repro.collection import Broker, LogStore, MetricsCollector, QueryLogCollector
 from repro.dbsim import DatabaseInstance, QueryLog, SecondBatch
 from repro.dbsim.monitor import InstanceMetrics
-from repro.fleet.engine import InstanceDiagnosisEngine
-from repro.service import Diagnosis, PinSqlService, ServiceConfig
+from repro.fleet import (
+    Diagnosis,
+    FleetDiagnosisService,
+    InstanceDiagnosisEngine,
+    ServiceConfig,
+)
 from repro.telemetry import MetricsRegistry
 from repro.timeseries import TimeSeries
 from repro.workload import (
@@ -16,6 +20,16 @@ from repro.workload import (
     build_population,
     inject_anomaly,
 )
+
+#: The one monitored instance of these tests.
+INSTANCE = "db-01"
+
+
+def single_instance_service(broker, config=None, notify=None, registry=None, **engine_kwargs):
+    """A fleet service with :data:`INSTANCE` registered: (service, engine)."""
+    service = FleetDiagnosisService(broker, registry=registry, notify=notify)
+    engine = service.register_instance(INSTANCE, config=config, **engine_kwargs)
+    return service, engine
 
 
 @pytest.fixture(scope="module")
@@ -31,22 +45,21 @@ def anomaly_stream():
     instance = DatabaseInstance(schema=population.schema, cpu_cores=8, seed=4)
     result = instance.run(WorkloadGenerator(population), duration=duration)
     broker = Broker()
-    QueryLogCollector(broker).collect(result.query_log)
-    MetricsCollector(broker).collect(result.metrics)
+    QueryLogCollector(broker, instance_id=INSTANCE).collect(result.query_log)
+    MetricsCollector(broker, instance_id=INSTANCE).collect(result.metrics)
     return broker, population, truth, onset
 
 
 class TestServiceLoop:
     def test_detects_and_diagnoses(self, anomaly_stream):
         broker, population, truth, onset = anomaly_stream
-        service = PinSqlService(
-            broker,
-            ServiceConfig(delta_start_s=500, detector_window_s=900),
+        service, engine = single_instance_service(
+            broker, ServiceConfig(delta_start_s=500, detector_window_s=900)
         )
-        # Teach the service the statement catalog (production collectors
+        # Teach the engine the statement catalog (production collectors
         # ship statements; our simulated topic carries only metrics).
         for spec in population.specs.values():
-            service.register_statement(spec.template.replace("?", "1"))
+            engine.register_statement(spec.template.replace("?", "1"))
         diagnoses = service.run_until_drained()
         assert diagnoses, "the anomaly must be diagnosed"
         diagnosis = diagnoses[0]
@@ -62,7 +75,7 @@ class TestServiceLoop:
         broker, population, truth, onset = anomaly_stream
         # Fresh consumers: new service instance re-reads the topics.
         received = []
-        service = PinSqlService(
+        service, _ = single_instance_service(
             broker,
             ServiceConfig(delta_start_s=500, detector_window_s=900),
             notify=received.append,
@@ -78,10 +91,9 @@ class TestServiceLoop:
         external = TemplateCatalog()
         for spec in population.specs.values():
             external.register_template(spec.sql_id, spec.template, spec.kind, spec.tables)
-        service = PinSqlService(broker)
-        service.register_catalog(external)
+        _, engine = single_instance_service(broker, catalog=external)
         some_id = next(iter(population.specs))
-        assert some_id in service.catalog
+        assert some_id in engine.catalog
 
     def test_quiet_stream_produces_no_diagnoses(self):
         duration = 400
@@ -90,14 +102,14 @@ class TestServiceLoop:
         instance = DatabaseInstance(schema=population.schema, cpu_cores=16, seed=3)
         result = instance.run(WorkloadGenerator(population), duration=duration)
         broker = Broker()
-        QueryLogCollector(broker).collect(result.query_log)
-        MetricsCollector(broker).collect(result.metrics)
-        service = PinSqlService(broker, ServiceConfig(detector_window_s=400))
+        QueryLogCollector(broker, instance_id=INSTANCE).collect(result.query_log)
+        MetricsCollector(broker, instance_id=INSTANCE).collect(result.metrics)
+        service, _ = single_instance_service(broker, ServiceConfig(detector_window_s=400))
         assert service.run_until_drained() == []
 
     def test_min_duration_filter(self, anomaly_stream):
         broker, *_ = anomaly_stream
-        service = PinSqlService(
+        service, _ = single_instance_service(
             broker,
             ServiceConfig(
                 delta_start_s=500,
@@ -106,6 +118,10 @@ class TestServiceLoop:
             ),
         )
         assert service.run_until_drained() == []
+
+    def test_engine_rejects_empty_instance_id(self):
+        with pytest.raises(ValueError, match="instance_id"):
+            InstanceDiagnosisEngine(Broker(), "")
 
 
 class TestServiceExtras:
@@ -117,7 +133,7 @@ class TestServiceExtras:
             queried.append((sql_id, days))
             return None
 
-        service = PinSqlService(
+        service, _ = single_instance_service(
             broker,
             ServiceConfig(delta_start_s=500, detector_window_s=900),
             history_provider=provider,
@@ -130,7 +146,7 @@ class TestServiceExtras:
 
     def test_verdict_attached(self, anomaly_stream):
         broker, *_ = anomaly_stream
-        service = PinSqlService(
+        service, _ = single_instance_service(
             broker, ServiceConfig(delta_start_s=500, detector_window_s=900)
         )
         diagnoses = service.run_until_drained()
@@ -150,16 +166,14 @@ class TestServiceExtras:
         broker, population, *_ = anomaly_stream
         stuck = StuckBroker()
         # Republish the metric stream so lag is positive from the start.
-        for message in broker.read("performance_metrics", 0, 10):
-            stuck.publish("performance_metrics", message.key, message.value)
+        topic = f"performance_metrics.{INSTANCE}"
+        for message in broker.read(topic, 0, 10):
+            stuck.publish(topic, message.key, message.value)
         registry = MetricsRegistry()
-        service = PinSqlService(stuck, registry=registry)
+        service, engine = single_instance_service(stuck, registry=registry)
         assert service.run_until_drained(max_idle_iterations=3) == []
-        assert service.detector.consumer.lag > 0  # still stuck, but we returned
-        skipped = registry.get(
-            "service_anomalies_skipped_total", reason="drain_stalled"
-        )
-        assert skipped is not None and skipped.value == 1
+        assert engine.detector.consumer.lag > 0  # still stuck, but we returned
+        assert registry.get("fleet_drain_stalled_total").value == 1
 
     def test_auto_execution_with_instance(self, anomaly_stream):
         from repro.core import RepairConfig, RepairRule
@@ -176,7 +190,7 @@ class TestServiceExtras:
         # A live instance handle for the service to act on.
         live = DatabaseInstance(schema=population.schema, cpu_cores=8, seed=9)
         live.start(WorkloadGenerator(population))
-        service = PinSqlService(broker, config, instance=live)
+        service, _ = single_instance_service(broker, config, instance=live)
         diagnoses = service.run_until_drained()
         assert diagnoses
         assert diagnoses[0].executed
@@ -191,31 +205,33 @@ class TestServiceTelemetry:
     def diagnosed(self, anomaly_stream):
         broker, population, truth, onset = anomaly_stream
         registry = MetricsRegistry()
-        service = PinSqlService(
+        service, engine = single_instance_service(
             broker,
             ServiceConfig(delta_start_s=500, detector_window_s=900),
             registry=registry,
         )
         for spec in population.specs.values():
-            service.register_statement(spec.template.replace("?", "1"))
+            engine.register_statement(spec.template.replace("?", "1"))
         diagnoses = service.run_until_drained()
-        return service, registry, diagnoses
+        return engine, registry, diagnoses
 
     def test_step_increments_expected_counters(self, diagnosed):
-        service, registry, diagnoses = diagnosed
+        engine, registry, diagnoses = diagnosed
         assert diagnoses
-        assert registry.get("service_steps_total").value >= 1
-        assert registry.get("service_diagnoses_total").value == len(diagnoses)
-        assert registry.get("service_querylog_messages_total").value > 0
-        assert registry.get("logstore_queries_ingested_total").value > 0
-        assert registry.get("detector_points_consumed_total").value > 0
-        assert registry.get("detector_evaluations_total").value > 0
-        assert registry.get("detector_events_total", kind="new").value >= len(
-            diagnoses
-        )
+        labels = {"instance": INSTANCE}
+        assert registry.get("service_steps_total", **labels).value >= 1
+        assert registry.get("service_diagnoses_total", **labels).value == len(diagnoses)
+        assert registry.get("fleet_diagnoses_total").value == len(diagnoses)
+        assert registry.get("service_querylog_messages_total", **labels).value > 0
+        assert registry.get("logstore_queries_ingested_total", **labels).value > 0
+        assert registry.get("detector_points_consumed_total", **labels).value > 0
+        assert registry.get("detector_evaluations_total", **labels).value > 0
+        assert registry.get(
+            "detector_events_total", kind="new", **labels
+        ).value >= len(diagnoses)
 
     def test_pipeline_spans_recorded_per_stage(self, diagnosed):
-        service, registry, diagnoses = diagnosed
+        engine, registry, diagnoses = diagnosed
         for stage in (
             "pinsql.analyze",
             "session_estimation",
@@ -224,83 +240,42 @@ class TestServiceTelemetry:
             "history_verification",
             "service.diagnose",
         ):
-            hist = registry.get("span_duration_seconds", span=stage)
+            hist = registry.get(
+                "span_duration_seconds", span=stage, instance=INSTANCE
+            )
             assert hist is not None, stage
             assert hist.count >= len(diagnoses)
 
     def test_broker_lag_gauges_drained_to_zero(self, diagnosed):
-        service, registry, _ = diagnosed
+        engine, registry, _ = diagnosed
         lag = registry.get(
             "broker_consumer_lag",
-            topic="performance_metrics",
-            consumer=service.detector.consumer.name,
+            topic=engine.metric_topic,
+            consumer=engine.detector.consumer.name,
         )
-        # The service's consumers live on the shared module fixture broker,
+        # The engine's consumers live on the shared module fixture broker,
         # whose registry is the global one; the service registry sees lag
         # gauges only when the broker was built with it.  Either way the
         # consumer itself must be drained.
-        assert service.detector.consumer.lag == 0
+        assert engine.detector.consumer.lag == 0
         if lag is not None:
             assert lag.value == 0
 
     def test_metric_sample_mirror_is_bounded_and_public(self, diagnosed):
-        service, registry, _ = diagnosed
+        engine, registry, _ = diagnosed
         # The detector's buffers are read through its public accessor …
-        buffers = dict(service.detector.iter_buffer_samples())
+        buffers = dict(engine.detector.iter_buffer_samples())
         assert "active_session" in buffers
         with pytest.raises(TypeError):
             buffers["active_session"][0] = 1.0  # read-only view
         # … bounded by window_s + delta_start_s, and counted by the gauge.
-        now = service.detector.stream_time
-        bound = service.detector.window_s + service.config.delta_start_s
+        now = engine.detector.stream_time
+        bound = engine.detector.window_s + engine.config.delta_start_s
         for samples in buffers.values():
             assert all(t >= now - bound for t in samples)
-        assert registry.get("service_metric_samples_resident").value == sum(
-            len(s) for s in buffers.values()
-        )
-
-    def test_selfmon_history_feeds_repo_detectors(self, anomaly_stream):
-        """Watch-the-watcher: detectors run on the service's own gauges.
-
-        Replays the metric topic in chunks so the service samples its
-        own registry at many distinct stream times, then runs the repo's
-        detectors on the exported gauge history.
-        """
-        from repro.timeseries import LevelShiftDetector, SpikeDetector
-
-        broker, population, *_ = anomaly_stream
-        registry = MetricsRegistry()
-        staged = Broker(registry=registry)
-        for message in broker.read("query_logs", 0, broker.size("query_logs")):
-            staged.publish("query_logs", message.key, message.value)
-        service = PinSqlService(
-            staged,
-            ServiceConfig(delta_start_s=500, detector_window_s=900),
-            registry=registry,
-        )
-        for spec in population.specs.values():
-            service.register_statement(spec.template.replace("?", "1"))
-        metrics = broker.read(
-            "performance_metrics", 0, broker.size("performance_metrics")
-        )
-        for i in range(0, len(metrics), 300):
-            for message in metrics[i : i + 300]:
-                staged.publish("performance_metrics", message.key, message.value)
-            service.step()
-        series = service.selfmon.series("logstore_resident_bytes")
-        assert series is not None
-        assert len(series) > 8
-        assert series.values.max() > 0
-        for detector in (SpikeDetector(), LevelShiftDetector()):
-            assert isinstance(detector.detect(series), list)
-        # The lag gauge history is exported too (the series the paper's
-        # deployment would alert on when the loop falls behind).
-        lag_key = (
-            "broker_consumer_lag{consumer="
-            + service.detector.consumer.name
-            + ",topic=performance_metrics}"
-        )
-        assert lag_key in service.selfmon.names()
+        assert registry.get(
+            "service_metric_samples_resident", instance=INSTANCE
+        ).value == sum(len(s) for s in buffers.values())
 
 
 class TestMetricRetention:
@@ -312,24 +287,24 @@ class TestMetricRetention:
         config = ServiceConfig(detector_window_s=100, delta_start_s=60)
         values = 10.0 + np.random.default_rng(3).normal(size=duration)
         source = Broker()
-        MetricsCollector(source).collect(
+        topic = f"performance_metrics.{INSTANCE}"
+        MetricsCollector(source, instance_id=INSTANCE).collect(
             InstanceMetrics(
                 {"active_session": TimeSeries(values, start=0, name="active_session")}
             )
         )
-        blocks = [
-            m.value
-            for m in source.read("performance_metrics", 0, source.size("performance_metrics"))
-        ]
+        blocks = [m.value for m in source.read(topic, 0, source.size(topic))]
         assert len(blocks) == duration
 
         def engine_fed(step_messages):
             registry = MetricsRegistry()
             broker = Broker(registry=registry)
-            engine = InstanceDiagnosisEngine(broker, config=config, registry=registry)
+            engine = InstanceDiagnosisEngine(
+                broker, INSTANCE, config=config, registry=registry
+            )
             for t0 in range(0, duration, step_messages):
                 for block in blocks[t0 : t0 + step_messages]:
-                    broker.publish_block("performance_metrics", block)
+                    broker.publish_block(topic, block)
                 engine.step()
             return engine, registry
 
@@ -344,8 +319,9 @@ class TestMetricRetention:
         assert len(samples) == 161
         # Nothing older than W + δs is kept, and the telemetry says so.
         assert backlog.detector.window_snapshot(0, now - 160) == {}
-        assert backlog_registry.get("service_metric_samples_resident").value == 161
-        evicted = backlog_registry.get("service_metric_samples_evicted_total")
+        labels = {"instance": INSTANCE}
+        assert backlog_registry.get("service_metric_samples_resident", **labels).value == 161
+        evicted = backlog_registry.get("service_metric_samples_evicted_total", **labels)
         assert evicted.value == duration - 161
 
 
