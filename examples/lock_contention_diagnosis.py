@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.collection import LogStore, aggregate_query_log
 from repro.core import AnomalyCase, PinSQL
-from repro.dbsim import DatabaseInstance, TemplateSpec
+from repro.dbsim import Arrivals, DatabaseInstance, TemplateSpec
 from repro.detection import BasicPerception, CaseBuilder, PhenomenonPerception
 from repro.sqltemplate import TemplateCatalog, fingerprint
 
@@ -49,11 +49,15 @@ class SalesWorkload:
     def specs(self):
         return self._specs
 
-    def rates_at(self, t: int):
-        rates = {self.select_sales: 80.0, self.select_orders: 60.0}
-        if 600 <= t < 900:
-            rates[self.update_sales] = 35.0
-        return rates
+    def arrivals(self, t0: int, t1: int) -> Arrivals:
+        seconds = np.arange(t0, t1)
+        batch = (600 <= seconds) & (seconds < 900)
+        rates = np.column_stack((
+            np.full(len(seconds), 80.0),
+            np.full(len(seconds), 60.0),
+            np.where(batch, 35.0, 0.0),
+        ))
+        return Arrivals([self.select_sales, self.select_orders, self.update_sales], rates)
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ from repro.dbsim.resources import ResourceModel, ResourceUsage
 from repro.dbsim.locks import LockManager, MdlLockWindow
 from repro.dbsim.query import QueryLog, SecondBatch
 from repro.dbsim.monitor import Monitor, InstanceMetrics
-from repro.dbsim.engine import SimulationEngine, RateProvider, Throttle
+from repro.dbsim.engine import Arrivals, SimulationEngine, RateProvider, Throttle
 from repro.dbsim.instance import DatabaseInstance, SimulationResult
 from repro.dbsim.perfschema import (
     PerformanceSchemaConfig,
@@ -43,6 +43,7 @@ __all__ = [
     "Monitor",
     "InstanceMetrics",
     "SimulationEngine",
+    "Arrivals",
     "RateProvider",
     "Throttle",
     "DatabaseInstance",

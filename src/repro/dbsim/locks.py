@@ -11,9 +11,14 @@ Two lock effects matter to PinSQL's anomaly categories (paper Sec. II):
   bumping the ``innodb_row_lock_waits`` / ``innodb_row_lock_time``
   counters.
 
-The manager works per simulated second with vectorized batches: the
-engine makes one :meth:`LockManager.row_lock_wait` and one
-:meth:`LockManager.mdl_wait` call over all of a second's queries.
+The model's grain is one second: row-lock pressure is accounted, and
+conflicts are sampled, per simulated second.  The manager works on a
+block of consecutive seconds at a time: :meth:`LockManager.begin_block`
+opens a (seconds × tables) pressure array, one
+:meth:`LockManager.add_write_load` fills it with one ``bincount`` over
+``second * n_tables + table``, and the engine makes one
+:meth:`LockManager.row_lock_wait` and one :meth:`LockManager.mdl_wait`
+call over all of the block's queries.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ class MdlLockWindow:
 
 @dataclass
 class RowLockStats:
-    """Row-lock counters for one simulated second (MySQL-style)."""
+    """Row-lock counters (MySQL-style), one entry per second of a block."""
 
-    waits: int = 0
-    wait_time_ms: float = 0.0
+    waits: np.ndarray          # int64: queries that waited
+    wait_time_ms: np.ndarray   # float64: their total wait
 
 
 #: A table argument: one table name, or an array of table indices
@@ -63,9 +68,11 @@ class LockManager:
     the spike of row-lock metrics the paper's category-3(ii) describes.
 
     Tables are numbered on first use (:meth:`table_index`); pressure and
-    its pressure-weighted hold are arrays over that numbering, so the
-    engine accounts and samples a whole second in one call each.  Every
-    method taking a table also takes a single table name.
+    its pressure-weighted hold are (seconds × tables) arrays over the
+    current block's seconds and that numbering, so the engine accounts
+    and samples a whole block in one call each.  Every method taking a
+    table also takes a single table name, and every ``second`` (an index
+    into the block) defaults to the block's first.
     """
 
     def __init__(self, conflict_rate: float = 0.08, max_wait_ms: float = 5_000.0) -> None:
@@ -75,10 +82,10 @@ class LockManager:
         self.max_wait_ms = float(max_wait_ms)
         self._mdl_windows: list[MdlLockWindow] = []
         self._table_ids: dict[str, int] = {}
-        self._pressure = np.zeros(0, dtype=np.float64)
-        #: Σ pressure × hold_ms per table; divided by the pressure it is
-        #: the pressure-weighted mean hold time.
-        self._hold_weight = np.zeros(0, dtype=np.float64)
+        self._pressure = np.zeros((1, 0), dtype=np.float64)
+        #: Σ pressure × hold_ms per (second, table); divided by the
+        #: pressure it is the pressure-weighted mean hold time.
+        self._hold_weight = np.zeros((1, 0), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Table numbering
@@ -88,8 +95,9 @@ class LockManager:
         idx = self._table_ids.get(table)
         if idx is None:
             idx = self._table_ids[table] = len(self._table_ids)
-            self._pressure = np.append(self._pressure, 0.0)
-            self._hold_weight = np.append(self._hold_weight, 0.0)
+            column = np.zeros((len(self._pressure), 1))
+            self._pressure = np.hstack((self._pressure, column))
+            self._hold_weight = np.hstack((self._hold_weight, column))
         return idx
 
     def _indices(self, tables: Tables) -> np.ndarray:
@@ -108,9 +116,6 @@ class LockManager:
         window = MdlLockWindow(table, start_ms, start_ms + duration_ms)
         self._mdl_windows.append(window)
         return window
-
-    def active_mdl_windows(self, table: str) -> list[MdlLockWindow]:
-        return [w for w in self._mdl_windows if w.table == table]
 
     def prune_mdl(self, now_ms: float) -> None:
         """Drop windows that ended before ``now_ms`` (keeps scans short)."""
@@ -132,44 +137,48 @@ class LockManager:
             wait[mask] = np.maximum(wait[mask], window.end_ms - arrive[mask])
         return wait
 
-    def mdl_blocked_until(self, table: str, at_ms: float) -> float | None:
-        """End of the MDL window covering ``at_ms``, if any."""
-        best: float | None = None
-        for window in self._mdl_windows:
-            if window.table == table and window.start_ms <= at_ms < window.end_ms:
-                best = window.end_ms if best is None else max(best, window.end_ms)
-        return best
-
     # ------------------------------------------------------------------
     # Row locks
     # ------------------------------------------------------------------
-    def begin_second(self) -> None:
-        """Reset per-second row-lock pressure accumulators."""
-        self._pressure[:] = 0.0
-        self._hold_weight[:] = 0.0
+    def begin_block(self, seconds: int = 1) -> None:
+        """Start a block of ``seconds`` seconds with no row-lock pressure."""
+        shape = (int(seconds), len(self._table_ids))
+        self._pressure = np.zeros(shape, dtype=np.float64)
+        self._hold_weight = np.zeros(shape, dtype=np.float64)
 
     def add_write_load(
-        self, table: Tables, writes_per_second: float | np.ndarray, hold_ms: float | np.ndarray
+        self,
+        table: Tables,
+        writes_per_second: float | np.ndarray,
+        hold_ms: float | np.ndarray,
+        second: int | np.ndarray = 0,
     ) -> None:
         """Account write traffic that holds row locks on ``table``.
 
-        With an array of table indices, ``writes_per_second`` and
-        ``hold_ms`` are per entry; entries on one table add up.
+        With an array of table indices, ``writes_per_second``,
+        ``hold_ms`` and ``second`` are per entry; entries on one table in
+        one second add up, in entry order.
         """
         writes = np.asarray(writes_per_second, dtype=np.float64)
         hold = np.asarray(hold_ms, dtype=np.float64)
         if (writes < 0).any() or (hold < 0).any():
             raise ValueError("write load must be non-negative")
         idx = self._indices(table)
-        added = np.broadcast_to(writes * hold / 1000.0, idx.shape)
-        size = len(self._pressure)
-        self._pressure += np.bincount(idx, weights=added, minlength=size)
-        self._hold_weight += np.bincount(idx, weights=added * hold, minlength=size)
+        n_seconds, n_tables = self._pressure.shape
+        cell = np.asarray(second, dtype=np.int64) * n_tables + idx
+        added = np.broadcast_to(writes * hold / 1000.0, cell.shape)
+        size = n_seconds * n_tables
+        self._pressure += np.bincount(cell, weights=added, minlength=size).reshape(
+            n_seconds, n_tables
+        )
+        self._hold_weight += np.bincount(
+            cell, weights=added * hold, minlength=size
+        ).reshape(n_seconds, n_tables)
 
-    def pressure(self, table: str) -> float:
+    def pressure(self, table: str, second: int = 0) -> float:
         """Expected number of concurrently held row locks on ``table``."""
         idx = self._table_ids.get(table)
-        return 0.0 if idx is None else float(self._pressure[idx])
+        return 0.0 if idx is None else float(self._pressure[second, idx])
 
     def row_lock_wait(
         self,
@@ -177,38 +186,48 @@ class LockManager:
         n_queries: int | np.ndarray,
         rng: np.random.Generator,
         exclude_self_pressure: float | np.ndarray = 0.0,
+        second: int | np.ndarray = 0,
     ) -> tuple[np.ndarray, RowLockStats]:
         """Sample row-lock waits for query groups touching ``table``.
 
-        ``table``, ``n_queries`` and ``exclude_self_pressure`` are one
-        value or one entry per group (a template's queries in this
-        second).  ``exclude_self_pressure`` removes the pressure a group
-        itself contributes so a lone writer does not self-conflict at
-        full rate.  Returns per-query wait times, groups concatenated in
-        order, and the second's counters.  Conflicts are one uniform
-        draw over all the queries and waits one exponential draw over
-        the conflicted ones.
+        ``table``, ``n_queries``, ``exclude_self_pressure`` and
+        ``second`` are one value or one entry per group (a template's
+        queries in one second), with ``second`` non-decreasing.
+        ``exclude_self_pressure`` removes the pressure a group itself
+        contributes so a lone writer does not self-conflict at full
+        rate.  Returns per-query wait times, groups concatenated in
+        order, and the block's per-second counters.  Each second under
+        net pressure draws one uniform per query, then one exponential
+        per conflicted query; a second without net pressure draws
+        nothing, so the draws equal a call per second.
         """
         idx = self._indices(table)
         counts = np.broadcast_to(np.asarray(n_queries, dtype=np.int64), idx.shape)
-        total = int(counts.sum())
-        waits = np.zeros(total, dtype=np.float64)
-        stats = RowLockStats()
-        pressure = self._pressure[idx]
+        sec = np.broadcast_to(np.asarray(second, dtype=np.int64), idx.shape)
+        n_seconds = len(self._pressure)
+        stats = RowLockStats(np.zeros(n_seconds, dtype=np.int64), np.zeros(n_seconds))
+        waits = np.zeros(int(counts.sum()), dtype=np.float64)
+        pressure = self._pressure[sec, idx]
         net = np.maximum(0.0, pressure - exclude_self_pressure)
-        if total == 0 or not (net > 0).any():
+        hot = net > 0
+        if not hot.any():
             return waits, stats
-        p_wait = 1.0 - np.exp(-self.conflict_rate * net)
-        conflicted = rng.random(total) < p_wait.repeat(counts)
-        n_conflicted = int(conflicted.sum())
-        if n_conflicted == 0:
-            return waits, stats
+        p_wait = (1.0 - np.exp(-self.conflict_rate * net)).repeat(counts)
         # `net > 0` implies `pressure > 0`: the mean hold is defined.
-        hold = self._hold_weight[idx] / np.where(pressure > 0, pressure, 1.0)
+        hold = self._hold_weight[sec, idx] / np.where(pressure > 0, pressure, 1.0)
         # Waiting behind a queue of `net` holders on average.
-        mean_wait = (hold * (1.0 + net / 2.0)).repeat(counts)[conflicted]
-        sampled = rng.standard_exponential(n_conflicted) * mean_wait
-        waits[conflicted] = np.minimum(sampled, self.max_wait_ms)
-        stats.waits = n_conflicted
-        stats.wait_time_ms = float(waits.sum())
+        mean_wait = (hold * (1.0 + net / 2.0)).repeat(counts)
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        bounds = ends[np.searchsorted(sec, np.arange(n_seconds + 1))].tolist()
+        for s in np.unique(sec[hot]).tolist():
+            lo, hi = bounds[s], bounds[s + 1]
+            conflicted = rng.random(hi - lo) < p_wait[lo:hi]
+            n_conflicted = int(conflicted.sum())
+            if n_conflicted == 0:
+                continue
+            sampled = rng.standard_exponential(n_conflicted) * mean_wait[lo:hi][conflicted]
+            second_waits = waits[lo:hi]
+            second_waits[conflicted] = np.minimum(sampled, self.max_wait_ms)
+            stats.waits[s] = n_conflicted
+            stats.wait_time_ms[s] = second_waits.sum()
         return waits, stats

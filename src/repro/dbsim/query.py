@@ -1,8 +1,8 @@
 """Columnar query-log storage.
 
-Each simulated second the engine appends one columnar chunk to a
-:class:`QueryLog`: a template code per query plus the arrival, response
-and examined-rows columns of every query that arrived in that second.
+Each simulated block of seconds the engine appends one columnar chunk
+to a :class:`QueryLog`: a template code per query plus the arrival,
+response and examined-rows columns of every query that arrived in it.
 A streaming store appends each block it ingests as one chunk too.  The
 next read (or :meth:`QueryLog.fold`) sorts the queued chunks into one
 arrival-ordered column set per template in one grouping pass, so a log

@@ -12,10 +12,10 @@ anything touches production.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.core.case import AnomalyCase
+from repro.dbsim.engine import Arrivals
 from repro.dbsim.instance import DatabaseInstance, SimulationResult
 from repro.dbsim.spec import TemplateSpec
 from repro.sqltemplate import StatementKind
@@ -120,7 +120,11 @@ def infer_spec(
 
 
 class ReplayWorkload:
-    """A RateProvider that re-issues a case's observed traffic."""
+    """A RateProvider that re-issues a case's observed traffic.
+
+    Each second's rate is the observed execution count of that second;
+    seconds outside the case window repeat its nearest edge.
+    """
 
     def __init__(self, case: AnomalyCase) -> None:
         self.case = case
@@ -129,23 +133,19 @@ class ReplayWorkload:
             sid: infer_spec(case, sid, inflation=self.inflation)
             for sid in case.sql_ids
         }
-        self._rates = {
-            sid: case.templates.executions(sid).values for sid in case.sql_ids
-        }
+        self.sql_ids = list(case.sql_ids)
         self.duration = case.duration
+        self._rates = np.zeros((self.duration, len(self.sql_ids)), dtype=np.float64)
+        for k, sid in enumerate(self.sql_ids):
+            self._rates[:, k] = case.templates.executions(sid).values
 
     @property
     def specs(self) -> dict[str, TemplateSpec]:
         return self._specs
 
-    def rates_at(self, t: int) -> dict[str, float]:
-        idx = min(max(int(t) - self.case.ts, 0), self.duration - 1)
-        out: dict[str, float] = {}
-        for sql_id, rates in self._rates.items():
-            r = float(rates[idx])
-            if r > 0:
-                out[sql_id] = r
-        return out
+    def arrivals(self, t0: int, t1: int) -> Arrivals:
+        seconds = np.arange(t0, t1) - self.case.ts
+        return Arrivals(self.sql_ids, self._rates[np.clip(seconds, 0, self.duration - 1)])
 
 
 def estimate_cpu_cores(case: AnomalyCase, workload: ReplayWorkload) -> int:

@@ -15,10 +15,11 @@ The scenario touches every path of ``SimulationEngine.step`` in one
 run: a plain SELECT, co-table writers under row-lock contention, a
 one-shot DDL holding an MDL over its table's readers, a poor-SQL burst
 saturating the CPU, a throttle added mid-run from ``on_second``, read
-offload switched on mid-run, exact ``counts_at`` arrivals, a
-``rows_at`` profile, a template first appearing mid-run, and a
-table-less statement.  Only the public simulator API is used, so the
-script runs unchanged on older and newer engines.
+offload switched on mid-run, exact arrival counts, a rows-mean profile,
+a template first appearing mid-run, and a table-less statement.  Only
+the public simulator API is used; the provider serves the array
+interface (:class:`repro.dbsim.Arrivals`), so an engine older than that
+interface needs the provider of its own commit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dbsim import DatabaseInstance, TemplateSpec, Throttle
+from repro.dbsim import Arrivals, DatabaseInstance, TemplateSpec, Throttle
 from repro.sqltemplate import StatementKind
 
 SEEDS = tuple(range(1, 21))
@@ -80,7 +81,7 @@ OFFLOAD_AT, OFFLOAD = 60, 0.5
 
 
 class ScenarioWorkload:
-    """Rate provider of the scenario, with ``counts_at`` and ``rows_at``."""
+    """Rate provider of the scenario, with exact counts and a rows profile."""
 
     def __init__(self) -> None:
         self._specs = {s.sql_id: s for s in SPECS}
@@ -90,22 +91,18 @@ class ScenarioWorkload:
     def specs(self) -> dict[str, TemplateSpec]:
         return self._specs
 
-    def rates_at(self, t: int) -> dict[str, float]:
-        out = {}
+    def arrivals(self, t0: int, t1: int) -> Arrivals:
+        seconds = np.arange(t0, t1)
+        rates = np.zeros((len(seconds), len(SQL_IDS)))
         for sql_id, rate in RATES.items():
             lo, hi = WINDOWS.get(sql_id, (0, DURATION_S))
-            if lo <= t < hi:
-                out[sql_id] = rate
-        return out
-
-    def counts_at(self, t: int) -> dict[str, int]:
-        out = {"DDL_ITM": 1} if t == DDL_AT else {}
-        if t % BATCH_EVERY == 0:
-            out["INS_BAT"] = BATCH_SIZE
-        return out
-
-    def rows_at(self, t: int) -> dict[str, float]:
-        return {"SEL_GRW": float(self._growth[min(t, DURATION_S - 1)])}
+            rates[:, SQL_IDS.index(sql_id)] = np.where((lo <= seconds) & (seconds < hi), rate, 0.0)
+        exact = np.full(rates.shape, -1, dtype=np.int64)
+        exact[seconds == DDL_AT, SQL_IDS.index("DDL_ITM")] = 1
+        exact[seconds % BATCH_EVERY == 0, SQL_IDS.index("INS_BAT")] = BATCH_SIZE
+        rows = np.full(rates.shape, np.nan)
+        rows[:, SQL_IDS.index("SEL_GRW")] = self._growth[np.minimum(seconds, DURATION_S - 1)]
+        return Arrivals(SQL_IDS, rates, exact, rows)
 
 
 def _interventions(t: int, engine) -> None:

@@ -8,8 +8,11 @@ delay co-table readers, throttling reduces traffic.
 import numpy as np
 import pytest
 
-from repro.dbsim import DatabaseInstance, TemplateSpec, Throttle
+from repro.dbsim import Arrivals, DatabaseInstance, TemplateSpec, Throttle
+from repro.dbsim.engine import BLOCK_S
 from repro.sqltemplate import StatementKind
+from tests.dbsim import engine_reference
+from tests.dbsim.per_second_reference import reference_step
 
 
 class ConstantWorkload:
@@ -21,26 +24,24 @@ class ConstantWorkload:
         self._rates = dict(rates)
         self._windows = windows or {}
         self._counts = counts or {}
+        self.sql_ids = [*self._rates, *(s for s in self._counts if s not in self._rates)]
 
     @property
     def specs(self):
         return self._specs
 
-    def rates_at(self, t):
-        out = {}
-        for sql_id, rate in self._rates.items():
-            window = self._windows.get(sql_id)
-            if window is not None and not (window[0] <= t < window[1]):
-                continue
-            out[sql_id] = rate
-        return out
-
-    def counts_at(self, t):
-        out = {}
+    def arrivals(self, t0, t1):
+        seconds = np.arange(t0, t1)
+        rates = np.zeros((t1 - t0, len(self.sql_ids)))
+        for k, (sql_id, rate) in enumerate(self._rates.items()):
+            lo, hi = self._windows.get(sql_id, (t0, t1))
+            rates[:, k] = np.where((lo <= seconds) & (seconds < hi), rate, 0.0)
+        exact = np.full(rates.shape, -1, dtype=np.int64)
         for sql_id, schedule in self._counts.items():
-            if t in schedule:
-                out[sql_id] = schedule[t]
-        return out
+            for t, n in schedule.items():
+                if t0 <= t < t1:
+                    exact[t - t0, self.sql_ids.index(sql_id)] = n
+        return Arrivals(self.sql_ids, rates, exact)
 
 
 def select_spec(sql_id="SEL00001", table="t", rows=100.0, base=2.0):
@@ -284,7 +285,7 @@ class TestReadReplicaOffload:
 
 
 class GrowingRowsWorkload(ConstantWorkload):
-    """ConstantWorkload plus the optional ``rows_at`` hook: one template's
+    """ConstantWorkload plus a rows-mean override: one template's
     examined-rows mean grows linearly over the run (data growth)."""
 
     def __init__(self, specs, rates, growing_id, rows_start, rows_end, duration):
@@ -292,9 +293,12 @@ class GrowingRowsWorkload(ConstantWorkload):
         self._growing_id = growing_id
         self._profile = np.linspace(rows_start, rows_end, duration)
 
-    def rows_at(self, t):
-        idx = min(max(int(t), 0), len(self._profile) - 1)
-        return {self._growing_id: float(self._profile[idx])}
+    def arrivals(self, t0, t1):
+        arrivals = super().arrivals(t0, t1)
+        rows = np.full(arrivals.rates.shape, np.nan)
+        idx = np.clip(np.arange(t0, t1), 0, len(self._profile) - 1)
+        rows[:, self.sql_ids.index(self._growing_id)] = self._profile[idx]
+        return arrivals._replace(rows_mean=rows)
 
 
 class TestTimeVaryingRows:
@@ -423,3 +427,104 @@ class TestHooksTakeEffectNextSecond:
         assert int(q.arrive_ms.min()) // 1000 == 7 and per_second(q, 7).sum() > 10
         assert q.response_ms.mean() > 200.0
         assert result.metrics.active_session.values[7:].mean() > 3.0
+
+
+class BlockScenario(engine_reference.ScenarioWorkload):
+    """The reference scenario with its DDL moved so that its MDL window
+    crosses the first block edge."""
+
+    DDL_AT = BLOCK_S - 3
+
+    def arrivals(self, t0, t1):
+        arrivals = super().arrivals(t0, t1)
+        exact = arrivals.exact_counts.copy()
+        ddl = engine_reference.SQL_IDS.index("DDL_ITM")
+        exact[:, ddl] = np.where(np.arange(t0, t1) == self.DDL_AT, 1, -1)
+        return arrivals._replace(exact_counts=exact)
+
+
+class TestBlockStepping:
+    """A block is bit-identical to stepping its seconds one at a time,
+    and to the per-second loop the block pass replaced.
+
+    The scenario puts every engine path inside multi-second blocks: a
+    throttle added before the run with a window off the block edges,
+    exact counts thinned by a throttle, read offload switched on between
+    two runs, the rows profile, an MDL window crossing a block edge and
+    a template first appearing mid-block.
+    """
+
+    HALF = 45  # off the block edges: the second run starts mid-block
+
+    def _simulate(self, seed, advance):
+        instance = DatabaseInstance(cpu_cores=engine_reference.CPU_CORES, seed=seed)
+        engine = instance.start(BlockScenario())
+        instance.throttle("DEL_SAL", 0.25, 37, 73)
+        instance.throttle("INS_BAT", 0.5, 15, 65)
+        advance(engine, self.HALF)
+        instance.add_read_replicas(0.5)
+        advance(engine, self.HALF)
+        return instance.finish()
+
+    @staticmethod
+    def _one_second_at_a_time(engine, seconds):
+        for _ in range(seconds):
+            engine.step()
+
+    @staticmethod
+    def _per_second_reference(engine, seconds):
+        for _ in range(seconds):
+            reference_step(engine)
+
+    @staticmethod
+    def _assert_bit_identical(blocks, seconds):
+        assert blocks.query_log.sql_ids == seconds.query_log.sql_ids
+        for sql_id in seconds.query_log.sql_ids:
+            b, s = blocks.query_log.queries_of(sql_id), seconds.query_log.queries_of(sql_id)
+            for field in ("arrive_ms", "response_ms", "examined_rows"):
+                assert getattr(b, field).tobytes() == getattr(s, field).tobytes(), (sql_id, field)
+        assert blocks.metrics.names == seconds.metrics.names
+        for name in seconds.metrics.names:
+            b, s = blocks.metrics[name].values, seconds.metrics[name].values
+            assert b.tobytes() == s.tobytes(), name
+        assert blocks.t3_ms.tobytes() == seconds.t3_ms.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_run_equals_one_second_steps(self, seed):
+        blocks = self._simulate(seed, lambda engine, n: engine.run(n))
+        seconds = self._simulate(seed, self._one_second_at_a_time)
+        self._assert_bit_identical(blocks, seconds)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_run_equals_the_per_second_reference(self, seed):
+        blocks = self._simulate(seed, lambda engine, n: engine.run(n))
+        reference = self._simulate(seed, self._per_second_reference)
+        self._assert_bit_identical(blocks, reference)
+
+    def test_uneven_blocks_equal_one_second_steps(self):
+        def uneven(engine, n):
+            lengths = (7, 13, 1, 24)
+            assert sum(lengths) == n
+            for length in lengths:
+                engine.step(length)
+
+        self._assert_bit_identical(
+            self._simulate(1, uneven), self._simulate(1, self._one_second_at_a_time)
+        )
+
+    def test_scenario_reaches_every_path_inside_blocks(self):
+        result = self._simulate(1, lambda engine, n: engine.run(n))
+        log = result.query_log
+        # The MDL window from second BLOCK_S - 3 blocks readers in the next block.
+        items = log.queries_of("SEL_ITM")
+        after_edge = (items.arrive_ms // 1000 >= BLOCK_S) & (items.arrive_ms // 1000 < BLOCK_S + 3)
+        assert (items.response_ms[after_edge] > 1_000.0).any()
+        # The throttle halves the exact batches; the offload thins reads.
+        batches = log.queries_of("INS_BAT")
+        per_batch = np.bincount(batches.arrive_ms // 1000 // 10, minlength=9)
+        assert per_batch[2:6].max() < engine_reference.BATCH_SIZE
+        assert list(per_batch[[0, 7, 8]]) == [engine_reference.BATCH_SIZE] * 3
+        orders = log.queries_of("SEL_ORD").arrive_ms // 1000
+        assert (orders >= self.HALF).sum() < 0.7 * (orders < self.HALF).sum()
+        assert log.sql_ids.index("SEL_LATE") > log.sql_ids.index("PING")
+        assert result.metrics["innodb_row_lock_waits"].values.sum() > 0

@@ -53,7 +53,8 @@ class TestReplayWorkload:
         sid = case.sql_ids[0]
         t = case.ts + 100
         expected = float(case.templates.executions(sid).values[100])
-        got = workload.rates_at(t).get(sid, 0.0)
+        arrivals = workload.arrivals(t, t + 1)
+        got = float(arrivals.rates[0, list(arrivals.sql_ids).index(sid)])
         assert got == pytest.approx(expected)
 
     def test_core_estimation_reasonable(self, row_lock_case):
