@@ -74,6 +74,8 @@ class FaultInjector:
         self.registry = registry or get_registry()
         #: Injected fault counts per kind (mirrors the telemetry counter).
         self.injected: dict[str, int] = {}
+        #: :meth:`spec_for` answers per ``(kind, topic)``; the plan is frozen.
+        self._specs: dict[tuple[str, str | None], FaultSpec | None] = {}
 
     # ------------------------------------------------------------------
     def _count(self, kind: str) -> None:
@@ -86,6 +88,12 @@ class FaultInjector:
 
     def spec_for(self, kind: str, topic: str | None = None) -> FaultSpec | None:
         """The armed spec for ``kind`` matching ``topic`` (if given)."""
+        key = (kind, topic)
+        if key not in self._specs:
+            self._specs[key] = self._match(kind, topic)
+        return self._specs[key]
+
+    def _match(self, kind: str, topic: str | None) -> FaultSpec | None:
         if topic is not None and topic.startswith(_EXEMPT_PREFIXES):
             return None
         for spec in self.plan.specs:
@@ -231,10 +239,10 @@ class ChaosBroker:
         self.inner = broker
         self.injector = injector
         self._seq: dict[str, int] = {}
-        #: Per-topic held-back blocks: ``(release_seq, key, block)``.
-        self._held: dict[str, list[tuple[int, str, Any]]] = {}
-        #: Per-topic reorder buffers.
-        self._buffers: dict[str, list[tuple[str, Any]]] = {}
+        #: Per-topic held-back blocks: ``(release_seq, key, block, validated)``.
+        self._held: dict[str, list[tuple[int, str, Any, bool]]] = {}
+        #: Per-topic reorder buffers: ``(key, block, validated)``.
+        self._buffers: dict[str, list[tuple[str, Any, bool]]] = {}
 
     # -- delegation ----------------------------------------------------
     def __getattr__(self, name: str) -> Any:
@@ -248,7 +256,9 @@ class ChaosBroker:
         return ChaosConsumer(self.inner.consumer(topic), self, topic)
 
     # -- fault pipeline ------------------------------------------------
-    def publish(self, topic: str, key: str, value: Any) -> Message:
+    def publish(
+        self, topic: str, key: str, value: Any, validated: bool = False
+    ) -> Message:
         """Route one block through the fault pipeline.
 
         Each armed row fault draws one mask over the block's rows, keyed
@@ -260,9 +270,15 @@ class ChaosBroker:
         holds them back for ``hold_messages`` publishes.  Payloads that
         are not blocks pass through untouched — consumers quarantine
         them as ``not_a_block``.
+
+        ``validated`` is the verdict of :meth:`Broker.publish_block`.  A
+        non-empty row subset of a valid block is valid, so the drop,
+        duplicate and late remainders and the reorder pass-through keep
+        it; corrupted and clock-skewed pieces lose it (a negative skew
+        can push timestamps below zero), so consumers validate them.
         """
         if not isinstance(value, (QueryLogBlock, MetricBlock)):
-            return self.inner.publish(topic, key, value)
+            return self.inner.publish(topic, key, value, validated)
         inj = self.injector
         seq = self._seq.get(topic, 0)
         self._seq[topic] = seq + 1
@@ -273,23 +289,26 @@ class ChaosBroker:
         hit = self._hits("corrupt", topic, seq, block)
         if hit is not None:
             draw = _uniform(inj.plan.seed, "corrupt-mode", topic, seq)
-            extra.append(inj.corrupt(_take(block, hit), draw))
+            extra.append((inj.corrupt(_take(block, hit), draw), False))
             block = _take(block, ~hit)
         hit = self._hits("clock_skew", topic, seq, block)
         if hit is not None:
             skew_s = int(inj.spec_for("clock_skew", topic).param("skew_s", 90))
             block = inj.skew(block, skew_s, hit)
+            validated = False
         hit = self._hits("duplicate", topic, seq, block)
         if hit is not None:
-            extra.append(_take(block, hit))
+            extra.append((_take(block, hit), validated))
         hit = self._hits("late", topic, seq, block)
         if hit is not None:
             hold = max(int(inj.spec_for("late", topic).param("hold_messages", 8)), 1)
-            self._held.setdefault(topic, []).append((seq + hold, key, _take(block, hit)))
+            self._held.setdefault(topic, []).append(
+                (seq + hold, key, _take(block, hit), validated)
+            )
             block = _take(block, ~hit)
         last: Message | None = None
-        for piece in ([block] if len(block) else []) + extra:
-            last = self._emit(topic, seq, key, piece) or last
+        for piece, piece_validated in ([(block, validated)] if len(block) else []) + extra:
+            last = self._emit(topic, seq, key, piece, piece_validated) or last
         last = self._release_due(topic, seq) or last
         return last if last is not None else Message(topic, -1, key, value)
 
@@ -308,21 +327,23 @@ class ChaosBroker:
 
     #: Columnar publish through the fault pipeline: the broker's own
     #: method (validate, quarantine, count, trace stamping) run on this
-    #: facade, so the accepted block goes through :meth:`publish` and
-    #: the row faults and reordering apply — ``__getattr__`` delegation
-    #: would silently bypass injection.
+    #: facade, so the accepted block goes through :meth:`publish` with
+    #: its verdict and the row faults and reordering apply —
+    #: ``__getattr__`` delegation would silently bypass injection.
     publish_block = Broker.publish_block
 
-    def _emit(self, topic: str, seq: int, key: str, value: Any) -> Message | None:
+    def _emit(
+        self, topic: str, seq: int, key: str, value: Any, validated: bool
+    ) -> Message | None:
         reorder = self.injector.spec_for("reorder", topic)
         if reorder is not None:
             buffer = self._buffers.setdefault(topic, [])
-            buffer.append((key, value))
+            buffer.append((key, value, validated))
             window = max(int(reorder.param("window", 6)), 2)
             if len(buffer) >= window:
                 return self._flush_buffer(topic, seq)
             return None
-        return self.inner.publish(topic, key, value)
+        return self.inner.publish(topic, key, value, validated)
 
     def _flush_buffer(self, topic: str, seq: int) -> Message | None:
         """Emit the reorder buffer — shuffled when the fault fires."""
@@ -340,8 +361,7 @@ class ChaosBroker:
             inj._count("reorder")
         last: Message | None = None
         for idx in order:
-            key, value = buffer[idx]
-            last = self.inner.publish(topic, key, value)
+            last = self.inner.publish(topic, *buffer[idx])
         buffer.clear()
         return last
 
@@ -354,16 +374,16 @@ class ChaosBroker:
             return None
         self._held[topic] = [h for h in held if h[0] > seq]
         last: Message | None = None
-        for _, key, value in due:
-            last = self.inner.publish(topic, key, value)
+        for _, key, value, validated in due:
+            last = self.inner.publish(topic, key, value, validated)
         return last
 
     def flush(self) -> int:
         """Release every held/buffered message; returns how many."""
         released = 0
         for topic in sorted(self._held):
-            for _, key, value in self._held[topic]:
-                self.inner.publish(topic, key, value)
+            for _, key, value, validated in self._held[topic]:
+                self.inner.publish(topic, key, value, validated)
                 released += 1
             self._held[topic] = []
         for topic in sorted(self._buffers):

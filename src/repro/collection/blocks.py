@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
@@ -415,6 +416,20 @@ def decode_block(raw: bytes) -> QueryLogBlock | MetricBlock:
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=256)
+def _names_ok_cached(names: tuple[str, ...]) -> bool:
+    return all(isinstance(s, str) and s for s in names)
+
+
+def _names_ok(names) -> bool:
+    """Every dictionary entry is a non-empty string, checked once per
+    distinct dictionary (blocks of a stream share theirs)."""
+    try:
+        return _names_ok_cached(names)
+    except TypeError:  # unhashable: a list, or a tuple holding one
+        return all(isinstance(s, str) and s for s in names)
+
+
 def validate_query_block(block: object) -> str | None:
     """Reject reason for a query-log block, or ``None`` if valid."""
     if not isinstance(block, QueryLogBlock):
@@ -424,7 +439,7 @@ def validate_query_block(block: object) -> str | None:
         return "bad_dtype"
     if data.ndim != 1 or data.size == 0:
         return "bad_shape:data"
-    if not all(isinstance(s, str) and s for s in block.sql_ids):
+    if not _names_ok(block.sql_ids):
         return "bad_type:sql_ids"
     if block.statements and len(block.statements) != len(block.sql_ids):
         return "length_mismatch:statements"
@@ -453,7 +468,7 @@ def validate_metric_block(block: object) -> str | None:
         return "bad_dtype"
     if data.ndim != 1 or data.size == 0:
         return "bad_shape:data"
-    if not all(isinstance(s, str) and s for s in block.metrics):
+    if not _names_ok(block.metrics):
         return "bad_type:metrics"
     metric = data["metric"]
     if len(block.metrics) == 0:

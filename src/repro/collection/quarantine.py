@@ -2,12 +2,16 @@
 
 A malformed payload must never crash the poll loop: one collector bug
 or one corrupted message would take the whole diagnosis pipeline down
-with it.  Both the publishing side (``Broker.publish_block``) and the
-consuming side (detector, diagnosis engine) validate payloads with the
-block validators of :mod:`repro.collection.blocks` and route rejects
-to a per-source dead-letter topic (``dead_letter.<source_topic>``)
-with :func:`quarantine`, keeping the evidence and counting
-``collector_quarantined_total`` instead of raising.
+with it.  Payloads are checked with the block validators of
+:mod:`repro.collection.blocks`, once each: ``Broker.publish_block``
+validates a block and marks its message ``validated``, and the
+consumers (detector, diagnosis engine) validate every message without
+that mark — raw ``Broker.publish`` payloads, and blocks a
+:class:`~repro.chaos.ChaosBroker` corrupted or clock-skewed on the way
+through.  Either side routes rejects to a per-source dead-letter topic
+(``dead_letter.<source_topic>``) with :func:`quarantine`, keeping the
+evidence and counting ``collector_quarantined_total`` instead of
+raising.
 
 Dead-letter topics have no registered consumers, so the broker's
 retention pruning leaves them untouched — they are archival, read ad

@@ -25,6 +25,12 @@ blocks and payload bytes per topic, so the dataplane's shape
 (records/block, blocks/s, bytes shipped) is visible next to the
 per-topic message counters.
 
+A block is validated once.  ``publish_block`` records its verdict on
+the appended :class:`Message` (``validated``), and consumers validate
+only messages without it: raw :meth:`Broker.publish` payloads, which
+may be anything, and the pieces a chaos facade alters on the way
+through (see :class:`repro.chaos.ChaosBroker`).
+
 The broker self-reports through :mod:`repro.telemetry`: published
 message counters per topic, poll-batch-size histograms, and per-consumer
 lag gauges — the first things an operator checks when the diagnosis
@@ -39,6 +45,7 @@ from typing import Any
 
 from repro.telemetry import (
     DEFAULT_COUNT_BUCKETS,
+    BoundInstruments,
     MetricsRegistry,
     Tracer,
     get_registry,
@@ -81,6 +88,9 @@ class Message:
     offset: int
     key: str
     value: Any
+    #: :meth:`Broker.publish_block` validated ``value`` on the way in, so
+    #: consumers need not validate it again.
+    validated: bool = False
 
 
 @dataclass
@@ -116,6 +126,8 @@ class Broker:
         #: onto the outgoing block so downstream diagnosis spans — even
         #: in other processes — parent under it.
         self.tracer = tracer if tracer is not None else Tracer(registry=self.registry)
+        #: Per-topic instrument handles, bound on a series' first use.
+        self._instruments = BoundInstruments()
 
     def create_topic(self, topic: str) -> None:
         """Create a topic (idempotent)."""
@@ -125,15 +137,20 @@ class Broker:
     def topics(self) -> list[str]:
         return list(self._topics)
 
-    def publish(self, topic: str, key: str, value: Any) -> Message:
-        """Append a message to a topic, creating the topic on first use."""
+    def publish(
+        self, topic: str, key: str, value: Any, validated: bool = False
+    ) -> Message:
+        """Append a message to a topic, creating the topic on first use.
+
+        ``validated`` is :meth:`publish_block`'s verdict that ``value`` is
+        a valid block (a chaos facade forwards it for the pieces it keeps
+        valid); every other caller leaves it ``False``.
+        """
         log = self._topics.setdefault(topic, _Topic())
-        message = Message(topic=topic, offset=log.next_offset, key=key, value=value)
+        message = Message(topic, log.next_offset, key, value, validated)
         log.messages.append(message)
-        self.registry.counter(
-            "broker_messages_published_total",
-            help="Messages appended per topic.",
-            topic=topic,
+        self._instruments.get(
+            self.registry, ("published", topic), self._published_counter, topic
         ).inc()
         return message
 
@@ -144,7 +161,8 @@ class Broker:
         the topic's dead-letter quarantine and ``None`` is returned.
         Valid blocks are counted into the batch-aware telemetry:
         records per block (histogram), blocks published and payload
-        bytes shipped per topic.
+        bytes shipped per topic.  The message carries the verdict
+        (``validated``), so consumers do not validate the block again.
         """
         from repro.collection.blocks import BLOCK_KEY, stamp_block, validate_block
         from repro.collection.quarantine import quarantine
@@ -160,32 +178,51 @@ class Broker:
             ) as span:
                 ctx = self.tracer.context_for(span)
                 block = stamp_block(block, ctx, time.time())
-                return self.publish(topic, key=BLOCK_KEY, value=block)
-        return self.publish(topic, key=BLOCK_KEY, value=block)
+                return self.publish(topic, BLOCK_KEY, block, validated=True)
+        return self.publish(topic, BLOCK_KEY, block, validated=True)
 
     def count_block(self, topic: str, n_records: int, nbytes: int) -> None:
         """Record batch telemetry for one block on ``topic``."""
-        self.registry.counter(
-            "broker_blocks_published_total",
-            help="Columnar blocks appended per topic.",
+        blocks, records, payload, per_block = self._instruments.get(
+            self.registry, ("block", topic), self._block_instruments, topic
+        )
+        blocks.inc()
+        records.inc(n_records)
+        payload.inc(nbytes)
+        per_block.observe(n_records)
+
+    def _published_counter(self, topic: str) -> Any:
+        return self.registry.counter(
+            "broker_messages_published_total",
+            help="Messages appended per topic.",
             topic=topic,
-        ).inc()
-        self.registry.counter(
-            "broker_block_records_total",
-            help="Records carried inside published blocks, per topic.",
-            topic=topic,
-        ).inc(n_records)
-        self.registry.counter(
-            "broker_block_bytes_total",
-            help="Payload bytes of published blocks, per topic.",
-            topic=topic,
-        ).inc(nbytes)
-        self.registry.histogram(
-            "broker_block_records",
-            help="Records per published block.",
-            buckets=DEFAULT_COUNT_BUCKETS,
-            topic=topic,
-        ).observe(n_records)
+        )
+
+    def _block_instruments(self, topic: str) -> tuple[Any, ...]:
+        registry = self.registry
+        return (
+            registry.counter(
+                "broker_blocks_published_total",
+                help="Columnar blocks appended per topic.",
+                topic=topic,
+            ),
+            registry.counter(
+                "broker_block_records_total",
+                help="Records carried inside published blocks, per topic.",
+                topic=topic,
+            ),
+            registry.counter(
+                "broker_block_bytes_total",
+                help="Payload bytes of published blocks, per topic.",
+                topic=topic,
+            ),
+            registry.histogram(
+                "broker_block_records",
+                help="Records per published block.",
+                buckets=DEFAULT_COUNT_BUCKETS,
+                topic=topic,
+            ),
+        )
 
     def size(self, topic: str) -> int:
         """Messages ever published to a topic (including pruned ones)."""

@@ -85,6 +85,9 @@ class QueryLog:
         #: ``(template code, arrive_ms, response_ms, examined_rows)``.
         self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._count = 0
+        #: Code of each entry of a chunk dictionary (``sql_ids`` tuple)
+        #: whose templates are all registered; emptied when codes go.
+        self._luts: dict[tuple[str, ...], np.ndarray] = {}
 
     def _code(self, sql_id: str) -> int:
         code = self._codes.get(sql_id)
@@ -128,22 +131,35 @@ class QueryLog:
             raise ValueError("chunk columns must share a length")
         if n == 0:
             return
-        lut = [self._codes.get(s, -1) for s in sql_ids]
-        if -1 in lut:
-            present = np.bincount(template, minlength=len(sql_ids)) > 0
-            for i in np.flatnonzero(present).tolist():
-                if lut[i] < 0:
-                    lut[i] = self._code(sql_ids[i])
+        lut = self._luts.get(sql_ids) if isinstance(sql_ids, tuple) else None
+        if lut is None:
+            lut = self._lut(sql_ids, template)
         # A structured block's fields are strided views: copy them, so a
         # column never adopts a strided array (``searchsorted`` would
         # copy it whole on every read).
         self._pending.append((
-            np.array(lut, dtype=np.int32)[template],
+            lut[template],
             np.ascontiguousarray(arrive_ms, dtype=np.int64),
             np.ascontiguousarray(response_ms, dtype=np.float64),
             np.ascontiguousarray(examined_rows, dtype=np.float64),
         ))
         self._count += n
+
+    def _lut(self, sql_ids: Sequence[str], template: np.ndarray) -> np.ndarray:
+        """Codes of ``sql_ids``, registering the templates ``template``
+        uses; remembered once every entry has a code."""
+        codes = [self._codes.get(s, -1) for s in sql_ids]
+        if -1 in codes:
+            present = np.bincount(template, minlength=len(sql_ids)) > 0
+            for i in np.flatnonzero(present).tolist():
+                if codes[i] < 0:
+                    codes[i] = self._code(sql_ids[i])
+        lut = np.array(codes, dtype=np.int32)
+        if isinstance(sql_ids, tuple) and -1 not in codes:
+            if len(self._luts) >= _MAX_LUTS:
+                self._luts.clear()
+            self._luts[sql_ids] = lut
+        return lut
 
     @property
     def queued_chunks(self) -> int:
@@ -213,6 +229,7 @@ class QueryLog:
             dropped += col.drop_before(cutoff_ms)
             if not len(col):
                 del self._codes[sql_id]
+                self._luts.clear()
                 continue
             first = int(col.cols[0][col.start])
             oldest = first if oldest is None else min(oldest, first)
@@ -291,6 +308,9 @@ def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
         col.setflags(write=False)
     return columns
 
+
+#: Chunk dictionaries whose codes a :class:`QueryLog` remembers.
+_MAX_LUTS = 64
 
 _NO_ROWS = _read_only(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
 

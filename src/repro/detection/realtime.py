@@ -195,20 +195,24 @@ class RealtimeAnomalyDetector:
         Every message carries one
         :class:`~repro.collection.blocks.MetricBlock` (one block = many
         samples); malformed blocks and non-block payloads are
-        quarantined, never raised.
+        quarantined, never raised.  Blocks that ``publish_block``
+        validated are not validated again.
         """
-        from repro.collection.blocks import validate_metric_block
+        from repro.collection.blocks import MetricBlock, validate_metric_block
 
         messages = self.consumer.poll(max_messages)
         points = 0
         for message in messages:
             record = message.value
-            reason = validate_metric_block(record)
-            if reason is not None:
-                # Malformed payloads must not crash the poll loop: park
-                # them on the dead-letter topic and keep consuming.
-                quarantine(self.consumer.broker, self.consumer.topic, record, reason)
-                continue
+            if not (message.validated and isinstance(record, MetricBlock)):
+                reason = validate_metric_block(record)
+                if reason is not None:
+                    # Malformed payloads must not crash the poll loop: park
+                    # them on the dead-letter topic and keep consuming.
+                    quarantine(
+                        self.consumer.broker, self.consumer.topic, record, reason
+                    )
+                    continue
             if self.instance_id and record.instance and record.instance != self.instance_id:
                 continue
             for name, ts_arr, values in record.iter_metric_series():
@@ -233,30 +237,6 @@ class RealtimeAnomalyDetector:
             return []
         self._last_evaluation = self._stream_time
         return self._evaluate(self._stream_time)
-
-    def run_until_drained(self) -> list[AnomalyEvent]:
-        """Poll until the topic is exhausted; collect every event.
-
-        Guards against a consumer that cannot make progress (stranded
-        behind a pruned log head, or stalled by backpressure): a stuck
-        offset is resynced, and persistent zero-progress polls break the
-        loop instead of spinning forever.
-        """
-        events: list[AnomalyEvent] = []
-        idle = 0
-        while self.consumer.lag > 0 and idle <= 100:
-            offset_before = self.consumer.offset
-            events.extend(self.poll())
-            if self.consumer.offset == offset_before:
-                if not self.consumer.resync_to_base():
-                    idle += 1
-            else:
-                idle = 0
-        # One final evaluation at the end of the stream.
-        if self._stream_time is not None:
-            self._last_evaluation = self._stream_time
-            events.extend(self._evaluate(self._stream_time))
-        return events
 
     # ------------------------------------------------------------------
     def _evaluate(self, now: int) -> list[AnomalyEvent]:

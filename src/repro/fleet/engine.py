@@ -327,7 +327,7 @@ class InstanceDiagnosisEngine:
     # Stream consumption
     # ------------------------------------------------------------------
     def _drain_query_logs(self, max_messages: int = 50_000) -> int:
-        from repro.collection.blocks import validate_query_block
+        from repro.collection.blocks import QueryLogBlock, validate_query_block
 
         handled = 0
         while True:
@@ -336,14 +336,17 @@ class InstanceDiagnosisEngine:
                 break
             for message in messages:
                 record = message.value
-                reason = validate_query_block(record)
-                if reason is not None:
-                    # A malformed payload is one lost *batch*: park it on
-                    # the dead-letter topic and remember the loss for the
-                    # degraded policy instead of crashing the drain loop.
-                    quarantine(self.broker, self.query_topic, record, reason)
-                    self._quarantined_since_diagnosis += 1
-                    continue
+                # ``publish_block`` already validated a block it accepted.
+                if not (message.validated and isinstance(record, QueryLogBlock)):
+                    reason = validate_query_block(record)
+                    if reason is not None:
+                        # A malformed payload is one lost *batch*: park it
+                        # on the dead-letter topic and remember the loss
+                        # for the degraded policy instead of crashing the
+                        # drain loop.
+                        quarantine(self.broker, self.query_topic, record, reason)
+                        self._quarantined_since_diagnosis += 1
+                        continue
                 if record.instance and record.instance != self.instance_id:
                     continue
                 if record.trace is not None:

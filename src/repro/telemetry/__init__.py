@@ -17,6 +17,7 @@ component; all of them also accept explicit instances for isolation
 """
 
 from repro.telemetry.metrics import (
+    BoundInstruments,
     Counter,
     Gauge,
     Histogram,
@@ -49,6 +50,7 @@ from repro.telemetry.logs import (
 )
 
 __all__ = [
+    "BoundInstruments",
     "Counter",
     "Gauge",
     "Histogram",

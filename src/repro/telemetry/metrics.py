@@ -17,9 +17,10 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Iterator, Mapping
+from typing import Any, Callable, Hashable, Iterator, Mapping
 
 __all__ = [
+    "BoundInstruments",
     "Counter",
     "Gauge",
     "Histogram",
@@ -262,6 +263,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
+        #: Bumped by :meth:`reset`; :class:`BoundInstruments` re-binds
+        #: its handles when this changes.
+        self.generation = 0
         # Instrument *creation* is locked so concurrent threads
         # can't race the check-then-insert and orphan an instrument; the
         # per-call fast path (existing series) stays lock-free under the
@@ -330,8 +334,14 @@ class MetricsRegistry:
         return sorted(self._families)
 
     def reset(self) -> None:
-        """Drop every family (tests / fresh CLI invocations)."""
+        """Drop every family (tests / fresh CLI invocations).
+
+        Handles obtained before the reset are detached from the registry
+        from then on; :attr:`generation` tells their holders to re-bind
+        (see :class:`BoundInstruments`).
+        """
         self._families.clear()
+        self.generation += 1
 
     # ------------------------------------------------------------------
     # Export
@@ -441,6 +451,37 @@ class MetricsRegistry:
         for name, family in self._families.items():
             for key, inst in family.series.items():
                 yield name, family.kind, key, inst
+
+
+class BoundInstruments:
+    """Instrument handles a hot call site keeps, bound on first use.
+
+    ``get(registry, key, make, *args)`` returns the handle kept under
+    ``key``, calling ``make(*args)`` to bind it the first time, so the
+    registry's label-key lookup runs once per series instead of once per
+    call.  A reset of the registry (its :attr:`MetricsRegistry.generation`
+    moves) or a different registry drops every handle, so a kept handle
+    never counts into an instrument the registry no longer exports.
+    """
+
+    __slots__ = ("_handles", "_registry", "_generation")
+
+    def __init__(self) -> None:
+        self._handles: dict[Hashable, Any] = {}
+        self._registry: MetricsRegistry | None = None
+        self._generation = 0
+
+    def get(
+        self, registry: MetricsRegistry, key: Hashable,
+        make: Callable[..., Any], *args: Any,
+    ) -> Any:
+        if registry is not self._registry or registry.generation != self._generation:
+            self._handles.clear()
+            self._registry, self._generation = registry, registry.generation
+        handle = self._handles.get(key)
+        if handle is None:
+            handle = self._handles[key] = make(*args)
+        return handle
 
 
 def _fmt_labels(key: _LabelKey) -> str:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any, Iterable, Mapping
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import BoundInstruments, Histogram, MetricsRegistry
 
 __all__ = [
     "Span",
@@ -182,6 +182,8 @@ class Tracer:
         self.labels = dict(labels) if labels else {}
         self._stack: list[Span] = []
         self._roots: deque[Span] = deque(maxlen=max_roots)
+        #: Span-duration histograms by span name, bound on first use.
+        self._histograms = BoundInstruments()
         #: Cross-process parent adopted from an ingested block's trace
         #: context: new root spans join its trace_id and record its
         #: span_id as ``parent_span_id``.
@@ -268,20 +270,26 @@ class Tracer:
             self._stack.pop()
         if not self._stack:
             self._roots.append(span)
-        if self.registry is not None:
-            self.registry.histogram(
-                self.SPAN_METRIC,
-                help="Duration of traced pipeline spans.",
-                span=span.name,
-                **self.labels,
+        registry = self.registry
+        if registry is not None:
+            self._histograms.get(
+                registry, span.name, self._span_histogram, registry, span.name
             ).observe(span.elapsed)
             if span.attrs.get("status") == "error":
-                self.registry.counter(
+                registry.counter(
                     "span_errors_total",
                     help="Spans that ended via an exception.",
                     span=span.name,
                     **self.labels,
                 ).inc()
+
+    def _span_histogram(self, registry: MetricsRegistry, name: str) -> Histogram:
+        return registry.histogram(
+            self.SPAN_METRIC,
+            help="Duration of traced pipeline spans.",
+            span=name,
+            **self.labels,
+        )
 
     # ------------------------------------------------------------------
     @property

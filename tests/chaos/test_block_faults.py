@@ -183,3 +183,59 @@ class TestDownstreamResilience:
             return damaged
 
         assert run() == run() > 0
+
+
+class TestVerdictUnderChaos:
+    """The publish-side verdict survives only what leaves a block valid:
+    non-empty row subsets (drop, duplicate and late remainders, reorder
+    pass-through).  Corrupted and clock-skewed pieces are validated by
+    the consumer, with the same reasons as before."""
+
+    @pytest.mark.parametrize("kind", ["drop", "duplicate", "late", "reorder"])
+    def test_row_subsets_keep_the_verdict(self, kind):
+        chaos, broker, _ = chaos_broker(kind, rate=0.5, seed=11)
+        for _ in range(20):
+            chaos.publish_block("query_logs.db-a", query_block("db-a"))
+        chaos.flush()
+        messages = broker.read("query_logs.db-a", 0, 1000)
+        assert messages
+        for message in messages:
+            assert message.validated
+            assert validate_query_block(message.value) is None
+
+    def test_negative_clock_skew_is_revalidated_and_quarantined(self):
+        chaos, broker, registry = chaos_broker("clock_skew", rate=1.0, skew_s=-10)
+        chaos.publish_block("query_logs.db-a", query_block("db-a"))
+        (message,) = broker.read("query_logs.db-a", 0, 10)
+        assert not message.validated
+        assert message.value.data["arrive_ms"].min() < 0
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=registry)
+        engine.step()
+        dead = broker.read(dead_letter_topic("query_logs.db-a"), 0, 10)
+        assert [m.key for m in dead] == ["bad_type:arrive_ms"]
+        assert engine.logstore.total_queries() == 0
+
+    def test_corrupted_pieces_keep_their_quarantine_reasons(self):
+        registry = MetricsRegistry()
+        chaos, broker, _ = chaos_broker("corrupt", rate=0.5, seed=5, registry=registry)
+        for _ in range(30):
+            chaos.publish_block("query_logs.db-a", query_block("db-a"))
+            chaos.publish_block("performance_metrics.db-a", metric_block("db-a"))
+        expected = {}
+        for topic, validate in (
+            ("query_logs.db-a", validate_query_block),
+            ("performance_metrics.db-a", validate_metric_block),
+        ):
+            expected[topic] = []
+            for message in broker.read(topic, 0, 1000):
+                reason = validate(message.value)
+                if message.validated:
+                    assert reason is None
+                elif reason is not None:
+                    expected[topic].append(reason)
+            assert expected[topic], f"corrupt rate 0.5 must damage {topic}"
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=registry)
+        engine.step()
+        for topic, reasons in expected.items():
+            dead = broker.read(dead_letter_topic(topic), 0, 1000)
+            assert [m.key for m in dead] == reasons

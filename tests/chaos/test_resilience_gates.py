@@ -15,8 +15,8 @@ are the acceptance criteria of the resilience layer:
 import pytest
 
 from repro.chaos import FAULT_KINDS
-from repro.evaluation import ChaosHarnessConfig, run_chaos_suite
 from repro.incidents import IncidentStore
+from tests.chaos import scorecard_golden
 
 #: Accuracy may drop under faults, but not collapse: a run that loses
 #: more than this much R-SQL accuracy vs the clean baseline fails.
@@ -24,16 +24,16 @@ ACCURACY_TOLERANCE = 0.5
 
 
 @pytest.fixture(scope="module")
-def chaos_setup(tmp_path_factory):
+def chaos_run(tmp_path_factory):
+    """The seed-7 suite (``run_chaos_suite``), each run on its own registry."""
     record_dir = tmp_path_factory.mktemp("chaos-incidents")
-    cfg = ChaosHarnessConfig(
-        seed=7,
-        n_instances=3,
-        anomalous=2,
-        duration_s=480,
-        record_dir=str(record_dir),
-    )
-    return cfg, run_chaos_suite(cfg)
+    return scorecard_golden.run_suite(record_dir=str(record_dir))
+
+
+@pytest.fixture(scope="module")
+def chaos_setup(chaos_run):
+    cfg, scorecard, _ = chaos_run
+    return cfg, scorecard
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +127,15 @@ class TestRecoveryGates:
     def test_quarantine_only_engages_under_corruption(self, scorecard):
         assert scorecard.clean.quarantined == 0
         assert scorecard.report_for("drop").quarantined == 0
+
+
+class TestGoldenCounts:
+    def test_fault_counts_match_the_pinned_golden(self, chaos_run):
+        # Quarantines (and their reasons), injected faults, resyncs and
+        # degraded diagnoses per fault class are pinned exactly: see
+        # tests/chaos/scorecard_golden.py for how to re-pin on purpose.
+        _, scorecard, registries = chaos_run
+        actual = scorecard_golden.counts(
+            scorecard_golden.reports_of(scorecard.to_dict()), registries
+        )
+        assert scorecard_golden.mismatches(actual, scorecard_golden.load()) == []

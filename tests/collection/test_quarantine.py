@@ -230,3 +230,115 @@ class TestConsumerResync:
         behind.seek(0)
         assert not behind.stuck
         assert [m.value["i"] for m in behind.poll()] == [5]
+
+
+def count_validator_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of both block validators, wherever they are called."""
+    from repro.collection import blocks
+
+    calls = {"query": 0, "metric": 0}
+    for kind, name in (("query", "validate_query_block"), ("metric", "validate_metric_block")):
+        original = getattr(blocks, name)
+
+        def counted(block, _kind=kind, _original=original):
+            calls[_kind] += 1
+            return _original(block)
+
+        monkeypatch.setattr(blocks, name, counted)
+    return calls
+
+
+def query_block(sql_ids=("q1", "q2"), instance="db-a") -> QueryLogBlock:
+    data = np.array(
+        [(0, 5_000, 10.0, 100.0), (1, 5_200, 5.0, 50.0), (0, 5_400, 20.0, 200.0)],
+        dtype=QUERY_BLOCK_DTYPE,
+    )
+    return QueryLogBlock(sql_ids=sql_ids, data=data, instance=instance)
+
+
+def metric_block(metrics=("active_session",), instance="db-a") -> MetricBlock:
+    data = np.array([(0, 5, 3.0), (0, 6, 4.0)], dtype=METRIC_BLOCK_DTYPE)
+    return MetricBlock(metrics=metrics, data=data, instance=instance)
+
+
+class TestValidateOnce:
+    """``publish_block`` validates a block once and records the verdict on
+    its message; the consumers validate only messages without it."""
+
+    def test_published_block_reaches_each_validator_once(self, monkeypatch):
+        calls = count_validator_calls(monkeypatch)
+        registry = MetricsRegistry()
+        broker = Broker(registry=registry)
+        q = broker.publish_block("query_logs.db-a", query_block())
+        m = broker.publish_block("performance_metrics.db-a", metric_block())
+        assert q.validated and m.validated
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=registry)
+        engine.step()
+        assert engine.logstore.total_queries() == 3
+        assert engine.detector.stream_time == 6
+        assert calls == {"query": 1, "metric": 1}
+
+    @pytest.mark.parametrize(
+        "payload,reason",
+        [
+            (query_block(sql_ids=()), "missing_dictionary"),
+            (query_block(sql_ids=("q1", "")), "bad_type:sql_ids"),
+            (metric_block(), "not_a_block"),
+            ({"sql_id": "q1"}, "not_a_block"),
+        ],
+        ids=["no-dictionary", "empty-name", "metric-block", "dict"],
+    )
+    def test_raw_publish_is_validated_by_the_query_consumer(self, payload, reason):
+        registry = MetricsRegistry()
+        broker = Broker(registry=registry)
+        message = broker.publish("query_logs.db-a", "k", payload)
+        assert not message.validated
+        assert validate_query_block(payload) == reason
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=registry)
+        engine.step()
+        assert dead_letter_reasons(broker, "query_logs.db-a") == [reason]
+        assert engine.logstore.total_queries() == 0
+
+    @pytest.mark.parametrize(
+        "payload,reason",
+        [
+            (metric_block(metrics=()), "missing_dictionary"),
+            (metric_block(metrics=("",)), "bad_type:metrics"),
+            (query_block(), "not_a_block"),
+            ([1, 2, 3], "not_a_block"),
+        ],
+        ids=["no-dictionary", "empty-name", "query-block", "list"],
+    )
+    def test_raw_publish_is_validated_by_the_metric_consumer(self, payload, reason):
+        broker = Broker(registry=MetricsRegistry())
+        broker.publish("performance_metrics", "k", payload)
+        assert validate_metric_block(payload) == reason
+        detector = RealtimeAnomalyDetector(broker.consumer("performance_metrics"))
+        assert detector.poll() == []
+        assert dead_letter_reasons(broker, "performance_metrics") == [reason]
+        assert detector.stream_time is None
+
+    def test_a_block_validated_for_the_other_stream_is_rejected(self):
+        # The verdict says "a valid block", not "a valid block of this
+        # topic's kind": a metric block on a query topic is still refused.
+        registry = MetricsRegistry()
+        broker = Broker(registry=registry)
+        message = broker.publish_block("query_logs.db-a", metric_block())
+        assert message.validated
+        engine = InstanceDiagnosisEngine(broker, "db-a", registry=registry)
+        engine.step()
+        assert dead_letter_reasons(broker, "query_logs.db-a") == ["not_a_block"]
+
+    def test_a_cached_dictionary_does_not_hide_an_empty_name(self):
+        assert validate_query_block(query_block(sql_ids=("q1", "q2"))) is None
+        assert validate_query_block(query_block(sql_ids=("q1", ""))) == "bad_type:sql_ids"
+        assert validate_metric_block(metric_block(metrics=("cpu",))) is None
+        assert validate_metric_block(metric_block(metrics=("",))) == "bad_type:metrics"
+        broker = Broker(registry=MetricsRegistry())
+        assert broker.publish_block("query_logs", query_block(sql_ids=("q1", "q2")))
+        assert broker.publish_block("query_logs", query_block(sql_ids=("q1", ""))) is None
+        assert dead_letter_reasons(broker, "query_logs") == ["bad_type:sql_ids"]
+
+    def test_unhashable_dictionaries_are_still_checked(self):
+        block = query_block(sql_ids=(["q1"], "q2"))
+        assert validate_query_block(block) == "bad_type:sql_ids"

@@ -1,8 +1,17 @@
 """Tests for the in-process broker."""
 
+import numpy as np
 import pytest
 
 from repro.collection import Broker
+from repro.collection.blocks import QUERY_BLOCK_DTYPE, QueryLogBlock
+from repro.telemetry import MetricsRegistry, get_registry, reset_telemetry
+
+
+def one_row_block() -> QueryLogBlock:
+    return QueryLogBlock(
+        sql_ids=("q1",), data=np.array([(0, 5_000, 1.0, 1.0)], dtype=QUERY_BLOCK_DTYPE)
+    )
 
 
 class TestBroker:
@@ -36,6 +45,33 @@ class TestBroker:
     def test_invalid_read_args(self):
         with pytest.raises(ValueError):
             Broker().read("t", -1, 5)
+
+    def test_counters_survive_reset_telemetry(self):
+        # The broker binds its per-topic instruments once; after a reset
+        # of the default registry it must count into the live registry,
+        # not into the detached instruments it bound before.
+        broker = Broker()
+        broker.publish("t", key="k", value=1)
+        broker.publish_block("b", one_row_block())
+        reset_telemetry()
+        broker.publish("t", key="k", value=2)
+        broker.publish_block("b", one_row_block())
+        registry = get_registry()
+        published = "broker_messages_published_total"
+        assert registry.get(published, topic="t").value == 1
+        assert registry.get(published, topic="b").value == 1
+        assert registry.get("broker_blocks_published_total", topic="b").value == 1
+        assert registry.get("broker_block_records", topic="b").count == 1
+
+    def test_block_series_appear_with_the_first_block(self):
+        registry = MetricsRegistry()
+        broker = Broker(registry=registry)
+        broker.publish("raw", key="k", value=1)
+        assert registry.get("broker_messages_published_total", topic="raw").value == 1
+        assert registry.get("broker_blocks_published_total", topic="raw") is None
+        assert registry.get("broker_block_records", topic="raw") is None
+        broker.publish_block("raw", one_row_block())
+        assert registry.get("broker_blocks_published_total", topic="raw").value == 1
 
 
 class TestConsumer:

@@ -195,6 +195,29 @@ class TestColumnarChunks:
         assert log.drop_before(50) == (1, None)
         assert log.sql_ids == [] and log.total_queries == 0
 
+    def test_chunk_after_drop_before_maps_codes_afresh(self):
+        # A dictionary's codes are remembered; emptying a template retires
+        # its code, so the next chunk of that dictionary registers it anew.
+        log = QueryLog()
+        names = ("A", "B")
+        chunk(log, names, [0, 1], [10, 20])
+        chunk(log, names, [0, 1], [30, 40])
+        assert log.drop_before(35) == (3, 40)
+        chunk(log, names, [0, 1, 0], [50, 60, 70])
+        assert log.sql_ids == ["B", "A"]
+        assert list(log.queries_of("A").arrive_ms) == [50, 70]
+        assert list(log.queries_of("B").arrive_ms) == [40, 60]
+        assert log.total_queries == 4
+
+    def test_codes_of_a_partly_registered_dictionary_are_not_kept(self):
+        log = QueryLog()
+        names = ("A", "B")
+        chunk(log, names, [0], [10])  # B holds no rows yet: no code
+        chunk(log, names, [1, 0], [20, 30])
+        assert log.sql_ids == ["A", "B"]
+        assert list(log.queries_of("A").arrive_ms) == [10, 30]
+        assert list(log.queries_of("B").arrive_ms) == [20]
+
     def test_interleaved_reads_match_one_sort_of_every_row(self):
         # Hundreds of one-template appends with reads in between, some
         # templates going back in time.

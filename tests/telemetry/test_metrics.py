@@ -7,6 +7,7 @@ import pytest
 
 from repro.telemetry import (
     DEFAULT_COUNT_BUCKETS,
+    BoundInstruments,
     MetricsRegistry,
     labeled_name,
     render_summary,
@@ -136,3 +137,30 @@ class TestExport:
         reg.reset()
         assert reg.snapshot() == {"counters": [], "gauges": [], "histograms": []}
         assert reg.names() == []
+
+
+class TestBoundInstruments:
+    def test_binds_once_per_key(self):
+        reg = MetricsRegistry()
+        bound, made = BoundInstruments(), []
+
+        def make(topic):
+            made.append(topic)
+            return reg.counter("msgs_total", topic=topic)
+
+        for _ in range(3):
+            bound.get(reg, "a", make, "a").inc()
+        bound.get(reg, "b", make, "b").inc()
+        assert made == ["a", "b"]
+        assert reg.get("msgs_total", topic="a").value == 3
+
+    def test_rebinds_after_reset_and_for_another_registry(self):
+        reg, other = MetricsRegistry(), MetricsRegistry()
+        bound = BoundInstruments()
+        bound.get(reg, "a", lambda: reg.counter("msgs_total")).inc()
+        reg.reset()
+        bound.get(reg, "a", lambda: reg.counter("msgs_total")).inc()
+        assert reg.get("msgs_total").value == 1
+        bound.get(other, "a", lambda: other.counter("msgs_total")).inc()
+        assert other.get("msgs_total").value == 1
+        assert reg.get("msgs_total").value == 1

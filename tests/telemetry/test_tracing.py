@@ -72,6 +72,16 @@ class TestRegistryIntegration:
         assert hist.count == 2
         assert hist.sum >= 0.0
 
+    def test_span_histograms_follow_a_registry_reset(self):
+        reg = MetricsRegistry()
+        tracer = Tracer(registry=reg)
+        with tracer.span("stage"):
+            pass
+        reg.reset()
+        with tracer.span("stage"):
+            pass
+        assert reg.get(Tracer.SPAN_METRIC, span="stage").count == 1
+
     def test_disabled_tracer_still_times_but_stays_silent(self):
         reg = MetricsRegistry()
         tracer = Tracer(registry=reg, enabled=False)
