@@ -10,7 +10,6 @@ quarantined evidence must survive the chaos that produced it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fnmatch import fnmatch
 from hashlib import blake2b
 from typing import Any, Callable
@@ -61,7 +60,7 @@ def _draws(seed: int, n: int, *parts: object) -> np.ndarray:
 
 def _take(block: Any, rows: np.ndarray) -> Any:
     """The block restricted to the rows selected by a boolean mask."""
-    return replace(block, data=block.data[rows])
+    return block.with_rows(block.data[rows])
 
 
 class FaultInjector:
@@ -191,13 +190,15 @@ class FaultInjector:
         mode = modes[int(draw * len(modes)) % len(modes)]
         if mode == "drop_dictionary":
             if isinstance(block, QueryLogBlock):
-                return replace(block, sql_ids=(), statements=())
-            return replace(block, metrics=())
+                return QueryLogBlock(
+                    (), block.data, block.instance, (), block.trace, block.created_unix
+                )
+            return MetricBlock((), block.data, block.instance, block.trace, block.created_unix)
         if mode == "empty_rows":
-            return replace(block, data=block.data[:0])
+            return block.with_rows(block.data[:0])
         data = block.data.copy()
         if len(data) == 0:
-            return replace(block, data=data)
+            return block.with_rows(data)
         victim = int(draw * 997) % len(data)
         if mode == "bad_template":
             data["template"][victim] = len(block.sql_ids) + 7
@@ -207,7 +208,7 @@ class FaultInjector:
             data["value"][victim] = np.nan
         elif mode == "negative_timestamp":
             data["timestamp"][victim] = -1
-        return replace(block, data=data)
+        return block.with_rows(data)
 
     def skew(self, block: Any, skew_s: int, rows: np.ndarray | None = None) -> Any:
         """Shift the timestamps of ``rows`` (a boolean mask; every row by
@@ -221,7 +222,7 @@ class FaultInjector:
             column += shift
         else:
             column[rows] += shift
-        return replace(block, data=data)
+        return block.with_rows(data)
 
 
 class ChaosBroker:

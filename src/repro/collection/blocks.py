@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -125,6 +125,18 @@ class QueryLogBlock:
     def __len__(self) -> int:
         return len(self.data)
 
+    def with_rows(self, data: np.ndarray) -> "QueryLogBlock":
+        """The same dictionary and envelope over other rows."""
+        return QueryLogBlock(
+            self.sql_ids, data, self.instance, self.statements, self.trace, self.created_unix
+        )
+
+    def stamped(self, trace: TraceContext | None, created_unix: float) -> "QueryLogBlock":
+        """The same rows under another envelope."""
+        return QueryLogBlock(
+            self.sql_ids, self.data, self.instance, self.statements, trace, created_unix
+        )
+
     @property
     def n_templates(self) -> int:
         return len(self.sql_ids)
@@ -174,6 +186,14 @@ class MetricBlock:
 
     def __len__(self) -> int:
         return len(self.data)
+
+    def with_rows(self, data: np.ndarray) -> "MetricBlock":
+        """The same dictionary and envelope over other rows."""
+        return MetricBlock(self.metrics, data, self.instance, self.trace, self.created_unix)
+
+    def stamped(self, trace: TraceContext | None, created_unix: float) -> "MetricBlock":
+        """The same rows under another envelope."""
+        return MetricBlock(self.metrics, self.data, self.instance, trace, created_unix)
 
     @property
     def nbytes(self) -> int:
@@ -276,7 +296,7 @@ def split_by_second(
     order = np.argsort(seconds, kind="stable")
     data, seconds = data[order], seconds[order]
     cuts = np.flatnonzero(np.diff(seconds)) + 1
-    return [replace(block, data=rows) for rows in np.split(data, cuts) if len(rows)]
+    return [block.with_rows(rows) for rows in np.split(data, cuts) if len(rows)]
 
 
 def split_query_block(
@@ -292,7 +312,7 @@ def split_query_block(
     if len(block) <= max_rows:
         return [block]
     return [
-        replace(block, data=block.data[lo : lo + max_rows])
+        block.with_rows(block.data[lo : lo + max_rows])
         for lo in range(0, len(block), max_rows)
     ]
 
@@ -308,12 +328,14 @@ def stamp_block(
     the parent's trace context and original publish time, which is what
     makes end-to-end pipeline-lag watermarks honest.
     """
-    updates: dict[str, object] = {}
-    if trace is not None and block.trace is None:
-        updates["trace"] = trace
-    if created_unix and not block.created_unix:
-        updates["created_unix"] = float(created_unix)
-    return replace(block, **updates) if updates else block
+    new_trace = trace is not None and block.trace is None
+    new_time = bool(created_unix) and not block.created_unix
+    if not (new_trace or new_time):
+        return block
+    return block.stamped(
+        trace if new_trace else block.trace,
+        float(created_unix) if new_time else block.created_unix,
+    )
 
 
 # ----------------------------------------------------------------------

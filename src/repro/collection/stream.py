@@ -312,20 +312,32 @@ class Consumer:
         self.name = name or topic
         self.offset = 0
         broker._register(self)
-        registry = broker.registry
-        self._batch_hist = registry.histogram(
+        #: Poll-size and lag handles, re-bound after a registry reset.
+        self._instruments = BoundInstruments()
+        self._poll_sizes()
+        self._set_lag()
+
+    def _batch_histogram(self) -> Any:
+        return self._broker.registry.histogram(
             "broker_poll_batch_size",
             help="Messages returned per poll.",
             buckets=DEFAULT_COUNT_BUCKETS,
-            topic=topic,
+            topic=self.topic,
         )
-        self._lag_gauge = registry.gauge(
+
+    def _lag_gauge(self) -> Any:
+        return self._broker.registry.gauge(
             "broker_consumer_lag",
             help="Messages published but not yet consumed.",
-            topic=topic,
+            topic=self.topic,
             consumer=self.name,
         )
-        self._lag_gauge.set(self.lag)
+
+    def _poll_sizes(self) -> Any:
+        return self._instruments.get(self._broker.registry, "batch", self._batch_histogram)
+
+    def _set_lag(self) -> None:
+        self._instruments.get(self._broker.registry, "lag", self._lag_gauge).set(self.lag)
 
     @property
     def broker(self) -> Broker:
@@ -378,8 +390,8 @@ class Consumer:
             # Absolute offsets survive pruning; jump past the last read
             # message rather than assuming a contiguous head.
             self.offset = messages[-1].offset + 1
-        self._batch_hist.observe(len(messages))
-        self._lag_gauge.set(self.lag)
+        self._poll_sizes().observe(len(messages))
+        self._set_lag()
         return messages
 
     def seek(self, offset: int) -> None:
@@ -391,4 +403,4 @@ class Consumer:
         if offset < 0:
             raise ValueError("offset must be non-negative")
         self.offset = offset
-        self._lag_gauge.set(self.lag)
+        self._set_lag()

@@ -204,28 +204,37 @@ class RsqlIdentifier:
         interval = self.clustering_interval_s
         store = self.executions(case) if executions is None else executions
         lo = (case.anomaly_start - case.ts) // interval
-        hi = max(lo + 1, (case.anomaly_end - case.ts) // interval)
-        verified: list[str] = []
-        for sql_id in candidates:
-            current = store.executions(sql_id)
-            # Rule (i): an upward execution anomaly during the window,
-            # judged against pre-anomaly fences.
-            if not self._tukey.has_anomaly_vs_baseline(current, window=(lo, hi)):
-                continue
-            # Rule (ii): no such anomaly in the same relative window of
-            # any history day.  Missing history means a brand-new SQL,
-            # which passes trivially.
-            recurred = False
-            for days in self.history_days:
-                past = case.history_of(sql_id, days)
-                if past is None:
-                    continue
-                if self._tukey.has_anomaly_vs_baseline(past, window=(lo, hi)):
-                    recurred = True
-                    break
-            if not recurred:
-                verified.append(sql_id)
-        return verified
+        window = (lo, max(lo + 1, (case.anomaly_end - case.ts) // interval))
+        # Rule (i): an upward execution anomaly during the window,
+        # judged against pre-anomaly fences.
+        surged = self._rows_vs_baseline(
+            [store.executions(sql_id).values for sql_id in candidates], window
+        )
+        survivors = [sql_id for sql_id, ok in zip(candidates, surged) if ok]
+        # Rule (ii): no such anomaly in the same relative window of any
+        # history day.  Missing history means a brand-new SQL, which
+        # passes trivially.
+        recurred: set[str] = set()
+        for days in self.history_days:
+            pending = [
+                (sql_id, past)
+                for sql_id in survivors
+                if sql_id not in recurred
+                and (past := case.history_of(sql_id, days)) is not None
+            ]
+            flags = self._rows_vs_baseline([past.values for _, past in pending], window)
+            recurred.update(sql_id for (sql_id, _), flag in zip(pending, flags) if flag)
+        return [sql_id for sql_id in survivors if sql_id not in recurred]
+
+    def _rows_vs_baseline(self, rows: list[np.ndarray], window: tuple[int, int]) -> np.ndarray:
+        """Tukey's baseline rule per row: one call per distinct row length."""
+        out = np.zeros(len(rows), dtype=bool)
+        by_length: dict[int, list[int]] = {}
+        for i, row in enumerate(rows):
+            by_length.setdefault(len(row), []).append(i)
+        for index in by_length.values():
+            out[index] = self._tukey.rows_vs_baseline(np.stack([rows[i] for i in index]), window)
+        return out
 
     # ------------------------------------------------------------------
     # Stage 5: final ranking

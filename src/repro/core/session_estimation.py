@@ -26,6 +26,14 @@ summed only over the selected cells, a block of templates at a time, so
 memory stays ``O(rows + templates × seconds + seconds × K × span)``.
 Without buckets, K = 1 and each second is its own cell.
 
+The per-template pass reads only the rows that can reach a selected
+cell.  A query that starts and ends in one cell that is not selected
+adds +1 and −1 to one step bin and its two fractions to the discarded
+last column, so it is dropped before the gathers; the kept rows stay in
+order, so every selected cell sums the same values in the same order and
+the result is bit-identical.  Most queries are far shorter than a
+100 ms cell: on the benchmark corpus about a third of the rows survive.
+
 :class:`CoverageFunction` is the cumulative form of the same measure,
 ``F(x) = Σ_q |[0, x) ∩ [t(q), t(q)+tres(q))|``, for callers that query
 arbitrary intervals of one template.
@@ -300,22 +308,28 @@ class _Grid:
         for chunk in chunks:
             # Rows are in template order: templates [lo, hi) are a slice.
             i, j = np.searchsorted(chunk.template, (lo, hi))
-            if i == j:
+            rows = slice(i, j)
+            if not pooled:
+                # Slot-only rows: a query inside one non-slot column
+                # changes no slot (see the module docstring).
+                a_col, e_col = chunk.a_col[rows], chunk.e_col[rows]
+                rows = i + np.flatnonzero((a_col != e_col) | is_slot[a_col])
+            template = chunk.template[rows]
+            if len(template) == 0:
                 continue
-            template = chunk.template[i:j]
             first = (template[0] - lo) * stride
             part = slice(first, (template[-1] - lo) * stride + width)
             count = part.stop - first
-            a_step = a_slot = chunk.a_col[i:j]
-            e_step = e_slot = chunk.e_col[i:j]
+            a_step = a_slot = chunk.a_col[rows]
+            e_step = e_slot = chunk.e_col[rows]
             if not pooled:
                 row = (template - template[0]) * width
                 a_step, a_slot = rank_at[a_step] + row, frac_at[a_slot] + row
                 e_step, e_slot = rank_at[e_step] + row, frac_at[e_slot] + row
             flat_steps[part] += np.bincount(a_step, minlength=count)
             flat_steps[part] -= np.bincount(e_step, minlength=count)
-            flat_fracs[part] += np.bincount(e_slot, weights=chunk.e_frac[i:j], minlength=count)
-            flat_fracs[part] -= np.bincount(a_slot, weights=chunk.a_frac[i:j], minlength=count)
+            flat_fracs[part] += np.bincount(e_slot, weights=chunk.e_frac[rows], minlength=count)
+            flat_fracs[part] -= np.bincount(a_slot, weights=chunk.a_frac[rows], minlength=count)
         np.cumsum(steps, axis=1, out=steps)
         fracs += steps
         return fracs[:, 1:-1]

@@ -141,7 +141,7 @@ class BlockFeed:
 
         def strip(payloads: list[bytes]) -> list[bytes]:
             return [
-                encode_block(replace(decode_block(p), trace=None, created_unix=0.0))
+                encode_block(decode_block(p).stamped(None, 0.0))
                 for p in payloads
             ]
 

@@ -195,6 +195,11 @@ class TukeyDetector:
     A sample is anomalous when it falls outside ``[Q1 − k·IQR, Q3 + k·IQR]``.
     ``k = 3.0`` is the classical "far out" labeling the paper's reference
     (Hoaglin, Iglewicz & Tukey 1986) recommends for resistant rules.
+
+    :meth:`rows_vs_baseline` is the history-verification rule, row-wise:
+    one call judges a matrix of equal-length series against fences fit
+    on each row's pre-window baseline, and
+    :meth:`has_anomaly_vs_baseline` is that rule on a single row.
     """
 
     def __init__(self, k: float = 3.0) -> None:
@@ -255,7 +260,13 @@ class TukeyDetector:
         self, series: TimeSeries | np.ndarray, window: tuple[int, int]
     ) -> bool:
         """Whether values inside ``window`` exceed fences fit on the data
-        *before* the window.
+        *before* the window: :meth:`rows_vs_baseline` of one row."""
+        values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
+        return bool(self.rows_vs_baseline(values[None, :], window)[0])
+
+    def rows_vs_baseline(self, matrix: np.ndarray, window: tuple[int, int]) -> np.ndarray:
+        """Per row of ``matrix``, whether a value inside ``window`` is an
+        upward anomaly against fences fit on the row *before* the window.
 
         Fitting fences on the pre-window baseline avoids the
         contamination problem: when the anomaly occupies a sizeable
@@ -263,25 +274,37 @@ class TukeyDetector:
         absorb the anomalous values and the rule goes blind.  Used by the
         R-SQL history-trend verification, whose anomaly windows routinely
         cover a third of the collected data.
+
+        The window is clipped to the row; an empty window flags nothing.
+        With fewer than 4 baseline points the fences are fit on the
+        whole row instead, as :meth:`has_anomaly` does (two-sided
+        :meth:`mask` when the row is degenerate).  A degenerate baseline
+        (IQR below 1e-9) flags values above its median plus a relative
+        tolerance.  Quartiles and medians are taken along each row with
+        ``axis=1``, which equals the one-row calls bit for bit.
         """
-        values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-        lo_i, hi_i = window
-        lo_i = max(0, lo_i)
-        hi_i = min(len(values), hi_i)
-        if hi_i <= lo_i:
-            return False
-        baseline = values[:lo_i]
-        target = values[lo_i:hi_i]
-        if len(baseline) < 4:
-            # No usable baseline: fall back to whole-series fences.
-            return self.has_anomaly(values, window=(lo_i, hi_i))
-        q1, q3 = np.percentile(baseline, [25, 75])
+        values = np.asarray(matrix, dtype=float)
+        n_rows, length = values.shape
+        lo_i, hi_i = max(0, window[0]), min(length, window[1])
+        if hi_i <= lo_i or n_rows == 0:
+            return np.zeros(n_rows, dtype=bool)
+        whole = lo_i < 4
+        fit = values if whole else values[:, :lo_i]
+        target = values[:, lo_i:hi_i]
+        q1, q3 = np.percentile(fit, [25, 75], axis=1)
         iqr = q3 - q1
-        if iqr < 1e-9:
-            center = float(np.median(baseline))
-            tol = max(1e-9, abs(center) * 1e-6)
-            return bool((target > center + tol).any())
-        return bool((target > q3 + self.k * iqr).any())
+        out = (target > (q3 + self.k * iqr)[:, None]).any(axis=1)
+        degenerate = iqr < 1e-9
+        if degenerate.any():
+            center = np.median(fit[degenerate], axis=1)
+            tol = np.maximum(1e-9, np.abs(center) * 1e-6)
+            if whole:
+                deviation = np.abs(target[degenerate] - center[:, None])
+                flagged = deviation > (tol + self.k * 1e-9)[:, None]
+            else:
+                flagged = target[degenerate] > (center + tol)[:, None]
+            out[degenerate] = flagged.any(axis=1)
+        return out
 
 
 def detect_anomalous_features(

@@ -86,6 +86,19 @@ class TestConsumer:
         assert [m.value for m in second] == [4, 5, 6, 7]
         assert consumer.lag == 2
 
+    def test_poll_series_survive_reset_telemetry(self):
+        # A consumer made before a reset of the default registry must
+        # count its polls into the live registry, not the detached one.
+        broker = Broker()
+        consumer = broker.consumer("t")
+        broker.publish("t", key="k", value=1)
+        reset_telemetry()
+        broker.publish("t", key="k", value=2)
+        assert len(consumer.poll()) == 2
+        registry = get_registry()
+        assert registry.get("broker_poll_batch_size", topic="t").count == 1
+        assert registry.get("broker_consumer_lag", topic="t", consumer=consumer.name).value == 0
+
     def test_independent_consumers(self):
         broker = Broker()
         broker.publish("t", key="k", value=1)

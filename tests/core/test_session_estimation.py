@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.collection import LogStore
 from repro.core import CoverageFunction, SessionEstimationMode, SessionEstimator
+from repro.core.session_estimation import _Grid
 from repro.dbsim import QueryLog, SecondBatch
 from repro.timeseries import TimeSeries
 
@@ -314,3 +315,96 @@ class TestOnePassEstimation:
         for sql_id, (a, r) in {"A": (arrive, response), "B": (arrive[::2], response[::2])}.items():
             expected = np.bincount(a // 1000, weights=r, minlength=5) / 1000.0
             np.testing.assert_array_equal(est.get(sql_id).values, expected)
+
+
+class TestSlotOnlyCoverage:
+    """The per-template pass drops rows that start and end in one
+    non-slot column; the kept rows must give the same bits."""
+
+    def _chunks(self, grid, rows):
+        template = np.array([t for t, _, _ in rows], dtype=np.int64)
+        arrive = np.array([a for _, a, _ in rows], dtype=np.int64)
+        response = np.array([r for _, _, r in rows], dtype=np.float64)
+        return [grid.place(template, arrive, response)]
+
+    def _per_template_reference(self, grid, chunks, t, slots):
+        # The pooled pass keeps every row; over one template it is that
+        # template's full-grid coverage.
+        return grid.coverage(chunks, t, t + 1, np.arange(grid.cells), pooled=True)[0][slots]
+
+    def test_template_with_every_row_dropped(self):
+        # 100 ms cells from 0 ms; slots are cells 2 and 7.  Template 1
+        # lives only inside cells 4 and 5, so the filter drops all of its
+        # rows; templates 0 and 2 cross or touch the slots.
+        grid = _Grid(origin_ms=0, buckets=10, cells=10)
+        slots = np.array([2, 7])
+        rows = [
+            (0, 150, 700.0), (0, 210, 30.0), (0, 420, 10.0),
+            (1, 410, 40.0), (1, 430, 50.0), (1, 520, 60.0),
+            (2, 705, 20.0), (2, 0, 990.0), (2, 960, 15.0),
+        ]
+        chunks = self._chunks(grid, rows)
+        values = grid.coverage(chunks, 0, 3, slots)
+        assert values[1].tolist() == [0.0, 0.0]
+        for t in range(3):
+            reference = self._per_template_reference(grid, chunks, t, slots)
+            assert values[t].tobytes() == reference.tobytes()
+        # A block holding only the dropped template skips the chunk.
+        assert grid.coverage(chunks, 1, 2, slots).tolist() == [[0.0, 0.0]]
+        np.testing.assert_allclose(values[0], [1.3, 1.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(values[2], [1.0, 1.2], rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 10]))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_the_unfiltered_pass(self, seed, buckets):
+        rng = np.random.default_rng(seed)
+        cells = int(rng.integers(1, 40))
+        grid = _Grid(origin_ms=5_000, buckets=buckets, cells=cells)
+        span_ms = cells * 1000 // buckets
+        rows = sorted(
+            (int(rng.integers(4)), int(rng.integers(3_000, 5_000 + span_ms + 1_000)),
+             float(rng.exponential(40.0) if rng.random() < 0.8 else rng.uniform(100, 3_000)))
+            for _ in range(int(rng.integers(0, 80)))
+        )
+        chunks = self._chunks(grid, rows) if rows else []
+        slots = np.flatnonzero(rng.random(cells) < 0.3)
+        values = grid.coverage(chunks, 0, 4, slots)
+        for t in range(4):
+            reference = self._per_template_reference(grid, chunks, t, slots)
+            assert values[t].tobytes() == reference.tobytes()
+
+
+class TestEveryCellASlot:
+    """Span 2 and NO_BUCKETS against the exact per-query reference."""
+
+    def _queries(self, seed, ts, n):
+        rng = np.random.default_rng(seed)
+        queries = {}
+        for t in range(3):
+            k = 60
+            arrive = rng.integers((ts - 2) * 1000, (ts + n) * 1000, k)
+            # Mostly short queries, so many start and end in one cell.
+            response = np.where(rng.random(k) < 0.8, rng.exponential(20.0, k) + 0.5,
+                                rng.uniform(500, 4_000, k))
+            queries[f"T{t}"] = list(zip(arrive.tolist(), response.tolist()))
+        return queries
+
+    @pytest.mark.parametrize(
+        "mode, buckets, span",
+        [(SessionEstimationMode.BUCKETS, 10, 2), (SessionEstimationMode.NO_BUCKETS, 1, 1)],
+    )
+    def test_matches_exact_reference(self, mode, buckets, span):
+        ts, n = 300, 8
+        queries = self._queries(21, ts, n)
+        observed = np.random.default_rng(4).integers(0, 4, n).astype(float)
+        store = _make_logstore(
+            [_batch(sid, [a for a, _ in rows], [r for _, r in rows]) for sid, rows in queries.items()]
+        )
+        est = SessionEstimator(mode, buckets=buckets, span_seconds=span).estimate(
+            store, list(queries), TimeSeries(observed, start=ts)
+        )
+        selected, expected = _exact_reference(queries, ts, n, buckets, span, observed)
+        if buckets > 1:
+            np.testing.assert_array_equal(est.selected_buckets, selected)
+        for sql_id, values in expected.items():
+            np.testing.assert_allclose(est.get(sql_id).values, values, rtol=0, atol=1e-9)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.timeseries import (
     FeatureKind,
@@ -131,6 +133,89 @@ class TestTukeyDetector:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             TukeyDetector(k=0)
+
+
+def _baseline_rule(values, window, k=3.0):
+    """Tukey's baseline rule on one series, written out per series."""
+    lo_i, hi_i = max(0, window[0]), min(len(values), window[1])
+    if hi_i <= lo_i:
+        return False
+    baseline, target = values[:lo_i], values[lo_i:hi_i]
+    if len(baseline) < 4:
+        # Whole-series fences; a degenerate series is judged two-sided.
+        q1, q3 = np.percentile(values, [25, 75])
+        if q3 - q1 < 1e-9:
+            center = float(np.median(values))
+            tol = max(1e-9, abs(center) * 1e-6)
+            return bool((np.abs(target - center) > tol + k * 1e-9).any())
+        return bool((target > q3 + k * (q3 - q1)).any())
+    q1, q3 = np.percentile(baseline, [25, 75])
+    if q3 - q1 < 1e-9:
+        center = float(np.median(baseline))
+        tol = max(1e-9, abs(center) * 1e-6)
+        return bool((target > center + tol).any())
+    return bool((target > q3 + k * (q3 - q1)).any())
+
+
+@st.composite
+def _matrices(draw):
+    """Small matrices mixing noisy, spiky, constant and near-constant rows."""
+    rows, length = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.empty((rows, length))
+    for r in range(rows):
+        kind = draw(st.sampled_from(["noise", "counts", "constant", "one_off"]))
+        if kind == "noise":
+            matrix[r] = rng.normal(10.0, 3.0, length)
+        elif kind == "counts":
+            matrix[r] = rng.integers(0, 4, length)
+        else:
+            matrix[r] = draw(st.sampled_from([0.0, 5.0, -2.5, 1e7]))
+            if kind == "one_off" and length:
+                matrix[r, rng.integers(length)] += draw(st.sampled_from([-1.0, 1e-7, 3.0, 50.0]))
+    lo = draw(st.integers(-3, length + 3))
+    return matrix, (lo, draw(st.integers(lo - 2, length + 3)))
+
+
+class TestTukeyRowsVsBaseline:
+    @given(_matrices(), st.sampled_from([1.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_property_rows_equal_the_per_series_rule(self, case, k):
+        # Covers constant rows, baselines under 4 points (whole-series
+        # fences), windows clipped at either end and empty windows.
+        matrix, window = case
+        det = TukeyDetector(k=k)
+        expected = [_baseline_rule(row, window, k) for row in matrix]
+        np.testing.assert_array_equal(det.rows_vs_baseline(matrix, window), expected)
+        assert [det.has_anomaly_vs_baseline(row, window) for row in matrix] == expected
+        if matrix.shape[1]:
+            # Row-wise quartiles and medians are the one-row calls, bit for bit.
+            q = np.percentile(matrix, [25, 75], axis=1)
+            per_row = np.array([np.percentile(row, [25, 75]) for row in matrix]).T
+            assert q.tobytes() == per_row.tobytes()
+            medians = np.array([np.median(row) for row in matrix])
+            assert np.median(matrix, axis=1).tobytes() == medians.tobytes()
+
+    def test_short_baseline_uses_two_sided_whole_series_mask(self):
+        # Three baseline points: a constant series with a dip inside the
+        # window is flagged, as the whole-series mask flags deviants.
+        v = np.full(10, 7.0)
+        v[5] = 6.0
+        assert TukeyDetector().has_anomaly_vs_baseline(v, (3, 8))
+        assert not TukeyDetector().has_anomaly_vs_baseline(v, (6, 8))
+
+    def test_degenerate_baseline_flags_only_rises(self):
+        v = np.full(10, 7.0)
+        v[6] = 6.0
+        det = TukeyDetector()
+        assert not det.has_anomaly_vs_baseline(v, (5, 10))
+        v[7] = 8.0
+        assert det.has_anomaly_vs_baseline(v, (5, 10))
+
+    def test_empty_window_and_empty_matrix(self):
+        det = TukeyDetector()
+        assert det.rows_vs_baseline(np.ones((3, 8)), (8, 12)).tolist() == [False] * 3
+        assert det.rows_vs_baseline(np.ones((0, 8)), (4, 6)).shape == (0,)
 
 
 class TestDetectAnomalousFeatures:
