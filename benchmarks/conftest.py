@@ -45,7 +45,7 @@ def _cached(name: str, factory):
 @pytest.fixture(scope="session")
 def corpus():
     """The shared labelled anomaly-case corpus (disk-cached)."""
-    return _cached("corpus_v2", lambda: generate_corpus(BENCH_CORPUS))
+    return _cached("corpus_v3", lambda: generate_corpus(BENCH_CORPUS))
 
 
 def write_report(name: str, text: str) -> Path:

@@ -6,21 +6,25 @@ Rolls raw query records up into per-template metric time series:
 on-demand 1-minute resampling — the ``metricQ,t = Aggregate({...})``
 operation of paper Section IV-A.
 
-Two paths produce identical results through one per-template
-``bincount`` helper: :func:`aggregate_query_log` (batch aggregation
-straight from a :class:`QueryLog`) and :func:`aggregate_logstore`
-(LogStore window reads).  The streaming path is the diagnosis engine's:
-it drains the broker's query-log blocks into its LogStore and
-aggregates the case window with :func:`aggregate_logstore`.
+A :class:`TemplateMetricStore` holds one dense ``templates × seconds``
+matrix per metric, rows in ``sql_ids`` order, and every PinSQL stage
+reads its rows or whole matrices in place.  Two paths fill it through
+one helper that aggregates a window with one ``bincount`` per metric
+over ``row * n_seconds + second``: :func:`aggregate_query_log` (batch
+aggregation straight from a :class:`QueryLog`) and
+:func:`aggregate_logstore` (LogStore window reads).  The streaming path
+is the diagnosis engine's: it drains the broker's query-log blocks into
+its LogStore and aggregates the case window with
+:func:`aggregate_logstore`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.dbsim.query import QueryLog
+from repro.dbsim.query import QueryLog, TemplateQueries
 from repro.timeseries import TimeSeries
 
 __all__ = [
@@ -34,44 +38,78 @@ __all__ = [
 TEMPLATE_METRICS = ("#execution", "total_tres", "avg_tres", "total_examined_rows")
 
 
-@dataclass
 class TemplateMetricStore:
-    """Per-template metric series over a fixed window [start, end)."""
+    """Per-template metric series over a fixed window [start, end).
 
-    start: int
-    end: int
-    interval: int = 1
-    _data: dict[str, dict[str, TimeSeries]] = field(default_factory=dict)
+    One float64 ``(len(sql_ids), length)`` matrix per metric of
+    :data:`TEMPLATE_METRICS`; row ``index[sql_id]`` is that template's
+    series.  A metric left out of ``matrices`` is all zeros.
+    """
+
+    def __init__(
+        self,
+        start: int,
+        end: int,
+        interval: int = 1,
+        sql_ids: Sequence[str] = (),
+        matrices: Mapping[str, np.ndarray] | None = None,
+    ) -> None:
+        self.start = int(start)
+        self.end = int(end)
+        self.interval = int(interval)
+        #: Template ids in row order, and ``sql_id → row``.
+        self.sql_ids = list(sql_ids)
+        self.index = {sql_id: row for row, sql_id in enumerate(self.sql_ids)}
+        shape = (len(self.sql_ids), self.length)
+        matrices = matrices or {}
+        self._matrices = {
+            metric: np.asarray(matrices[metric], dtype=np.float64)
+            if metric in matrices
+            else np.zeros(shape)
+            for metric in TEMPLATE_METRICS
+        }
+        for metric, matrix in self._matrices.items():
+            if matrix.shape != shape:
+                raise ValueError(f"{metric} matrix {matrix.shape} does not match the store's {shape}")
+
+    @classmethod
+    def from_series(
+        cls,
+        start: int,
+        end: int,
+        series: Mapping[str, Mapping[str, np.ndarray]],
+        interval: int = 1,
+    ) -> "TemplateMetricStore":
+        """A store from ``sql_id → {metric → values}``, rows in ``series`` order."""
+        store = cls(start, end, interval, sql_ids=series)
+        for row, metrics in enumerate(series.values()):
+            for metric, values in metrics.items():
+                if len(values) != store.length:
+                    raise ValueError(
+                        f"series length {len(values)} does not match store window {store.length}"
+                    )
+                store.matrix(metric)[row] = values
+        return store
 
     @property
     def length(self) -> int:
         return (self.end - self.start) // self.interval
 
-    @property
-    def sql_ids(self) -> list[str]:
-        return list(self._data)
-
     def __contains__(self, sql_id: str) -> bool:
-        return sql_id in self._data
+        return sql_id in self.index
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.sql_ids)
 
-    def put(self, sql_id: str, metric: str, series: TimeSeries) -> None:
-        if len(series) != self.length:
-            raise ValueError(
-                f"series length {len(series)} does not match store window {self.length}"
-            )
-        self._data.setdefault(sql_id, {})[metric] = series
+    def matrix(self, metric: str) -> np.ndarray:
+        """The ``templates × length`` matrix of one metric (not a copy)."""
+        return self._matrices[metric]
 
     def get(self, sql_id: str, metric: str) -> TimeSeries:
-        """The metric series of one template (zeros if never seen)."""
-        template = self._data.get(sql_id)
-        if template is None or metric not in template:
-            return TimeSeries.zeros(
-                self.length, start=self.start, interval=self.interval, name=metric
-            )
-        return template[metric]
+        """The metric series of one template: a view of its row (zeros if never seen)."""
+        row = self.index.get(sql_id)
+        values = np.zeros(self.length) if row is None else self._matrices[metric][row]
+        return TimeSeries(values, self.start, self.interval, metric)
 
     def executions(self, sql_id: str) -> TimeSeries:
         return self.get(sql_id, "#execution")
@@ -84,70 +122,80 @@ class TemplateMetricStore:
     ) -> "TemplateMetricStore":
         """Downsample every series (e.g. 60 → 1-minute granularity).
 
-        ``metrics`` restricts the copy to those metrics (default: all).
+        One reshape-sum per matrix (a reshape-mean for ``avg_tres``);
+        trailing seconds that do not fill a bucket are dropped.
+        ``metrics`` restricts the copy to those metrics (the rest are
+        zeros; default: all).
         """
-        usable = (self.length // factor) * factor * self.interval
-        out = TemplateMetricStore(
-            start=self.start, end=self.start + usable, interval=self.interval * factor
+        if factor <= 0:
+            raise ValueError("factor must be positive")
+        buckets = self.length // factor
+        matrices = {}
+        for metric in TEMPLATE_METRICS if metrics is None else metrics:
+            blocks = self._matrices[metric][:, : buckets * factor].reshape(
+                len(self.sql_ids), buckets, factor
+            )
+            matrices[metric] = blocks.mean(axis=2) if metric == "avg_tres" else blocks.sum(axis=2)
+        return TemplateMetricStore(
+            self.start,
+            self.start + buckets * factor * self.interval,
+            self.interval * factor,
+            self.sql_ids,
+            matrices,
         )
-        for sql_id, template in self._data.items():
-            for metric, series in template.items():
-                if metrics is not None and metric not in metrics:
-                    continue
-                how = "mean" if metric == "avg_tres" else "sum"
-                out.put(sql_id, metric, series.resample(factor, how=how))
-        return out
-
-    def window(self, t0: int, t1: int) -> "TemplateMetricStore":
-        """Restrict every series to [t0, t1)."""
-        t0 = max(t0, self.start)
-        t1 = min(t1, self.end)
-        out = TemplateMetricStore(start=t0, end=t1, interval=self.interval)
-        for sql_id, metrics in self._data.items():
-            for metric, series in metrics.items():
-                out.put(sql_id, metric, series.window(t0, t1))
-        return out
 
 
-def _store_from_arrays(
-    store: TemplateMetricStore,
-    sql_id: str,
-    seconds: np.ndarray,
-    response_ms: np.ndarray,
-    examined_rows: np.ndarray,
-) -> None:
-    """Aggregate one template's raw arrays into the store (1 s interval).
+def _aggregate(start: int, end: int, windows: list[TemplateQueries]) -> TemplateMetricStore:
+    """A 1 s store over [start, end): row ``r`` aggregates ``windows[r]``,
+    a template's rows arriving inside the window, in arrival order.
 
-    ``seconds`` is sorted (rows in arrival order), so the rows inside the
-    store's window are one slice.
+    Each metric is one ``bincount`` over ``row * n + second`` across all
+    rows; a cell sums its rows in arrival order, as a per-template
+    ``bincount`` would.
     """
-    n = store.length
-    lo, hi = np.searchsorted(seconds, (store.start, store.start + n))
-    idx = seconds[lo:hi] - store.start
-    count = np.bincount(idx, minlength=n).astype(np.float64)
-    total_tres = np.bincount(idx, weights=response_ms[lo:hi], minlength=n)
-    total_rows = np.bincount(idx, weights=examined_rows[lo:hi], minlength=n)
+    n = end - start
+    shape = (len(windows), n)
+    arrive = np.concatenate([tq.arrive_ms for tq in windows] + [np.zeros(0, np.int64)])
+    cell = arrive // 1000 - start
+    cell += np.repeat(np.arange(len(windows), dtype=np.int64) * n, [len(tq) for tq in windows])
+
+    def total(weights: list[np.ndarray] | None) -> np.ndarray:
+        if weights is not None:
+            weights = np.concatenate(weights + [np.zeros(0)])
+        return np.bincount(cell, weights=weights, minlength=n * len(windows)).reshape(shape)
+
+    count = total(None).astype(np.float64)
+    total_tres = total([tq.response_ms for tq in windows])
     # Empty seconds have zero total_tres, so their average is 0 / 1 = 0.
-    avg = total_tres / np.maximum(count, 1.0)
-    store.put(sql_id, "#execution", TimeSeries(count, store.start, store.interval, "#execution"))
-    store.put(sql_id, "total_tres", TimeSeries(total_tres, store.start, store.interval, "total_tres"))
-    store.put(sql_id, "avg_tres", TimeSeries(avg, store.start, store.interval, "avg_tres"))
-    store.put(
-        sql_id,
-        "total_examined_rows",
-        TimeSeries(total_rows, store.start, store.interval, "total_examined_rows"),
+    return TemplateMetricStore(
+        start,
+        end,
+        sql_ids=[tq.sql_id for tq in windows],
+        matrices={
+            "#execution": count,
+            "total_tres": total_tres,
+            "avg_tres": total_tres / np.maximum(count, 1.0),
+            "total_examined_rows": total([tq.examined_rows for tq in windows]),
+        },
     )
 
 
 def aggregate_query_log(query_log: QueryLog, start: int, end: int) -> TemplateMetricStore:
-    """Batch-aggregate a query log into per-template series over [start, end)."""
+    """Batch-aggregate a query log into per-template series over [start, end).
+
+    Every template of the log gets a row, with or without rows in the window.
+    """
     if end <= start:
         raise ValueError("end must exceed start")
-    store = TemplateMetricStore(start=start, end=end, interval=1)
+    windows = []
     for tq in query_log.iter_templates():
-        seconds = tq.arrive_ms // 1000
-        _store_from_arrays(store, tq.sql_id, seconds, tq.response_ms, tq.examined_rows)
-    return store
+        lo, hi = np.searchsorted(tq.arrive_ms, (start * 1000, end * 1000))
+        windows.append(
+            TemplateQueries(
+                tq.sql_id, tq.arrive_ms[lo:hi], tq.response_ms[lo:hi], tq.examined_rows[lo:hi]
+            )
+        )
+    return _aggregate(start, end, windows)
 
 
 def aggregate_logstore(logstore, start: int, end: int) -> TemplateMetricStore:
@@ -161,11 +209,5 @@ def aggregate_logstore(logstore, start: int, end: int) -> TemplateMetricStore:
     """
     if end <= start:
         raise ValueError("end must exceed start")
-    store = TemplateMetricStore(start=start, end=end, interval=1)
-    for sql_id in logstore.sql_ids:
-        tq = logstore.queries_in_window(sql_id, start, end)
-        if len(tq):
-            seconds = tq.arrive_ms // 1000
-            _store_from_arrays(store, sql_id, seconds, tq.response_ms, tq.examined_rows)
-    return store
-
+    windows = [logstore.queries_in_window(sql_id, start, end) for sql_id in logstore.sql_ids]
+    return _aggregate(start, end, [tq for tq in windows if len(tq)])

@@ -90,23 +90,27 @@ class GrangerRanker:
 
     def rank(self, case: AnomalyCase) -> list[str]:
         interval = self.interval_s
-        store = case.templates.resample(interval) if interval > 1 else case.templates
+        store = (
+            case.templates.resample(interval, metrics=("#execution",))
+            if interval > 1
+            else case.templates
+        )
         session = (
             case.active_session.resample(interval, how="mean")
             if interval > 1
             else case.active_session
         ).values
-        sql_ids = store.sql_ids
-        if self.max_templates is not None and len(sql_ids) > self.max_templates:
-            sql_ids = sorted(
-                sql_ids,
-                key=lambda sid: store.executions(sid).total(),
-                reverse=True,
-            )[: self.max_templates]
+        execs = store.matrix("#execution")
+        rows = range(len(store.sql_ids))
+        if self.max_templates is not None and len(rows) > self.max_templates:
+            traffic = execs.sum(axis=1)
+            rows = sorted(rows, key=lambda row: traffic[row], reverse=True)[: self.max_templates]
         scores: dict[str, float] = {}
-        for sql_id in sql_ids:
-            execution = store.executions(sql_id).values[: len(session)]
-            scores[sql_id] = self.causality_score(session[: len(execution)], execution)
+        for row in rows:
+            execution = execs[row, : len(session)]
+            scores[store.sql_ids[row]] = self.causality_score(
+                session[: len(execution)], execution
+            )
         ranked = sorted(scores, key=scores.get, reverse=True)
         # Templates excluded by the cap rank last, in traffic order.
         rest = [sid for sid in store.sql_ids if sid not in scores]

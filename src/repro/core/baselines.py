@@ -41,10 +41,8 @@ class TopMetricRanker:
 
     def rank(self, case: AnomalyCase) -> list[str]:
         lo, hi = case.anomaly_indices()
-        totals = {
-            sql_id: float(case.templates.get(sql_id, self.metric).values[lo:hi].sum())
-            for sql_id in case.sql_ids
-        }
+        sums = case.templates.matrix(self.metric)[:, lo:hi].sum(axis=1)
+        totals = dict(zip(case.sql_ids, sums.tolist()))
         return sorted(totals, key=totals.get, reverse=True)
 
 

@@ -88,7 +88,7 @@ class HsqlIdentifier:
     def identify(self, case: AnomalyCase, sessions: SessionEstimate) -> HsqlRanking:
         """Rank templates by their impact on the instance active session."""
         session = case.active_session
-        sql_ids = list(sessions.per_template)
+        sql_ids = sessions.sql_ids
         if not sql_ids:
             return HsqlRanking(scores=[], alpha=1.0, beta=-1.0)
         weights = sigmoid_anomaly_weights(
@@ -96,8 +96,8 @@ class HsqlIdentifier:
         )
         lo, hi = case.anomaly_indices()
 
-        # One templates × seconds matrix; each score is one row-wise pass.
-        values = np.vstack([sessions.per_template[sid].values for sid in sql_ids])
+        # Each score is one row-wise pass over the templates × seconds matrix.
+        values = sessions.values
         session_values = session.values
         trend = weighted_pearson_rows(values, session_values, weights)
         safe_session = np.where(session_values == 0.0, np.nan, session_values)

@@ -130,21 +130,15 @@ class RepairEngine:
             return []
         try:
             lo, hi = case.anomaly_indices()
+            store = case.templates
+            calls = store.matrix("#execution")[:, lo:hi].sum(axis=1)
+            rows = store.matrix("total_examined_rows")[:, lo:hi].sum(axis=1)
             weights: dict[str, TrafficWeight] = {}
             for info in case.catalog:
-                try:
-                    calls = float(
-                        case.templates.executions(info.sql_id).values[lo:hi].sum()
-                    )
-                    rows = float(
-                        case.templates.get(info.sql_id, "total_examined_rows")
-                        .values[lo:hi]
-                        .sum()
-                    )
-                except Exception:
-                    continue
+                row = store.index.get(info.sql_id)
                 weights[info.sql_id] = TrafficWeight(
-                    calls=calls, rows_examined=rows
+                    calls=0.0 if row is None else float(calls[row]),
+                    rows_examined=0.0 if row is None else float(rows[row]),
                 )
             report = self.advisor.analyze(case.catalog, weights)
             return list(report.advisories)

@@ -111,28 +111,30 @@ class RsqlIdentifier:
         """
         interval = self.clustering_interval_s
         store = self.executions(case) if executions is None else executions
-        sql_ids = [sid for sid in store.sql_ids]
-        rows: list[np.ndarray] = [store.executions(sid).values for sid in sql_ids]
-        node_names: list[str] = list(sql_ids)
-        n_templates = len(sql_ids)
-        if self.use_metric_temp_nodes:
-            for name, series in case.metrics.series.items():
-                resampled = series.resample(interval, how="mean") if interval > 1 else series
-                rows.append(resampled.values[: len(rows[0])] if rows else resampled.values)
-                node_names.append(f"__metric__{name}")
-        if not rows:
+        execs = store.matrix("#execution")
+        n_templates, length = execs.shape
+        if n_templates == 0:
             return []
-        length = min(len(r) for r in rows)
-        matrix = np.vstack([r[:length] for r in rows])
+        extra: list[np.ndarray] = []
+        if self.use_metric_temp_nodes:
+            for series in case.metrics.series.values():
+                resampled = series.resample(interval, how="mean") if interval > 1 else series
+                extra.append(resampled.values)
+                length = min(length, len(resampled))
+        # Template rows, then one temporary node per performance metric.
+        matrix = np.empty((n_templates + len(extra), length))
+        matrix[:n_templates] = execs[:, :length]
+        for i, values in enumerate(extra):
+            matrix[n_templates + i] = values[:length]
         corr = _safe_corrcoef(matrix)
         adj = corr > self.cluster_threshold
         graph = nx.Graph()
-        graph.add_nodes_from(range(len(node_names)))
+        graph.add_nodes_from(range(len(matrix)))
         edge_idx = np.argwhere(np.triu(adj, k=1))
         graph.add_edges_from((int(i), int(j)) for i, j in edge_idx)
         clusters: list[Cluster] = []
         for component in nx.connected_components(graph):
-            members = [node_names[i] for i in component if i < n_templates]
+            members = [store.sql_ids[i] for i in component if i < n_templates]
             if members:
                 clusters.append(Cluster(sql_ids=members))
         return clusters
@@ -148,10 +150,8 @@ class RsqlIdentifier:
             default = float("-inf")
         else:
             lo, hi = case.anomaly_indices()
-            impact = {
-                sid: float(case.templates.total_response_time(sid).values[lo:hi].sum())
-                for sid in case.sql_ids
-            }
+            totals = case.templates.matrix("total_tres")[:, lo:hi].sum(axis=1)
+            impact = dict(zip(case.sql_ids, totals.tolist()))
             default = 0.0
         for cluster in clusters:
             cluster.impact = max(
@@ -178,9 +178,9 @@ class RsqlIdentifier:
         session = case.active_session.values
         cumulative = np.zeros(len(session))
         selected: list[str] = []
-        for i, cluster in enumerate(clusters[: self.max_clusters]):
+        for cluster in clusters[: self.max_clusters]:
             for sql_id in cluster.sql_ids:
-                cumulative = cumulative + sessions.get(sql_id).values
+                cumulative = cumulative + sessions.values[sessions.index[sql_id]]
                 selected.append(sql_id)
             if pearson(cumulative, session) >= self.cumulative_threshold:
                 break
@@ -207,9 +207,8 @@ class RsqlIdentifier:
         window = (lo, max(lo + 1, (case.anomaly_end - case.ts) // interval))
         # Rule (i): an upward execution anomaly during the window,
         # judged against pre-anomaly fences.
-        surged = self._rows_vs_baseline(
-            [store.executions(sql_id).values for sql_id in candidates], window
-        )
+        rows = [store.index[sql_id] for sql_id in candidates]
+        surged = self._tukey.rows_vs_baseline(store.matrix("#execution")[rows], window)
         survivors = [sql_id for sql_id, ok in zip(candidates, surged) if ok]
         # Rule (ii): no such anomaly in the same relative window of any
         # history day.  Missing history means a brand-new SQL, which
@@ -242,10 +241,9 @@ class RsqlIdentifier:
     def rank_candidates(self, case: AnomalyCase, candidates: list[str]) -> list[tuple[str, float]]:
         """Rank by correlation of #execution with the active session."""
         session = case.active_session.values
-        scored = [
-            (sql_id, pearson(case.templates.executions(sql_id).values, session))
-            for sql_id in candidates
-        ]
+        execs = case.templates.matrix("#execution")
+        index = case.templates.index
+        scored = [(sql_id, pearson(execs[index[sql_id]], session)) for sql_id in candidates]
         scored.sort(key=lambda item: item[1], reverse=True)
         return scored
 

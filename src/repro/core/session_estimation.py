@@ -99,20 +99,24 @@ class CoverageFunction:
 class SessionEstimate:
     """Result of individual active-session estimation for one case."""
 
-    #: Per-template estimated active-session series (1 s interval).
-    per_template: dict[str, TimeSeries]
+    #: Template ids, in row order of :attr:`values`.
+    sql_ids: list[str]
+    #: Templates × seconds estimated active session (1 s interval).
+    values: np.ndarray
     #: Sum over templates — the estimate of the instance active session.
     total: TimeSeries
     #: Selected bucket index per second (empty for bucket-less modes).
     selected_buckets: np.ndarray
 
+    def __post_init__(self) -> None:
+        #: ``sql_id → row`` of :attr:`values`.
+        self.index = {sql_id: row for row, sql_id in enumerate(self.sql_ids)}
+
     def get(self, sql_id: str) -> TimeSeries:
-        series = self.per_template.get(sql_id)
-        if series is None:
-            return TimeSeries.zeros(
-                len(self.total), start=self.total.start, name=sql_id
-            )
-        return series
+        """One template's estimate: a view of its row (zeros if not estimated)."""
+        row = self.index.get(sql_id)
+        values = np.zeros(len(self.total)) if row is None else self.values[row]
+        return TimeSeries(values, start=self.total.start, name=sql_id)
 
 
 class SessionEstimator:
@@ -338,10 +342,8 @@ class _Grid:
 def _estimate_of(sql_ids: list[str], values: np.ndarray, ts: int, selected) -> SessionEstimate:
     """Wrap a templates × seconds array (rows in ``sql_ids`` order)."""
     return SessionEstimate(
-        per_template={
-            sql_id: TimeSeries(row, start=ts, name=sql_id)
-            for sql_id, row in zip(sql_ids, values)
-        },
+        sql_ids=sql_ids,
+        values=values,
         total=TimeSeries(values.sum(axis=0), start=ts, name="estimated_session"),
         selected_buckets=np.asarray(selected, dtype=np.int64),
     )

@@ -38,9 +38,9 @@ def save_case(labeled: LabeledCase, path: str | Path) -> Path:
     for name, series in case.metrics.series.items():
         arrays[f"metric/{name}"] = series.values
 
-    for sql_id in case.templates.sql_ids:
+    for row, sql_id in enumerate(case.templates.sql_ids):
         for metric in TEMPLATE_METRICS:
-            arrays[f"tpl/{sql_id}/{metric}"] = case.templates.get(sql_id, metric).values
+            arrays[f"tpl/{sql_id}/{metric}"] = case.templates.matrix(metric)[row]
 
     for sql_id in case.logs.sql_ids:
         tq = case.logs.queries_in_window(sql_id, case.ts, case.te)
@@ -108,7 +108,8 @@ def load_case(path: str | Path) -> LabeledCase:
         ts, te = int(meta["ts"]), int(meta["te"])
 
         metric_series = {}
-        templates = TemplateMetricStore(start=ts, end=te, interval=1)
+        # Rows in key order: the order ``save_case`` wrote the templates.
+        template_series: dict[str, dict[str, np.ndarray]] = {}
         logs = LogStore()
         history: dict[str, dict[int, TimeSeries]] = {}
         hist_interval = int(meta.get("history_interval", 60))
@@ -121,9 +122,7 @@ def load_case(path: str | Path) -> LabeledCase:
                 metric_series[rest] = TimeSeries(data[key], start=ts, name=rest)
             elif kind == "tpl":
                 sql_id, _, metric = rest.partition("/")
-                templates.put(
-                    sql_id, metric, TimeSeries(data[key], start=ts, name=metric)
-                )
+                template_series.setdefault(sql_id, {})[metric] = data[key]
             elif kind == "log":
                 sql_id, _, field = rest.partition("/")
                 if field == "arrive_ms":
@@ -153,7 +152,7 @@ def load_case(path: str | Path) -> LabeledCase:
 
         case = AnomalyCase(
             metrics=InstanceMetrics(metric_series),
-            templates=templates,
+            templates=TemplateMetricStore.from_series(ts, te, template_series),
             logs=logs,
             catalog=catalog,
             anomaly_start=int(meta["anomaly_start"]),

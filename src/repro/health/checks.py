@@ -285,12 +285,14 @@ class RisingResponseTimeCheck(HealthCheck):
         if ctx.templates is None:
             return
         cfg = ctx.config
-        for sql_id in ctx.templates.sql_ids:
-            execs = ctx.templates.executions(sql_id).values
+        store = ctx.templates
+        for sql_id, execs, avg in zip(
+            store.sql_ids, store.matrix("#execution"), store.matrix("avg_tres")
+        ):
             active = execs > 0
             if float(execs.sum()) < cfg.min_template_executions:
                 continue
-            rt = ctx.templates.get(sql_id, "avg_tres").values[active]
+            rt = avg[active]
             if len(rt) < cfg.min_trend_samples:
                 continue
             head, tail, rise = half_rise(rt)
@@ -330,12 +332,13 @@ class RisingRowsExaminedCheck(HealthCheck):
         if ctx.templates is None:
             return
         cfg = ctx.config
-        for sql_id in ctx.templates.sql_ids:
-            execs = ctx.templates.executions(sql_id).values
+        store = ctx.templates
+        for sql_id, execs, rows in zip(
+            store.sql_ids, store.matrix("#execution"), store.matrix("total_examined_rows")
+        ):
             active = execs > 0
             if float(execs.sum()) < cfg.min_template_executions:
                 continue
-            rows = ctx.templates.get(sql_id, "total_examined_rows").values
             per_exec = rows[active] / execs[active]
             if len(per_exec) < cfg.min_trend_samples:
                 continue
@@ -447,8 +450,8 @@ class AntipatternShareCheck(HealthCheck):
         total = 0.0
         flagged = 0.0
         flagged_ids: list[str] = []
-        for sql_id in ctx.templates.sql_ids:
-            execs = float(ctx.templates.executions(sql_id).values.sum())
+        calls = ctx.templates.matrix("#execution").sum(axis=1).tolist()
+        for sql_id, execs in zip(ctx.templates.sql_ids, calls):
             total += execs
             findings = ctx.analysis.get(sql_id, ())
             structural = any(

@@ -196,16 +196,14 @@ class HealthSweeper:
 
             weights = {}
             infos = []
-            for sql_id in templates.sql_ids:
+            calls = templates.matrix("#execution").sum(axis=1).tolist()
+            rows = templates.matrix("total_examined_rows").sum(axis=1).tolist()
+            for sql_id, n_calls, n_rows in zip(templates.sql_ids, calls, rows):
                 info = engine.catalog.get(sql_id)
                 if info is None:
                     continue
                 infos.append(info)
-                calls = float(templates.executions(sql_id).values.sum())
-                rows = float(
-                    templates.get(sql_id, "total_examined_rows").values.sum()
-                )
-                weights[sql_id] = TrafficWeight(calls=calls, rows_examined=rows)
+                weights[sql_id] = TrafficWeight(calls=n_calls, rows_examined=n_rows)
             report = advisor.analyze(infos, weights)
             return tuple(report.advisories)
         except Exception:

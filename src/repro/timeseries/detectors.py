@@ -207,55 +207,6 @@ class TukeyDetector:
             raise ValueError("k must be positive")
         self.k = k
 
-    def mask(self, series: TimeSeries | np.ndarray) -> np.ndarray:
-        """Boolean anomaly mask over the samples."""
-        values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-        if len(values) == 0:
-            return np.zeros(0, dtype=bool)
-        q1, q3 = np.percentile(values, [25, 75])
-        iqr = q3 - q1
-        if iqr < 1e-9:
-            # Degenerate distribution: flag points that deviate from the
-            # (constant) bulk by any noticeable amount.
-            center = float(np.median(values))
-            tol = max(1e-9, abs(center) * 1e-6)
-            return np.abs(values - center) > tol + self.k * 1e-9
-        lo = q1 - self.k * iqr
-        hi = q3 + self.k * iqr
-        return (values < lo) | (values > hi)
-
-    def has_anomaly(
-        self,
-        series: TimeSeries | np.ndarray,
-        window: tuple[int, int] | None = None,
-        upward_only: bool = True,
-    ) -> bool:
-        """Whether an anomaly occurs, optionally restricted to an index window.
-
-        ``upward_only`` restricts to values above the upper fence, matching
-        the R-SQL verification rule that root-cause execution counts must
-        *increase* suddenly.
-        """
-        values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-        if len(values) == 0:
-            return False
-        q1, q3 = np.percentile(values, [25, 75])
-        iqr = q3 - q1
-        if iqr < 1e-9:
-            anomaly = self.mask(values)
-        else:
-            hi = q3 + self.k * iqr
-            lo = q1 - self.k * iqr
-            anomaly = values > hi if upward_only else (values > hi) | (values < lo)
-        if window is not None:
-            lo_i, hi_i = window
-            lo_i = max(0, lo_i)
-            hi_i = min(len(values), hi_i)
-            if hi_i <= lo_i:
-                return False
-            anomaly = anomaly[lo_i:hi_i]
-        return bool(anomaly.any())
-
     def has_anomaly_vs_baseline(
         self, series: TimeSeries | np.ndarray, window: tuple[int, int]
     ) -> bool:
@@ -277,8 +228,9 @@ class TukeyDetector:
 
         The window is clipped to the row; an empty window flags nothing.
         With fewer than 4 baseline points the fences are fit on the
-        whole row instead, as :meth:`has_anomaly` does (two-sided
-        :meth:`mask` when the row is degenerate).  A degenerate baseline
+        whole row instead; a degenerate whole row (IQR below 1e-9) then
+        flags values off its median by more than a relative tolerance,
+        in either direction.  A degenerate baseline
         (IQR below 1e-9) flags values above its median plus a relative
         tolerance.  Quartiles and medians are taken along each row with
         ``axis=1``, which equals the one-row calls bit for bit.

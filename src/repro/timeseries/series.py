@@ -204,14 +204,6 @@ class TimeSeries:
         """A series of ``length`` zero observations."""
         return cls(np.zeros(length, dtype=np.float64), start, interval, name)
 
-    @classmethod
-    def aligned_like(cls, template: "TimeSeries", values: np.ndarray, name: str = "") -> "TimeSeries":
-        """Build a series sharing ``template``'s time axis."""
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) != len(template):
-            raise ValueError("values length does not match the template series")
-        return cls(values, template.start, template.interval, name)
-
 
 def forward_fill_series(
     samples: Mapping[int, float], ts: int, te: int, name: str = ""

@@ -43,11 +43,10 @@ def inflation_series(case: AnomalyCase, min_baseline_queries: int = 50) -> np.nd
     n = case.duration
     lo, _ = case.anomaly_indices()
     ratios: list[np.ndarray] = []
-    for sql_id in case.sql_ids:
-        execs = case.templates.executions(sql_id).values
+    store = case.templates
+    for execs, avg in zip(store.matrix("#execution"), store.matrix("avg_tres")):
         if execs[:lo].sum() < min_baseline_queries:
             continue
-        avg = case.templates.get(sql_id, "avg_tres").values
         baseline = avg[:lo][execs[:lo] > 0]
         if len(baseline) == 0:
             continue
@@ -135,9 +134,7 @@ class ReplayWorkload:
         }
         self.sql_ids = list(case.sql_ids)
         self.duration = case.duration
-        self._rates = np.zeros((self.duration, len(self.sql_ids)), dtype=np.float64)
-        for k, sid in enumerate(self.sql_ids):
-            self._rates[:, k] = case.templates.executions(sid).values
+        self._rates = np.ascontiguousarray(case.templates.matrix("#execution").T)
 
     @property
     def specs(self) -> dict[str, TemplateSpec]:
@@ -159,9 +156,9 @@ def estimate_cpu_cores(case: AnomalyCase, workload: ReplayWorkload) -> int:
     usage = case.metrics.cpu_usage.values[:lo]
     if len(usage) == 0 or usage.mean() <= 0.5:
         return 16
+    rates = case.templates.matrix("#execution")[:, :lo].mean(axis=1)
     demand = 0.0
-    for sql_id, spec in workload.specs.items():
-        rate = case.templates.executions(sql_id).values[:lo].mean()
+    for rate, spec in zip(rates, workload.specs.values()):
         demand += rate * spec.cpu_ms_per_query
     capacity_ms = demand / (usage.mean() / 100.0)
     return int(np.clip(round(capacity_ms / 1000.0), 2, 64))

@@ -77,13 +77,14 @@ class TestBatchAggregation:
 
 class TestStoreOperations:
     def test_put_length_checked(self):
-        store = TemplateMetricStore(start=0, end=10)
+        # Every row must span the store's window, whichever way it is built.
         with pytest.raises(ValueError):
-            store.put("A", "#execution", TimeSeries(np.zeros(5)))
+            TemplateMetricStore.from_series(0, 10, {"A": {"#execution": np.zeros(5)}})
+        with pytest.raises(ValueError):
+            TemplateMetricStore(0, 10, sql_ids=["A"], matrices={"#execution": np.zeros((1, 5))})
 
     def test_resample_to_minutes(self):
-        store = TemplateMetricStore(start=0, end=120)
-        store.put("A", "#execution", TimeSeries(np.ones(120), start=0, name="#execution"))
+        store = TemplateMetricStore.from_series(0, 120, {"A": {"#execution": np.ones(120)}})
         minute = store.resample(60)
         assert minute.interval == 60
         assert list(minute.executions("A").values) == [60.0, 60.0]
@@ -100,11 +101,29 @@ class TestStoreOperations:
         assert executions.total_response_time("A").total() == 0.0
         assert full.total_response_time("A").total() > 0.0
 
-    def test_window_restriction(self):
+    def test_absent_id_gives_zeros_on_the_store_axis(self):
         store = aggregate_query_log(make_log(), start=10, end=13)
-        sub = store.window(11, 13)
-        assert list(sub.executions("A").values) == [1.0, 0.0]
-        assert sub.start == 11
+        minute = TemplateMetricStore.from_series(0, 180, {"A": {}}, interval=60)
+        for s in (store, minute):
+            for metric in TEMPLATE_METRICS:
+                ghost = s.get("ZZZ", metric)
+                assert (len(ghost), ghost.start, ghost.interval) == (s.length, s.start, s.interval)
+                assert ghost.name == metric
+                assert not ghost.values.any()
+
+    def test_rows_are_views_of_the_metric_matrices(self):
+        store = aggregate_query_log(make_log(), start=10, end=13)
+        assert store.sql_ids == ["A", "B"]
+        for metric in TEMPLATE_METRICS:
+            assert store.matrix(metric).shape == (2, 3)
+            assert np.shares_memory(store.get("B", metric).values, store.matrix(metric))
+        np.testing.assert_array_equal(store.matrix("#execution"), [[2, 1, 0], [0, 0, 1]])
+
+    def test_logstore_leaves_out_templates_idle_in_the_window(self):
+        logstore = LogStore()
+        logstore.ingest_query_log(make_log())
+        assert aggregate_logstore(logstore, start=10, end=12).sql_ids == ["A"]
+        assert aggregate_query_log(make_log(), start=10, end=12).sql_ids == ["A", "B"]
 
     def test_membership(self):
         store = aggregate_query_log(make_log(), start=10, end=13)

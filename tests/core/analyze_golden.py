@@ -102,9 +102,9 @@ def digest(result) -> str:
         number(s.trend, s.scale, s.scale_trend, s.impact)
     sessions = result.sessions
     h.update(np.asarray(sessions.selected_buckets, dtype=np.int64).tobytes())
-    for sql_id, series in sessions.per_template.items():
+    for sql_id, row in zip(sessions.sql_ids, sessions.values):
         text(sql_id)
-        h.update(np.asarray(series.values, dtype=np.float64).tobytes())
+        h.update(np.asarray(row, dtype=np.float64).tobytes())
     h.update(np.asarray(sessions.total.values, dtype=np.float64).tobytes())
     return h.hexdigest()
 

@@ -25,9 +25,9 @@ def synthetic_case_and_sessions(n=600, as_=400, ae=600):
     metrics = InstanceMetrics(
         {"active_session": TimeSeries(total, start=0, name="active_session")}
     )
-    templates = TemplateMetricStore(start=0, end=n)
-    for sid in ("DRIVER", "STABLE", "TINY"):
-        templates.put(sid, "#execution", TimeSeries(np.ones(n), start=0))
+    templates = TemplateMetricStore.from_series(
+        0, n, {sid: {"#execution": np.ones(n)} for sid in ("DRIVER", "STABLE", "TINY")}
+    )
     case = AnomalyCase(
         metrics=metrics,
         templates=templates,
@@ -37,11 +37,8 @@ def synthetic_case_and_sessions(n=600, as_=400, ae=600):
         anomaly_end=ae,
     )
     sessions = SessionEstimate(
-        per_template={
-            "DRIVER": TimeSeries(driver, start=0),
-            "STABLE": TimeSeries(stable, start=0),
-            "TINY": TimeSeries(tiny, start=0),
-        },
+        sql_ids=["DRIVER", "STABLE", "TINY"],
+        values=np.vstack([driver, stable, tiny]),
         total=TimeSeries(total, start=0),
         selected_buckets=np.zeros(0, dtype=np.int64),
     )
@@ -110,7 +107,8 @@ class TestWeighting:
     def test_empty_sessions(self):
         case, _ = synthetic_case_and_sessions()
         empty = SessionEstimate(
-            per_template={},
+            sql_ids=[],
+            values=np.zeros((0, case.duration)),
             total=TimeSeries.zeros(case.duration, start=case.ts),
             selected_buckets=np.zeros(0, dtype=np.int64),
         )
@@ -128,12 +126,13 @@ class TestMatrixScores:
         session = case.active_session.values
         session[:20] = 0.0
         rng = np.random.default_rng(5)
-        per_template = dict(sessions.per_template)
-        per_template["NOISE"] = TimeSeries(rng.normal(4.0, 1.0, n), start=0)
-        per_template["CONST"] = TimeSeries(np.full(n, 2.5), start=0)
-        per_template["ZERO"] = TimeSeries(np.zeros(n), start=0)
+        per_template = dict(zip(sessions.sql_ids, sessions.values))
+        per_template["NOISE"] = rng.normal(4.0, 1.0, n)
+        per_template["CONST"] = np.full(n, 2.5)
+        per_template["ZERO"] = np.zeros(n)
         sessions = SessionEstimate(
-            per_template=per_template,
+            sql_ids=list(per_template),
+            values=np.vstack(list(per_template.values())),
             total=sessions.total,
             selected_buckets=np.zeros(0, dtype=np.int64),
         )
@@ -144,7 +143,7 @@ class TestMatrixScores:
         )
         safe = np.where(session == 0.0, np.nan, session)
         for score in ranking.scores:
-            values = per_template[score.sql_id].values
+            values = per_template[score.sql_id]
             share = np.nan_to_num(values / safe, nan=0.0)
             assert score.trend == pytest.approx(
                 weighted_pearson(values, session, weights), rel=0, abs=1e-12

@@ -18,10 +18,10 @@ def build_case(exec_series: dict, session, as_, ae, history=None, metrics_extra=
     metrics = {"active_session": TimeSeries(np.asarray(session, float), start=0, name="active_session")}
     for name, values in (metrics_extra or {}).items():
         metrics[name] = TimeSeries(np.asarray(values, float), start=0, name=name)
-    store = TemplateMetricStore(start=0, end=n)
-    for sid, values in exec_series.items():
-        store.put(sid, "#execution", TimeSeries(np.asarray(values, float), start=0))
-        store.put(sid, "total_tres", TimeSeries(np.asarray(values, float) * 5.0, start=0))
+    store = TemplateMetricStore.from_series(0, n, {
+        sid: {"#execution": values, "total_tres": np.asarray(values, float) * 5.0}
+        for sid, values in exec_series.items()
+    })
     return AnomalyCase(
         metrics=InstanceMetrics(metrics),
         templates=store,
@@ -34,11 +34,11 @@ def build_case(exec_series: dict, session, as_, ae, history=None, metrics_extra=
 
 
 def sessions_for(case, values: dict):
-    n = case.duration
-    per = {sid: TimeSeries(np.asarray(v, float), start=0) for sid, v in values.items()}
-    total = np.sum([np.asarray(v, float) for v in values.values()], axis=0)
+    matrix = np.array([np.asarray(v, float) for v in values.values()])
+    total = matrix.sum(axis=0)
     return SessionEstimate(
-        per_template=per,
+        sql_ids=list(values),
+        values=matrix,
         total=TimeSeries(total, start=0),
         selected_buckets=np.zeros(0, dtype=np.int64),
     )

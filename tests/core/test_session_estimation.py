@@ -126,6 +126,19 @@ class TestEstimatorModes:
         )
         assert est.get("ZZZ").total() == 0.0
 
+    def test_absent_template_zeros_on_the_estimate_axis(self):
+        store, observed = self._setup()
+        est = SessionEstimator(SessionEstimationMode.BUCKETS).estimate(
+            store, ["A"], observed
+        )
+        ghost = est.get("ZZZ")
+        assert (len(ghost), ghost.start, ghost.interval) == (
+            len(observed), observed.start, observed.interval
+        )
+        assert not ghost.values.any()
+        # A present template's series is a view of its row.
+        assert np.shares_memory(est.get("A").values, est.values)
+
     def test_invalid_buckets(self):
         with pytest.raises(ValueError):
             SessionEstimator(buckets=0)

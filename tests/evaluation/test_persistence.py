@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.collection import TEMPLATE_METRICS
 from repro.core import PinSQL
 from repro.evaluation.persistence import (
     load_case,
@@ -39,12 +40,14 @@ class TestRoundTrip:
     def test_template_series_preserved(self, poor_sql_case, tmp_path):
         loaded = load_case(save_case(poor_sql_case, tmp_path / "case.npz"))
         orig = poor_sql_case.case
-        assert set(loaded.case.sql_ids) == set(orig.sql_ids)
-        sid = orig.sql_ids[0]
-        assert np.array_equal(
-            loaded.case.templates.executions(sid).values,
-            orig.templates.executions(sid).values,
+        # Rows come back in the saved order, every metric bit for bit.
+        assert loaded.case.sql_ids == orig.sql_ids
+        store = loaded.case.templates
+        assert (store.start, store.end, store.interval) == (
+            orig.templates.start, orig.templates.end, orig.templates.interval
         )
+        for metric in TEMPLATE_METRICS:
+            assert store.matrix(metric).tobytes() == orig.templates.matrix(metric).tobytes()
 
     def test_logs_preserved(self, poor_sql_case, tmp_path):
         loaded = load_case(save_case(poor_sql_case, tmp_path / "case.npz"))

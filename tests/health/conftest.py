@@ -10,7 +10,6 @@ import numpy as np
 from repro.collection.aggregator import TemplateMetricStore
 from repro.health import CheckContext, HealthConfig
 from repro.incidents.store import IncidentMeta
-from repro.timeseries import TimeSeries
 
 #: Enough samples for every trend check (min_trend_samples default 40).
 WINDOW = 120
@@ -20,11 +19,7 @@ def make_templates(
     series: dict[str, dict[str, np.ndarray]], window: int = WINDOW
 ) -> TemplateMetricStore:
     """A TemplateMetricStore over [0, window) from raw per-metric arrays."""
-    store = TemplateMetricStore(start=0, end=window, interval=1)
-    for sql_id, metrics in series.items():
-        for metric, values in metrics.items():
-            store.put(sql_id, metric, TimeSeries(np.asarray(values, float)))
-    return store
+    return TemplateMetricStore.from_series(0, window, series)
 
 
 def template_series(

@@ -8,7 +8,7 @@ and windows touching the data boundary.
 import numpy as np
 import pytest
 
-from repro.collection import LogStore, TemplateMetricStore
+from repro.collection import TEMPLATE_METRICS, LogStore, TemplateMetricStore
 from repro.core import (
     AnomalyCase,
     HsqlIdentifier,
@@ -29,14 +29,9 @@ def minimal_case(session_values, exec_map=None, as_=60, ae=90, logstore=None):
         {"active_session": TimeSeries(np.asarray(session_values, float),
                                       start=0, name="active_session")}
     )
-    store = TemplateMetricStore(start=0, end=n)
-    for sid, values in (exec_map or {}).items():
-        store.put(sid, "#execution", TimeSeries(np.asarray(values, float), start=0))
-        store.put(sid, "total_tres", TimeSeries(np.asarray(values, float), start=0))
-        store.put(sid, "avg_tres", TimeSeries(np.asarray(values, float), start=0))
-        store.put(
-            sid, "total_examined_rows", TimeSeries(np.asarray(values, float), start=0)
-        )
+    store = TemplateMetricStore.from_series(
+        0, n, {sid: dict.fromkeys(TEMPLATE_METRICS, values) for sid, values in (exec_map or {}).items()}
+    )
     return AnomalyCase(
         metrics=metrics,
         templates=store,
@@ -110,7 +105,8 @@ class TestEstimatorEdges:
         observed = TimeSeries(np.ones(30), start=0)
         estimate = SessionEstimator().estimate(LogStore(), [], observed)
         assert estimate.total.total() == 0.0
-        assert estimate.per_template == {}
+        assert estimate.sql_ids == []
+        assert estimate.values.shape == (0, 30)
 
     def test_templates_without_queries(self):
         observed = TimeSeries(np.ones(30), start=0)
@@ -123,7 +119,8 @@ class TestIdentifierEdges:
         case = minimal_case(np.ones(120))
         ident = RsqlIdentifier()
         sessions = SessionEstimate(
-            per_template={},
+            sql_ids=[],
+            values=np.zeros((0, 120)),
             total=TimeSeries.zeros(120, start=0),
             selected_buckets=np.zeros(0, dtype=np.int64),
         )
@@ -135,7 +132,8 @@ class TestIdentifierEdges:
     def test_hsql_single_template(self):
         case = minimal_case(np.ones(120), exec_map={"A": np.ones(120)})
         sessions = SessionEstimate(
-            per_template={"A": TimeSeries(np.ones(120), start=0)},
+            sql_ids=["A"],
+            values=np.ones((1, 120)),
             total=TimeSeries(np.ones(120), start=0),
             selected_buckets=np.zeros(0, dtype=np.int64),
         )

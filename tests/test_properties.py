@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collection import LogStore, aggregate_query_log
+from repro.collection import (
+    TEMPLATE_METRICS,
+    LogStore,
+    TemplateMetricStore,
+    aggregate_query_log,
+)
 from repro.core.rsql import _safe_corrcoef
 from repro.core.session_estimation import CoverageFunction
 from repro.dbsim import QueryLog, SecondBatch
@@ -126,6 +131,37 @@ class TestAggregationConservation:
         for sid in store.sql_ids:
             fine_total = store.executions(sid).values[:usable].sum()
             assert coarse.executions(sid).total() == pytest.approx(fine_total)
+
+
+class TestStoreResample:
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 130),
+        st.integers(1, 70),
+        st.sampled_from([1, 60]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_the_series_resample(self, n_templates, length, factor, interval, seed):
+        # Each row of the matrix resample is TimeSeries.resample of that
+        # row, bit for bit: sum for counts and totals, mean for avg_tres,
+        # trailing seconds dropped when ``factor`` does not divide the length.
+        rng = np.random.default_rng(seed)
+        series = {
+            f"T{i}": {m: rng.normal(0.0, 1e3, length) for m in TEMPLATE_METRICS}
+            for i in range(n_templates)
+        }
+        store = TemplateMetricStore.from_series(100, 100 + length * interval, series, interval)
+        coarse = store.resample(factor)
+        assert coarse.sql_ids == store.sql_ids
+        assert (coarse.interval, coarse.length) == (interval * factor, length // factor)
+        for sql_id in store.sql_ids:
+            for metric in TEMPLATE_METRICS:
+                how = "mean" if metric == "avg_tres" else "sum"
+                expected = store.get(sql_id, metric).resample(factor, how=how)
+                got = coarse.get(sql_id, metric)
+                assert got.values.tobytes() == expected.values.tobytes()
+                assert (got.start, got.interval) == (expected.start, expected.interval)
 
 
 class TestCoverageProperties:

@@ -93,42 +93,39 @@ class TestLevelShiftDetector:
 
 
 class TestTukeyDetector:
-    def test_mask_flags_outliers(self):
-        v = _noise(500, seed=4)
-        v[100] += 100.0
-        mask = TukeyDetector().mask(v)
-        assert mask[100]
-        assert mask.sum() <= 5
-
     def test_has_anomaly_upward_only(self):
         v = _noise(500, seed=5, loc=100.0)
-        v[50] -= 90.0  # downward outlier
+        v[450] -= 90.0  # downward outlier inside the window
         det = TukeyDetector()
-        assert not det.has_anomaly(v, upward_only=True)
-        assert det.has_anomaly(v, upward_only=False)
+        assert not det.has_anomaly_vs_baseline(v, (440, 460))
+        v[455] += 180.0  # upward outlier inside the window
+        assert det.has_anomaly_vs_baseline(v, (440, 460))
 
     def test_window_restriction(self):
         v = _noise(500, seed=6)
         v[400] += 100.0
         det = TukeyDetector()
-        assert det.has_anomaly(v, window=(390, 410))
-        assert not det.has_anomaly(v, window=(0, 100))
+        assert det.has_anomaly_vs_baseline(v, (390, 410))
+        # The spike lies after the window, so neither fences nor window see it.
+        assert not det.has_anomaly_vs_baseline(v, (200, 300))
 
     def test_empty_series(self):
         det = TukeyDetector()
-        assert not det.has_anomaly(np.array([]))
-        assert det.mask(np.array([])).shape == (0,)
+        assert not det.has_anomaly_vs_baseline(np.array([]), (0, 10))
+        assert det.rows_vs_baseline(np.empty((2, 0)), (0, 10)).tolist() == [False, False]
 
     def test_empty_window(self):
         v = _noise(100)
-        assert not TukeyDetector().has_anomaly(v, window=(50, 50))
+        v[50] += 100.0
+        assert not TukeyDetector().has_anomaly_vs_baseline(v, (50, 50))
+        assert not TukeyDetector().has_anomaly_vs_baseline(v, (60, 40))
 
     def test_constant_series_flags_deviants(self):
         v = np.full(100, 7.0)
         v[10] = 8.0
-        mask = TukeyDetector().mask(v)
-        assert mask[10]
-        assert mask.sum() == 1
+        det = TukeyDetector()
+        assert det.has_anomaly_vs_baseline(v, (8, 12))
+        assert not det.has_anomaly_vs_baseline(v, (20, 30))
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
@@ -211,6 +208,13 @@ class TestTukeyRowsVsBaseline:
         assert not det.has_anomaly_vs_baseline(v, (5, 10))
         v[7] = 8.0
         assert det.has_anomaly_vs_baseline(v, (5, 10))
+
+    def test_window_is_clipped_to_the_series(self):
+        v = _noise(500, seed=6)
+        v[400] += 100.0
+        det = TukeyDetector()
+        assert det.has_anomaly_vs_baseline(v, (390, 10_000))
+        assert not det.has_anomaly_vs_baseline(v, (-50, 100))
 
     def test_empty_window_and_empty_matrix(self):
         det = TukeyDetector()

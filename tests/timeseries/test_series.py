@@ -27,16 +27,6 @@ class TestConstruction:
         assert ts.name == "m"
         assert ts.total() == 0.0
 
-    def test_aligned_like_builds_on_same_axis(self):
-        base = TimeSeries([1, 2, 3], start=10)
-        other = TimeSeries.aligned_like(base, [4, 5, 6], name="x")
-        assert other.start == 10 and other.interval == 1
-
-    def test_aligned_like_rejects_length_mismatch(self):
-        base = TimeSeries([1, 2, 3], start=10)
-        with pytest.raises(ValueError):
-            TimeSeries.aligned_like(base, [1, 2])
-
 
 class TestAddressing:
     def test_timestamp_and_index_equivalence(self):
