@@ -40,7 +40,7 @@ SERVICE_CONFIG = ServiceConfig(delta_start_s=300, detector_window_s=DURATION)
 
 
 #: Cache key of the simulated feeds; bump it when what they carry changes.
-FEEDS_KEY = f"fleet_feeds_v4_{N_INSTANCES}x{DURATION}"
+FEEDS_KEY = f"fleet_feeds_v5_{N_INSTANCES}x{DURATION}"
 
 
 def _simulate_feeds():

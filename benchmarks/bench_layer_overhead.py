@@ -282,7 +282,7 @@ TRACE_DURATION = 240
 def trace_row(request, tmp_path) -> Row:
     assert trace_propagation_enabled(), "benchmark expects the default state"
     # Blocks are stamped at build time (propagation on) so both arms
-    # decode identical frames; only the drain-side propagation differs.
+    # replay identical blocks; only the drain-side propagation differs.
     rng = np.random.default_rng(8)
     population = build_population(TRACE_DURATION, rng, n_businesses=4)
     db = DatabaseInstance(schema=population.schema, cpu_cores=8, seed=8)
@@ -307,8 +307,8 @@ def trace_row(request, tmp_path) -> Row:
         [feed], without_propagation, drain,
         lambda _bare, _on: {
             "duration_s": TRACE_DURATION,
-            "query_blocks": len(feed.query_payloads),
-            "metric_blocks": len(feed.metric_payloads),
+            "query_blocks": len(feed.query_blocks),
+            "metric_blocks": len(feed.metric_blocks),
         },
         repeats=7, inner=10,
     )

@@ -561,7 +561,7 @@ def cmd_demo(args) -> int:
 
 
 def _simulate_fleet(n_instances: int, anomalous: int, duration: int, seed: int):
-    """Simulate the fleet-demo fleet onto one broker as block frames;
+    """Simulate the fleet-demo fleet onto one broker as columnar blocks;
     returns (broker, truths, statements, onset).
 
     Shared by the in-process drain (:func:`_run_fleet`) and the
@@ -676,7 +676,7 @@ def _fleet_demo_exit(args, missed, spurious, misattributed: int = 0) -> int:
 def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
     """``fleet-demo --processes N``: drain over the columnar dataplane.
 
-    Feeds are captured from the broker as encoded block frames and
+    Feeds are captured from the broker as columnar blocks and
     diagnosed by long-lived worker processes
     (:class:`~repro.fleet.workers.PersistentWorkerPool`); each worker
     ships its spans and telemetry back, so the parent's registry and
@@ -697,7 +697,7 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
     shipped = sum(f.nbytes for f in feeds)
     print(
         f"columnar dataplane: {sum(f.n_blocks for f in feeds)} block(s), "
-        f"{shipped:,} bytes shipped to {args.processes} worker process(es)"
+        f"{shipped:,} row bytes shipped to {args.processes} worker process(es)"
     )
     config = ServiceConfig(
         delta_start_s=min(500, onset - 60), detector_window_s=args.duration

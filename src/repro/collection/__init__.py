@@ -30,11 +30,8 @@ from repro.collection.aggregator import (
 from repro.collection.logstore import LogStore
 from repro.collection.blocks import (
     BLOCK_KEY,
-    BlockDecodeError,
     MetricBlock,
     QueryLogBlock,
-    decode_block,
-    encode_block,
     metric_block_from_metrics,
     query_block_from_log,
     split_by_second,
@@ -67,11 +64,8 @@ __all__ = [
     "TEMPLATE_METRICS",
     "LogStore",
     "BLOCK_KEY",
-    "BlockDecodeError",
     "MetricBlock",
     "QueryLogBlock",
-    "decode_block",
-    "encode_block",
     "metric_block_from_metrics",
     "query_block_from_log",
     "split_by_second",

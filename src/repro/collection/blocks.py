@@ -1,4 +1,4 @@
-"""Columnar block payloads: the one wire format of the dataplane.
+"""Columnar block payloads: what every dataplane message carries.
 
 PinSQL is fleet-scale: the collection pipeline must move millions of
 query-log records per second, and per-record Python objects spend more
@@ -16,29 +16,27 @@ numpy structured array plus a small string dictionary:
 Blocks come in two grains cut from the same whole-log block:
 :func:`split_by_second` gives one block per stream-time second (the
 streaming grain), :func:`split_query_block` gives row-bounded bulk
-blocks.  Blocks are frozen; their arrays must be treated as immutable
-(decoded blocks are backed by read-only buffers).
+blocks.  Blocks are frozen and their arrays must be treated as
+immutable; a captured :class:`~repro.fleet.workers.BlockFeed` makes its
+row arrays read-only so replays cannot change them.  Blocks cross the
+process boundary to shard workers by plain pickling.
 
-A binary codec (:func:`encode_block` / :func:`decode_block`) frames a
-block as ``magic + header-length + JSON header + raw column bytes`` for
-the process boundary: persistent shard workers receive encoded blocks
-and decode them with a single zero-copy ``np.frombuffer``.  Validation
-(:func:`validate_query_block` / :func:`validate_metric_block`) rejects
-malformed blocks — chaos-corrupted or otherwise — and anything that is
-not a block at all (``not_a_block``), so they are quarantined to the
-dead-letter topic instead of crashing a drain loop.
+Validation (:func:`validate_query_block` /
+:func:`validate_metric_block`) rejects malformed blocks —
+chaos-corrupted or otherwise — and anything that is not a block at all
+(``not_a_block``), so they are quarantined to the dead-letter topic
+instead of crashing a drain loop.
 
-Header v2 carries the distributed-tracing envelope: the publishing
-span's :class:`~repro.telemetry.tracing.TraceContext` (``trace`` key)
-and the publish wall-clock time (``created`` key, unix seconds) used
-for pipeline-lag watermarks.  Both are optional; v1 frames — and v2
-frames without them — decode to ``trace=None`` / ``created_unix=0.0``.
+Each block carries a distributed-tracing envelope: the publishing
+span's :class:`~repro.telemetry.tracing.TraceContext` (``trace``) and
+the publish wall-clock time (``created_unix``, unix seconds) used for
+pipeline-lag watermarks.  Both are stamped at publish time
+(:func:`stamp_block`); an unstamped block has ``trace=None`` and
+``created_unix=0.0``.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -56,7 +54,6 @@ __all__ = [
     "BLOCK_KEY",
     "QUERY_BLOCK_DTYPE",
     "METRIC_BLOCK_DTYPE",
-    "BlockDecodeError",
     "QueryLogBlock",
     "MetricBlock",
     "query_block_from_log",
@@ -64,8 +61,6 @@ __all__ = [
     "split_by_second",
     "split_query_block",
     "stamp_block",
-    "encode_block",
-    "decode_block",
     "validate_block",
     "validate_query_block",
     "validate_metric_block",
@@ -93,15 +88,6 @@ METRIC_BLOCK_DTYPE = np.dtype(
     ]
 )
 
-_MAGIC_QUERY = b"PQB1"
-_MAGIC_METRIC = b"PMB1"
-_HEADER_STRUCT = struct.Struct("<4sI")
-
-
-class BlockDecodeError(ValueError):
-    """A byte frame could not be decoded into a block."""
-
-
 @dataclass(frozen=True)
 class QueryLogBlock:
     """One columnar batch of query-log records (possibly many templates).
@@ -116,7 +102,7 @@ class QueryLogBlock:
     data: np.ndarray
     instance: str = ""
     statements: tuple[str, ...] = ()
-    #: Publishing span's trace context (v2 header), None on v1 frames.
+    #: Publishing span's trace context; None while unstamped.
     trace: TraceContext | None = None
     #: Publish wall-clock time (unix seconds; 0.0 = unstamped) used for
     #: pipeline-lag watermarks downstream.
@@ -304,7 +290,7 @@ def split_query_block(
 ) -> list[QueryLogBlock]:
     """Split a block into row-bounded blocks sharing the dictionary.
 
-    Bounded message sizes keep broker memory and IPC frames sane; the
+    Bounded message sizes keep broker memory and IPC messages sane; the
     shared ``sql_ids`` dictionary means no re-indexing.
     """
     if max_rows <= 0:
@@ -335,103 +321,6 @@ def stamp_block(
     return block.stamped(
         trace if new_trace else block.trace,
         float(created_unix) if new_time else block.created_unix,
-    )
-
-
-# ----------------------------------------------------------------------
-# Codec
-# ----------------------------------------------------------------------
-def encode_block(block: QueryLogBlock | MetricBlock) -> bytes:
-    """Frame a block as ``magic + header length + JSON header + rows``.
-
-    Emits a v2 header; the tracing envelope keys are included only when
-    the block is stamped, so unstamped blocks stay byte-identical
-    across publishes.
-    """
-    if isinstance(block, QueryLogBlock):
-        magic = _MAGIC_QUERY
-        header = {
-            "v": 2,
-            "rows": len(block.data),
-            "names": list(block.sql_ids),
-            "instance": block.instance,
-            "statements": list(block.statements),
-        }
-        expected = QUERY_BLOCK_DTYPE
-    elif isinstance(block, MetricBlock):
-        magic = _MAGIC_METRIC
-        header = {
-            "v": 2,
-            "rows": len(block.data),
-            "names": list(block.metrics),
-            "instance": block.instance,
-        }
-        expected = METRIC_BLOCK_DTYPE
-    else:
-        raise TypeError(f"not a block: {type(block).__name__}")
-    if block.trace is not None:
-        header["trace"] = block.trace.to_dict()
-    if block.created_unix:
-        header["created"] = float(block.created_unix)
-    if block.data.dtype != expected:
-        raise ValueError(f"block dtype mismatch: {block.data.dtype}")
-    header_bytes = json.dumps(header, separators=(",", ":")).encode()
-    payload = np.ascontiguousarray(block.data).tobytes()
-    return _HEADER_STRUCT.pack(magic, len(header_bytes)) + header_bytes + payload
-
-
-def decode_block(raw: bytes) -> QueryLogBlock | MetricBlock:
-    """Decode a frame produced by :func:`encode_block`.
-
-    The row array is a zero-copy read-only view over ``raw``; blocks
-    are immutable by contract so no defensive copy is made.
-    """
-    if len(raw) < _HEADER_STRUCT.size:
-        raise BlockDecodeError("frame shorter than header")
-    magic, header_len = _HEADER_STRUCT.unpack_from(raw)
-    if magic not in (_MAGIC_QUERY, _MAGIC_METRIC):
-        raise BlockDecodeError(f"bad magic: {magic!r}")
-    body_start = _HEADER_STRUCT.size + header_len
-    if len(raw) < body_start:
-        raise BlockDecodeError("truncated header")
-    try:
-        header = json.loads(raw[_HEADER_STRUCT.size : body_start])
-    except ValueError as exc:
-        raise BlockDecodeError(f"bad header json: {exc}") from exc
-    if not isinstance(header, dict) or header.get("v") not in (1, 2):
-        raise BlockDecodeError("unsupported header version")
-    try:
-        rows = int(header["rows"])
-        names = tuple(str(n) for n in header["names"])
-        instance = str(header.get("instance", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BlockDecodeError(f"malformed header: {exc}") from exc
-    # v2 tracing envelope; junk degrades to "unstamped", never raises —
-    # a corrupted trace dict must not dead-letter an otherwise valid
-    # block.
-    trace: TraceContext | None = None
-    trace_payload = header.get("trace")
-    if isinstance(trace_payload, dict):
-        trace = TraceContext.from_dict(trace_payload)
-    created = header.get("created", 0.0)
-    created_unix = float(created) if isinstance(created, (int, float)) else 0.0
-    dtype = QUERY_BLOCK_DTYPE if magic == _MAGIC_QUERY else METRIC_BLOCK_DTYPE
-    if rows < 0 or len(raw) - body_start != rows * dtype.itemsize:
-        raise BlockDecodeError(
-            f"payload size mismatch: {len(raw) - body_start} bytes for {rows} rows"
-        )
-    data = np.frombuffer(raw, dtype=dtype, count=rows, offset=body_start)
-    if magic == _MAGIC_QUERY:
-        statements = tuple(str(s) for s in header.get("statements", ()))
-        if statements and len(statements) != len(names):
-            raise BlockDecodeError("statements do not match template dictionary")
-        return QueryLogBlock(
-            sql_ids=names, data=data, instance=instance, statements=statements,
-            trace=trace, created_unix=created_unix,
-        )
-    return MetricBlock(
-        metrics=names, data=data, instance=instance,
-        trace=trace, created_unix=created_unix,
     )
 
 

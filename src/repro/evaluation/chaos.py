@@ -324,7 +324,7 @@ def run_fault_class(
     try:
         register_fleet(service, fixture.exemplars)
         for feed in fixture.feeds:
-            for topic, block in feed.iter_blocks(broker):
+            for topic, block in feed.iter_blocks():
                 service_broker.publish_block(topic, block)
         if injector is not None:
             held = service_broker.flush()

@@ -235,7 +235,7 @@ def replay_chronologically(
     for feed in feeds:
         service.register_instance(feed.instance_id)
         query, metric = deque(), deque()
-        for topic, block in feed.iter_blocks(broker):
+        for topic, block in feed.iter_blocks():
             (query if isinstance(block, QueryLogBlock) else metric).append((topic, block))
         streams += [query, metric]
     for chunk_end in range(chunk_s, duration_s + chunk_s, chunk_s):

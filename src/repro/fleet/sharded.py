@@ -8,7 +8,7 @@ instances' collected streams, and merges the per-shard diagnosis
 counts.
 
 Every run goes through one path: each instance's
-:class:`~repro.fleet.workers.BlockFeed` of encoded block frames becomes
+:class:`~repro.fleet.workers.BlockFeed` of columnar blocks becomes
 one :class:`~repro.fleet.workers.WorkItem`, handed to a
 :class:`~repro.fleet.workers.PersistentWorkerPool`.  With
 ``processes <= 1`` the pool executes the items inline, in this

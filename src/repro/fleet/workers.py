@@ -5,10 +5,10 @@ list of instance-sized work items executed by
 :func:`execute_work_item`, either inline or in a pool of worker
 processes:
 
-- A :class:`BlockFeed` holds one instance's collected streams as
-  encoded :class:`~repro.collection.blocks.QueryLogBlock` /
-  :class:`~repro.collection.blocks.MetricBlock` frames (plain
-  ``bytes``, trivially picklable), at whichever grain the collectors
+- A :class:`BlockFeed` holds one instance's collected streams as the
+  :class:`~repro.collection.blocks.QueryLogBlock` /
+  :class:`~repro.collection.blocks.MetricBlock` objects themselves
+  (read-only rows, picklable), at whichever grain the collectors
   shipped them.
 - A :class:`PersistentWorkerPool` with one process executes the
   :class:`WorkItem` units (one instance each) inline, one after the
@@ -48,15 +48,8 @@ from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.collection.blocks import (
-    BlockDecodeError,
-    MetricBlock,
-    QueryLogBlock,
-    decode_block,
-    encode_block,
-)
+from repro.collection.blocks import MetricBlock, QueryLogBlock
 from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
-from repro.collection.quarantine import quarantine
 from repro.collection.stream import Broker, instance_topic
 from repro.fleet.engine import ServiceConfig
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
@@ -99,20 +92,20 @@ def stable_shard(instance_id: str, n_shards: int) -> int:
 
 @dataclass
 class BlockFeed:
-    """One instance's collected streams as encoded columnar frames.
+    """One instance's collected streams as columnar blocks.
 
-    ``query_payloads`` / ``metric_payloads`` hold
-    :func:`~repro.collection.blocks.encode_block` frames — plain bytes,
-    so shipping a feed to a worker process pickles a handful of
-    buffers, and replaying it decodes each frame zero-copy.
+    ``query_blocks`` / ``metric_blocks`` hold the captured blocks in
+    publish order; their row arrays are read-only, so a feed replayed
+    many times (chaos fault classes, fuzz mutants) is never changed by
+    a replay.  Shipping a feed to a worker process pickles the blocks.
     """
 
     instance_id: str
-    query_payloads: list[bytes] = field(default_factory=list)
-    metric_payloads: list[bytes] = field(default_factory=list)
+    query_blocks: list[QueryLogBlock] = field(default_factory=list)
+    metric_blocks: list[MetricBlock] = field(default_factory=list)
     #: Trace context of the first stamped block in the feed — the
     #: publish span the worker's diagnosis spans parent under.  Kept on
-    #: the feed (not just in block headers) so the parent can link a
+    #: the feed (not just on its blocks) so the parent can link a
     #: synthetic crash span to the trace when a worker dies before
     #: shipping any spans of its own.
     trace: TraceContext | None = None
@@ -125,12 +118,15 @@ class BlockFeed:
     def from_broker(cls, broker: Broker, instance_id: str) -> "BlockFeed":
         """Capture the blocks on an instance's topic partitions."""
         feed = cls(instance_id=instance_id)
-        for base, payloads in (
-            (QUERY_TOPIC, feed.query_payloads),
-            (METRIC_TOPIC, feed.metric_payloads),
+        for base, blocks in (
+            (QUERY_TOPIC, feed.query_blocks),
+            (METRIC_TOPIC, feed.metric_blocks),
         ):
             for message in broker.read(instance_topic(base, instance_id), 0, 1 << 31):
-                payloads.append(encode_block(message.value))
+                # A read-only view: the broker's own block stays as it was.
+                rows = message.value.data.view()
+                rows.flags.writeable = False
+                blocks.append(message.value.with_rows(rows))
                 if feed.trace is None:
                     feed.trace = message.value.trace
         return feed
@@ -138,47 +134,32 @@ class BlockFeed:
     def unstamped(self) -> "BlockFeed":
         """The feed without its blocks' tracing envelopes: a recording,
         stamped afresh by each publish that replays it."""
-
-        def strip(payloads: list[bytes]) -> list[bytes]:
-            return [
-                encode_block(decode_block(p).stamped(None, 0.0))
-                for p in payloads
-            ]
-
         return replace(
             self,
-            query_payloads=strip(self.query_payloads),
-            metric_payloads=strip(self.metric_payloads),
+            query_blocks=[b.stamped(None, 0.0) for b in self.query_blocks],
+            metric_blocks=[b.stamped(None, 0.0) for b in self.metric_blocks],
             trace=None,
         )
 
-    def iter_blocks(
-        self, broker: Any
-    ) -> Iterator[tuple[str, QueryLogBlock | MetricBlock]]:
-        """Decode the frames in publish order (query frames first) as
-        ``(topic, block)``; undecodable frames are quarantined on
-        ``broker`` instead."""
-        for base, payloads in (
-            (QUERY_TOPIC, self.query_payloads),
-            (METRIC_TOPIC, self.metric_payloads),
+    def iter_blocks(self) -> Iterator[tuple[str, QueryLogBlock | MetricBlock]]:
+        """The blocks in publish order (query blocks first) as
+        ``(topic, block)``."""
+        for base, blocks in (
+            (QUERY_TOPIC, self.query_blocks),
+            (METRIC_TOPIC, self.metric_blocks),
         ):
             topic = instance_topic(base, self.instance_id)
-            for payload in payloads:
-                try:
-                    yield topic, decode_block(payload)
-                except BlockDecodeError as exc:
-                    quarantine(broker, topic, payload, f"undecodable_block:{exc}")
+            for block in blocks:
+                yield topic, block
 
     @property
     def nbytes(self) -> int:
-        """Encoded payload bytes shipped for this feed."""
-        return sum(len(p) for p in self.query_payloads) + sum(
-            len(p) for p in self.metric_payloads
-        )
+        """Row bytes shipped for this feed."""
+        return sum(getattr(b, "nbytes", 0) for _, b in self.iter_blocks())
 
     @property
     def n_blocks(self) -> int:
-        return len(self.query_payloads) + len(self.metric_payloads)
+        return len(self.query_blocks) + len(self.metric_blocks)
 
 
 @dataclass
@@ -229,7 +210,7 @@ def execute_work_item(
     """Diagnose one work item in-process; returns its export envelope.
 
     The body of every pool item, inline or in a worker: rebuild a
-    broker, replay the feed's columnar frames through it — via the
+    broker, replay the feed's columnar blocks through it — via the
     chaos facade when a fault plan is armed, so the row faults apply —
     and drain a single-instance fleet service over the result.
 
@@ -283,9 +264,11 @@ def execute_work_item(
         stage="dispatch",
         instance=feed.instance_id,
     )
-    for topic, block in feed.iter_blocks(broker):
-        if block.created_unix:
-            dispatch_lag.observe(max(0.0, time.time() - block.created_unix))
+    for topic, block in feed.iter_blocks():
+        # Anything else is not a block: publish_block quarantines it.
+        created_unix = getattr(block, "created_unix", 0.0)
+        if created_unix:
+            dispatch_lag.observe(max(0.0, time.time() - created_unix))
         publish_broker.publish_block(topic, block)
     if chaos_broker is not None:
         chaos_broker.flush()
@@ -386,7 +369,7 @@ class PersistentWorkerPool:
     def _count_bytes(self, nbytes: int) -> None:
         self.registry.counter(
             "fleet_shard_bytes_shipped_total",
-            help="Encoded block bytes shipped to shard workers.",
+            help="Block row bytes shipped to shard workers.",
         ).inc(nbytes)
 
     def _count_restart(self, shard_key: str) -> None:

@@ -138,7 +138,8 @@ def build_fixture(spec: ScenarioSpec) -> FleetFixture:
 
 
 def fixture_digest(fixture: FleetFixture) -> str:
-    """Content hash of a fixture: feeds, truths, window.
+    """Content hash of a fixture: feeds (each block's rows, dictionary,
+    statements and instance), truths, window.
 
     Bit-identical simulation ⇒ identical digest, so determinism tests
     compare digests instead of deep structures, and the fuzz report can
@@ -148,8 +149,12 @@ def fixture_digest(fixture: FleetFixture) -> str:
     h.update(f"{fixture.onset}|{fixture.duration_s}".encode())
     for feed in fixture.feeds:
         h.update(feed.instance_id.encode())
-        for payload in feed.query_payloads + feed.metric_payloads:
-            h.update(payload)
+        for block in feed.query_blocks:
+            h.update(repr((block.instance, block.sql_ids, block.statements)).encode())
+            h.update(block.data.tobytes())
+        for block in feed.metric_blocks:
+            h.update(repr((block.instance, block.metrics)).encode())
+            h.update(block.data.tobytes())
     for instance_id in sorted(fixture.truths):
         truth = fixture.truths[instance_id]
         h.update(instance_id.encode())

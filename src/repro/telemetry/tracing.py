@@ -21,7 +21,7 @@ Distributed tracing: every *root* span is minted a blake2b-derived
 ``trace_id``/``span_id`` (stamped into ``attrs`` so they survive every
 existing serialization path — span trees, incident records, pickles).
 A :class:`TraceContext` carries that identity across process
-boundaries: stamped into columnar block headers at publish time,
+boundaries: stamped onto columnar blocks at publish time,
 adopted by the consuming engine's tracer via :meth:`Tracer.set_remote_parent`,
 so a ``service.diagnose`` span in a shard worker is parented to the
 ``broker.publish_block`` span in the parent process.  Finished traces
@@ -94,23 +94,6 @@ class TraceContext:
     trace_id: str
     span_id: str
     process: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id, "process": self.process}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TraceContext | None":
-        """Rebuild from a header dict; ``None`` on junk (chaos-corrupted
-        headers must degrade to "no context", never raise)."""
-        try:
-            trace_id = payload["trace_id"]
-            span_id = payload["span_id"]
-        except (KeyError, TypeError):
-            return None
-        if not isinstance(trace_id, str) or not isinstance(span_id, str):
-            return None
-        process = payload.get("process", 0)
-        return cls(trace_id, span_id, int(process) if isinstance(process, (int, float)) else 0)
 
 
 def new_trace_context() -> TraceContext:

@@ -68,7 +68,7 @@ def replay(broker, instance_ids):
     """A private broker holding a copy of the instances' blocks."""
     clone = Broker()
     for instance_id in instance_ids:
-        for topic, block in BlockFeed.from_broker(broker, instance_id).iter_blocks(clone):
+        for topic, block in BlockFeed.from_broker(broker, instance_id).iter_blocks():
             clone.publish_block(topic, block)
     return clone
 

@@ -2,7 +2,6 @@
 
 import os
 
-from repro.collection.blocks import decode_block
 from repro.fleet import BlockFeed, PersistentWorkerPool, WorkItem, execute_work_item
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.tracing import TraceContext
@@ -42,8 +41,7 @@ class TestWorkerEnvelope:
         broker, _, _ = fleet_stream
         feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         block_contexts = {}
-        for payload in feed.query_payloads + feed.metric_payloads:
-            block = decode_block(payload)
+        for _, block in feed.iter_blocks():
             if block.trace is not None:
                 block_contexts[block.trace.span_id] = block.trace.trace_id
         assert block_contexts, "published blocks should carry trace contexts"

@@ -14,7 +14,12 @@ so a change that moves any finding's numbers fails here loudly.
 That run fires neither ``rising-rows-examined`` nor
 ``antipattern-share``, so the golden also pins the findings every
 instance-scope check yields on one small synthetic context built with
-``conftest.py``'s store builder, where both fire.
+``conftest.py``'s store builder, where both fire.  Nor does it carry a
+workload advisory, so the golden also pins the advisories the sweeper
+derives for one synthetic engine (an index candidate and two contending
+writers): their scores read the window's ``#execution`` and
+``total_examined_rows`` sums, so a sweep that weighs traffic by the wrong
+metric fails here.
 
 The tier-1 gate is ``test_sweep_golden.py``.  To check the findings a
 CLI run persisted (advisories and stores are not persisted, so only the
@@ -128,11 +133,54 @@ def context_findings() -> list[str]:
     ]
 
 
+def context_advisories() -> list[str]:
+    """Digests of the advisories the sweeper derives for a synthetic
+    engine: a point read on an unindexed column of a large table, and two
+    writers contending on it, each at its own call rate and rows/call."""
+    from types import SimpleNamespace
+
+    from repro.dbsim.tables import Schema, Table
+    from repro.health import HealthSweeper
+    from repro.sqlanalysis.workload import WorkloadAnalyzer
+    from repro.sqltemplate import TemplateCatalog, fingerprint
+    from repro.telemetry import MetricsRegistry
+    from tests.health.conftest import make_templates, template_series
+
+    traffic = {
+        "SELECT c2 FROM hot WHERE c5 = 7": template_series(
+            execs_per_s=3.0, rows_start=4_000.0, rows_end=6_000.0),
+        "UPDATE hot SET c0 = c0 + 1 WHERE LOWER(c8) = 'x'": template_series(
+            execs_per_s=2.0, rows_start=50.0, rows_end=60.0),
+        "UPDATE hot SET c1 = 2 WHERE UPPER(c9) = 'y'": template_series(
+            execs_per_s=0.5, rows_start=80.0, rows_end=90.0),
+    }
+    catalog = TemplateCatalog()
+    series = {}
+    for sql, per_metric in traffic.items():
+        fp = fingerprint(sql)
+        catalog.register_template(fp.sql_id, fp.template, fp.kind, fp.tables, exemplar=sql)
+        series[fp.sql_id] = per_metric
+    engine = SimpleNamespace(
+        instance_id="db-adv",
+        catalog=catalog,
+        advisor=WorkloadAnalyzer(
+            schema=Schema([Table("hot", 2_000_000, {"id"})]),
+            registry=MetricsRegistry(),
+        ),
+    )
+    templates = make_templates(series)
+    return [
+        advisory_digest(engine.instance_id, templates.end, a.to_dict())
+        for a in HealthSweeper._advisories_for_engine(engine, templates)
+    ]
+
+
 def digests(
     findings: Iterable[Mapping],
     advisories: list[str] | None = None,
     stores: list[str] | None = None,
     context: list[str] | None = None,
+    context_advisories: list[str] | None = None,
 ) -> dict:
     """The pinned shape: per-check counts and the digest lists."""
     findings = list(findings)
@@ -149,6 +197,8 @@ def digests(
         out["stores"] = stores
     if context is not None:
         out["context"] = context
+    if context_advisories is not None:
+        out["context_advisories"] = context_advisories
     return out
 
 
@@ -180,7 +230,11 @@ def load() -> dict:
 def pin() -> None:
     """Re-record the golden file from the current source."""
     with tempfile.TemporaryDirectory() as record_dir:
-        pinned = digests(*run_sweeps(record_dir), context=context_findings())
+        pinned = digests(
+            *run_sweeps(record_dir),
+            context=context_findings(),
+            context_advisories=context_advisories(),
+        )
     data = {"config": CONFIG, "digests": pinned}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=2) + "\n")
@@ -197,7 +251,11 @@ def main(argv: list[str]) -> int:
         actual = digests(findings)
     else:
         with tempfile.TemporaryDirectory() as record_dir:
-            actual = digests(*run_sweeps(record_dir), context=context_findings())
+            actual = digests(
+                *run_sweeps(record_dir),
+                context=context_findings(),
+                context_advisories=context_advisories(),
+            )
     problems = mismatches(actual, load())
     for problem in problems:
         print(problem)
