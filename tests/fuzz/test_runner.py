@@ -6,6 +6,9 @@ bit-identical corpora — both the fuzzer's in-memory fleet fixtures
 artifacts (compared byte-for-byte on disk).
 """
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.evaluation.dataset import CorpusConfig, generate_case
@@ -42,6 +45,50 @@ def test_fixture_digest_distinguishes_seeds(small_spec):
     assert fixture_digest(build_fixture(other)) != fixture_digest(
         build_fixture(small_spec)
     )
+
+
+@pytest.fixture(scope="module")
+def small_fixture(small_spec):
+    return build_fixture(small_spec)
+
+
+def _with_first_query_block(fixture, change):
+    """A copy of ``fixture`` whose first feed's first query block is
+    ``change(block)``; every other block is shared."""
+    feed = fixture.feeds[0]
+    blocks = [change(feed.query_blocks[0]), *feed.query_blocks[1:]]
+    feeds = [replace(feed, query_blocks=blocks), *fixture.feeds[1:]]
+    return replace(fixture, feeds=feeds)
+
+
+def _bump_first_response(block):
+    rows = block.data.copy()
+    rows["response_ms"][0] += 1.0
+    return block.with_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _bump_first_response,
+        lambda b: replace(b, sql_ids=(*b.sql_ids[:-1], b.sql_ids[-1] + "x")),
+        lambda b: replace(b, statements=("SELECT 0",) * b.n_templates),
+        lambda b: replace(b, instance=b.instance + "x"),
+    ],
+    ids=["rows", "dictionary", "statements", "instance"],
+)
+def test_fixture_digest_sees_each_block_field(small_fixture, change):
+    changed = _with_first_query_block(small_fixture, change)
+    assert fixture_digest(changed) != fixture_digest(small_fixture)
+
+
+def test_fixture_digest_ignores_envelope_and_transport(small_fixture):
+    """The digest hashes content: a pickled copy (as shipped to a
+    worker) and a re-stamped block hash the same."""
+    digest = fixture_digest(small_fixture)
+    assert fixture_digest(pickle.loads(pickle.dumps(small_fixture))) == digest
+    restamped = _with_first_query_block(small_fixture, lambda b: b.stamped(None, 99.0))
+    assert fixture_digest(restamped) == digest
 
 
 def test_runner_caches_by_content_not_name(small_spec):
