@@ -46,17 +46,21 @@ def quarantine_reasons(registry) -> dict[str, int]:
 
 
 def run_suite(record_dir: str | None = None):
-    """Run the pinned suite; the scorecard plus each run's registry."""
+    """Run the pinned suite: the config, the scorecard, and each run's
+    registry and diagnoses (``fault -> ...``)."""
     from repro.evaluation import chaos as harness
     from repro.telemetry import MetricsRegistry
 
     registries: dict[str, MetricsRegistry] = {}
+    diagnoses: dict[str, list] = {}
     run_fault_class = harness.run_fault_class
 
     def with_registry(fixture, cfg, fault, plan, **kwargs):
         registries[fault] = MetricsRegistry()
+        diagnoses[fault] = []
         return run_fault_class(
-            fixture, cfg, fault, plan, registry=registries[fault], **kwargs
+            fixture, cfg, fault, plan, registry=registries[fault],
+            diagnoses_out=diagnoses[fault], **kwargs
         )
 
     cfg = harness.ChaosHarnessConfig(**CONFIG, record_dir=record_dir)
@@ -65,7 +69,7 @@ def run_suite(record_dir: str | None = None):
         scorecard = harness.run_chaos_suite(cfg)
     finally:
         harness.run_fault_class = run_fault_class
-    return cfg, scorecard, registries
+    return cfg, scorecard, registries, diagnoses
 
 
 def counts(reports: Mapping[str, Mapping], registries: Mapping | None = None) -> dict:
@@ -105,7 +109,7 @@ def load() -> dict:
 
 def pin() -> None:
     """Re-record the golden file from the current source."""
-    _, scorecard, registries = run_suite()
+    _, scorecard, registries, _ = run_suite()
     data = {
         "config": CONFIG,
         "faults": counts(reports_of(scorecard.to_dict()), registries),

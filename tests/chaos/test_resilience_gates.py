@@ -16,7 +16,7 @@ import pytest
 
 from repro.chaos import FAULT_KINDS
 from repro.incidents import IncidentStore
-from tests.chaos import scorecard_golden
+from tests.chaos import diagnoses_golden, scorecard_golden
 
 #: Accuracy may drop under faults, but not collapse: a run that loses
 #: more than this much R-SQL accuracy vs the clean baseline fails.
@@ -32,7 +32,7 @@ def chaos_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def chaos_setup(chaos_run):
-    cfg, scorecard, _ = chaos_run
+    cfg, scorecard, *_ = chaos_run
     return cfg, scorecard
 
 
@@ -134,8 +134,26 @@ class TestGoldenCounts:
         # Quarantines (and their reasons), injected faults, resyncs and
         # degraded diagnoses per fault class are pinned exactly: see
         # tests/chaos/scorecard_golden.py for how to re-pin on purpose.
-        _, scorecard, registries = chaos_run
+        _, scorecard, registries, _ = chaos_run
         actual = scorecard_golden.counts(
             scorecard_golden.reports_of(scorecard.to_dict()), registries
         )
         assert scorecard_golden.mismatches(actual, scorecard_golden.load()) == []
+
+
+class TestGoldenDiagnoses:
+    def test_diagnoses_match_the_pinned_golden(self, chaos_run):
+        # Every run's ranked R-SQL ids and float64 scores, H-SQL ids and
+        # degraded reasons are pinned bit for bit: see
+        # tests/chaos/diagnoses_golden.py for how to re-pin on purpose.
+        *_, diagnoses = chaos_run
+        actual = diagnoses_golden.digests(diagnoses)
+        assert diagnoses_golden.mismatches(actual, diagnoses_golden.load()) == []
+
+    def test_incident_records_carry_the_same_diagnoses(self, chaos_run):
+        # The CI chaos-smoke job checks the persisted records, so they
+        # must digest exactly like the in-process diagnoses.
+        cfg, _, _, diagnoses = chaos_run
+        assert diagnoses_golden.record_digests(
+            cfg.record_dir, diagnoses
+        ) == diagnoses_golden.digests(diagnoses)
