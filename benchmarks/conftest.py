@@ -8,6 +8,9 @@ force regeneration.  Every benchmark also appends its report to
 
 from __future__ import annotations
 
+import hashlib
+import importlib
+import io
 import json
 import pickle
 from pathlib import Path
@@ -30,15 +33,64 @@ BENCH_CORPUS = CorpusConfig(
 )
 
 
+class _ModulePickler(pickle.Pickler):
+    """Records the ``repro`` modules whose classes the pickle holds."""
+
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.modules: set[str] = set()
+
+    def persistent_id(self, obj):
+        owner = obj if isinstance(obj, type) else type(obj)
+        module = getattr(owner, "__module__", None) or ""
+        if module.split(".")[0] == "repro":
+            self.modules.add(module)
+        return None
+
+
+def _source_digest(modules) -> str:
+    """sha256 over the source of ``modules`` (a removed module digests as
+    empty, which no live source matches)."""
+    h = hashlib.sha256()
+    for name in sorted(modules):
+        h.update(name.encode() + b"\0")
+        try:
+            module = importlib.import_module(name)
+            h.update(Path(module.__file__).read_bytes())
+        except (ImportError, OSError, TypeError):
+            h.update(b"\0missing")
+    return h.hexdigest()
+
+
 def _cached(name: str, factory):
+    """``factory()``, pickled under ``benchmarks/.cache/<name>.pkl``.
+
+    The file starts with the ``repro`` modules whose classes the value
+    holds and a digest of their source.  A pickle whose modules' source
+    has changed since, or that has no such header, is rebuilt, so a
+    change to a cached class never loads a stale object.
+    """
     CACHE_DIR.mkdir(exist_ok=True)
     path = CACHE_DIR / f"{name}.pkl"
     if path.exists():
-        with open(path, "rb") as f:
-            return pickle.load(f)
+        try:
+            with open(path, "rb") as f:
+                header = pickle.load(f)
+                if (
+                    isinstance(header, dict)
+                    and header.get("digest") == _source_digest(header.get("modules", ()))
+                ):
+                    return pickle.load(f)
+        except Exception:  # an unreadable or older-layout pickle: rebuild
+            pass
     value = factory()
+    buffer = io.BytesIO()
+    pickler = _ModulePickler(buffer)
+    pickler.dump(value)
+    modules = sorted(pickler.modules)
     with open(path, "wb") as f:
-        pickle.dump(value, f)
+        pickle.dump({"modules": modules, "digest": _source_digest(modules)}, f)
+        f.write(buffer.getvalue())
     return value
 
 

@@ -3,9 +3,14 @@
 Every decision is a pure hash of ``(seed, kind, scope, sequence)`` —
 no shared RNG state — so injection is reproducible bit-for-bit
 whichever order or process the fleet steps instances in.  Stream
-faults decide per row: each published block gets one draw array per
-fault kind, seeded from that hash.  The injector never touches the dead-letter topic:
-quarantined evidence must survive the chaos that produced it.
+faults decide per row: block ``seq`` of a topic draws, for each armed
+fault kind, the uniforms ``default_rng(_key(seed, kind, topic,
+seq)).random(n)`` over its ``n`` rows.  No generator is built per
+block: :class:`_RowDraws` seeds 256 consecutive blocks at once
+(numpy's ``SeedSequence`` hash, vectorised over the keys) and points
+one PCG64 at each block's seeded state, which yields the same numbers.
+The injector never touches the dead-letter topic: quarantined evidence
+must survive the chaos that produced it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ import numpy as np
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.collection.blocks import MetricBlock, QueryLogBlock
 from repro.collection.stream import Broker, Consumer, Message
-from repro.telemetry import MetricsRegistry, get_logger, get_registry
+from repro.telemetry import (
+    BoundInstruments,
+    MetricsRegistry,
+    Tracer,
+    get_logger,
+    get_registry,
+)
 
 __all__ = [
     "ChaosBroker",
@@ -33,6 +44,9 @@ _log = get_logger("chaos")
 
 #: Topics the injector never touches (quarantine evidence must survive).
 _EXEMPT_PREFIXES = ("dead_letter",)
+
+#: Row faults in the order a published block meets them.
+_ROW_FAULTS = ("drop", "corrupt", "clock_skew", "duplicate", "late")
 
 
 class InjectedWorkerCrash(RuntimeError):
@@ -53,9 +67,94 @@ def _uniform(seed: int, *parts: object) -> float:
     return _key(seed, *parts) / 2.0 ** 64
 
 
-def _draws(seed: int, n: int, *parts: object) -> np.ndarray:
-    """``n`` deterministic uniforms in ``[0, 1)`` keyed on the parts."""
-    return np.random.default_rng(_key(seed, *parts)).random(n)
+#: Constants of numpy's ``SeedSequence`` (O'Neill's ``seed_seq`` hash).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _seed_words(keys: np.ndarray) -> list[list[int]]:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` of each 64-bit
+    key, vectorised: four lists, one per output word.
+
+    A key's entropy is its two 32-bit words (a key below 2**32 hashes
+    the same: the pool pads missing words with zeros).  The hash
+    constant evolves the same way for every key, so it stays a scalar.
+    """
+    u32 = np.uint32
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ u32(const)
+        const = const * _MULT_A & _M32
+        value = value * u32(const)
+        return value ^ (value >> u32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return out ^ (out >> u32(16))
+
+    zero = np.zeros(len(keys), dtype=u32)
+    entropy = ((keys & np.uint64(_M32)).astype(u32), (keys >> np.uint64(32)).astype(u32))
+    pool = [hashmix(word) for word in (*entropy, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(const)
+        const = const * _MULT_B & _M32
+        value = value * u32(const)
+        words.append((value ^ (value >> u32(16))).astype(np.uint64))
+    return [(words[2 * i] | words[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
+
+
+class _RowDraws:
+    """The per-row uniforms of one ``(kind, topic)`` stream of blocks.
+
+    ``draws(seq, n)`` equals ``default_rng(_key(seed, kind, topic,
+    seq)).random(n)`` bit for bit.  Keys are seeded :attr:`CHUNK`
+    consecutive ``seq`` at a time, and each draw re-points one PCG64 at
+    the block's seeded state, as ``PCG64(key)`` would seed it.
+    """
+
+    CHUNK = 256
+
+    def __init__(self, seed: int, kind: str, topic: str) -> None:
+        self._prefix = f"{seed}|{kind}|{topic}|"
+        self._lo = -1
+        self._words: list[list[int]] = []
+        self._bits = np.random.PCG64(0)  # re-pointed before every draw
+        self._gen = np.random.Generator(self._bits)
+
+    def __call__(self, seq: int, n: int) -> np.ndarray:
+        i = seq % self.CHUNK
+        if seq - i != self._lo:
+            self._lo = seq - i
+            prefix = self._prefix
+            keys = [
+                blake2b(f"{prefix}{s}".encode(), digest_size=8).digest()
+                for s in range(self._lo, self._lo + self.CHUNK)
+            ]
+            self._words = _seed_words(np.frombuffer(b"".join(keys), dtype=">u8"))
+        w = self._words
+        # pcg64_set_seed: state = seed, inc = 2 * initseq + 1, two LCG steps.
+        inc = ((w[2][i] << 64 | w[3][i]) << 1 | 1) & _M128
+        state = ((inc + (w[0][i] << 64 | w[1][i])) * _PCG_MULT + inc) & _M128
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.random(n)
 
 
 def _take(block: Any, rows: np.ndarray) -> Any:
@@ -75,15 +174,22 @@ class FaultInjector:
         self.injected: dict[str, int] = {}
         #: :meth:`spec_for` answers per ``(kind, topic)``; the plan is frozen.
         self._specs: dict[tuple[str, str | None], FaultSpec | None] = {}
+        #: Row draws per ``(kind, topic)``.
+        self._row_draws: dict[tuple[str, str], _RowDraws] = {}
+        #: Injected-fault counter handles per kind.
+        self._counters = BoundInstruments()
 
     # ------------------------------------------------------------------
     def _count(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
-        self.registry.counter(
+        self._counters.get(self.registry, kind, self._counter, kind).inc()
+
+    def _counter(self, kind: str) -> Any:
+        return self.registry.counter(
             "chaos_faults_injected_total",
             help="Faults injected by the chaos plan, by kind.",
             kind=kind,
-        ).inc()
+        )
 
     def spec_for(self, kind: str, topic: str | None = None) -> FaultSpec | None:
         """The armed spec for ``kind`` matching ``topic`` (if given)."""
@@ -106,9 +212,15 @@ class FaultInjector:
         """Deterministic injection decision for one unit of work."""
         return _uniform(self.plan.seed, spec.kind, *scope) < spec.rate
 
-    def hits(self, spec: FaultSpec, n: int, *scope: object) -> np.ndarray:
-        """Deterministic per-row injection mask for ``n`` rows of one unit."""
-        return _draws(self.plan.seed, n, spec.kind, *scope) < spec.rate
+    def hits(self, spec: FaultSpec, n: int, topic: str, seq: int) -> np.ndarray:
+        """Deterministic per-row injection mask for the ``n`` rows of block
+        ``seq`` on ``topic``."""
+        draws = self._row_draws.get((spec.kind, topic))
+        if draws is None:
+            draws = self._row_draws[spec.kind, topic] = _RowDraws(
+                self.plan.seed, spec.kind, topic
+            )
+        return draws(seq, n) < spec.rate
 
     # ------------------------------------------------------------------
     # Substrate wrapping
@@ -240,6 +352,9 @@ class ChaosBroker:
         self.inner = broker
         self.injector = injector
         self._seq: dict[str, int] = {}
+        #: Per-topic armed row faults ``(kind, spec)`` in pipeline order,
+        #: resolved on the topic's first publish.
+        self._row_faults: dict[str, tuple[tuple[str, FaultSpec], ...]] = {}
         #: Per-topic held-back blocks: ``(release_seq, key, block, validated)``.
         self._held: dict[str, list[tuple[int, str, Any, bool]]] = {}
         #: Per-topic reorder buffers: ``(key, block, validated)``.
@@ -252,6 +367,15 @@ class ChaosBroker:
     @property
     def registry(self) -> MetricsRegistry:
         return self.inner.registry
+
+    # Read on every block by :meth:`publish_block`: delegated directly
+    # rather than through a failed lookup and ``__getattr__``.
+    @property
+    def tracer(self) -> Tracer:
+        return self.inner.tracer
+
+    def count_block(self, topic: str, n_records: int, nbytes: int) -> None:
+        self.inner.count_block(topic, n_records, nbytes)
 
     def consumer(self, topic: str) -> "ChaosConsumer":
         return ChaosConsumer(self.inner.consumer(topic), self, topic)
@@ -268,9 +392,11 @@ class ChaosBroker:
         damages it (validation then quarantines exactly those rows);
         **clock_skew** shifts their timestamps by ``skew_s``;
         **duplicate** delivers them again in a second block; **late**
-        holds them back for ``hold_messages`` publishes.  Payloads that
-        are not blocks pass through untouched — consumers quarantine
-        them as ``not_a_block``.
+        holds them back for ``hold_messages`` publishes.  A fault that
+        hits no row is not counted; once a fault leaves no row, later
+        faults draw nothing.  Faults the plan does not arm for the topic
+        are never visited.  Payloads that are not blocks pass through
+        untouched — consumers quarantine them as ``not_a_block``.
 
         ``validated`` is the verdict of :meth:`Broker.publish_block`.  A
         non-empty row subset of a valid block is valid, so the drop,
@@ -283,48 +409,44 @@ class ChaosBroker:
         inj = self.injector
         seq = self._seq.get(topic, 0)
         self._seq[topic] = seq + 1
+        faults = self._row_faults.get(topic)
+        if faults is None:
+            faults = self._row_faults[topic] = self._arm(topic)
         block, extra = value, []
-        hit = self._hits("drop", topic, seq, block)
-        if hit is not None:
-            block = _take(block, ~hit)
-        hit = self._hits("corrupt", topic, seq, block)
-        if hit is not None:
-            draw = _uniform(inj.plan.seed, "corrupt-mode", topic, seq)
-            extra.append((inj.corrupt(_take(block, hit), draw), False))
-            block = _take(block, ~hit)
-        hit = self._hits("clock_skew", topic, seq, block)
-        if hit is not None:
-            skew_s = int(inj.spec_for("clock_skew", topic).param("skew_s", 90))
-            block = inj.skew(block, skew_s, hit)
-            validated = False
-        hit = self._hits("duplicate", topic, seq, block)
-        if hit is not None:
-            extra.append((_take(block, hit), validated))
-        hit = self._hits("late", topic, seq, block)
-        if hit is not None:
-            hold = max(int(inj.spec_for("late", topic).param("hold_messages", 8)), 1)
-            self._held.setdefault(topic, []).append(
-                (seq + hold, key, _take(block, hit), validated)
-            )
-            block = _take(block, ~hit)
+        for kind, spec in faults:
+            if not len(block):
+                break
+            hit = inj.hits(spec, len(block), topic, seq)
+            if not hit.any():
+                continue
+            inj._count(kind)
+            if kind == "drop":
+                block = _take(block, ~hit)
+            elif kind == "corrupt":
+                draw = _uniform(inj.plan.seed, "corrupt-mode", topic, seq)
+                extra.append((inj.corrupt(_take(block, hit), draw), False))
+                block = _take(block, ~hit)
+            elif kind == "clock_skew":
+                block = inj.skew(block, int(spec.param("skew_s", 90)), hit)
+                validated = False
+            elif kind == "duplicate":
+                extra.append((_take(block, hit), validated))
+            else:  # late
+                hold = max(int(spec.param("hold_messages", 8)), 1)
+                self._held.setdefault(topic, []).append(
+                    (seq + hold, key, _take(block, hit), validated)
+                )
+                block = _take(block, ~hit)
         last: Message | None = None
         for piece, piece_validated in ([(block, validated)] if len(block) else []) + extra:
             last = self._emit(topic, seq, key, piece, piece_validated) or last
         last = self._release_due(topic, seq) or last
         return last if last is not None else Message(topic, -1, key, value)
 
-    def _hits(self, kind: str, topic: str, seq: int, block: Any) -> np.ndarray | None:
-        """The rows ``kind`` hits in this block (counted once per block),
-        or ``None`` when it is not armed or hits nothing."""
-        inj = self.injector
-        spec = inj.spec_for(kind, topic)
-        if spec is None or len(block) == 0:
-            return None
-        hit = inj.hits(spec, len(block), topic, seq)
-        if not hit.any():
-            return None
-        inj._count(kind)
-        return hit
+    def _arm(self, topic: str) -> tuple[tuple[str, FaultSpec], ...]:
+        """The row faults the plan arms for ``topic``, in pipeline order."""
+        specs = ((kind, self.injector.spec_for(kind, topic)) for kind in _ROW_FAULTS)
+        return tuple((kind, spec) for kind, spec in specs if spec is not None)
 
     #: Columnar publish through the fault pipeline: the broker's own
     #: method (validate, quarantine, count, trace stamping) run on this

@@ -603,7 +603,7 @@ def _run_fleet(
     during the drain; when incidents are recorded the sweeper's
     incident-backed checks read the same store.
     """
-    from repro.evaluation.chaos import register_fleet
+    from repro.evaluation.chaos import fingerprinted, register_fleet
     from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
 
     broker, truths, statements, onset = _simulate_fleet(
@@ -623,7 +623,9 @@ def _run_fleet(
     if sweeper is not None and recorder is not None and sweeper.incident_store is None:
         sweeper.incident_store = recorder.store
     service = FleetDiagnosisService(broker, config, recorder=recorder, sweeper=sweeper)
-    register_fleet(service, statements)
+    register_fleet(
+        service, {iid: fingerprinted(sqls) for iid, sqls in statements.items()}
+    )
     service.run_until_drained()
     return service, truths
 

@@ -37,6 +37,7 @@ pipeline-lag watermarks.  Both are stamped at publish time
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -185,21 +186,24 @@ class MetricBlock:
     def nbytes(self) -> int:
         return int(self.data.nbytes)
 
-    def iter_metric_series(self) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-        """Per-metric ``(name, timestamps, values)`` column slices."""
+    def iter_metric_series(self) -> Iterator[tuple[str, list[int], list[float]]]:
+        """Per-metric ``(name, timestamps, values)``, as Python lists, in
+        metric-code order; each metric's samples in timestamp order, ties
+        in row order.
+
+        One ``lexsort`` orders the block and each column becomes one
+        list, so a one-second block of a few metrics costs a handful of
+        numpy calls, not a few per metric.
+        """
         data = self.data
         if len(data) == 0:
             return
+        data = data[np.lexsort((data["timestamp"], data["metric"]))]
         metric = data["metric"]
-        order = np.lexsort((data["timestamp"], metric))
-        metric = metric[order]
-        ts = data["timestamp"][order]
-        values = data["value"][order]
-        boundaries = np.flatnonzero(np.diff(metric)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(metric)]])
-        for lo, hi in zip(starts, ends):
-            yield self.metrics[int(metric[lo])], ts[lo:hi], values[lo:hi]
+        cuts = [0, *(np.flatnonzero(metric[1:] != metric[:-1]) + 1).tolist(), len(data)]
+        codes, ts, values = metric.tolist(), data["timestamp"].tolist(), data["value"].tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield self.metrics[codes[lo]], ts[lo:hi], values[lo:hi]
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +345,21 @@ def _names_ok(names) -> bool:
         return all(isinstance(s, str) and s for s in names)
 
 
+def _index_ok(column: np.ndarray, size: int) -> bool:
+    """Every entry of an int32 column lies in ``[0, size)``: one max over
+    the entries read unsigned, where a negative entry is at least
+    ``2**31``."""
+    return bool(np.maximum.reduce(column.view(np.uint32)) < size)
+
+
+def _non_negative(column: np.ndarray) -> bool:
+    return bool(np.minimum.reduce(column) >= 0)
+
+
+def _finite(column: np.ndarray) -> bool:
+    return bool(np.logical_and.reduce(np.isfinite(column)))
+
+
 def validate_query_block(block: object) -> str | None:
     """Reject reason for a query-log block, or ``None`` if valid."""
     if not isinstance(block, QueryLogBlock):
@@ -354,16 +373,15 @@ def validate_query_block(block: object) -> str | None:
         return "bad_type:sql_ids"
     if block.statements and len(block.statements) != len(block.sql_ids):
         return "length_mismatch:statements"
-    template = data["template"]
     if len(block.sql_ids) == 0:
         return "missing_dictionary"
-    if template.min() < 0 or template.max() >= len(block.sql_ids):
+    if not _index_ok(data["template"], len(block.sql_ids)):
         return "bad_index:template"
-    if data["arrive_ms"].min() < 0:
+    if not _non_negative(data["arrive_ms"]):
         return "bad_type:arrive_ms"
-    if not np.isfinite(data["response_ms"]).all():
+    if not _finite(data["response_ms"]):
         return "non_finite:response_ms"
-    if not np.isfinite(data["examined_rows"]).all():
+    if not _finite(data["examined_rows"]):
         return "non_finite:examined_rows"
     if not isinstance(block.instance, str):
         return "bad_type:instance"
@@ -381,14 +399,13 @@ def validate_metric_block(block: object) -> str | None:
         return "bad_shape:data"
     if not _names_ok(block.metrics):
         return "bad_type:metrics"
-    metric = data["metric"]
     if len(block.metrics) == 0:
         return "missing_dictionary"
-    if metric.min() < 0 or metric.max() >= len(block.metrics):
+    if not _index_ok(data["metric"], len(block.metrics)):
         return "bad_index:metric"
-    if data["timestamp"].min() < 0:
+    if not _non_negative(data["timestamp"]):
         return "bad_type:timestamp"
-    if not np.isfinite(data["value"]).all():
+    if not _finite(data["value"]):
         return "non_finite:value"
     if not isinstance(block.instance, str):
         return "bad_type:instance"
@@ -405,8 +422,7 @@ def validate_block(block: object) -> str | None:
 def _validate_envelope(block: QueryLogBlock | MetricBlock) -> str | None:
     if block.trace is not None and not isinstance(block.trace, TraceContext):
         return "bad_type:trace"
-    if not isinstance(block.created_unix, (int, float)) or not np.isfinite(
-        block.created_unix
-    ) or block.created_unix < 0:
+    created = block.created_unix
+    if not isinstance(created, (int, float)) or not math.isfinite(created) or created < 0:
         return "bad_type:created_unix"
     return None

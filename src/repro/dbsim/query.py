@@ -85,8 +85,8 @@ class QueryLog:
         #: ``(template code, arrive_ms, response_ms, examined_rows)``.
         self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._count = 0
-        #: Code of each entry of a chunk dictionary (``sql_ids`` tuple)
-        #: whose templates are all registered; emptied when codes go.
+        #: Code of each entry of a chunk dictionary (``sql_ids`` tuple),
+        #: ``-1`` while its template holds no rows; emptied when codes go.
         self._luts: dict[tuple[str, ...], np.ndarray] = {}
 
     def _code(self, sql_id: str) -> int:
@@ -124,7 +124,8 @@ class QueryLog:
         Templates new to the log are registered in ``sql_ids`` order, so
         ``sql_ids``, ``n_templates`` and ``total_queries`` count the chunk
         at once.  The chunk is sorted into the columns by the next read
-        or :meth:`fold`.
+        or :meth:`fold`; its arrays are queued as given, so they must not
+        change until then.
         """
         n = len(arrive_ms)
         if not (len(template) == len(response_ms) == n == len(examined_rows)):
@@ -133,33 +134,38 @@ class QueryLog:
             return
         lut = self._luts.get(sql_ids) if isinstance(sql_ids, tuple) else None
         if lut is None:
-            lut = self._lut(sql_ids, template)
-        # A structured block's fields are strided views: copy them, so a
-        # column never adopts a strided array (``searchsorted`` would
-        # copy it whole on every read).
+            lut = self._lut(sql_ids)
+        codes = lut[template]
+        if codes.min() < 0:
+            # The chunk logs a template the dictionary's code table has
+            # not resolved yet: register it, then gather again.
+            self._resolve(sql_ids, lut, template)
+            codes = lut[template]
         self._pending.append((
-            lut[template],
-            np.ascontiguousarray(arrive_ms, dtype=np.int64),
-            np.ascontiguousarray(response_ms, dtype=np.float64),
-            np.ascontiguousarray(examined_rows, dtype=np.float64),
+            codes,
+            np.asarray(arrive_ms, dtype=np.int64),
+            np.asarray(response_ms, dtype=np.float64),
+            np.asarray(examined_rows, dtype=np.float64),
         ))
         self._count += n
 
-    def _lut(self, sql_ids: Sequence[str], template: np.ndarray) -> np.ndarray:
-        """Codes of ``sql_ids``, registering the templates ``template``
-        uses; remembered once every entry has a code."""
-        codes = [self._codes.get(s, -1) for s in sql_ids]
-        if -1 in codes:
-            present = np.bincount(template, minlength=len(sql_ids)) > 0
-            for i in np.flatnonzero(present).tolist():
-                if codes[i] < 0:
-                    codes[i] = self._code(sql_ids[i])
-        lut = np.array(codes, dtype=np.int32)
-        if isinstance(sql_ids, tuple) and -1 not in codes:
+    def _lut(self, sql_ids: Sequence[str]) -> np.ndarray:
+        """Code of each dictionary entry, ``-1`` for templates that hold
+        no rows yet; a tuple dictionary's table is kept and resolved in
+        place as its templates start logging."""
+        lut = np.array([self._codes.get(s, -1) for s in sql_ids], dtype=np.int32)
+        if isinstance(sql_ids, tuple):
             if len(self._luts) >= _MAX_LUTS:
                 self._luts.clear()
             self._luts[sql_ids] = lut
         return lut
+
+    def _resolve(self, sql_ids: Sequence[str], lut: np.ndarray, template: np.ndarray) -> None:
+        """Register the unresolved templates ``template`` uses, in
+        dictionary order, and write their codes into ``lut``."""
+        present = np.bincount(template, minlength=len(sql_ids)) > 0
+        for i in np.flatnonzero(present & (lut < 0)).tolist():
+            lut[i] = self._code(sql_ids[i])
 
     @property
     def queued_chunks(self) -> int:
@@ -171,8 +177,11 @@ class QueryLog:
         pass over all of them)."""
         if not self._pending:
             return
+        # A structured block's fields are strided views: the columns get
+        # contiguous copies (``searchsorted`` would copy a strided column
+        # whole on every read), made here, once per fold.
         if len(self._pending) == 1:
-            chunk = self._pending[0]
+            chunk = tuple(np.ascontiguousarray(col) for col in self._pending[0])
         else:
             chunk = tuple(np.concatenate(col) for col in zip(*self._pending))
         self._pending = []
@@ -329,14 +338,25 @@ def _group_columns(
     ordered within each code) are kept as they are, without a copy.
     Otherwise a stable sort by code keeps each template's rows in row
     order, which is arrival order whenever seconds were appended in time
-    order; failing that, a stable (code, arrival) sort follows.
+    order; codes are sorted in the narrowest unsigned type that holds
+    them, where numpy's stable sort is a radix sort.  Failing that
+    (late, duplicated or reordered rows), one stable sort of a packed
+    ``(code, arrival)`` key orders them: each template's rows are nearly
+    in time order by then, where the sort is close to linear.  Arrivals
+    spread too widely to pack beside the codes take ``np.lexsort``.
     """
     order = None
     if (codes[1:] < codes[:-1]).any():
-        order = np.argsort(codes, kind="stable")
+        order = np.argsort(codes.astype(np.min_scalar_type(n_codes)), kind="stable")
         codes, arrive = codes[order], arrive[order]
     if ((codes[1:] == codes[:-1]) & (arrive[1:] < arrive[:-1])).any():
-        resort = np.lexsort((arrive, codes))
+        lowest = int(arrive.min())
+        shift = (int(arrive.max()) - lowest).bit_length()
+        if shift + (n_codes - 1).bit_length() <= 63:
+            key = (codes.astype(np.int64) << shift) | (arrive - lowest)
+            resort = np.argsort(key, kind="stable")
+        else:
+            resort = np.lexsort((arrive, codes))
         order = resort if order is None else order[resort]
         codes, arrive = codes[resort], arrive[resort]
     if order is not None:

@@ -215,13 +215,14 @@ class RealtimeAnomalyDetector:
                     continue
             if self.instance_id and record.instance and record.instance != self.instance_id:
                 continue
-            for name, ts_arr, values in record.iter_metric_series():
+            block_max = -1
+            for name, ts, values in record.iter_metric_series():
                 buffer = self._buffers.get(name)
                 if buffer is None:
                     buffer = _MetricBuffer(self.window_s)
                     self._buffers[name] = buffer
-                buffer.samples.update(zip(ts_arr.tolist(), values.tolist()))
-            block_max = int(record.data["timestamp"].max())
+                buffer.samples.update(zip(ts, values))
+                block_max = max(block_max, ts[-1])
             if self._stream_time is None or block_max > self._stream_time:
                 self._stream_time = block_max
             points += len(record)

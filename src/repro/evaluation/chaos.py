@@ -41,6 +41,7 @@ from repro.collection import Broker, MetricsCollector, QueryLogCollector
 from repro.evaluation.dataset import _label_h_sqls
 from repro.fleet import FleetConfig, FleetDiagnosisService, ServiceConfig
 from repro.fleet.workers import BlockFeed
+from repro.sqltemplate import Fingerprint, fingerprint
 from repro.telemetry import MetricsRegistry, get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -52,6 +53,7 @@ __all__ = [
     "FleetFixture",
     "InstanceTruth",
     "capture_fleet",
+    "fingerprinted",
     "register_fleet",
     "run_chaos_suite",
     "run_fault_class",
@@ -125,9 +127,10 @@ class FleetFixture:
 
     feeds: list[BlockFeed]
     truths: dict[str, InstanceTruth]
-    #: Exemplar statements per instance (registered into each engine's
-    #: catalog so static analysis and repair see real SQL).
-    exemplars: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: Exemplar statements per instance, each with its fingerprint
+    #: (:func:`fingerprinted`), registered into each engine's catalog so
+    #: static analysis and repair see real SQL.
+    exemplars: dict[str, tuple[tuple[str, Fingerprint], ...]] = field(default_factory=dict)
     onset: int = 0
     duration_s: int = 0
 
@@ -239,7 +242,7 @@ def capture_fleet(
             r_sqls=frozenset(r_sqls),
             h_sqls=frozenset(h_sqls),
         )
-        fixture.exemplars[instance_id] = inst.statements
+        fixture.exemplars[instance_id] = fingerprinted(inst.statements)
     return fixture
 
 
@@ -255,14 +258,22 @@ def simulate_fleet(cfg: ChaosHarnessConfig) -> FleetFixture:
     )
 
 
+def fingerprinted(statements: Iterable[str]) -> tuple[tuple[str, Fingerprint], ...]:
+    """Each statement with its fingerprint, computed once so that every
+    replay of a fixture registers them without re-lexing."""
+    return tuple((sql, fingerprint(sql)) for sql in statements)
+
+
 def register_fleet(
-    service: FleetDiagnosisService, statements: Mapping[str, Iterable[str]]
+    service: FleetDiagnosisService,
+    exemplars: Mapping[str, Iterable[tuple[str, Fingerprint]]],
 ) -> None:
-    """Register each instance, and its statements into its catalog."""
-    for instance_id, sqls in statements.items():
+    """Register each instance, and its :func:`fingerprinted` statements
+    into its catalog."""
+    for instance_id, pairs in exemplars.items():
         engine = service.register_instance(instance_id)
-        for sql in sqls:
-            engine.register_statement(sql)
+        for sql, fp in pairs:
+            engine.register_fingerprint(fp, sql)
 
 
 def _counter_total(registry: MetricsRegistry, name: str) -> int:

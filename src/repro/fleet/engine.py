@@ -49,7 +49,7 @@ from repro.resilience import (
     StageWatchdog,
 )
 from repro.sqlanalysis import Advisory, Finding, SqlAnalyzer, WorkloadAnalyzer
-from repro.sqltemplate import TemplateCatalog, fingerprint
+from repro.sqltemplate import Fingerprint, TemplateCatalog, fingerprint
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -408,7 +408,11 @@ class InstanceDiagnosisEngine:
         needs the literals (IN-list sizes, quoted numbers) that the
         template erases.
         """
-        fp = fingerprint(sql)
+        self.register_fingerprint(fingerprint(sql), sql)
+
+    def register_fingerprint(self, fp: Fingerprint, sql: str) -> None:
+        """:meth:`register_statement` of ``sql`` whose fingerprint ``fp``
+        the caller already holds (a replayed fixture computes it once)."""
         self.catalog.register_template(
             fp.sql_id, fp.template, fp.kind, fp.tables, exemplar=sql
         )

@@ -17,7 +17,7 @@ A disabled tracer still times — callers rely on ``elapsed`` to fill
 :class:`~repro.core.pipeline.StageTimings` — but skips tree retention
 and histogram observation, which is the whole measurable overhead.
 
-Distributed tracing: every *root* span is minted a blake2b-derived
+Distributed tracing: every *root* span is minted a 16-hex-char
 ``trace_id``/``span_id`` (stamped into ``attrs`` so they survive every
 existing serialization path — span trees, incident records, pickles).
 A :class:`TraceContext` carries that identity across process
@@ -37,7 +37,6 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from typing import Any, Iterable, Mapping
 
 from repro.telemetry.metrics import BoundInstruments, Histogram, MetricsRegistry
@@ -61,9 +60,25 @@ __all__ = [
 #: this to measure the marginal cost of the feature.
 _PROPAGATION_ENABLED = True
 
-#: Monotone per-process sequence folded into every minted id so two ids
-#: minted in the same nanosecond tick still differ.
+#: Monotone per-process sequence: the n-th id minted is built from it.
 _ID_SEQ = itertools.count()
+
+#: Odd multiplier (2**64 over the golden ratio): multiplying by it is a
+#: bijection modulo 2**64 that scatters consecutive sequence numbers.
+_ID_SCATTER = 0x9E3779B97F4A7C15
+_ID_MASK = (1 << 64) - 1
+
+
+def _reseed_ids() -> None:
+    """Draw this process's random id base (again in each forked child,
+    which would otherwise mint its parent's ids)."""
+    global _ID_BASE
+    _ID_BASE = int.from_bytes(os.urandom(8), "big")
+
+
+_reseed_ids()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reseed_ids)
 
 
 def set_trace_propagation(enabled: bool) -> None:
@@ -76,10 +91,15 @@ def trace_propagation_enabled() -> bool:
     return _PROPAGATION_ENABLED
 
 
-def _mint_id(kind: str) -> str:
-    """A 16-hex-char blake2b id, unique within and across processes."""
-    payload = f"{kind}|{os.getpid()}|{next(_ID_SEQ)}|{time.perf_counter_ns()}"
-    return blake2b(payload.encode("ascii"), digest_size=8).hexdigest()
+def _mint_id() -> str:
+    """A 16-hex-char id.
+
+    Ids never repeat within a process (distinct sequence numbers map to
+    distinct ids), and a process's ids start at a random 64-bit base, so
+    two processes collide only by chance, about as rarely as two random
+    64-bit ids.
+    """
+    return f"{(_ID_BASE + next(_ID_SEQ)) * _ID_SCATTER & _ID_MASK:016x}"
 
 
 @dataclass(frozen=True)
@@ -98,7 +118,7 @@ class TraceContext:
 
 def new_trace_context() -> TraceContext:
     """Mint a fresh root context (new trace_id, new span_id)."""
-    return TraceContext(_mint_id("t"), _mint_id("s"), os.getpid())
+    return TraceContext(_mint_id(), _mint_id(), os.getpid())
 
 
 @dataclass
@@ -177,15 +197,15 @@ class Tracer:
         if not self.enabled:
             # Times itself but never touches the tree or the registry.
             return Span(name)
-        span = Span(name, attrs=dict(attrs), _tracer=self)
+        span = Span(name, attrs=attrs, _tracer=self)
         if self._stack:
             self._stack[-1].children.append(span)
         elif _PROPAGATION_ENABLED:
             # Root spans carry the distributed identity in attrs so it
             # survives every serialization path unchanged.
             parent = self._remote_parent
-            span.attrs["trace_id"] = parent.trace_id if parent else _mint_id("t")
-            span.attrs["span_id"] = _mint_id("s")
+            span.attrs["trace_id"] = parent.trace_id if parent else _mint_id()
+            span.attrs["span_id"] = _mint_id()
             if parent is not None:
                 span.attrs["parent_span_id"] = parent.span_id
             span.attrs["process"] = os.getpid()
@@ -213,13 +233,13 @@ class Tracer:
             root = self._stack[0] if self._stack else span
             trace_id = root.attrs.get("trace_id")
             if not isinstance(trace_id, str):
-                trace_id = _mint_id("t")
+                trace_id = _mint_id()
                 root.attrs["trace_id"] = trace_id
             if span is not root:
                 span.attrs["trace_id"] = trace_id
         span_id = span.attrs.get("span_id")
         if not isinstance(span_id, str):
-            span_id = _mint_id("s")
+            span_id = _mint_id()
             span.attrs["span_id"] = span_id
         return TraceContext(trace_id, span_id, os.getpid())
 

@@ -259,3 +259,47 @@ class TestWorkerFaults:
         for _ in range(20):
             hook("db-00")
         assert not inj.should_crash_shard("shard-0", attempt=0)
+
+
+class TestMaskEquivalence:
+    """Row masks drawn without a generator per block, against the
+    ``default_rng`` draw they replace."""
+
+    def test_seed_words_match_seed_sequence(self):
+        from repro.chaos.injector import _seed_words
+
+        rng = np.random.default_rng(0)
+        keys = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, *rng.integers(0, 2**63, 2000).tolist()]
+        words = _seed_words(np.array(keys, dtype=np.uint64))
+        for i, key in enumerate(keys):
+            want = np.random.SeedSequence(key).generate_state(4, np.uint64).tolist()
+            assert [w[i] for w in words] == want, key
+
+    def test_row_draws_match_default_rng_over_10k_keys(self):
+        from repro.chaos.injector import _key, _RowDraws
+
+        rng = np.random.default_rng(1)
+        checked = 0
+        for seed, kind, topic in (
+            (7, "drop", "query_logs.db-00"),
+            (1, "late", "performance_metrics.db-01"),
+            (1009, "duplicate", "metrics"),
+        ):
+            draws = _RowDraws(seed, kind, topic)
+            # Mostly in stream order, with jumps back and across chunks.
+            seqs = list(range(3000)) + rng.integers(0, 5000, 600).tolist()
+            for seq in seqs:
+                n = int(rng.integers(0, 400))
+                want = np.random.default_rng(_key(seed, kind, topic, seq)).random(n)
+                np.testing.assert_array_equal(draws(seq, n), want)
+                checked += 1
+        assert checked >= 10_000
+
+    def test_hits_compare_the_draws_with_the_rate(self):
+        from repro.chaos.injector import _key
+
+        inj = make_injector(single_fault_plan("corrupt", seed=4, rate=0.3))
+        spec = inj.plan.specs[0]
+        for seq in (0, 255, 256, 1000):
+            want = np.random.default_rng(_key(4, "corrupt", "t", seq)).random(300) < 0.3
+            np.testing.assert_array_equal(inj.hits(spec, 300, "t", seq), want)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dbsim import QueryLog, SecondBatch
+from repro.dbsim.query import _group_columns
 
 
 def make_batch(sql_id="Q1", arrive=(0, 100, 200), resp=(10.0, 20.0, 30.0), rows=(1.0, 2.0, 3.0)):
@@ -209,7 +210,7 @@ class TestColumnarChunks:
         assert list(log.queries_of("B").arrive_ms) == [40, 60]
         assert log.total_queries == 4
 
-    def test_codes_of_a_partly_registered_dictionary_are_not_kept(self):
+    def test_a_partly_registered_dictionary_registers_templates_as_they_log(self):
         log = QueryLog()
         names = ("A", "B")
         chunk(log, names, [0], [10])  # B holds no rows yet: no code
@@ -217,6 +218,25 @@ class TestColumnarChunks:
         assert log.sql_ids == ["A", "B"]
         assert list(log.queries_of("A").arrive_ms) == [10, 30]
         assert list(log.queries_of("B").arrive_ms) == [20]
+
+    def test_late_arriving_templates_resolve_into_the_kept_code_table(self):
+        # A stream's shared dictionary names templates that have not
+        # logged yet.  Its code table is kept with those entries
+        # unresolved and re-resolved only when a chunk uses one.
+        log = QueryLog()
+        names = ("A", "B", "C", "D")
+        chunk(log, names, [2, 0], [10, 11])
+        table = log._luts[names]
+        assert table.tolist() == [0, -1, 1, -1]  # new templates: dictionary order
+        chunk(log, names, [0, 2, 0], [20, 21, 22])  # nothing new: no change
+        assert log._luts[names] is table and table.tolist() == [0, -1, 1, -1]
+        assert log.sql_ids == ["A", "C"]  # only templates holding rows
+        chunk(log, names, [3, 1, 3], [30, 31, 32])  # B and D arrive late
+        assert log._luts[names] is table and table.tolist() == [0, 2, 1, 3]
+        assert log.sql_ids == ["A", "C", "B", "D"]
+        assert list(log.queries_of("D").arrive_ms) == [30, 32]
+        assert list(log.queries_of("B").arrive_ms) == [31]
+        assert log.total_queries == 8
 
     def test_interleaved_reads_match_one_sort_of_every_row(self):
         # Hundreds of one-template appends with reads in between, some
@@ -250,3 +270,103 @@ class TestColumnarChunks:
         empty = log.queries_of("NOPE")
         with pytest.raises(ValueError):
             empty.response_ms[...] = 1.0
+
+
+def reference_group_columns(codes, arrive, response, rows, n_codes):
+    """The grouping pass as it was before the radix sorts: a stable
+    argsort of the int32 codes, then ``np.lexsort`` when arrivals are
+    out of order within a code."""
+    order = None
+    if (codes[1:] < codes[:-1]).any():
+        order = np.argsort(codes, kind="stable")
+        codes, arrive = codes[order], arrive[order]
+    if ((codes[1:] == codes[:-1]) & (arrive[1:] < arrive[:-1])).any():
+        resort = np.lexsort((arrive, codes))
+        order = resort if order is None else order[resort]
+        codes, arrive = codes[resort], arrive[resort]
+    if order is not None:
+        response, rows = response[order], rows[order]
+    counts = np.bincount(codes, minlength=n_codes)
+    return np.concatenate(([0], np.cumsum(counts))), arrive, response, rows
+
+
+def second_chunks(rng, n_codes, seconds=40, per_second=30):
+    """Per-second chunks ``(codes, arrive, response, rows)`` of a stream,
+    with arrival ties inside a second."""
+    chunks = []
+    for s in range(seconds):
+        n = int(rng.integers(1, per_second))
+        arrive = np.sort(rng.integers(s * 1000, s * 1000 + 50, size=n)).astype(np.int64)
+        codes = rng.integers(0, n_codes, size=n).astype(np.int32)
+        chunks.append((codes, arrive, rng.uniform(1, 50, n), rng.uniform(1, 500, n)))
+    return chunks
+
+
+def disorder(chunks, kind, rng):
+    """The stream's chunks as a faulty pipeline delivers them."""
+    chunks = list(chunks)
+    if kind == "late":
+        for i in rng.choice(len(chunks) // 2, size=5, replace=False):
+            chunks.insert(int(i) + 8, chunks.pop(int(i)))
+    elif kind == "duplicated":
+        for i in rng.choice(len(chunks), size=8, replace=False):
+            chunks.insert(int(i) + 1, chunks[int(i)])
+    elif kind == "reordered":
+        for lo in range(0, len(chunks), 6):
+            window = chunks[lo : lo + 6]
+            chunks[lo : lo + 6] = [window[k] for k in rng.permutation(len(window))]
+    return chunks
+
+
+class TestGroupingEquivalence:
+    """The radix-sorted grouping and fold against the code they replace."""
+
+    @pytest.mark.parametrize("n_codes", [5, 300, 70_000])
+    @pytest.mark.parametrize("kind", ["clean", "late", "duplicated", "reordered"])
+    def test_group_columns_matches_the_lexsort_pass(self, kind, n_codes):
+        rng = np.random.default_rng(n_codes)
+        chunks = disorder(second_chunks(rng, min(n_codes, 40)), kind, rng)
+        codes, arrive, response, rows = (np.concatenate(c) for c in zip(*chunks))
+        if n_codes > 40:
+            codes = codes * (n_codes // 40)  # spread over a wide code range
+        got = _group_columns(codes, arrive, response, rows, n_codes)
+        want = reference_group_columns(codes, arrive, response, rows, n_codes)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_arrivals_too_wide_to_pack_match_the_lexsort_pass(self):
+        rng = np.random.default_rng(5)
+        codes = rng.integers(0, 9, 400).astype(np.int32)
+        arrive = rng.integers(0, 2**62, 400).astype(np.int64)  # no room for codes
+        arrive[::7] = arrive[::7] // 2**40  # some ties-prone small values
+        values = rng.uniform(0, 1, 400)
+        got = _group_columns(codes, arrive, values, values[::-1].copy(), 9)
+        want = reference_group_columns(codes, arrive, values, values[::-1].copy(), 9)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", ["clean", "late", "duplicated", "reordered"])
+    def test_fold_matches_a_stable_sort_of_every_row(self, kind):
+        rng = np.random.default_rng(11)
+        names = tuple(f"T{k}" for k in range(12))
+        chunks = disorder(second_chunks(rng, len(names)), kind, rng)
+        log, ingested = QueryLog(), []
+        for i, (codes, arrive, response, rows) in enumerate(chunks):
+            log.append_chunk(names, codes, arrive, response, rows)
+            ingested += [
+                (names[c], a, r, x) for c, a, r, x in zip(codes, arrive, response, rows)
+            ]
+            if i % 7 == 3:
+                log.queries_of(names[i % len(names)])  # reads between chunks
+            elif i % 5 == 0:
+                log.fold()
+        for sql_id in log.sql_ids:
+            mine = [row[1:] for row in ingested if row[0] == sql_id]
+            mine = sorted(mine, key=lambda row: row[0])  # stable: ties in ingest order
+            tq = log.queries_of(sql_id)
+            assert tq.arrive_ms.tolist() == [row[0] for row in mine]
+            assert tq.response_ms.tolist() == [row[1] for row in mine]
+            assert tq.examined_rows.tolist() == [row[2] for row in mine]
+        assert sorted(log.sql_ids) == sorted({row[0] for row in ingested})
+        assert log.total_queries == len(ingested)

@@ -227,3 +227,93 @@ class TestPerInstanceIsolation:
         )
         assert drain(detector) == []
         assert detector._buffers == {}
+
+
+def reference_buffers(messages):
+    """Per-metric samples and stream time as the poll loop built them
+    before ``iter_metric_series`` yielded lists: a ``lexsort`` of each
+    block, numpy slices per metric, two ``tolist`` calls and one
+    ``dict.update`` per metric, then the block's timestamp ``max``."""
+    from repro.collection.blocks import validate_metric_block
+
+    buffers, stream_time = {}, None
+    for message in messages:
+        block = message.value
+        if validate_metric_block(block) is not None:
+            continue
+        data = block.data
+        order = np.lexsort((data["timestamp"], data["metric"]))
+        metric, ts, values = (data[f][order] for f in ("metric", "timestamp", "value"))
+        cuts = np.flatnonzero(np.diff(metric)) + 1
+        for lo, hi in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [len(metric)]])):
+            name = block.metrics[int(metric[lo])]
+            buffers.setdefault(name, {}).update(zip(ts[lo:hi].tolist(), values[lo:hi].tolist()))
+        block_max = int(data["timestamp"].max())
+        stream_time = block_max if stream_time is None else max(stream_time, block_max)
+    return buffers, stream_time
+
+
+class TestMetricPollEquivalence:
+    """The list-based metric poll against the numpy-slice loop it
+    replaces: same samples, same insertion order of metrics and
+    timestamps, same stream time."""
+
+    @staticmethod
+    def metrics(seed=5, seconds=150):
+        rng = np.random.default_rng(seed)
+        names = ("qps", "active_session", "cpu_usage", "iops")  # not sorted
+        return InstanceMetrics(
+            {n: TimeSeries(rng.uniform(0, 100, seconds), start=1000, name=n) for n in names}
+        )
+
+    @pytest.mark.parametrize(
+        "fault, params",
+        [
+            ("clean", {}),
+            ("duplicate", {"rate": 0.4}),
+            ("clock_skew", {"rate": 0.3}),
+            ("clock_skew", {"rate": 0.3, "skew_s": -2000}),  # some quarantined
+            ("reorder", {"rate": 1.0}),
+        ],
+    )
+    def test_chaos_streams_buffer_like_the_per_metric_loop(self, fault, params):
+        from repro.chaos import FaultInjector, single_fault_plan
+        from repro.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        broker = Broker(registry=registry)
+        consumer = broker.consumer("performance_metrics")
+        target = broker
+        if fault != "clean":
+            plan = single_fault_plan(fault, seed=3, **params)
+            target = FaultInjector(plan, registry=registry).wrap_broker(broker)
+        MetricsCollector(target).collect(self.metrics())
+        if target is not broker:
+            target.flush()
+        messages = broker.read("performance_metrics", 0, 10**6)
+        detector = RealtimeAnomalyDetector(consumer, registry=registry)
+        detector.poll(max_messages=10**6)
+        want, stream_time = reference_buffers(messages)
+        got = {name: dict(samples) for name, samples in detector.iter_buffer_samples()}
+        assert list(got) == list(want)
+        for name in want:
+            assert list(got[name].items()) == list(want[name].items())
+        assert detector.stream_time == stream_time
+
+    def test_unsorted_rows_with_repeated_timestamps(self):
+        from repro.collection.blocks import METRIC_BLOCK_DTYPE, MetricBlock
+
+        rows = [(1, 12, 1.0), (0, 11, 2.0), (1, 10, 3.0), (0, 11, 4.0), (2, 9, 5.0), (1, 12, 6.0)]
+        block = MetricBlock(("b", "a", "c"), np.array(rows, dtype=METRIC_BLOCK_DTYPE))
+        broker = Broker()
+        detector = RealtimeAnomalyDetector(broker.consumer("m"))
+        broker.publish_block("m", block)
+        broker.publish_block("m", block.with_rows(block.data[::-1].copy()))
+        messages = broker.read("m", 0, 10)
+        detector.poll()
+        want, stream_time = reference_buffers(messages)
+        got = {name: dict(samples) for name, samples in detector.iter_buffer_samples()}
+        assert list(got) == list(want) == ["b", "a", "c"]
+        for name in want:
+            assert list(got[name].items()) == list(want[name].items())
+        assert detector.stream_time == stream_time == 12

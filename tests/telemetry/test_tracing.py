@@ -4,6 +4,8 @@ import os
 import pickle
 import time
 
+import pytest
+
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.tracing import TraceContext, set_trace_propagation
 
@@ -298,3 +300,33 @@ class TestLabelPropagation:
             "span_errors_total", span="service.diagnose", instance="db-09"
         )
         assert counter is not None and counter.value == 1
+
+
+class TestMintedIds:
+    def test_ids_are_16_hex_chars_and_never_repeat(self):
+        from repro.telemetry.tracing import _mint_id
+
+        ids = [_mint_id() for _ in range(20_000)]
+        assert all(len(i) == 16 and int(i, 16) >= 0 for i in ids)
+        assert all(i == i.lower() for i in ids)
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_mints_ids_its_parent_does_not(self):
+        from repro.telemetry.tracing import _mint_id
+
+        _mint_id()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports through the pipe
+            try:
+                os.write(write_end, " ".join(_mint_id() for _ in range(500)).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            child = pipe.read().split()
+        os.waitpid(pid, 0)
+        parent = [_mint_id() for _ in range(500)]
+        assert len(child) == 500 and all(len(i) == 16 for i in child)
+        assert not set(child) & set(parent)
