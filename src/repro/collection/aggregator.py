@@ -12,9 +12,10 @@ reads its rows or whole matrices in place.  Two paths fill it through
 one helper that aggregates a window with one ``bincount`` per metric
 over ``row * n_seconds + second``: :func:`aggregate_query_log` (batch
 aggregation straight from a :class:`QueryLog`) and
-:func:`aggregate_logstore` (LogStore window reads).  The streaming path
-is the diagnosis engine's: it drains the broker's query-log blocks into
-its LogStore and aggregates the case window with
+:func:`aggregate_logstore` (LogStore window reads).  Both read every
+template's in-window rows through one :meth:`QueryLog.window`.  The
+streaming path is the diagnosis engine's: it drains the broker's
+query-log blocks into its LogStore and aggregates the case window with
 :func:`aggregate_logstore`.
 """
 
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.dbsim.query import QueryLog, TemplateQueries
+from repro.dbsim.query import LogWindow, QueryLog
 from repro.timeseries import TimeSeries
 
 __all__ = [
@@ -145,37 +146,41 @@ class TemplateMetricStore:
         )
 
 
-def _aggregate(start: int, end: int, windows: list[TemplateQueries]) -> TemplateMetricStore:
-    """A 1 s store over [start, end): row ``r`` aggregates ``windows[r]``,
-    a template's rows arriving inside the window, in arrival order.
+def _aggregate(
+    start: int, end: int, sql_ids: Sequence[str], counts: np.ndarray, window: LogWindow
+) -> TemplateMetricStore:
+    """A 1 s store over [start, end): row ``r`` (``sql_ids[r]``) aggregates
+    the next ``counts[r]`` rows of ``window``'s columns, a template's rows
+    arriving inside the window, in arrival order.
 
     Each metric is one ``bincount`` over ``row * n + second`` across all
     rows; a cell sums its rows in arrival order, as a per-template
     ``bincount`` would.
     """
     n = end - start
-    shape = (len(windows), n)
-    arrive = np.concatenate([tq.arrive_ms for tq in windows] + [np.zeros(0, np.int64)])
-    cell = arrive // 1000 - start
-    cell += np.repeat(np.arange(len(windows), dtype=np.int64) * n, [len(tq) for tq in windows])
+    shape = (len(sql_ids), n)
+    # ``row * n - start`` joins each arrival in milliseconds before the
+    # floor division, which is exact in integers: the cell index takes
+    # one array, and the window's columns are read one at a time.
+    cell = np.repeat((np.arange(len(sql_ids), dtype=np.int64) * n - start) * 1000, counts)
+    cell += window.arrive_ms
+    cell //= 1000
 
-    def total(weights: list[np.ndarray] | None) -> np.ndarray:
-        if weights is not None:
-            weights = np.concatenate(weights + [np.zeros(0)])
-        return np.bincount(cell, weights=weights, minlength=n * len(windows)).reshape(shape)
+    def total(weights: np.ndarray | None) -> np.ndarray:
+        return np.bincount(cell, weights=weights, minlength=n * len(sql_ids)).reshape(shape)
 
     count = total(None).astype(np.float64)
-    total_tres = total([tq.response_ms for tq in windows])
+    total_tres = total(window.response_ms)
     # Empty seconds have zero total_tres, so their average is 0 / 1 = 0.
     return TemplateMetricStore(
         start,
         end,
-        sql_ids=[tq.sql_id for tq in windows],
+        sql_ids=sql_ids,
         matrices={
             "#execution": count,
             "total_tres": total_tres,
             "avg_tres": total_tres / np.maximum(count, 1.0),
-            "total_examined_rows": total([tq.examined_rows for tq in windows]),
+            "total_examined_rows": total(window.examined_rows),
         },
     )
 
@@ -187,27 +192,25 @@ def aggregate_query_log(query_log: QueryLog, start: int, end: int) -> TemplateMe
     """
     if end <= start:
         raise ValueError("end must exceed start")
-    windows = []
-    for tq in query_log.iter_templates():
-        lo, hi = np.searchsorted(tq.arrive_ms, (start * 1000, end * 1000))
-        windows.append(
-            TemplateQueries(
-                tq.sql_id, tq.arrive_ms[lo:hi], tq.response_ms[lo:hi], tq.examined_rows[lo:hi]
-            )
-        )
-    return _aggregate(start, end, windows)
+    window = query_log.window(start * 1000, end * 1000)
+    return _aggregate(start, end, window.sql_ids, window.counts, window)
 
 
 def aggregate_logstore(logstore, start: int, end: int) -> TemplateMetricStore:
     """Batch-aggregate a :class:`~repro.collection.logstore.LogStore` window.
 
     Same output as :func:`aggregate_query_log` over the rows arriving in
-    [start, end), read through ``queries_in_window`` — the path the
-    always-on diagnosis service takes when an anomaly fires and the case
-    window must be assembled, and the scheduled health sweeps take every
-    interval.  Templates with no rows in the window are left out.
+    [start, end), read in one :meth:`~repro.collection.logstore.LogStore.window`
+    call — the path the always-on diagnosis service takes when an
+    anomaly fires and the case window must be assembled, and the
+    scheduled health sweeps take every interval.  Templates with no rows
+    in the window are left out.
     """
     if end <= start:
         raise ValueError("end must exceed start")
-    windows = [logstore.queries_in_window(sql_id, start, end) for sql_id in logstore.sql_ids]
-    return _aggregate(start, end, [tq for tq in windows if len(tq)])
+    window = logstore.window(start, end)
+    counts = window.counts
+    present = np.flatnonzero(counts).tolist()
+    return _aggregate(
+        start, end, [window.sql_ids[i] for i in present], counts[present], window
+    )

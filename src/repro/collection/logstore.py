@@ -13,18 +13,20 @@ ingest that leaves more chunks queued than there are templates, which
 bounds the queue of a store that is rarely read.  Rows in order fill
 the spare room at the end of their template's columns, and late,
 reordered or duplicated rows are re-sorted with the rows they precede,
-so the sort costs time in proportion to the queued rows.  A window
-read is two ``searchsorted`` calls on the template's arrival column, and
-expiry one ``searchsorted`` per template.  A store built with an
-``instance_id`` labels its telemetry with the instance; every
-diagnosis engine owns one.
+so the sort costs time in proportion to the queued rows.  A template's
+window read is two ``searchsorted`` calls on its arrival column; a
+whole-store window read (:meth:`LogStore.window`) is one such pair per
+template, then one gather per column read.  Expiry is one
+``searchsorted`` per template.  A store built with an ``instance_id``
+labels its telemetry with the instance; every diagnosis engine owns
+one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dbsim.query import QueryLog, SecondBatch, TemplateQueries
+from repro.dbsim.query import LogWindow, QueryLog, SecondBatch, TemplateQueries
 from repro.telemetry import MetricsRegistry, get_registry
 
 __all__ = ["LogStore"]
@@ -168,6 +170,11 @@ class LogStore:
         return TemplateQueries(
             sql_id, tq.arrive_ms[lo:hi], tq.response_ms[lo:hi], tq.examined_rows[lo:hi]
         )
+
+    def window(self, t0: int, t1: int) -> LogWindow:
+        """Every template's queries arriving within [t0, t1) (seconds),
+        with per-template offsets (:meth:`QueryLog.window`)."""
+        return self._log.window(t0 * 1000, t1 * 1000)
 
     # ------------------------------------------------------------------
     # Retention

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["SecondBatch", "QueryLog", "TemplateQueries"]
+__all__ = ["LogWindow", "SecondBatch", "QueryLog", "TemplateQueries"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,51 @@ class TemplateQueries:
     @property
     def end_ms(self) -> np.ndarray:
         return self.arrive_ms + self.response_ms
+
+
+class LogWindow:
+    """The rows of every template arriving in one window.
+
+    Template ``sql_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of each
+    column, in arrival order (ties in ingest order); a template with no
+    rows in the window has an empty range.  Each read of a column
+    gathers it afresh, one concatenation into a read-only array, so a
+    reader that needs one column at a time (the window aggregation)
+    holds one column-sized array at a time.  The rows are the ones
+    resident when the window was taken: later appends do not show.
+    """
+
+    __slots__ = ("sql_ids", "offsets", "_spans")
+
+    def __init__(self, sql_ids: list[str], offsets: np.ndarray, spans: list) -> None:
+        self.sql_ids = sql_ids
+        self.offsets = offsets
+        #: ``(column arrays, lo, hi)`` of each template, in ``sql_ids`` order.
+        self._spans = spans
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Rows per template, in ``sql_ids`` order."""
+        return np.diff(self.offsets)
+
+    def _gather(self, i: int) -> np.ndarray:
+        parts = (cols[i][lo:hi] for cols, lo, hi in self._spans)
+        return _read_only(np.concatenate([_NO_ROWS[i], *parts]))[0]
+
+    @property
+    def arrive_ms(self) -> np.ndarray:
+        return self._gather(0)
+
+    @property
+    def response_ms(self) -> np.ndarray:
+        return self._gather(1)
+
+    @property
+    def examined_rows(self) -> np.ndarray:
+        return self._gather(2)
 
 
 class QueryLog:
@@ -213,6 +258,23 @@ class QueryLog:
         if code is None:
             return TemplateQueries(sql_id, *_NO_ROWS)
         return TemplateQueries(sql_id, *self._columns[code].views())
+
+    def window(self, start_ms: int, end_ms: int) -> LogWindow:
+        """Every template's rows arriving in ``[start_ms, end_ms)``, in
+        ``sql_ids`` order: one ``searchsorted`` pair per template, and a
+        column read is one gather over them."""
+        self.fold()
+        spans = []
+        for code in self._codes.values():
+            col = self._columns[code]
+            lo, hi = np.searchsorted(col.live(0), (start_ms, end_ms)) + col.start
+            # The window reads these rows later: later appends must not
+            # write over them in place.
+            col.shared = max(col.shared, int(hi))
+            spans.append((col.cols, int(lo), int(hi)))
+        offsets = np.zeros(len(spans) + 1, dtype=np.int64)
+        np.cumsum([hi - lo for _, lo, hi in spans], out=offsets[1:])
+        return LogWindow(self.sql_ids, offsets, spans)
 
     def iter_templates(self) -> Iterator[TemplateQueries]:
         for sql_id in self.sql_ids:

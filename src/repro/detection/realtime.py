@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from repro.collection.quarantine import quarantine
 from repro.collection.stream import Consumer
 from repro.detection.basic import BasicPerception
@@ -187,6 +189,25 @@ class RealtimeAnomalyDetector:
             points = snapshot_samples(buffer.samples, ts, te)
             if points:
                 out[name] = points
+        return out
+
+    def window_values(self, ts: int, te: int) -> dict[str, np.ndarray]:
+        """Per-metric sample values within ``[ts, te)``, in time order
+        (metrics with none are omitted): the values of
+        :meth:`window_snapshot` as one array per metric, read from each
+        buffer with no Python work per sample.  The health sweeper's
+        trend checks read these."""
+        out: dict[str, np.ndarray] = {}
+        for name, buffer in self._buffers.items():
+            samples = buffer.samples
+            times = np.fromiter(samples, dtype=np.int64, count=len(samples))
+            values = np.fromiter(samples.values(), dtype=np.float64, count=len(samples))
+            keep = (times >= ts) & (times < te)
+            times, values = times[keep], values[keep]
+            if (times[1:] < times[:-1]).any():
+                values = values[np.argsort(times, kind="stable")]
+            if len(values):
+                out[name] = values
         return out
 
     def poll(self, max_messages: int = 10_000) -> list[AnomalyEvent]:

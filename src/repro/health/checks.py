@@ -26,6 +26,9 @@ self-health            telemetry counters / breakers   fleet
 Trend checks use EWMA smoothing and compare the head half of the sweep
 window against the tail half — a deliberately boring estimator that is
 robust to single spikes and cheap enough to run fleet-wide every sweep.
+The two template trend checks judge every template of the window's
+``templates × seconds`` matrices in one pass (:func:`template_trends`);
+the metric trend checks run the same code on one series.
 """
 
 from __future__ import annotations
@@ -49,8 +52,11 @@ __all__ = [
     "check_ids",
     "default_checks",
     "ewma",
+    "ewma_rows",
     "half_rise",
+    "half_rises",
     "register_check",
+    "template_trends",
 ]
 
 #: Static-analysis rules that indicate a *structural* scan problem —
@@ -143,8 +149,9 @@ class CheckContext:
     now: int
     config: HealthConfig = field(default_factory=HealthConfig)
     scope: str = "instance"
-    #: Raw metric samples over the sweep window, per metric name.
-    metrics: Mapping[str, Sequence[tuple[int, float]]] = field(default_factory=dict)
+    #: Sample values over the sweep window in time order, per metric
+    #: name (:meth:`RealtimeAnomalyDetector.window_values`).
+    metrics: Mapping[str, np.ndarray] = field(default_factory=dict)
     #: Per-template series over the sweep window (``None`` when the
     #: sweep has no query-log view, e.g. offline store-only sweeps).
     templates: TemplateMetricStore | None = None
@@ -170,12 +177,8 @@ class CheckContext:
     advisories: Sequence = ()
 
     def metric_values(self, name: str) -> np.ndarray:
-        """The sample values of one metric, time-ordered."""
-        samples = self.metrics.get(name, ())
-        if not samples:
-            return np.empty(0, dtype=np.float64)
-        ordered = sorted(samples)
-        return np.asarray([v for _, v in ordered], dtype=np.float64)
+        """The sample values of one metric, time-ordered (empty if none)."""
+        return np.asarray(self.metrics.get(name, ()), dtype=np.float64)
 
 
 class HealthCheck(abc.ABC):
@@ -216,49 +219,107 @@ def check_ids() -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 # Trend math
 # ----------------------------------------------------------------------
-def ewma(values: np.ndarray, alpha: float = 0.2) -> np.ndarray:
-    """Exponentially weighted moving average (same length as input).
+def ewma_rows(packed: np.ndarray, alpha: float = 0.2) -> np.ndarray:
+    """Exponentially weighted moving average of every row of a matrix.
 
-    Vectorised as a blocked scan: within a block the recurrence
-    ``y[k] = α·x[k] + (1-α)·y[k-1]`` closes to
+    Each row is a series left-packed from column 0; what lies past a
+    row's own length is padding, and its smoothed values there mean
+    nothing.  Vectorised as a blocked scan: within a block the
+    recurrence ``y[k] = α·x[k] + (1-α)·y[k-1]`` closes to
     ``y[k] = d^(k+1)·carry + α·d^k·Σ x[j]/d^j`` with ``d = 1-α``; the
     block bounds the ``d^-j`` scale factor so long series cannot
-    overflow.  A sweep smooths hundreds of per-template series, so the
-    Python-loop version dominated the sweep budget.
+    overflow.  ``cumsum`` along axis 1 adds each row in the order a 1-D
+    ``cumsum`` does, so one pass over all rows gives every row the bits
+    smoothing it alone would: a sweep smooths hundreds of per-template
+    series in one call.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
+    packed = np.asarray(packed, dtype=np.float64)
+    n = packed.shape[1]
+    out = np.empty_like(packed)
     if n == 0:
-        return values
+        return out
     decay = 1.0 - alpha
-    out = np.empty(n, dtype=np.float64)
-    out[0] = carry = values[0]
+    out[:, 0] = carry = packed[:, 0]
     block = 512
     i = 1
     while i < n:
-        x = values[i : i + block]
-        scale = decay ** np.arange(len(x), dtype=np.float64)
-        y = (decay * scale) * carry + alpha * scale * np.cumsum(x / scale)
-        out[i : i + len(x)] = y
-        carry = y[-1]
-        i += len(x)
+        x = packed[:, i : i + block]
+        width = x.shape[1]
+        scale = decay ** np.arange(width, dtype=np.float64)
+        y = (decay * scale) * carry[:, None] + alpha * scale * np.cumsum(x / scale, axis=1)
+        out[:, i : i + width] = y
+        carry = y[:, -1]
+        i += width
     return out
 
 
-def half_rise(values: np.ndarray) -> tuple[float, float, float]:
-    """(head mean, tail mean, relative rise) of the smoothed series.
+def half_rises(packed: np.ndarray, lengths: Sequence[int]) -> list[tuple[float, float, float]]:
+    """(head mean, tail mean, relative rise) of every smoothed row.
 
-    The relative rise compares the tail half of the window against the
-    head half; a clean upward creep reads as a positive ratio while a
-    single spike mostly cancels out under the EWMA.
+    Row ``r`` holds a series of ``lengths[r]`` values, left-packed (see
+    :func:`ewma_rows`).  The relative rise compares the tail half of the
+    window against the head half; a clean upward creep reads as a
+    positive ratio while a single spike mostly cancels out under the
+    EWMA.  A zero head reads as an infinite rise when the tail is
+    positive.  The smoothing is one matrix pass; the two means stay
+    per-row ``np.add.reduce`` calls, which sum each half pairwise as
+    ``np.mean`` does (``np.add.reduceat`` would add sequentially).
     """
-    smoothed = ewma(np.asarray(values, dtype=np.float64))
-    mid = len(smoothed) // 2
-    head = float(np.mean(smoothed[:mid])) if mid else 0.0
-    tail = float(np.mean(smoothed[mid:])) if len(smoothed) > mid else 0.0
-    if head <= 0.0:
-        return head, tail, float("inf") if tail > 0.0 else 0.0
-    return head, tail, (tail - head) / head
+    smoothed = ewma_rows(packed)
+    out = []
+    for row, n in zip(smoothed, lengths):
+        mid = n // 2
+        head = float(np.add.reduce(row[:mid]) / mid) if mid else 0.0
+        tail = float(np.add.reduce(row[mid:n]) / (n - mid)) if n > mid else 0.0
+        if head <= 0.0:
+            out.append((head, tail, float("inf") if tail > 0.0 else 0.0))
+        else:
+            out.append((head, tail, (tail - head) / head))
+    return out
+
+
+def ewma(values: np.ndarray, alpha: float = 0.2) -> np.ndarray:
+    """:func:`ewma_rows` of one series (same length as the input)."""
+    return ewma_rows(np.asarray(values, dtype=np.float64)[None, :], alpha)[0]
+
+
+def half_rise(values: np.ndarray) -> tuple[float, float, float]:
+    """:func:`half_rises` of one series: (head mean, tail mean, rise)."""
+    values = np.asarray(values, dtype=np.float64)
+    return half_rises(values[None, :], (len(values),))[0]
+
+
+def _pack_rows(mask: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left-pack each row's ``values`` where ``mask`` holds.
+
+    Returns a zero-padded ``(rows, longest)`` matrix whose row ``r``
+    starts with ``values[r][mask[r]]``, and each row's length.
+    """
+    lengths = np.count_nonzero(mask, axis=1)
+    width = int(lengths.max(initial=0))
+    packed = np.zeros((len(mask), width))
+    packed[np.arange(width) < lengths[:, None]] = values[mask]
+    return packed, lengths
+
+
+def template_trends(
+    execs: np.ndarray, per_second: np.ndarray, cfg: HealthConfig
+) -> Iterator[tuple[int, float, float, float]]:
+    """``(row, head, tail, rise)`` of every template with a trend to judge.
+
+    A template qualifies with at least ``min_template_executions`` over
+    the window and ``min_trend_samples`` active seconds (``execs > 0``);
+    its series is ``per_second`` over those seconds.  The qualifying rows
+    are smoothed together (:func:`half_rises`), in row order.
+    """
+    active = execs > 0
+    eligible = np.flatnonzero(
+        (execs.sum(axis=1) >= cfg.min_template_executions)
+        & (np.count_nonzero(active, axis=1) >= cfg.min_trend_samples)
+    )
+    packed, lengths = _pack_rows(active[eligible], per_second[eligible])
+    for row, trend in zip(eligible.tolist(), half_rises(packed, lengths.tolist())):
+        yield (row, *trend)
 
 
 def _trend_severity(rise: float, threshold: float) -> Severity:
@@ -286,16 +347,9 @@ class RisingResponseTimeCheck(HealthCheck):
             return
         cfg = ctx.config
         store = ctx.templates
-        for sql_id, execs, avg in zip(
-            store.sql_ids, store.matrix("#execution"), store.matrix("avg_tres")
-        ):
-            active = execs > 0
-            if float(execs.sum()) < cfg.min_template_executions:
-                continue
-            rt = avg[active]
-            if len(rt) < cfg.min_trend_samples:
-                continue
-            head, tail, rise = half_rise(rt)
+        execs = store.matrix("#execution")
+        for row, head, tail, rise in template_trends(execs, store.matrix("avg_tres"), cfg):
+            sql_id = store.sql_ids[row]
             if rise >= cfg.rt_rise_ratio and tail >= cfg.min_rt_ms:
                 yield HealthFinding(
                     check=self.check_id,
@@ -313,7 +367,7 @@ class RisingResponseTimeCheck(HealthCheck):
                         "head_ms": round(head, 3),
                         "tail_ms": round(tail, 3),
                         "rise": round(rise, 4),
-                        "executions": float(execs.sum()),
+                        "executions": float(execs[row].sum()),
                     },
                     suggestion=(
                         "inspect the plan and recent data growth for "
@@ -333,16 +387,11 @@ class RisingRowsExaminedCheck(HealthCheck):
             return
         cfg = ctx.config
         store = ctx.templates
-        for sql_id, execs, rows in zip(
-            store.sql_ids, store.matrix("#execution"), store.matrix("total_examined_rows")
-        ):
-            active = execs > 0
-            if float(execs.sum()) < cfg.min_template_executions:
-                continue
-            per_exec = rows[active] / execs[active]
-            if len(per_exec) < cfg.min_trend_samples:
-                continue
-            head, tail, rise = half_rise(per_exec)
+        execs = store.matrix("#execution")
+        rows = store.matrix("total_examined_rows")
+        per_exec = np.divide(rows, execs, out=np.zeros_like(rows), where=execs > 0)
+        for row, head, tail, rise in template_trends(execs, per_exec, cfg):
+            sql_id = store.sql_ids[row]
             if rise >= cfg.rows_rise_ratio and tail >= cfg.min_rows_per_exec:
                 yield HealthFinding(
                     check=self.check_id,

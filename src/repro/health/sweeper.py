@@ -80,6 +80,18 @@ class SweepResult:
         return max((f.severity for f in self.findings), default=None)
 
 
+def _split_by_instance(snapshot: dict, instance_ids: Iterable[str]) -> dict[str, dict]:
+    """``filter_snapshot(snapshot, instance=i)`` for every ``i``, in one
+    pass over the snapshot."""
+    parts = {iid: {kind: [] for kind in snapshot} for iid in instance_ids}
+    for kind, entries in snapshot.items():
+        for entry in entries:
+            part = parts.get(entry["labels"].get("instance"))
+            if part is not None:
+                part[kind].append(entry)
+    return parts
+
+
 class HealthSweeper:
     """Runs registered health checks on a schedule and persists findings.
 
@@ -135,8 +147,9 @@ class HealthSweeper:
         """One instance's observations over the sweep window.
 
         ``telemetry`` lets :meth:`sweep_fleet` snapshot the registry
-        once and hand each context its instance-filtered slice; when
-        omitted, the slice is computed here.
+        once and hand each context its instance-filtered slice (one
+        partition of the snapshot per sweep); when omitted, the slice
+        is computed here.
         """
         cfg = self.config
         if telemetry is None:
@@ -168,7 +181,7 @@ class HealthSweeper:
             now=now,
             config=cfg,
             scope="instance",
-            metrics=engine.detector.window_snapshot(ts, now),
+            metrics=engine.detector.window_values(ts, now),
             templates=templates,
             analysis=analysis,
             incidents=incidents,
@@ -352,10 +365,9 @@ class HealthSweeper:
             ]
             now = max(times) if times else 0
         snap = self.registry.snapshot()
+        by_instance = _split_by_instance(snap, [e.instance_id for e in engines])
         contexts = [
-            self.context_for_engine(
-                e, now, telemetry=filter_snapshot(snap, instance=e.instance_id)
-            )
+            self.context_for_engine(e, now, telemetry=by_instance[e.instance_id])
             for e in engines
         ]
         breakers_open = sum(

@@ -9,14 +9,14 @@ LogStore, at DBA-forensics rather than raw-query granularity.
 What is specific to incidents lives here: an in-memory index (one light
 :class:`IncidentMeta` per record) makes ``list``/``health`` queries
 cheap without re-reading segments, an appended id that collides is
-re-keyed, and the full record is re-parsed from its segment only on
-:meth:`IncidentStore.get`.
+re-keyed with the lowest free ``-N`` suffix (N ≥ 2), and the full
+record is re-parsed from its segment only on :meth:`IncidentStore.get`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.incidents.record import IncidentRecord
@@ -149,20 +149,27 @@ class IncidentStore:
         #: incident id -> the resident meta carrying it (the last one
         #: read wins if a foreign writer duplicated an id).
         self._index = {meta.incident_id: meta for meta in self._log}
+        #: Colliding id -> the suffix its last re-key took; every lower
+        #: suffix is still indexed, so the next re-key looks from there.
+        #: Emptied whenever retention drops records.
+        self._suffixes: dict[str, int] = {}
 
     def append(self, record: IncidentRecord) -> IncidentRecord:
         """Persist one record; returns it (re-keyed on id collision)."""
         with self._lock:
-            if record.incident_id in self._index:
-                suffix = 2
-                while f"{record.incident_id}-{suffix}" in self._index:
+            base = record.incident_id
+            if base in self._index:
+                suffix = self._suffixes.get(base, 1) + 1
+                while f"{base}-{suffix}" in self._index:
                     suffix += 1
-                record = IncidentRecord.from_dict(
-                    {**record.to_dict(), "incident_id": f"{record.incident_id}-{suffix}"}
-                )
+                self._suffixes[base] = suffix
+                record = replace(record, incident_id=f"{base}-{suffix}")
             meta = self._log.append(record)
             self._index[meta.incident_id] = meta
-            for gone in self._log.retain():
+            dropped = self._log.retain()
+            if dropped:
+                self._suffixes.clear()
+            for gone in dropped:
                 if self._index.get(gone.incident_id) is gone:
                     del self._index[gone.incident_id]
         return record

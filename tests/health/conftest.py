@@ -41,8 +41,10 @@ def template_series(
     }
 
 
-def metric_samples(values, start: int = 0) -> list[tuple[int, float]]:
-    return [(start + i, float(v)) for i, v in enumerate(values)]
+def metric_samples(values) -> np.ndarray:
+    """One metric's window as the detector hands it to a sweep: sample
+    values in time order (``RealtimeAnomalyDetector.window_values``)."""
+    return np.asarray(values, dtype=np.float64)
 
 
 def make_ctx(

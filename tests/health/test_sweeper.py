@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.collection import LogStore
 from repro.health import (
     FindingsStore,
     HealthConfig,
@@ -13,7 +14,7 @@ from repro.health import (
 from repro.health.checks import HealthCheck
 from repro.resilience import BreakerState
 from repro.sqlanalysis import Severity
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, filter_snapshot
 from tests.health.conftest import make_ctx, metric_samples
 
 
@@ -42,11 +43,11 @@ def fake_engine(instance_id: str = "db-x", stream_time: int = 600):
         instance_id=instance_id,
         detector=SimpleNamespace(
             stream_time=stream_time,
-            window_snapshot=lambda ts, now: {
+            window_values=lambda ts, now: {
                 "active_session": metric_samples(np.linspace(3, 12, 120))
             },
         ),
-        logstore=SimpleNamespace(sql_ids=[]),
+        logstore=LogStore(registry=MetricsRegistry()),
         catalog=SimpleNamespace(get=lambda sql_id: None),
         analyzer=SimpleNamespace(analyze_template=lambda info: []),
         lag=0,
@@ -183,6 +184,41 @@ class TestFleetSweeps:
         engine.detector.stream_time = 650
         assert sweeper.maybe_sweep(service) is not None
         assert len(sweeper.sweeps) == 2
+
+    def test_each_context_gets_its_instance_slice_of_one_snapshot(self):
+        registry = MetricsRegistry()
+        for iid in ("db-a", "db-b", "db-other"):
+            registry.counter("rows_total", instance=iid).inc(3)
+            registry.gauge("lag", instance=iid, topic="q").set(2)
+            registry.histogram("stage_seconds", instance=iid).observe(0.5)
+        registry.counter("rows_total").inc()  # no instance label
+        registry.counter("rows_total", shard="db-a").inc()  # another label
+        snapshots, contexts = [], []
+        snapshot = registry.snapshot
+
+        def recording_snapshot():
+            snapshots.append(snapshot())
+            return snapshots[-1]
+
+        registry.snapshot = recording_snapshot
+
+        class Recording(HealthSweeper):
+            def sweep_contexts(self, ctxs, now):
+                contexts.extend(ctxs)
+                return super().sweep_contexts(contexts, now)
+
+        sweeper = Recording(checks=(NoisyCheck(),), registry=registry)
+        sweeper.sweep_fleet(fake_service(fake_engine("db-a"), fake_engine("db-b"),
+                                         fake_engine("db-none")))
+        assert len(snapshots) == 1
+        snap = snapshots[0]
+        instance_ctxs = [c for c in contexts if c.scope == "instance"]
+        assert [c.instance_id for c in instance_ctxs] == ["db-a", "db-b", "db-none"]
+        for ctx in instance_ctxs:
+            assert ctx.telemetry == filter_snapshot(snap, instance=ctx.instance_id)
+        assert len(instance_ctxs[0].telemetry["counters"]) == 1
+        assert instance_ctxs[2].telemetry == {kind: [] for kind in snap}
+        assert contexts[-1].scope == "fleet" and contexts[-1].telemetry is snap
 
     def test_sweep_persists_to_store(self, tmp_path):
         store = FindingsStore(tmp_path)

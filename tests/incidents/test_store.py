@@ -3,7 +3,7 @@
 import json
 import threading
 
-from repro.incidents import IncidentStore
+from repro.incidents import IncidentRecord, IncidentStore
 from repro.segmentlog import discover_logs
 from repro.telemetry import MetricsRegistry
 from tests.incidents.conftest import make_record
@@ -45,6 +45,60 @@ class TestAppendAndGet:
         assert second.incident_id == f"{record.incident_id}-2"
         assert third.incident_id == f"{record.incident_id}-3"
         assert store.record_count == 3
+
+    def test_rekeys_match_the_round_trip_path(self, tmp_path):
+        """Re-keying with ``dataclasses.replace`` and a remembered suffix
+        gives the ids and bytes of the old ``from_dict(to_dict())`` round
+        trip that walked every suffix from 2, before and after a reopen."""
+
+        class RoundTripStore(IncidentStore):
+            def append(self, record):
+                if record.incident_id in self._index:
+                    suffix = 2
+                    while f"{record.incident_id}-{suffix}" in self._index:
+                        suffix += 1
+                    record = IncidentRecord.from_dict(
+                        {**record.to_dict(), "incident_id": f"{record.incident_id}-{suffix}"}
+                    )
+                meta = self._log.append(record)
+                self._index[meta.incident_id] = meta
+                for gone in self._log.retain():
+                    if self._index.get(gone.incident_id) is gone:
+                        del self._index[gone.incident_id]
+                return record
+
+        def run(store_cls, root, **kwargs):
+            ids = []
+            store = store_cls(root, **kwargs)
+            # A foreign record already holds suffix 4, so the walk skips it.
+            store.append(make_record(incident_id="db-a-400-x-4"))
+            for i in range(6):  # the original, then collisions 1..5
+                rec = make_record(incident_id="db-a-400-x", created_at=600 + i)
+                stored = store.append(rec)
+                assert stored.to_dict() == {**rec.to_dict(), "incident_id": stored.incident_id}
+                ids.append(stored.incident_id)
+            reopened = store_cls(root, **kwargs)
+            for i in range(3):
+                ids.append(reopened.append(make_record(incident_id="db-a-400-x")).incident_id)
+                ids.append(reopened.append(make_record(incident_id="db-a-400-x-4")).incident_id)
+            files = {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+            return ids, files
+
+        # Retention dropping segments mid-sequence frees ids the suffix
+        # walk may then reuse.
+        small = {"max_segment_bytes": 4096, "max_records": 3}
+        assert run(IncidentStore, tmp_path / "new-small", **small) == run(
+            RoundTripStore, tmp_path / "old-small", **small
+        )
+
+        new_ids, new_files = run(IncidentStore, tmp_path / "new")
+        old_ids, old_files = run(RoundTripStore, tmp_path / "old")
+        assert new_ids == old_ids
+        assert new_ids[1] == "db-a-400-x-2"  # 1st collision
+        assert new_ids[2] == "db-a-400-x-3"  # 2nd collision
+        assert new_ids[5] == "db-a-400-x-7"  # 5th collision (4 was taken)
+        assert new_ids[6:8] == ["db-a-400-x-8", "db-a-400-x-4-2"]  # after reopening
+        assert new_files == old_files
 
     def test_appends_are_thread_safe(self, tmp_path):
         store = IncidentStore(tmp_path)
