@@ -1,7 +1,8 @@
 """Fleet diagnosis throughput: does the process pool scale?
 
-The persistent-process pool (:mod:`repro.fleet.workers`) is the only
-way to diagnose a fleet in parallel (PinSQL analysis holds the GIL).
+The worker pool (:mod:`repro.fleet.workers`, one process per work
+item) is the only way to diagnose a fleet in parallel (PinSQL analysis
+holds the GIL).
 Its drains are timed at 1, 2 and up to 4 worker processes against
 ``run_sharded(processes=1)``, which runs the same work items inline.
 Asserted (≥1.5× at 2 processes, ≥2× at the best pool) only when the

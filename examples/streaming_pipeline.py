@@ -54,7 +54,9 @@ def main() -> int:
     n_query_blocks = QueryLogCollector(broker, instance_id="db-01").collect(
         result.query_log
     )
-    n_metric_blocks = MetricsCollector(broker).collect(result.metrics)
+    n_metric_blocks = MetricsCollector(broker, instance_id="db-01").collect(
+        result.metrics
+    )
     print(f"collector shipped {n_query_blocks:,} query-log blocks and "
           f"{n_metric_blocks:,} metric blocks (one per second each)")
 

@@ -679,9 +679,9 @@ def _fleet_demo_multiprocess(args, anomalous: int, record_dir) -> int:
     """``fleet-demo --processes N``: drain over the columnar dataplane.
 
     Feeds are captured from the broker as columnar blocks and
-    diagnosed by long-lived worker processes
-    (:class:`~repro.fleet.workers.PersistentWorkerPool`); each worker
-    ships its spans and telemetry back, so the parent's registry and
+    diagnosed by one process per work item, at most N at once
+    (:class:`~repro.fleet.workers.WorkerPool`); each process ships its
+    spans and telemetry back, so the parent's registry and
     tracer show the whole fleet and recorded incidents carry
     cross-process traces (``repro trace show --latest``).
     """

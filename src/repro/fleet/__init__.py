@@ -5,8 +5,9 @@ holds the control plane for that: :class:`InstanceDiagnosisEngine` (one
 instance's end-to-end loop), :class:`FleetDiagnosisService` (the whole
 fleet behind one ``step()``/``run_until_drained()`` on the caller's
 thread) and :func:`run_sharded` (the fleet sharded by
-:func:`stable_shard` over a :class:`PersistentWorkerPool` of processes,
-the only way to diagnose in parallel).  An engine stepped by the fleet
+:func:`stable_shard` over a :class:`WorkerPool` that runs one process
+per work item, at most N at once — the only way to diagnose in
+parallel).  An engine stepped by the fleet
 service is the only consumer of the broker topics.
 """
 
@@ -15,7 +16,7 @@ from repro.fleet.service import FleetConfig, FleetDiagnosisService
 from repro.fleet.sharded import run_sharded
 from repro.fleet.workers import (
     BlockFeed,
-    PersistentWorkerPool,
+    WorkerPool,
     WorkItem,
     execute_work_item,
     stable_shard,
@@ -27,9 +28,9 @@ __all__ = [
     "FleetConfig",
     "FleetDiagnosisService",
     "InstanceDiagnosisEngine",
-    "PersistentWorkerPool",
     "ServiceConfig",
     "WorkItem",
+    "WorkerPool",
     "execute_work_item",
     "run_sharded",
     "stable_shard",

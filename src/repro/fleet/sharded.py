@@ -3,16 +3,16 @@
 PinSQL analysis is CPU-bound Python that holds the GIL, so the only
 way to diagnose instances in parallel is to shard the fleet across
 *processes*: the parent partitions instances with the
-:func:`~repro.fleet.workers.stable_shard` hash, ships each worker its
-instances' collected streams, and merges the per-shard diagnosis
+:func:`~repro.fleet.workers.stable_shard` hash, hands each instance's
+collected streams to a process of its own, and merges the diagnosis
 counts.
 
 Every run goes through one path: each instance's
 :class:`~repro.fleet.workers.BlockFeed` of columnar blocks becomes
 one :class:`~repro.fleet.workers.WorkItem`, handed to a
-:class:`~repro.fleet.workers.PersistentWorkerPool`.  With
-``processes <= 1`` the pool executes the items inline, in this
-process; otherwise long-lived worker processes pull them (see that
+:class:`~repro.fleet.workers.WorkerPool`.  With ``processes <= 1``
+the pool executes the items inline, in this process; otherwise it runs
+one process per work item, at most ``processes`` at once (see that
 module).  Supervision, counters and span merging are the same either
 way.
 
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - chaos wraps fleet, import lazily
 from repro.fleet.engine import ServiceConfig
 from repro.fleet.workers import (
     BlockFeed,
-    PersistentWorkerPool,
+    WorkerPool,
     WorkItem,
     stable_shard,
 )
@@ -81,5 +81,5 @@ def run_sharded(
                 shard_key=shard_key,
             )
         )
-    pool = PersistentWorkerPool(processes=processes, max_restarts=max_restarts)
+    pool = WorkerPool(processes=processes, max_restarts=max_restarts)
     return pool.run(items)

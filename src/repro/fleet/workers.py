@@ -2,46 +2,45 @@
 
 Every sharded fleet run (:func:`~repro.fleet.sharded.run_sharded`) is a
 list of instance-sized work items executed by
-:func:`execute_work_item`, either inline or in a pool of worker
-processes:
+:func:`execute_work_item`, either inline or one process per item:
 
 - A :class:`BlockFeed` holds one instance's collected streams as the
   :class:`~repro.collection.blocks.QueryLogBlock` /
   :class:`~repro.collection.blocks.MetricBlock` objects themselves
   (read-only rows, picklable), at whichever grain the collectors
   shipped them.
-- A :class:`PersistentWorkerPool` with one process executes the
+- A :class:`WorkerPool` with one process executes the
   :class:`WorkItem` units (one instance each) inline, one after the
-  other.  With more, it spawns long-lived worker processes once and
-  feeds them through per-worker task queues.  Workers *pull* their next
-  item when the previous one completes; the parent keeps exactly one
-  item in flight per worker.
+  other.  With more, it runs one process per work item, at most
+  ``processes`` at once: the child gets its item by fork inheritance
+  (or pickled, under the spawn start method) and sends its outcome
+  back down a one-way pipe, which the parent waits on with
+  :func:`multiprocessing.connection.wait`.
 - Supervision lives in the parent: an item that raises (inline, or in
-  a worker) or whose worker process dies (chaos ``worker_crash`` or a
-  real fault; the process is respawned) is resubmitted with a bumped
+  a child) or whose process dies (chaos ``worker_crash`` or a real
+  fault; seen as EOF on its pipe) is resubmitted with a bumped
   attempt, bounded by ``max_restarts``; an item that keeps failing is
   abandoned (zero diagnoses, counted into
   ``fleet_worker_failures_total``) instead of failing the fleet run.
 - Observability crosses the process boundary: each item runs against a
   *private* registry and ships its finished diagnosis spans plus a
-  registry snapshot back over the result channel (a clean per-item
-  delta — persistent workers never double-count across items).  The
+  registry snapshot back over its pipe (a clean per-item delta).  The
   parent adopts the spans into its tracer and folds the snapshot into
   its registry, so ``repro obs`` shows one fleet-wide view; an item
   whose process dies before shipping is counted into
   ``span_export_dropped_total`` and replaced by a synthetic
   ``fleet.worker_crash`` span linked to the feed's trace context.
 
-The pool routes each item to worker ``stable_shard(instance_id, n)``,
+The pool routes each item to shard ``stable_shard(instance_id, n)``,
 the same index :func:`~repro.fleet.sharded.run_sharded` names the
-item's incident directory (``shard-NN``) by, so each directory keeps a
-single writer at any moment.
+item's incident directory (``shard-NN``) by, and keeps at most one item
+per shard in flight, so each directory has a single writer at any
+moment.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -70,8 +69,8 @@ _log = get_logger("fleet")
 
 __all__ = [
     "BlockFeed",
-    "PersistentWorkerPool",
     "WorkItem",
+    "WorkerPool",
     "execute_work_item",
     "stable_shard",
 ]
@@ -164,7 +163,7 @@ class BlockFeed:
 
 @dataclass
 class WorkItem:
-    """One pull-scheduled unit of fleet work: diagnose one instance."""
+    """One unit of fleet work: diagnose one instance."""
 
     feed: BlockFeed
     config: ServiceConfig | None = None
@@ -216,7 +215,7 @@ def execute_work_item(
 
     Everything runs against a private registry (unless one is passed),
     so the returned snapshot is a clean per-item delta and the parent's
-    repeated merges never double-count a persistent worker's history.
+    repeated merges never double-count.
     A drain that raises still attaches the partial envelope to the
     exception (``partial_export``) so the pool can flush the spans
     completed before the failure.
@@ -284,53 +283,43 @@ def execute_work_item(
     return _export_envelope(service, registry, counts=counts)
 
 
-def _worker_main(worker_idx: int, task_queue: Any, result_queue: Any) -> None:
-    """Long-lived worker loop: pull an item, process, report, repeat.
+def _run_item(item: WorkItem, conn: Any) -> None:
+    """Child-process body: run one item, send its outcome down ``conn``.
 
-    A chaos-injected crash kills the *process* (``os._exit``) so the
-    parent's supervision — respawn plus resubmission of the unfinished
-    item — is exercised for real, not simulated by an exception.
+    Sends ``("done", envelope)`` or ``("error", {error, export})``.  A
+    chaos-injected crash kills the *process* (``os._exit``) instead, so
+    the parent's supervision sees a real death — EOF on the pipe and
+    the child's exit code — not an exception it could catch.
     """
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        try:
-            export = execute_work_item(item)
-        except BaseException as exc:  # noqa: BLE001 - worker must not die silently
-            from repro.chaos.injector import InjectedWorkerCrash
+    try:
+        message: tuple[str, Any] = ("done", execute_work_item(item))
+    except Exception as exc:
+        from repro.chaos.injector import InjectedWorkerCrash
 
-            if isinstance(exc, InjectedWorkerCrash):
-                os._exit(_CRASH_EXIT_CODE)
-            # Ship whatever the item completed before failing: the
-            # parent flushes these spans during the supervised restart
-            # instead of losing the whole trace.
-            result_queue.put(
-                (
-                    "error",
-                    worker_idx,
-                    item.feed.instance_id,
-                    {
-                        "error": repr(exc),
-                        "export": getattr(exc, "partial_export", None),
-                    },
-                )
-            )
-            continue
-        result_queue.put(("done", worker_idx, item.feed.instance_id, export))
+        if isinstance(exc, InjectedWorkerCrash):
+            os._exit(_CRASH_EXIT_CODE)
+        # Ship whatever the item completed before failing: the parent
+        # flushes these spans during the supervised restart instead of
+        # losing the whole trace.
+        message = (
+            "error",
+            {"error": repr(exc), "export": getattr(exc, "partial_export", None)},
+        )
+    conn.send(message)
+    conn.close()
 
 
-class PersistentWorkerPool:
-    """A fixed set of long-lived worker processes pulling work items.
+class WorkerPool:
+    """Runs work items one process each, at most ``processes`` at once.
 
-    With ``processes == 1`` there is no worker process: items run
+    With ``processes == 1`` there is no child process: items run
     inline through :func:`execute_work_item`, under the same
-    supervision and accounting.  Otherwise workers stay alive across
-    items and pull the next one only when the previous completes — the
-    parent keeps exactly one item in flight per worker, so a crash
-    loses at most one item and restart resubmission is precise.  Items
-    route to workers by ``stable_shard(instance_id, processes)``; pass
-    items whose ``incident_dir``/``shard_key`` follow the same hash (as
+    supervision and accounting.  Otherwise every item gets its own
+    child process and a one-way pipe back; each shard keeps at most one
+    item in flight, so a crash loses at most one item and restart
+    resubmission is precise.  Items route to shards by
+    ``stable_shard(instance_id, processes)``; pass items whose
+    ``incident_dir``/``shard_key`` follow the same hash (as
     :func:`repro.fleet.sharded.run_sharded` does) to keep incident
     stores single-writer.
     """
@@ -340,7 +329,6 @@ class PersistentWorkerPool:
         processes: int,
         max_restarts: int = 2,
         registry: MetricsRegistry | None = None,
-        poll_interval_s: float = 0.2,
         tracer: Tracer | None = None,
     ) -> None:
         if processes < 1:
@@ -348,7 +336,6 @@ class PersistentWorkerPool:
         self.processes = int(processes)
         self.max_restarts = int(max_restarts)
         self.registry = registry or get_registry()
-        self.poll_interval_s = float(poll_interval_s)
         #: Receives the spans workers ship back; defaults to the
         #: process tracer so ``repro obs`` shows the fleet-wide tree.
         if tracer is not None:
@@ -362,7 +349,7 @@ class PersistentWorkerPool:
     def _count_item(self, status: str) -> None:
         self.registry.counter(
             "fleet_work_items_total",
-            help="Work items through the persistent pool, by outcome.",
+            help="Work items through the fleet worker pool, by outcome.",
             status=status,
         ).inc()
 
@@ -442,62 +429,58 @@ class PersistentWorkerPool:
         if self.processes == 1:
             return self._run_inline(items)
         import multiprocessing
+        from multiprocessing.connection import wait
 
         ctx = multiprocessing.get_context()
         n = self.processes
         pending: list[deque[WorkItem]] = [deque() for _ in range(n)]
         for item in items:
             pending[stable_shard(item.feed.instance_id, n)].append(item)
-        result_queue = ctx.Queue()
-        task_queues: dict[int, Any] = {}
-        workers: dict[int, Any] = {}
-        inflight: dict[int, WorkItem | None] = {}
-        for idx in range(n):
+        # Read end of each live child's pipe -> (shard, item, process).
+        running: dict[Any, tuple[int, WorkItem, Any]] = {}
+
+        def start(idx: int) -> None:
             if not pending[idx]:
-                continue
-            task_queues[idx] = ctx.Queue()
-            workers[idx] = ctx.Process(
-                target=_worker_main,
-                args=(idx, task_queues[idx], result_queue),
-                daemon=True,
-            )
-            workers[idx].start()
-            inflight[idx] = None
-            self._submit(idx, task_queues, pending, inflight)
+                return
+            item = pending[idx].popleft()
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_item, args=(item, writer), daemon=True)
+            proc.start()
+            # Only the child holds the write end now: its death is EOF.
+            writer.close()
+            running[reader] = (idx, item, proc)
+            self._count_item("submitted")
+
+        for idx in range(n):
+            start(idx)
         merged: dict[str, int] = {}
-        remaining = len(items)
-        while remaining > 0:
-            try:
-                kind, idx, _, payload = result_queue.get(
-                    timeout=self.poll_interval_s
-                )
-            except queue_mod.Empty:
-                remaining -= self._sweep_dead_workers(
-                    ctx, result_queue, task_queues, workers, pending, inflight, merged
-                )
-                continue
-            if kind == "done":
-                merged.update(payload.get("counts", {}))
-                self._merge_export(payload)
-                self._count_item("completed")
-                inflight[idx] = None
-                remaining -= 1
-                self._submit(idx, task_queues, pending, inflight)
-            elif kind == "error":
-                item = inflight[idx]
-                inflight[idx] = None
-                if item is not None:
-                    remaining -= self._item_failed(idx, item, payload, pending, merged)
-                self._submit(idx, task_queues, pending, inflight)
-        for idx, task_queue in task_queues.items():
-            worker = workers.get(idx)
-            if worker is not None and worker.is_alive():
-                task_queue.put(None)
-        for worker in workers.values():
-            worker.join(timeout=5)
-            if worker.is_alive():  # pragma: no cover - orderly shutdown backstop
-                worker.terminate()
-                worker.join(timeout=5)
+        while running:
+            for reader in wait(list(running)):
+                idx, item, proc = running.pop(reader)
+                try:
+                    kind, payload = reader.recv()
+                except EOFError:
+                    kind, payload = "crash", None
+                reader.close()
+                proc.join()
+                if kind == "done":
+                    merged.update(payload.get("counts", {}))
+                    self._merge_export(payload)
+                    self._count_item("completed")
+                elif kind == "error":
+                    self._item_failed(idx, item, payload, pending, merged)
+                else:
+                    _log.warning(
+                        "worker process died",
+                        extra={
+                            "worker": idx,
+                            "exitcode": proc.exitcode,
+                            "instance": item.feed.instance_id,
+                        },
+                    )
+                    self._flush_crashed_item(item, proc.exitcode)
+                    self._requeue_or_abandon(idx, item, pending, merged)
+                start(idx)
         return merged
 
     def _run_inline(self, items: list[WorkItem]) -> dict[str, int]:
@@ -530,7 +513,7 @@ class PersistentWorkerPool:
         payload: Any,
         pending: list[deque[WorkItem]],
         merged: dict[str, int],
-    ) -> int:
+    ) -> None:
         """Log a failed item, flush its partial spans, requeue or abandon."""
         _log.warning(
             "work item failed",
@@ -543,20 +526,7 @@ class PersistentWorkerPool:
         if isinstance(payload, dict):
             # Flush the spans the item completed before failing.
             self._merge_export(payload.get("export"))
-        return self._requeue_or_abandon(idx, item, pending, merged)
-
-    def _submit(
-        self,
-        idx: int,
-        task_queues: dict[int, Any],
-        pending: list[deque[WorkItem]],
-        inflight: dict[int, WorkItem | None],
-    ) -> None:
-        if inflight.get(idx) is None and pending[idx]:
-            item = pending[idx].popleft()
-            inflight[idx] = item
-            task_queues[idx].put(item)
-            self._count_item("submitted")
+        self._requeue_or_abandon(idx, item, pending, merged)
 
     def _requeue_or_abandon(
         self,
@@ -564,12 +534,8 @@ class PersistentWorkerPool:
         item: WorkItem,
         pending: list[deque[WorkItem]],
         merged: dict[str, int],
-    ) -> int:
-        """Resubmit a failed item (attempt bumped) or abandon it.
-
-        Returns 1 when the item is finished (abandoned) so the caller
-        can decrement its remaining count, 0 when it was requeued.
-        """
+    ) -> None:
+        """Resubmit a failed item (attempt bumped) or abandon it."""
         if item.attempt >= self.max_restarts:
             _log.warning(
                 "work item failed after supervised restarts; abandoning",
@@ -578,56 +544,7 @@ class PersistentWorkerPool:
             merged[item.feed.instance_id] = 0
             self._count_failure(item.feed.instance_id)
             self._count_item("abandoned")
-            return 1
-        pending[idx].appendleft(replace(item, attempt=item.attempt + 1))
-        self._count_restart(item.shard_key)
-        self._count_item("resubmitted")
-        return 0
-
-    def _sweep_dead_workers(
-        self,
-        ctx: Any,
-        result_queue: Any,
-        task_queues: dict[int, Any],
-        workers: dict[int, Any],
-        pending: list[deque[WorkItem]],
-        inflight: dict[int, WorkItem | None],
-        merged: dict[str, int],
-    ) -> int:
-        """Respawn dead workers, resubmitting their unfinished item.
-
-        Returns how many items were finished (abandoned) during the
-        sweep so the run loop can decrement its remaining count.
-        """
-        finished = 0
-        for idx in list(workers):
-            worker = workers[idx]
-            if worker.is_alive():
-                continue
-            worker.join()
-            item = inflight.get(idx)
-            inflight[idx] = None
-            _log.warning(
-                "persistent worker died; respawning",
-                extra={
-                    "worker": idx,
-                    "exitcode": worker.exitcode,
-                    "instance": item.feed.instance_id if item else None,
-                },
-            )
-            if item is not None:
-                self._flush_crashed_item(item, worker.exitcode)
-                finished += self._requeue_or_abandon(idx, item, pending, merged)
-            if not pending[idx]:
-                del workers[idx]
-                del task_queues[idx]
-                continue
-            task_queues[idx] = ctx.Queue()
-            workers[idx] = ctx.Process(
-                target=_worker_main,
-                args=(idx, task_queues[idx], result_queue),
-                daemon=True,
-            )
-            workers[idx].start()
-            self._submit(idx, task_queues, pending, inflight)
-        return finished
+        else:
+            pending[idx].appendleft(replace(item, attempt=item.attempt + 1))
+            self._count_restart(item.shard_key)
+            self._count_item("resubmitted")

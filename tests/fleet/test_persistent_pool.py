@@ -1,15 +1,18 @@
-"""Persistent shard worker pool: columnar feeds, supervision, telemetry.
+"""Shard worker pool: columnar feeds, supervision, telemetry.
 
 The multiprocess fleet path (``run_sharded`` with ``processes > 1``)
-runs on :class:`PersistentWorkerPool` — long-lived worker processes
-pulling one :class:`WorkItem` of columnar blocks at a time; with one
-process the pool runs the same items inline.  These tests pin the
-contracts: block shipping loses nothing relative to an in-process
-drain, the two block grains diagnose identically, a
-chaos-crashed worker process is respawned and its item resubmitted, an
+runs on :class:`WorkerPool` — one process per :class:`WorkItem` of
+columnar blocks, at most N at once; with one process the pool runs the
+same items inline.  These tests pin the contracts: block shipping
+loses nothing relative to an in-process drain, the two block grains
+diagnose identically, a chaos-crashed item's process is replaced and
+its item resubmitted, an
 item that keeps crashing is abandoned with zero counts instead of
 failing the run, and every outcome is counted.
 """
+
+import multiprocessing
+import os
 
 import pytest
 
@@ -18,13 +21,13 @@ from repro.collection.blocks import QueryLogBlock
 from repro.fleet import (
     BlockFeed,
     FleetDiagnosisService,
-    PersistentWorkerPool,
+    WorkerPool,
     WorkItem,
     execute_work_item,
     run_sharded,
     stable_shard,
 )
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, Tracer
 from tests.fleet.conftest import (
     ANOMALOUS,
     INSTANCE_IDS,
@@ -82,7 +85,7 @@ class TestEquivalence:
             for instance_id in INSTANCE_IDS
         ]
         registry = MetricsRegistry()
-        pool = PersistentWorkerPool(processes=1, registry=registry)
+        pool = WorkerPool(processes=1, registry=registry)
         counts = pool.run(items)
         assert set(counts) == set(INSTANCE_IDS)
         assert _counter(registry, "fleet_work_items_total", status="submitted") == 3
@@ -95,7 +98,7 @@ class TestEquivalence:
         """Chaos counters of an item land in the item's export envelope,
         so they reach the pool's registry, not the process registry."""
         registry = MetricsRegistry()
-        pool = PersistentWorkerPool(processes=1, registry=registry)
+        pool = WorkerPool(processes=1, registry=registry)
         plan = single_fault_plan("drop", rate=1.0)
         pool.run([WorkItem(tiny_feed("db-d"), fault_plan=plan)])
         assert _counter(registry, "chaos_faults_injected_total", kind="drop") > 0
@@ -111,9 +114,7 @@ class TestSupervision:
             ),
         )
         registry = MetricsRegistry()
-        pool = PersistentWorkerPool(
-            processes=2, max_restarts=2, registry=registry, poll_interval_s=0.05
-        )
+        pool = WorkerPool(processes=2, max_restarts=2, registry=registry)
         counts = pool.run([_tiny_feed_item("db-t", plan)])
         # The retried attempt runs clean (max_crashes=1) and completes.
         assert counts == {"db-t": 0}
@@ -136,9 +137,7 @@ class TestSupervision:
             ),
         )
         registry = MetricsRegistry()
-        pool = PersistentWorkerPool(
-            processes=2, max_restarts=1, registry=registry, poll_interval_s=0.05
-        )
+        pool = WorkerPool(processes=2, max_restarts=1, registry=registry)
         counts = pool.run([_tiny_feed_item("db-z", plan)])
         assert counts == {"db-z": 0}
         assert _counter(registry, "fleet_work_items_total", status="abandoned") == 1
@@ -146,13 +145,55 @@ class TestSupervision:
         # submitted: initial + one resubmission that also crashed.
         assert _counter(registry, "fleet_work_items_total", status="resubmitted") == 1
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched drain reaches the child only by fork",
+    )
+    def test_child_error_is_resubmitted_then_abandoned(
+        self, fleet_stream, monkeypatch
+    ):
+        """A child whose drain raises (not a crash) reports the error and
+        its partial spans down its pipe; the parent adopts the spans,
+        resubmits the item and abandons it after ``max_restarts``."""
+        drain = FleetDiagnosisService.run_until_drained
+
+        def failing_drain(service):
+            drain(service)  # diagnose first, so partial spans exist
+            raise RuntimeError("drain failed after diagnosing")
+
+        monkeypatch.setattr(FleetDiagnosisService, "run_until_drained", failing_drain)
+        broker, _, _ = fleet_stream
+        instance_id = ANOMALOUS[0]
+        registry, tracer = MetricsRegistry(), Tracer()
+        pool = WorkerPool(processes=2, max_restarts=1, registry=registry, tracer=tracer)
+        counts = pool.run([WorkItem(feed=BlockFeed.from_broker(broker, instance_id))])
+        assert counts == {instance_id: 0}
+        assert _counter(registry, "fleet_work_items_total", status="submitted") == 2
+        assert _counter(registry, "fleet_work_items_total", status="resubmitted") == 1
+        assert _counter(registry, "fleet_work_items_total", status="abandoned") == 1
+        assert _counter(registry, "fleet_work_items_total", status="completed") == 0
+        assert (
+            _counter(registry, "fleet_worker_failures_total", instance=instance_id)
+            == 1
+        )
+        # Both attempts' partial spans were adopted from child processes;
+        # no process died, so nothing counts as a crash.
+        diagnose = [s for s in tracer.roots if s.name == "service.diagnose"]
+        assert diagnose and len(diagnose) % 2 == 0
+        assert os.getpid() not in {s.attrs.get("process") for s in tracer.roots}
+        assert _counter(registry, "fleet_spans_imported_total") == len(tracer.roots)
+        assert (
+            _counter(registry, "span_export_dropped_total", instance=instance_id)
+            == 0
+        )
+
     def test_worker_error_without_crash_is_supervised_too(self):
         """A bad payload in a feed is quarantined inside the worker, not
         fatal: the item still completes."""
         feed = tiny_feed("db-e")
         feed.query_blocks.insert(0, "this is not a block")
         registry = MetricsRegistry()
-        pool = PersistentWorkerPool(processes=1, registry=registry)
+        pool = WorkerPool(processes=1, registry=registry)
         counts = pool.run([WorkItem(feed=feed)])
         assert counts == {"db-e": 0}
         assert _counter(registry, "fleet_work_items_total", status="completed") == 1
@@ -165,7 +206,7 @@ class TestSupervision:
         feed = tiny_feed("db-m")
         feed.metric_blocks.append({"cpu": 0.5})
         registry = MetricsRegistry()
-        pool = PersistentWorkerPool(processes=1, registry=registry)
+        pool = WorkerPool(processes=1, registry=registry)
         counts = pool.run([WorkItem(feed=feed)])
         assert counts == {"db-m": 0}
         assert _counter(registry, "fleet_work_items_total", status="completed") == 1
@@ -175,11 +216,11 @@ class TestSupervision:
         ) == 1
 
     def test_empty_run_is_a_no_op(self):
-        assert PersistentWorkerPool(processes=2).run([]) == {}
+        assert WorkerPool(processes=2).run([]) == {}
 
     def test_rejects_zero_processes(self):
         with pytest.raises(ValueError):
-            PersistentWorkerPool(processes=0)
+            WorkerPool(processes=0)
 
 
 def _tiny_feed_item(instance_id, plan):

@@ -2,7 +2,8 @@
 
 import os
 
-from repro.fleet import BlockFeed, PersistentWorkerPool, WorkItem, execute_work_item
+from repro.fleet import BlockFeed, WorkerPool, WorkItem, execute_work_item
+from repro.chaos import FaultPlan, FaultSpec
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.tracing import TraceContext
 from tests.fleet.conftest import ANOMALOUS, tiny_feed
@@ -76,7 +77,7 @@ class TestPoolMerge:
         feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         registry = MetricsRegistry()
         tracer = Tracer()
-        pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)
+        pool = WorkerPool(processes=1, registry=registry, tracer=tracer)
         export = execute_work_item(WorkItem(feed=feed))
         assert export["spans"]
         pool._merge_export(export)
@@ -91,7 +92,7 @@ class TestPoolMerge:
 
     def test_merge_export_tolerates_garbage(self):
         registry = MetricsRegistry()
-        pool = PersistentWorkerPool(processes=1, registry=registry, tracer=Tracer())
+        pool = WorkerPool(processes=1, registry=registry, tracer=Tracer())
         pool._merge_export(None)
         pool._merge_export("broken")
         pool._merge_export({"spans": "nope", "telemetry": 7})
@@ -102,7 +103,7 @@ class TestPoolMerge:
         feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         registry = MetricsRegistry()
         tracer = Tracer()
-        pool = PersistentWorkerPool(processes=2, registry=registry, tracer=tracer)
+        pool = WorkerPool(processes=2, registry=registry, tracer=tracer)
         counts = pool.run([WorkItem(feed=feed)])
         assert counts[ANOMALOUS[0]] >= 1
         assert tracer.roots, "worker spans should merge into the parent tracer"
@@ -115,7 +116,7 @@ class TestPoolMerge:
         feed = BlockFeed.from_broker(broker, ANOMALOUS[0])
         registry = MetricsRegistry()
         tracer = Tracer()
-        pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)
+        pool = WorkerPool(processes=1, registry=registry, tracer=tracer)
         counts = pool.run([WorkItem(feed=feed)])
         assert counts[ANOMALOUS[0]] >= 1
         assert _counter(registry, "fleet_spans_imported_total") > 0
@@ -133,7 +134,7 @@ class TestCrashAccounting:
     def test_flush_counts_loss_and_links_synthetic_span(self):
         registry = MetricsRegistry()
         tracer = Tracer()
-        pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)
+        pool = WorkerPool(processes=1, registry=registry, tracer=tracer)
         ctx = TraceContext(trace_id="a" * 16, span_id="b" * 16, process=1)
         item = WorkItem(feed=_tiny_feed(trace=ctx), shard_key="shard-03")
         pool._flush_crashed_item(item, exitcode=17)
@@ -150,10 +151,38 @@ class TestCrashAccounting:
     def test_flush_without_trace_still_counts(self):
         registry = MetricsRegistry()
         tracer = Tracer()
-        pool = PersistentWorkerPool(processes=1, registry=registry, tracer=tracer)
+        pool = WorkerPool(processes=1, registry=registry, tracer=tracer)
         pool._flush_crashed_item(WorkItem(feed=_tiny_feed()), exitcode=1)
         assert _counter(
             registry, "span_export_dropped_total", instance="db-t"
         ) == 1
         [span] = tracer.roots
         assert "trace_id" not in span.attrs
+
+    def test_real_crash_adopts_one_linked_synthetic_span(self):
+        """A chaos ``worker_crash`` with ``processes=2`` kills a real child
+        process: the parent sees EOF and flushes one synthetic span with
+        the child's exit code, linked to the feed's trace context."""
+        plan = FaultPlan(
+            name="crash-once",
+            seed=11,
+            specs=(
+                FaultSpec(kind="worker_crash", rate=1.0, params={"max_crashes": 1}),
+            ),
+        )
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        pool = WorkerPool(processes=2, registry=registry, tracer=tracer)
+        ctx = TraceContext(trace_id="c" * 16, span_id="d" * 16, process=1)
+        item = WorkItem(
+            feed=_tiny_feed(trace=ctx), fault_plan=plan, shard_key="shard-00"
+        )
+        assert pool.run([item]) == {"db-t": 0}
+        [span] = [s for s in tracer.roots if s.name == "fleet.worker_crash"]
+        assert span.attrs["exitcode"] == 17
+        assert span.attrs["trace_id"] == ctx.trace_id
+        assert span.attrs["parent_span_id"] == ctx.span_id
+        assert span.attrs["shard"] == "shard-00"
+        assert _counter(
+            registry, "span_export_dropped_total", instance="db-t"
+        ) == 1
