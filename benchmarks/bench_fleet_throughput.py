@@ -8,6 +8,11 @@ Its drains are timed at 1, 2 and up to 4 worker processes against
 Asserted (≥1.5× at 2 processes, ≥2× at the best pool) only when the
 machine has cores to scale onto.
 
+Before each row a short probe measures the cores the host lets this
+run use (:func:`usable_cores`: two concurrent CPU spins against one),
+recorded beside the row: on a shared host a pool that loses to inline
+execution on about one usable core says nothing about the pool.
+
 Results are written both as a human table
 (``results/fleet_throughput.txt``) and machine-readable JSON
 (``results/fleet_throughput.json``) for CI artifact upload and
@@ -17,6 +22,7 @@ shrink the corpus for smoke runs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -72,6 +78,28 @@ def _simulate_feeds():
     return feeds
 
 
+def _spin(n: int) -> None:
+    while n:
+        n -= 1
+
+
+def usable_cores(n: int = 2_000_000) -> float:
+    """Cores this run can use right now, from 0 to 2: twice the wall
+    time of one process spinning ``n`` loops over that of two spinning
+    at once (2.0 with two idle cores, 1.0 with one)."""
+    ctx = multiprocessing.get_context()
+    walls = []
+    for width in (1, 2):
+        procs = [ctx.Process(target=_spin, args=(n,)) for _ in range(width)]
+        t0 = time.perf_counter()
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join()
+        walls.append(time.perf_counter() - t0)
+    return 2 * walls[0] / walls[1]
+
+
 def test_fleet_throughput():
     feeds = _cached(FEEDS_KEY, _simulate_feeds)
     cores = os.cpu_count() or 1
@@ -88,13 +116,14 @@ def test_fleet_throughput():
 
     lines.append(
         f"{'processes':>9} {'fleet':>5} {'seconds':>8} "
-        f"{'diagnoses':>9} {'diag/s':>7} {'inst/s':>7} {'speedup':>7}"
+        f"{'diagnoses':>9} {'diag/s':>7} {'inst/s':>7} {'speedup':>7} {'usable':>6}"
     )
     best_procs = min(4, max(2, cores))
     results: dict[int, float] = {}
     diagnosed: dict[int, set[str]] = {}
     payload["processes"] = []
     for processes in dict.fromkeys((1, 2, best_procs)):
+        usable = usable_cores()
         t0 = time.perf_counter()
         counts = run_sharded(feeds, processes=processes, config=SERVICE_CONFIG)
         elapsed = time.perf_counter() - t0
@@ -102,12 +131,13 @@ def test_fleet_throughput():
         results[processes] = elapsed
         diagnosed[processes] = {iid for iid, n in counts.items() if n > 0}
         payload["processes"].append(
-            {"processes": processes, "seconds": elapsed, "diagnoses": n_diag}
+            {"processes": processes, "seconds": elapsed, "diagnoses": n_diag,
+             "usable_cores": usable}
         )
         lines.append(
             f"{processes:>9} {N_INSTANCES:>5} {elapsed:>8.2f} "
             f"{n_diag:>9} {n_diag / elapsed:>7.2f} {N_INSTANCES / elapsed:>7.2f} "
-            f"{results[1] / elapsed:>6.2f}x"
+            f"{results[1] / elapsed:>6.2f}x {usable:>6.2f}"
         )
 
     speedup_best = results[1] / results[best_procs]

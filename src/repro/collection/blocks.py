@@ -219,23 +219,13 @@ def query_block_from_log(
     Rows come out template-major, arrival-ordered within each template
     — the same per-template order :meth:`QueryLog.queries_of` exposes.
     """
-    sql_ids: list[str] = []
-    chunks: list[np.ndarray] = []
-    for tq in query_log.iter_templates():
-        if len(tq) == 0:
-            continue
-        rows = np.empty(len(tq), dtype=QUERY_BLOCK_DTYPE)
-        rows["template"] = len(sql_ids)
-        rows["arrive_ms"] = tq.arrive_ms
-        rows["response_ms"] = tq.response_ms
-        rows["examined_rows"] = tq.examined_rows
-        sql_ids.append(tq.sql_id)
-        chunks.append(rows)
-    data = (
-        np.concatenate(chunks)
-        if chunks
-        else np.empty(0, dtype=QUERY_BLOCK_DTYPE)
-    )
+    window = query_log.window(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+    sql_ids = window.sql_ids
+    data = np.empty(len(window), dtype=QUERY_BLOCK_DTYPE)
+    data["template"] = np.repeat(np.arange(len(sql_ids)), window.counts)
+    data["arrive_ms"] = window.arrive_ms
+    data["response_ms"] = window.response_ms
+    data["examined_rows"] = window.examined_rows
     stmts: tuple[str, ...] = ()
     if statements:
         stmts = tuple(statements.get(sql_id, "") for sql_id in sql_ids)

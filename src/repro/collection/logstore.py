@@ -15,8 +15,9 @@ the spare room at the end of their template's columns, and late,
 reordered or duplicated rows are re-sorted with the rows they precede,
 so the sort costs time in proportion to the queued rows.  A template's
 window read is two ``searchsorted`` calls on its arrival column; a
-whole-store window read (:meth:`LogStore.window`) is one such pair per
-template, then one gather per column read.  Expiry is one
+window read of every template, or of an ``sql_ids`` list
+(:meth:`LogStore.window`), is one such pair per template, then one
+gather per column read.  Expiry is one
 ``searchsorted`` per template.  A store built with an ``instance_id``
 labels its telemetry with the instance; every diagnosis engine owns
 one.
@@ -171,10 +172,11 @@ class LogStore:
             sql_id, tq.arrive_ms[lo:hi], tq.response_ms[lo:hi], tq.examined_rows[lo:hi]
         )
 
-    def window(self, t0: int, t1: int) -> LogWindow:
-        """Every template's queries arriving within [t0, t1) (seconds),
-        with per-template offsets (:meth:`QueryLog.window`)."""
-        return self._log.window(t0 * 1000, t1 * 1000)
+    def window(self, t0: int, t1: int, sql_ids: list[str] | None = None) -> LogWindow:
+        """The queries of ``sql_ids`` (default: every template) arriving
+        within [t0, t1) (seconds), with per-template offsets
+        (:meth:`QueryLog.window`)."""
+        return self._log.window(t0 * 1000, t1 * 1000, sql_ids)
 
     # ------------------------------------------------------------------
     # Retention

@@ -11,11 +11,11 @@ whose expected session is closest to the monitor's observed value
 (locating t3), and evaluates each template's expected session *in that
 bucket* — which removes most of the sampling-instant uncertainty.
 
-Every mode reads the window once, one arrival-ordered slice per
-template.  The expectation modes place each query once on a grid of
-``1000/K`` ms cells over ``[ts, te + span − 1)``, in runs of rows small
-enough to stay in cache.  In cell units a query covers ``[a, e)``, and
-its overlap with cell ``c`` is
+Every mode makes one :meth:`LogStore.window` read of its templates.
+The expectation modes place each query once on a grid of ``1000/K`` ms
+cells over ``[ts, te + span − 1)``, in runs of rows small enough to stay
+in cache.  In cell units a query covers ``[a, e)``, and its overlap with
+cell ``c`` is
 ``H(e)[c] − H(a)[c]`` with ``H(x)[c] = clip(x − c, 0, 1)``: 1 below
 ``⌊x⌋``, the fraction ``x − ⌊x⌋`` at ``⌊x⌋``, 0 above.  Summed over
 queries, the whole cells are a difference array (+1 at ``⌊a⌋``, −1 at
@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.collection.logstore import LogStore
 from repro.core.config import SessionEstimationMode
-from repro.dbsim.query import TemplateQueries
 from repro.timeseries import TimeSeries
 
 __all__ = ["CoverageFunction", "SessionEstimate", "SessionEstimator"]
@@ -171,13 +170,11 @@ class SessionEstimator:
     # ------------------------------------------------------------------
     def _estimate_by_response_time(self, logs: LogStore, sql_ids, ts, te) -> SessionEstimate:
         n = te - ts
-        views = _read_window(logs, sql_ids, ts, te)
-        template, arrive, response = _join(
-            [(t, tq.arrive_ms, tq.response_ms) for t, tq in enumerate(views)]
-        )
+        window = logs.window(ts, te, sql_ids)
         values = np.bincount(
-            template * n + (arrive // 1000 - ts), weights=response, minlength=len(views) * n
-        ).reshape(len(views), n) / 1000.0
+            np.repeat(np.arange(len(sql_ids)) * n, window.counts) + (window.arrive_ms // 1000 - ts),
+            weights=window.response_ms, minlength=len(sql_ids) * n,
+        ).reshape(len(sql_ids), n) / 1000.0
         return _estimate_of(sql_ids, values, ts, np.zeros(0, dtype=np.int64))
 
     # ------------------------------------------------------------------
@@ -193,56 +190,46 @@ class SessionEstimator:
         grid = _Grid(origin_ms=ts * 1000, buckets=buckets, cells=(n + span - 1) * buckets)
         # Queries that began before ts but are still running contribute
         # too, so the read reaches back _LOOKBACK_S seconds.
-        views = _read_window(logs, sql_ids, ts - _LOOKBACK_S, te)
-        chunks = [grid.place(*rows) for rows in _row_chunks(views)]
+        window = logs.window(ts - _LOOKBACK_S, te, sql_ids)
+        template = np.repeat(np.arange(len(sql_ids)), window.counts)
+        arrive, response = window.arrive_ms, window.response_ms
+        bounds = _run_bounds(window.offsets)
+        chunks = [
+            grid.place(template[i:j], arrive[i:j], response[i:j])
+            for i, j in zip(bounds, bounds[1:])
+        ]
+        del arrive, response
 
         # Expected instance session per bucket, from the pooled log.
-        pooled = grid.coverage(chunks, 0, len(views), np.arange(grid.cells), pooled=True)[0]
+        pooled = grid.coverage(chunks, 0, len(sql_ids), np.arange(grid.cells), pooled=True)[0]
         bucket_cells = np.arange(n)[:, None] * buckets + np.arange(buckets * span)
         error = np.abs(pooled[bucket_cells] - observed.values[:, None])
         selected = np.argmin(error, axis=1)
 
         # Each template over the selected cells only, a block at a time.
         slots, slot_of = np.unique(bucket_cells[np.arange(n), selected], return_inverse=True)
-        values = np.empty((len(views), n))
+        values = np.empty((len(sql_ids), n))
         block = max(1, _BLOCK_CELLS // (len(slots) + 2))
-        for t0 in range(0, len(views), block):
-            t1 = min(t0 + block, len(views))
+        for t0 in range(0, len(sql_ids), block):
+            t1 = min(t0 + block, len(sql_ids))
             values[t0:t1] = grid.coverage(chunks, t0, t1, slots)[:, slot_of]
         chosen = selected if buckets > 1 else np.zeros(0, dtype=np.int64)
         return _estimate_of(sql_ids, values, ts, chosen)
 
 
-def _read_window(logs: LogStore, sql_ids: list[str], t0: int, t1: int) -> list[TemplateQueries]:
-    """Each template's queries arriving within [t0, t1), in ``sql_ids`` order."""
-    return [logs.queries_in_window(sql_id, t0, t1) for sql_id in sql_ids]
-
-
-def _join(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate ``(template, arrive_ms, response_ms)`` pieces, with each row's template."""
-    templates = np.array([t for t, _, _ in pieces], dtype=np.int64)
-    lengths = [len(arrive) for _, arrive, _ in pieces]
-    return (
-        np.repeat(templates, lengths),
-        np.concatenate([arrive for _, arrive, _ in pieces] + [np.zeros(0, np.int64)]),
-        np.concatenate([response for _, _, response in pieces] + [np.zeros(0)]),
-    )
-
-
-def _row_chunks(views: list[TemplateQueries]):
-    """Every template's rows, joined in runs of about _CHUNK_ROWS rows."""
-    pieces: list = []
-    rows = 0
-    for t, tq in enumerate(views):
-        for i in range(0, len(tq), _CHUNK_ROWS):
-            part = slice(i, i + _CHUNK_ROWS)
-            pieces.append((t, tq.arrive_ms[part], tq.response_ms[part]))
-            rows += len(pieces[-1][1])
-            if rows >= _CHUNK_ROWS:
-                yield _join(pieces)
-                pieces, rows = [], 0
-    if pieces:
-        yield _join(pieces)
+def _run_bounds(offsets: np.ndarray) -> list[int]:
+    """Row bounds of the runs the grid places at once: each template in
+    pieces of at most _CHUNK_ROWS rows, a run closed once it holds
+    _CHUNK_ROWS.  Each run adds its own partial sums into the pooled
+    cells, so these bounds fix the float summation order."""
+    bounds = [0]
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        for stop in [*range(lo + _CHUNK_ROWS, hi, _CHUNK_ROWS), hi]:
+            if stop - bounds[-1] >= _CHUNK_ROWS:
+                bounds.append(stop)
+    if bounds[-1] < offsets[-1]:
+        bounds.append(int(offsets[-1]))
+    return bounds
 
 
 @dataclass(frozen=True)

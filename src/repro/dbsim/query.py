@@ -11,10 +11,10 @@ its rows.  Rows in order fill the spare room of their template's
 columns, and late rows are re-sorted with the resident rows they
 precede.  A :class:`SecondBatch` (one template's queries) goes straight
 into its template's columns in the same way.  Ties in arrival time keep
-ingest order.  Per-template reads are slices
-(:class:`TemplateQueries`, read-only views that later appends leave
-unchanged) for the collection pipeline and the active-session
-estimator.  For each query ``q`` the log records ``t(q)`` (arrival,
+ingest order.  Every read that spans templates is one
+:meth:`QueryLog.window` (:class:`LogWindow`: columns with per-template
+offsets); a one-template read is a slice (:class:`TemplateQueries`,
+read-only views that later appends leave unchanged).  For each query ``q`` the log records ``t(q)`` (arrival,
 ms), ``tres(q)`` (response time, ms) and ``#examined_rows(q)`` —
 exactly the fields the paper collects (Def II.3).
 """
@@ -69,11 +69,11 @@ class TemplateQueries:
 
 
 class LogWindow:
-    """The rows of every template arriving in one window.
+    """The rows of a list of templates arriving in one window.
 
     Template ``sql_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of each
     column, in arrival order (ties in ingest order); a template with no
-    rows in the window has an empty range.  Each read of a column
+    rows in the window, or none in the log, has an empty range.  Each read of a column
     gathers it afresh, one concatenation into a read-only array, so a
     reader that needs one column at a time (the window aggregation)
     holds one column-sized array at a time.  The rows are the ones
@@ -259,14 +259,17 @@ class QueryLog:
             return TemplateQueries(sql_id, *_NO_ROWS)
         return TemplateQueries(sql_id, *self._columns[code].views())
 
-    def window(self, start_ms: int, end_ms: int) -> LogWindow:
-        """Every template's rows arriving in ``[start_ms, end_ms)``, in
-        ``sql_ids`` order: one ``searchsorted`` pair per template, and a
-        column read is one gather over them."""
+    def window(self, start_ms: int, end_ms: int, sql_ids: Sequence[str] | None = None) -> LogWindow:
+        """The rows of ``sql_ids`` (default: every template, in
+        ``sql_ids`` order) arriving in ``[start_ms, end_ms)``, an empty
+        range for an id the log does not hold: one ``searchsorted`` pair
+        per template, and a column read is one gather over them."""
         self.fold()
+        sql_ids = self.sql_ids if sql_ids is None else list(sql_ids)
         spans = []
-        for code in self._codes.values():
-            col = self._columns[code]
+        for sql_id in sql_ids:
+            code = self._codes.get(sql_id)
+            col = _Column() if code is None else self._columns[code]
             lo, hi = np.searchsorted(col.live(0), (start_ms, end_ms)) + col.start
             # The window reads these rows later: later appends must not
             # write over them in place.
@@ -274,7 +277,7 @@ class QueryLog:
             spans.append((col.cols, int(lo), int(hi)))
         offsets = np.zeros(len(spans) + 1, dtype=np.int64)
         np.cumsum([hi - lo for _, lo, hi in spans], out=offsets[1:])
-        return LogWindow(self.sql_ids, offsets, spans)
+        return LogWindow(sql_ids, offsets, spans)
 
     def iter_templates(self) -> Iterator[TemplateQueries]:
         for sql_id in self.sql_ids:

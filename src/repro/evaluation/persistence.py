@@ -42,11 +42,13 @@ def save_case(labeled: LabeledCase, path: str | Path) -> Path:
         for metric in TEMPLATE_METRICS:
             arrays[f"tpl/{sql_id}/{metric}"] = case.templates.matrix(metric)[row]
 
-    for sql_id in case.logs.sql_ids:
-        tq = case.logs.queries_in_window(sql_id, case.ts, case.te)
-        arrays[f"log/{sql_id}/arrive_ms"] = tq.arrive_ms
-        arrays[f"log/{sql_id}/response_ms"] = tq.response_ms
-        arrays[f"log/{sql_id}/examined_rows"] = tq.examined_rows
+    window = case.logs.window(case.ts, case.te)
+    names = ("arrive_ms", "response_ms", "examined_rows")
+    columns = {name: getattr(window, name) for name in names}
+    bounds = window.offsets.tolist()
+    for sql_id, lo, hi in zip(window.sql_ids, bounds, bounds[1:]):
+        for name, column in columns.items():
+            arrays[f"log/{sql_id}/{name}"] = column[lo:hi]
 
     for sql_id, by_day in case.history.items():
         for days, series in by_day.items():

@@ -102,12 +102,12 @@ class Diagnosis:
     report: DiagnosisReport
     plan: RepairPlan
     executed: bool
+    #: The monitored instance the anomaly occurred on.
+    instance_id: str
     #: Rule-based anomaly typing (category + evidence).
     verdict: CategoryVerdict | None = None
     #: Static-analysis findings per top-ranked template (R-SQLs first).
     findings: dict[str, tuple[Finding, ...]] = field(default_factory=dict)
-    #: The monitored instance the anomaly occurred on.
-    instance_id: str = ""
     #: Id of the persisted incident record, when a recorder is attached.
     incident_id: str | None = None
     #: Evidence confidence: ``"full"``, or ``"degraded"`` when the

@@ -431,6 +431,8 @@ class WorkerPool:
         import multiprocessing
         from multiprocessing.connection import wait
 
+        # np.median's first call imports numpy.ma: pay that here, not per child.
+        import numpy.ma  # noqa: F401
         ctx = multiprocessing.get_context()
         n = self.processes
         pending: list[deque[WorkItem]] = [deque() for _ in range(n)]

@@ -116,7 +116,7 @@ def compute_health(
     templates: Counter[str] = Counter()
     verdicts: Counter[str] = Counter()
     for meta in metas:
-        instance = meta.instance_id or "(single-instance)"
+        instance = meta.instance_id
         per_instance[instance] += 1
         if meta.confidence == "degraded":
             degraded[instance] += 1
@@ -249,7 +249,7 @@ def render_health_text(health: FleetHealth) -> str:
     ]
     for candidate in health.false_triggers[:10]:
         lines.append(
-            f"  {candidate.incident_id}  [{candidate.instance_id or '-'}]  "
+            f"  {candidate.incident_id}  [{candidate.instance_id}]  "
             f"{candidate.reason}"
         )
     lines.append("=" * 60)

@@ -31,6 +31,7 @@ __all__ = [
     "RepairOutcome",
     "SpanNode",
     "IncidentRecord",
+    "UNNAMED_INSTANCE",
 ]
 
 
@@ -261,6 +262,11 @@ def _jsonable(value):
     return str(value)
 
 
+#: Instance id given, on read, to records archived before every
+#: diagnosis engine had one (they carry an empty id).
+UNNAMED_INSTANCE = "(single-instance)"
+
+
 @dataclass(frozen=True)
 class IncidentRecord:
     """One diagnosed anomaly as a durable, queryable evidence chain."""
@@ -355,7 +361,7 @@ class IncidentRecord:
     def from_dict(cls, data: Mapping) -> "IncidentRecord":
         return cls(
             incident_id=data["incident_id"],
-            instance_id=data.get("instance_id", ""),
+            instance_id=data.get("instance_id") or UNNAMED_INSTANCE,
             created_at=int(data["created_at"]),
             anomaly=AnomalyWindow.from_dict(data["anomaly"]),
             metric_traces=tuple(

@@ -101,7 +101,7 @@ class IncidentRecorder:
         self.registry.counter(
             "incidents_recorded_total",
             help="Incident records persisted.",
-            **({"instance": record.instance_id} if record.instance_id else {}),
+            instance=record.instance_id,
         ).inc()
         if diagnosis is not None and hasattr(diagnosis, "incident_id"):
             diagnosis.incident_id = record.incident_id
@@ -124,7 +124,7 @@ class IncidentRecorder:
         created_at = (
             anomaly.detected_at if anomaly.detected_at is not None else anomaly.end
         )
-        instance_id = getattr(diagnosis, "instance_id", "") or ""
+        instance_id = diagnosis.instance_id
         trace = None
         if engine is not None:
             root = engine.tracer.last_root()
@@ -195,8 +195,7 @@ class IncidentRecorder:
             f"{instance_id}|{anomaly.start}|{anomaly.end}|{'|'.join(anomaly.types)}".encode(),
             digest_size=4,
         ).hexdigest()
-        prefix = instance_id or "local"
-        return f"{prefix}-{anomaly.start}-{digest}"
+        return f"{instance_id}-{anomaly.start}-{digest}"
 
     def _metric_traces(self, case, engine) -> tuple[MetricTrace, ...]:
         cap = self.max_samples_per_metric

@@ -58,7 +58,7 @@ def render_incident_text(record: IncidentRecord) -> str:
         _RULE,
         f"Incident {r.incident_id}",
         _RULE,
-        f"instance       : {r.instance_id or '(single-instance)'}",
+        f"instance       : {r.instance_id}",
         f"anomaly window : [{r.anomaly.start}, {r.anomaly.end}) "
         f"({r.anomaly.duration} s)",
         f"anomaly types  : {', '.join(r.anomaly.types) or '-'}",
@@ -192,7 +192,7 @@ def render_incident_html(record: IncidentRecord) -> str:
         ["field", "value"],
         [
             ("incident id", r.incident_id),
-            ("instance", r.instance_id or "(single-instance)"),
+            ("instance", r.instance_id),
             ("anomaly window",
              f"[{r.anomaly.start}, {r.anomaly.end})  ({r.anomaly.duration} s)"),
             ("anomaly types", ", ".join(r.anomaly.types) or "-"),

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.incidents.record import IncidentRecord
+from repro.incidents.record import UNNAMED_INSTANCE, IncidentRecord
 from repro.segmentlog import SegmentLog
 from repro.telemetry import MetricsRegistry
 
@@ -80,7 +80,7 @@ def _meta_from_dict(data: dict, segment: str) -> IncidentMeta:
         outcome = "no_action"
     return IncidentMeta(
         incident_id=data["incident_id"],
-        instance_id=data.get("instance_id", ""),
+        instance_id=data.get("instance_id") or UNNAMED_INSTANCE,
         created_at=int(data["created_at"]),
         anomaly_start=int(anomaly.get("start", 0)),
         anomaly_end=int(anomaly.get("end", 0)),

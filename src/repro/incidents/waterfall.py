@@ -80,7 +80,7 @@ def render_trace_text(record: IncidentRecord) -> str:
     lines = [
         rule,
         _label(record),
-        f"instance {record.instance_id or '(single-instance)'}; "
+        f"instance {record.instance_id}; "
         f"critical path {total * 1000:.2f} ms over {len(rows)} span(s)",
         rule,
         f"{'span':<40} {'proc':>4} {'start':>10} {'took':>10}  waterfall",
@@ -158,7 +158,7 @@ def render_trace_html(record: IncidentRecord) -> str:
     trace_id = record.trace.attrs.get("trace_id")
     summary = (
         f"<p class=\"kv\">{html_escape(_label(record))} · instance "
-        f"{html_escape(record.instance_id or '(single-instance)')} · "
+        f"{html_escape(record.instance_id)} · "
         f"critical path {total * 1000:.2f} ms over {len(rows)} span(s)</p>"
     )
     return render_html_document(

@@ -14,7 +14,7 @@ import pytest
 from repro.collection import LogStore, aggregate_logstore
 from repro.collection.aggregator import TemplateMetricStore
 from repro.collection.blocks import QUERY_BLOCK_DTYPE, QueryLogBlock
-from repro.dbsim import SecondBatch
+from repro.dbsim import QueryLog, SecondBatch
 from repro.telemetry import MetricsRegistry
 from tests.collection.test_block_equivalence import DELIVERIES, make_tied_log
 
@@ -58,17 +58,23 @@ def template_rows(window, i):
     return [col[lo:hi] for col in (window.arrive_ms, window.response_ms, window.examined_rows)]
 
 
-def assert_window_matches(store, t0, t1):
-    window = store.window(t0, t1)
-    assert window.sql_ids == store.sql_ids
+def assert_rows_match(window, read):
+    """Each template's window slice equals ``read(sql_id)``: same rows,
+    order and dtypes."""
     assert len(window.offsets) == len(window.sql_ids) + 1
     assert window.offsets[-1] == len(window)
     for i, sql_id in enumerate(window.sql_ids):
-        want = store.queries_in_window(sql_id, t0, t1)
+        want = read(sql_id)
         for a, b in zip(template_rows(window, i), (want.arrive_ms, want.response_ms,
                                                   want.examined_rows)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+def assert_window_matches(store, t0, t1):
+    window = store.window(t0, t1)
+    assert window.sql_ids == store.sql_ids
+    assert_rows_match(window, lambda sql_id: store.queries_in_window(sql_id, t0, t1))
     for col in (window.arrive_ms, window.response_ms, window.examined_rows):
         assert not col.flags.writeable
     got, want = aggregate_logstore(store, t0, t1), reference_aggregate(store, t0, t1)
@@ -165,3 +171,41 @@ class TestLogStoreWindow:
                                       [1_000, 1_500, 2_000, 3_000])
         np.testing.assert_array_equal(window.arrive_ms, [1_000, 2_000, 3_000])
         np.testing.assert_array_equal(window.response_ms, [1.0, 2.0, 3.0])
+
+
+class TestWindowOfListedTemplates:
+    """``window(t0, t1, sql_ids)``: the listed templates only, in the
+    listed order; an id the store does not hold gets an empty range."""
+
+    @pytest.mark.parametrize("delivery", sorted(DELIVERIES))
+    def test_matches_per_template_reads(self, delivery):
+        store = LogStore(registry=MetricsRegistry())
+        for b in DELIVERIES[delivery](make_tied_log()):
+            store.ingest_block(b)
+        listed = [store.sql_ids[-1], "ghost", *store.sql_ids[:-1][::-2]]
+        assert listed != store.sql_ids[: len(listed)]
+        for t0, t1 in ((0, 60), (5, 17), (39, 40)):
+            window = store.window(t0, t1, listed)
+            assert window.sql_ids == listed
+            assert window.counts[1] == 0
+            assert_rows_match(window, lambda sql_id: store.queries_in_window(sql_id, t0, t1))
+
+    def test_only_unknown_ids(self):
+        store = LogStore(registry=MetricsRegistry())
+        store.ingest_block(block(("a",), [0, 0], [1_000, 2_000]))
+        window = store.window(0, 10, ["x", "y"])
+        assert window.sql_ids == ["x", "y"] and window.offsets.tolist() == [0, 0, 0]
+        assert window.arrive_ms.dtype == np.int64 and len(window.response_ms) == 0
+        assert store.window(0, 10, []).offsets.tolist() == [0]
+
+    def test_whole_log_window_matches_iter_templates(self):
+        log = QueryLog()
+        for b in DELIVERIES["late_reordered"](make_tied_log()):
+            data = b.data
+            log.append_chunk(b.sql_ids, data["template"], data["arrive_ms"],
+                             data["response_ms"], data["examined_rows"])
+        log.drop_before(12_000)
+        window = log.window(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+        assert window.sql_ids == [tq.sql_id for tq in log.iter_templates()]
+        assert len(window) == log.total_queries
+        assert_rows_match(window, log.queries_of)

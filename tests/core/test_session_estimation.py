@@ -1,5 +1,6 @@
 """Tests for individual active-session estimation (paper Sec. IV-C)."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -421,3 +422,60 @@ class TestEveryCellASlot:
             np.testing.assert_array_equal(est.selected_buckets, selected)
         for sql_id, values in expected.items():
             np.testing.assert_allclose(est.get(sql_id).values, values, rtol=0, atol=1e-9)
+
+
+def _digest_store():
+    """Templates longer than the estimator's row runs, mixed with short
+    ones, and rows before ``ts``: some within the lookback, some past it."""
+    rng = np.random.default_rng(2024)
+    ts, te = 1_000, 1_040
+    batches = []
+    for sql_id, k, first_s in [
+        ("small1", 60, ts - 20), ("big", 60_000, ts - 400), ("small2", 40, ts - 350),
+        ("mid", 24_000, ts - 5), ("small3", 30, ts + 3), ("early", 25, ts - 900),
+    ]:
+        arrive = np.sort(rng.integers(first_s * 1000, (te + 10) * 1000, k))
+        if sql_id == "early":
+            arrive = np.sort(rng.integers(first_s * 1000, (ts - 400) * 1000, k))
+        response = np.where(rng.random(k) < 0.9, rng.exponential(60.0, k) + 0.5,
+                            rng.uniform(500.0, 9_000.0, k))
+        batches.append(_batch(sql_id, arrive, response))
+    observed = TimeSeries(rng.integers(0, 30, te - ts).astype(float), start=ts)
+    return _make_logstore(batches), observed
+
+
+def _estimator_digest() -> str:
+    """sha256 over every mode, span 1 and 3, and four ``sql_ids`` lists."""
+    store, observed = _digest_store()
+    id_lists = [
+        store.sql_ids,
+        store.sql_ids[::-1],
+        ["mid", "small1"],
+        ["small2", "ghost", "big", "small2"],
+    ]
+    h = hashlib.sha256()
+    for mode in SessionEstimationMode:
+        for span in (1, 3):
+            for sql_ids in id_lists:
+                est = SessionEstimator(mode, buckets=10, span_seconds=span).estimate(
+                    store, sql_ids, observed
+                )
+                h.update(repr((mode.value, span, est.sql_ids, est.values.shape)).encode())
+                for array in (est.values, est.total.values, est.selected_buckets):
+                    h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+class TestEstimatorDigest:
+    """The estimator's bits across modes, spans and ``sql_ids`` orders.
+
+    Pinned from the per-template read the window read replaced: the
+    pooled cells add each run's partial sums, so the run boundaries
+    (pieces of at most ``_CHUNK_ROWS`` rows per template, a run closed
+    once it holds that many) decide the float summation order.
+    """
+
+    PINNED = "1a9dd382b78753b8186bc2046f01317e7aaa0d283873ea7fd9e765de0bd4d6b9"
+
+    def test_digest_is_pinned(self):
+        assert _estimator_digest() == self.PINNED

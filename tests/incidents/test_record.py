@@ -8,6 +8,7 @@ from repro.incidents import (
     RepairOutcome,
     SpanNode,
 )
+from repro.incidents.record import UNNAMED_INSTANCE
 from repro.telemetry import Tracer
 
 
@@ -19,7 +20,7 @@ class TestRoundTrip:
 
     def test_minimal_record_roundtrips(self):
         record = IncidentRecord(
-            incident_id="x", instance_id="", created_at=5,
+            incident_id="x", instance_id="db-a", created_at=5,
             anomaly=AnomalyWindow(start=1, end=5),
         )
         clone = IncidentRecord.from_dict(json.loads(json.dumps(record.to_dict())))
@@ -32,7 +33,8 @@ class TestRoundTrip:
             {"incident_id": "x", "created_at": 5,
              "anomaly": {"start": 1, "end": 5}}
         )
-        assert clone.instance_id == ""
+        # A record archived without an instance id reads back under one label.
+        assert clone.instance_id == UNNAMED_INSTANCE
         assert clone.rsql == () and clone.metric_traces == ()
         assert clone.repair.outcome == "no_action"
 

@@ -1,6 +1,17 @@
 """Incident renderers: complete text chain and self-contained HTML."""
 
-from repro.incidents import SpanNode, render_incident_html, render_incident_text
+from repro.incidents import (
+    IncidentRecord,
+    IncidentStore,
+    SpanNode,
+    load_health,
+    render_health_text,
+    render_incident_html,
+    render_incident_text,
+    render_trace_html,
+    render_trace_text,
+)
+from repro.incidents.record import UNNAMED_INSTANCE
 from tests.incidents.conftest import make_record
 
 
@@ -80,3 +91,28 @@ class TestHtml:
         data["trace"] = None
         html = render_incident_html(type(record).from_dict(data))
         assert "Diagnosis trace" not in html
+
+
+class TestArchivedEmptyInstanceId:
+    """Records archived before every engine had an instance id carry
+    ``"instance_id": ""``; they load under one label and render as any
+    other record."""
+
+    def test_loads_and_renders_under_one_label(self, tmp_path):
+        data = make_record("legacy-400-deadbeef").to_dict()
+        data["instance_id"] = ""
+        record = IncidentRecord.from_dict(data)
+        assert record.instance_id == UNNAMED_INSTANCE
+        assert f"instance       : {UNNAMED_INSTANCE}" in render_incident_text(record)
+        assert UNNAMED_INSTANCE in render_incident_html(record)
+        assert f"instance {UNNAMED_INSTANCE};" in render_trace_text(record)
+        assert UNNAMED_INSTANCE in render_trace_html(record)
+
+        IncidentStore(tmp_path).append(make_record("legacy-400-deadbeef", instance_id=""))
+        store = IncidentStore(tmp_path)  # reopened: the archive as read back
+        assert [m.instance_id for m in store.metas()] == [UNNAMED_INSTANCE]
+        assert store.get("legacy-400-deadbeef").instance_id == UNNAMED_INSTANCE
+        assert store.query(instance=UNNAMED_INSTANCE)[0].incident_id == "legacy-400-deadbeef"
+        health = load_health(tmp_path)
+        assert health.per_instance == {UNNAMED_INSTANCE: 1}
+        assert f"{UNNAMED_INSTANCE}" in render_health_text(health)
