@@ -23,7 +23,14 @@ __all__ = [
     "html_escape",
     "html_table",
     "render_html_document",
+    "WIDENED_NOTE",
 ]
+
+#: What ``RsqlResult.widened`` means, as every report states it.
+WIDENED_NOTE = (
+    "candidate set widened: history verification rejected every selected"
+    " candidate, so every clustered template was re-verified"
+)
 
 
 @dataclass(frozen=True)
@@ -148,10 +155,7 @@ def render_report(
     else:
         lines.append("  (none pinpointed — escalate to a DBA)")
     if result.rsql.widened:
-        lines.append(
-            "  note: cluster selection was widened — the top clusters'"
-            " H-SQLs showed no execution surge of their own."
-        )
+        lines.append(f"  note: {WIDENED_NOTE}.")
 
     lines.append("")
     lines.append("High-impact SQLs (symptoms — their sessions drive the anomaly):")

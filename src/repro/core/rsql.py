@@ -45,8 +45,8 @@ class RsqlResult:
     selected_clusters: int = 0
     candidates: list[str] = field(default_factory=list)
     verified: list[str] = field(default_factory=list)
-    #: Whether the candidate set had to be widened to the full top-Kc
-    #: clusters because verification rejected every initial candidate.
+    #: Whether history verification rejected every selected candidate, so
+    #: every clustered template was re-verified.
     widened: bool = False
     #: Wall-clock seconds: clustering + cluster selection, and history
     #: verification + final ranking (the paper reports both).

@@ -7,35 +7,29 @@ threshold is crossed: a template whose response time is creeping up, a
 rising lock footprint, traffic concentrating on anti-pattern SQL, an
 instance whose incidents keep degrading to low-confidence evidence.
 
-Findings are plain data with the same strict-JSON discipline as
-incident records — ``to_dict`` / ``from_dict`` round-trip exactly,
-because the findings store persists them as JSONL lines and the daily
-report, CLI and lead-time harness all consume the serialised shape.
-Severity reuses :class:`~repro.sqlanalysis.Severity` so one ordering
-spans static analysis and health sweeps.
+Findings are plain data, and like incident records their strict-JSON
+shape is defined once, by the field declarations read through
+:mod:`repro.jsonrecord`: severity is stored as its label, evidence
+values are coerced to JSON scalars, and ``to_dict`` / ``from_dict``
+round-trip exactly, because the findings store persists them as JSONL
+lines and the daily report, CLI and lead-time harness all consume the
+serialised shape.  Severity reuses :class:`~repro.sqlanalysis.Severity`
+so one ordering spans static analysis and health sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
+from repro.jsonrecord import JsonRecord, Scalar, decode
 from repro.sqlanalysis import Severity
 
 __all__ = ["HealthFinding"]
 
-#: Evidence values must stay strict-JSON scalars.
-_SCALARS = (str, int, float, bool)
-
-
-def _jsonable(value: object) -> object:
-    if value is None or isinstance(value, _SCALARS):
-        return value
-    return str(value)
-
 
 @dataclass(frozen=True)
-class HealthFinding:
+class HealthFinding(JsonRecord):
     """One severity-scored proactive observation from a health sweep."""
 
     #: Id of the check that produced the finding (``rising-response-time``).
@@ -53,38 +47,12 @@ class HealthFinding:
     detected_at: int = 0
     #: Machine-readable numbers behind the message (slopes, shares,
     #: counts) — strict-JSON scalars only.
-    evidence: dict = field(default_factory=dict)
+    evidence: dict[str, Scalar] = field(default_factory=dict)
     #: What a DBA should do about it.
     suggestion: str = ""
     #: Id of the sweep, tying all of one sweep's findings together.
     sweep_id: str = ""
 
-    def to_dict(self) -> dict:
-        """Strict-JSON form (severity as its label string)."""
-        return {
-            "check": self.check,
-            "severity": self.severity.label,
-            "message": self.message,
-            "instance_id": self.instance_id,
-            "sql_id": self.sql_id,
-            "metric": self.metric,
-            "detected_at": self.detected_at,
-            "evidence": {str(k): _jsonable(v) for k, v in self.evidence.items()},
-            "suggestion": self.suggestion,
-            "sweep_id": self.sweep_id,
-        }
-
     @classmethod
-    def from_dict(cls, data: Mapping) -> "HealthFinding":
-        return cls(
-            check=str(data["check"]),
-            severity=Severity.from_label(str(data.get("severity", "info"))),
-            message=str(data.get("message", "")),
-            instance_id=str(data.get("instance_id", "")),
-            sql_id=str(data.get("sql_id", "")),
-            metric=str(data.get("metric", "")),
-            detected_at=int(data.get("detected_at", 0)),
-            evidence=dict(data.get("evidence", {})),
-            suggestion=str(data.get("suggestion", "")),
-            sweep_id=str(data.get("sweep_id", "")),
-        )
+    def from_dict(cls, data: Mapping[str, Any]) -> HealthFinding:
+        return decode(cls, {"severity": "info", "message": "", **data})

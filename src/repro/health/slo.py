@@ -35,6 +35,7 @@ from repro.health.checks import (
     register_check,
 )
 from repro.health.finding import HealthFinding
+from repro.jsonrecord import Scalar
 from repro.telemetry import fraction_at_most
 from repro.telemetry.metrics import labeled_name
 
@@ -168,7 +169,7 @@ class LatencySloBurnRateCheck(HealthCheck):
                 compliance = 1.0 - burn * (1.0 - spec.target)
                 series = labeled_name(spec.metric, entry.get("labels") or {})
                 p95 = (entry.get("quantiles") or {}).get("p95")
-                evidence = {
+                evidence: dict[str, Scalar] = {
                     "slo_id": spec.slo_id,
                     "series": series,
                     "burn_rate": round(burn, 3),

@@ -9,17 +9,20 @@ scores, the R-SQL attribution with clustering/verification evidence,
 the repair decision and its outcome, the trace-span tree of the
 diagnosis run, and the per-stage wall-clock timings.
 
-Records are plain data: every field round-trips through ``to_dict`` /
-``from_dict`` as strict JSON, because the store persists them as JSONL
-lines and the renderer, health rollup and CLI all consume the same
-serialised shape.
+Records are plain data.  Their strict-JSON shape is defined once, by
+the field declarations below read through :mod:`repro.jsonrecord`:
+``to_dict`` / ``from_dict`` round-trip exactly, keys in declaration
+order, because the store persists records as JSONL lines and the
+renderer, health rollup and CLI all consume that serialised shape.  A
+new field is one declaration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
+from repro.jsonrecord import JsonRecord, _jsonable, decode
 from repro.sqlanalysis import Advisory, Finding
 
 __all__ = [
@@ -36,7 +39,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AnomalyWindow:
+class AnomalyWindow(JsonRecord):
     """The detected anomaly window and its phenomenon types."""
 
     start: int
@@ -48,26 +51,9 @@ class AnomalyWindow:
     def duration(self) -> int:
         return self.end - self.start
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "types": list(self.types),
-            "detected_at": self.detected_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AnomalyWindow":
-        return cls(
-            start=int(data["start"]),
-            end=int(data["end"]),
-            types=tuple(data.get("types", ())),
-            detected_at=data.get("detected_at"),
-        )
-
 
 @dataclass(frozen=True)
-class MetricTrace:
+class MetricTrace(JsonRecord):
     """Raw samples of one metric over the evidence window.
 
     These are the *triggering* samples — what the real-time detector's
@@ -78,19 +64,9 @@ class MetricTrace:
     name: str
     samples: tuple[tuple[int, float], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "samples": [[t, v] for t, v in self.samples]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MetricTrace":
-        return cls(
-            name=data["name"],
-            samples=tuple((int(t), float(v)) for t, v in data.get("samples", ())),
-        )
-
 
 @dataclass(frozen=True)
-class HsqlEvidence:
+class HsqlEvidence(JsonRecord):
     """One H-SQL candidate with its per-template level scores (Sec. V)."""
 
     sql_id: str
@@ -100,30 +76,9 @@ class HsqlEvidence:
     impact: float
     statement: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "sql_id": self.sql_id,
-            "trend": self.trend,
-            "scale": self.scale,
-            "scale_trend": self.scale_trend,
-            "impact": self.impact,
-            "statement": self.statement,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "HsqlEvidence":
-        return cls(
-            sql_id=data["sql_id"],
-            trend=float(data["trend"]),
-            scale=float(data["scale"]),
-            scale_trend=float(data["scale_trend"]),
-            impact=float(data["impact"]),
-            statement=data.get("statement", ""),
-        )
-
 
 @dataclass(frozen=True)
-class RsqlEvidence:
+class RsqlEvidence(JsonRecord):
     """One ranked R-SQL with its propagation evidence (Sec. VI)."""
 
     sql_id: str
@@ -133,46 +88,18 @@ class RsqlEvidence:
     verified: bool = False
     statement: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "sql_id": self.sql_id,
-            "score": self.score,
-            "verified": self.verified,
-            "statement": self.statement,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RsqlEvidence":
-        return cls(
-            sql_id=data["sql_id"],
-            score=float(data["score"]),
-            verified=bool(data.get("verified", False)),
-            statement=data.get("statement", ""),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterSummary:
+class ClusterSummary(JsonRecord):
     """One business cluster from the R-SQL clustering stage."""
 
     size: int
     impact: float
     sql_ids: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {"size": self.size, "impact": self.impact, "sql_ids": list(self.sql_ids)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClusterSummary":
-        return cls(
-            size=int(data["size"]),
-            impact=float(data["impact"]),
-            sql_ids=tuple(data.get("sql_ids", ())),
-        )
-
 
 @dataclass(frozen=True)
-class RepairOutcome:
+class RepairOutcome(JsonRecord):
     """The repair decision: planned actions and what actually ran."""
 
     session_lift: float = 0.0
@@ -191,28 +118,9 @@ class RepairOutcome:
             return "planned_only"
         return "no_action"
 
-    def to_dict(self) -> dict:
-        return {
-            "session_lift": self.session_lift,
-            "planned": [dict(a) for a in self.planned],
-            "executed_kinds": list(self.executed_kinds),
-            "executed": self.executed,
-            "skipped": [dict(s) for s in self.skipped],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RepairOutcome":
-        return cls(
-            session_lift=float(data.get("session_lift", 0.0)),
-            planned=tuple(dict(a) for a in data.get("planned", ())),
-            executed_kinds=tuple(data.get("executed_kinds", ())),
-            executed=bool(data.get("executed", False)),
-            skipped=tuple(dict(s) for s in data.get("skipped", ())),
-        )
-
 
 @dataclass(frozen=True)
-class SpanNode:
+class SpanNode(JsonRecord):
     """Serialised trace span: the diagnosis run's timing tree."""
 
     name: str
@@ -238,29 +146,6 @@ class SpanNode:
             yield depth, node
             stack.extend((depth + 1, c) for c in reversed(node.children))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "elapsed": self.elapsed,
-            "attrs": dict(self.attrs),
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SpanNode":
-        return cls(
-            name=data["name"],
-            elapsed=data.get("elapsed"),
-            attrs=dict(data.get("attrs", {})),
-            children=tuple(cls.from_dict(c) for c in data.get("children", ())),
-        )
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
 
 #: Instance id given, on read, to records archived before every
 #: diagnosis engine had one (they carry an empty id).
@@ -268,7 +153,7 @@ UNNAMED_INSTANCE = "(single-instance)"
 
 
 @dataclass(frozen=True)
-class IncidentRecord:
+class IncidentRecord(JsonRecord):
     """One diagnosed anomaly as a durable, queryable evidence chain."""
 
     incident_id: str
@@ -329,71 +214,7 @@ class IncidentRecord:
     def rsql_ids(self) -> list[str]:
         return [e.sql_id for e in self.rsql]
 
-    def to_dict(self) -> dict:
-        return {
-            "incident_id": self.incident_id,
-            "instance_id": self.instance_id,
-            "created_at": self.created_at,
-            "anomaly": self.anomaly.to_dict(),
-            "metric_traces": [t.to_dict() for t in self.metric_traces],
-            "hsql": [h.to_dict() for h in self.hsql],
-            "hsql_alpha": self.hsql_alpha,
-            "hsql_beta": self.hsql_beta,
-            "rsql": [r.to_dict() for r in self.rsql],
-            "clusters": [c.to_dict() for c in self.clusters],
-            "rsql_widened": self.rsql_widened,
-            "verdict_category": self.verdict_category,
-            "verdict_evidence": self.verdict_evidence,
-            "repair": self.repair.to_dict(),
-            "analysis": [f.to_dict() for f in self.analysis],
-            "advisories": [a.to_dict() for a in self.advisories],
-            "timings": dict(self.timings),
-            "trace": self.trace.to_dict() if self.trace is not None else None,
-            "report_text": self.report_text,
-            "templates_seen": self.templates_seen,
-            "recorded_at_unix": self.recorded_at_unix,
-            "confidence": self.confidence,
-            "degraded_reasons": list(self.degraded_reasons),
-            "data_freshness": dict(self.data_freshness),
-        }
-
     @classmethod
-    def from_dict(cls, data: Mapping) -> "IncidentRecord":
-        return cls(
-            incident_id=data["incident_id"],
-            instance_id=data.get("instance_id") or UNNAMED_INSTANCE,
-            created_at=int(data["created_at"]),
-            anomaly=AnomalyWindow.from_dict(data["anomaly"]),
-            metric_traces=tuple(
-                MetricTrace.from_dict(t) for t in data.get("metric_traces", ())
-            ),
-            hsql=tuple(HsqlEvidence.from_dict(h) for h in data.get("hsql", ())),
-            hsql_alpha=float(data.get("hsql_alpha", 0.0)),
-            hsql_beta=float(data.get("hsql_beta", 0.0)),
-            rsql=tuple(RsqlEvidence.from_dict(r) for r in data.get("rsql", ())),
-            clusters=tuple(
-                ClusterSummary.from_dict(c) for c in data.get("clusters", ())
-            ),
-            rsql_widened=bool(data.get("rsql_widened", False)),
-            verdict_category=data.get("verdict_category"),
-            verdict_evidence=data.get("verdict_evidence"),
-            repair=RepairOutcome.from_dict(data.get("repair", {})),
-            analysis=tuple(
-                Finding.from_dict(f) for f in data.get("analysis", ())
-            ),
-            advisories=tuple(
-                Advisory.from_dict(a) for a in data.get("advisories", ())
-            ),
-            timings=dict(data.get("timings", {})),
-            trace=(
-                SpanNode.from_dict(data["trace"])
-                if data.get("trace") is not None
-                else None
-            ),
-            report_text=data.get("report_text", ""),
-            templates_seen=int(data.get("templates_seen", 0)),
-            recorded_at_unix=float(data.get("recorded_at_unix", 0.0)),
-            confidence=data.get("confidence", "full"),
-            degraded_reasons=tuple(data.get("degraded_reasons", ())),
-            data_freshness=dict(data.get("data_freshness", {})),
-        )
+    def from_dict(cls, data: Mapping[str, Any]) -> IncidentRecord:
+        instance_id = data.get("instance_id") or UNNAMED_INSTANCE
+        return decode(cls, {**data, "instance_id": instance_id})

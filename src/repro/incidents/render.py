@@ -10,7 +10,7 @@ attaching to a ticket or a CI artifact.
 
 from __future__ import annotations
 
-from repro.core.report import html_escape, html_table, render_html_document
+from repro.core.report import WIDENED_NOTE, html_escape, html_table, render_html_document
 from repro.incidents.record import IncidentRecord, MetricTrace, SpanNode
 
 __all__ = ["render_incident_text", "render_incident_html"]
@@ -113,8 +113,7 @@ def render_incident_text(record: IncidentRecord) -> str:
             if c.statement:
                 lines.append(f"     {c.statement}")
         if r.rsql_widened:
-            lines.append("  note: candidate set was widened past the cumulative"
-                         " threshold (initial candidates all failed verification).")
+            lines.append(f"  note: {WIDENED_NOTE}.")
     else:
         lines.append("  (none pinpointed — escalate to a DBA)")
     if r.clusters:
@@ -231,11 +230,7 @@ def render_incident_html(record: IncidentRecord) -> str:
             for i, c in enumerate(r.rsql, start=1)
         ],
     )
-    rsql_note = (
-        "<p class=\"kv\">candidate set widened past the cumulative threshold</p>"
-        if r.rsql_widened
-        else ""
-    )
+    rsql_note = f"<p class=\"kv\">{WIDENED_NOTE}</p>" if r.rsql_widened else ""
     analysis = html_table(
         ["severity", "rule", "sql_id", "table", "message", "suggested fix"],
         [

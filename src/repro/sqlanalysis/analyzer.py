@@ -140,17 +140,6 @@ class SqlAnalyzer:
         text = spec.exemplar or spec.template
         return self.analyze_statement(text, sql_id=spec.sql_id)
 
-    def analyze_catalog(
-        self, templates: Iterable[TemplateInfo]
-    ) -> dict[str, list[Finding]]:
-        """``sql_id -> findings`` over a catalog; clean templates omitted."""
-        out: dict[str, list[Finding]] = {}
-        for info in templates:
-            findings = self.analyze_template(info)
-            if findings:
-                out[info.sql_id] = findings
-        return out
-
     # ------------------------------------------------------------------
     def _count_failure(self, where: str, exc: Exception) -> None:
         self.registry.counter(

@@ -14,10 +14,11 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Iterable, Iterator, Mapping
+from typing import Any, ClassVar, Iterable, Iterator, Mapping
 
 from repro.dbsim.spec import TemplateSpec
 from repro.dbsim.tables import Schema
+from repro.jsonrecord import JsonRecord, decode
 from repro.sqltemplate.fingerprint import StatementKind
 from repro.sqlanalysis.ir import StatementIR
 
@@ -50,7 +51,7 @@ class Severity(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(JsonRecord):
     """One explainable anti-pattern finding on one template."""
 
     rule: str
@@ -61,29 +62,9 @@ class Finding:
     column: str = ""
     suggestion: str = ""
 
-    def to_dict(self) -> dict[str, str]:
-        """Strict-JSON form (severity as its label string)."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity.label,
-            "message": self.message,
-            "sql_id": self.sql_id,
-            "table": self.table,
-            "column": self.column,
-            "suggestion": self.suggestion,
-        }
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            severity=Severity.from_label(str(data.get("severity", "info"))),
-            message=str(data.get("message", "")),
-            sql_id=str(data.get("sql_id", "")),
-            table=str(data.get("table", "")),
-            column=str(data.get("column", "")),
-            suggestion=str(data.get("suggestion", "")),
-        )
+    def from_dict(cls, data: Mapping[str, Any]) -> Finding:
+        return decode(cls, {"severity": "info", "message": "", **data})
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.jsonrecord import JsonRecord, Scalar
 from repro.sqlanalysis.rules import Severity
 
 __all__ = ["Advisory", "AdvisoryReport", "advise_failed"]
 
-#: JSON scalar types allowed in advisory evidence values.
-Scalar = str | int | float | bool
-
 
 @dataclass(frozen=True)
-class Advisory:
+class Advisory(JsonRecord):
     """One workload-level recommendation.
 
     ``advisor`` names the pass that produced it; ``evidence`` holds the
@@ -42,33 +40,6 @@ class Advisory:
     suggestion: str = ""
     score: float = 0.0
     evidence: dict[str, Scalar] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "advisor": self.advisor,
-            "severity": self.severity.label,
-            "message": self.message,
-            "table": self.table,
-            "tables": list(self.tables),
-            "sql_ids": list(self.sql_ids),
-            "suggestion": self.suggestion,
-            "score": self.score,
-            "evidence": dict(self.evidence),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Advisory":
-        return cls(
-            advisor=data["advisor"],
-            severity=Severity.from_label(data["severity"]),
-            message=data["message"],
-            table=data.get("table", ""),
-            tables=tuple(data.get("tables", ())),
-            sql_ids=tuple(data.get("sql_ids", ())),
-            suggestion=data.get("suggestion", ""),
-            score=float(data.get("score", 0.0)),
-            evidence=dict(data.get("evidence", {})),
-        )
 
     def sort_key(self) -> tuple[int, str, str, tuple[str, ...]]:
         """Deterministic ordering: severity desc, then stable identity."""

@@ -73,13 +73,6 @@ class Population:
     def sql_ids(self) -> list[str]:
         return list(self.specs)
 
-    def business_of(self, sql_id: str) -> BusinessService | None:
-        """The business that issues ``sql_id`` (None for orphans)."""
-        for business in self.businesses:
-            if sql_id in business.sql_ids:
-                return business
-        return None
-
     def expected_rate(self, sql_id: str) -> np.ndarray:
         """Expected per-second arrival rate of a template over all businesses."""
         override = self.rate_overrides.get(sql_id)

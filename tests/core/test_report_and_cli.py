@@ -205,6 +205,10 @@ class TestReportEdges:
         result.rsql.widened = True
         report = render_report(row_lock_case.case, result)
         assert "widened" in report.text
+        assert (
+            "history verification rejected every selected candidate, so every"
+            " clustered template was re-verified" in report.text
+        )
 
     def test_self_caused_narrative(self, row_lock_case):
         result = PinSQL().analyze(row_lock_case.case)

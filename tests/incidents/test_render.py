@@ -1,5 +1,7 @@
 """Incident renderers: complete text chain and self-contained HTML."""
 
+import dataclasses
+
 from repro.incidents import (
     IncidentRecord,
     IncidentStore,
@@ -91,6 +93,26 @@ class TestHtml:
         data["trace"] = None
         html = render_incident_html(type(record).from_dict(data))
         assert "Diagnosis trace" not in html
+
+
+class TestWidenedNote:
+    """A widened attribution is explained by what the flag means, the same
+    way in the text and HTML renderings."""
+
+    CAUSE = (
+        "history verification rejected every selected candidate, so every"
+        " clustered template was re-verified"
+    )
+
+    def test_text_and_html_state_the_cause(self):
+        record = dataclasses.replace(make_record(), rsql_widened=True)
+        for rendered in (render_incident_text(record), render_incident_html(record)):
+            assert self.CAUSE in rendered
+            assert "cumulative" not in rendered
+
+    def test_no_note_unless_widened(self, record):
+        assert self.CAUSE not in render_incident_text(record)
+        assert self.CAUSE not in render_incident_html(record)
 
 
 class TestArchivedEmptyInstanceId:

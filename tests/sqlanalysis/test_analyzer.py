@@ -106,14 +106,6 @@ class TestTemplateEntryPoints:
         findings = SqlAnalyzer().analyze_spec(spec)
         assert findings and findings[0].sql_id == "S9"
 
-    def test_analyze_catalog_omits_clean_templates(self):
-        catalog = [
-            make_info(sql_id="BAD", template="SELECT * FROM t WHERE k = ?"),
-            make_info(sql_id="OK", template="SELECT c0 FROM t WHERE k = ? LIMIT ?"),
-        ]
-        by_id = SqlAnalyzer().analyze_catalog(catalog)
-        assert "BAD" in by_id and "OK" not in by_id
-
 
 class TestRuleOverride:
     def test_custom_rule_set(self):

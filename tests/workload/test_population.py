@@ -91,13 +91,6 @@ class TestBuildPopulation:
         select_share = kinds.count(StatementKind.SELECT) / len(kinds)
         assert 0.4 < select_share < 0.95
 
-    def test_business_of(self):
-        rng = np.random.default_rng(2)
-        pop = build_population(600, rng, n_businesses=4)
-        sql_id = pop.businesses[0].sql_ids[0]
-        assert pop.business_of(sql_id) is pop.businesses[0]
-        assert pop.business_of("NOT_A_TEMPLATE") is None
-
     def test_intra_business_rates_correlate(self):
         # The Fig. 4 property: templates of one business share a trend.
         rng = np.random.default_rng(3)
